@@ -12,7 +12,7 @@ import numpy as np
 import levynoise as ln
 from levynoise.coefficients import ClampedNoise, Const
 from levynoise.errors import HorizonViolationError
-from levynoise.processes import batch_square_integral
+from levynoise.processes import square_integral
 from levynoise.rng import derive_rng
 
 unit = ln.atomic_measure([(1.0, 1.0)])
@@ -41,8 +41,8 @@ assert lhs == rhs
 # the defining isometry: E I(X)^2 = m2 * E integral X^2
 n = 100_000
 batch = ln.sample_prm_batch(unit, Y.read_window(), n, derive_rng(17))
-ivals = ln.batch_I_K(batch, Y)
-paired = ivals ** 2 - float(ln.abs_moment(unit, 2)) * batch_square_integral(Y, batch)
+ivals = ln.eval_I_K(batch, Y)
+paired = ivals ** 2 - float(ln.abs_moment(unit, 2)) * square_integral(Y, batch)
 est, se, z, ok = ln.mc_mean_test(paired, 0.0, 3.0)
 print(f"\nisometry gap over {n} samples: {est:+.5f} (z = {z:+.2f}, {'ok' if ok else 'OFF'})")
 

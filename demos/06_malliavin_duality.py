@@ -30,8 +30,8 @@ proj = ln.project_kernel(kern, 0.0)
 print(f"  cells {[(c.a, c.b) for c in kern.cells]} -> {[(c.a, c.b) for c in proj.cells]}")
 n = 100_000
 batch = ln.sample_prm_batch(unit, 2.0, n, derive_rng(23))
-g = ClampedNoise(-1.0, 0.0, 10.0).eval_batch(batch)
-d = (ln.batch_multiple_integral(batch, kern) - ln.batch_multiple_integral(batch, proj)) * g
+g = ClampedNoise(-1.0, 0.0, 10.0).eval(batch)
+d = (ln.eval_multiple_integral(batch, kern) - ln.eval_multiple_integral(batch, proj)) * g
 est, se, z, ok = ln.mc_mean_test(d, 0.0, 3.0)
 print(f"  E[(I - projected I) * left functional] = {est:+.5f} (z = {z:+.2f})")
 

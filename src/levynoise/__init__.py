@@ -35,7 +35,6 @@ from .prm import (
     PointRealization,
     RealizationBatch,
     char_function_gap,
-    eval_L_callable,
     eval_L_set,
     eval_L_step,
     eval_path,
@@ -76,7 +75,6 @@ from .chaos import (
     ChaosFunctional,
     StepKernel,
     add_one_cost,
-    batch_chaos,
     batch_multiple_integral,
     catalog_functional,
     catalog_kernel,

@@ -34,14 +34,9 @@ import numpy as np
 from .errors import WindowExceededError
 from .integral import _mean_se
 from .measure import LevyMeasureModel, _quad
-from .prm import (
-    PointRealization,
-    RealizationBatch,
-    batch_cell_count,
-    sample_prm_batch,
-)
-from .processes import SimpleProcess, batch_I_K, eval_I_K
-from .rng import derive_rng
+from .prm import PointRealization, RealizationBatch, sample_prm_batch
+from .processes import SimpleProcess, eval_I_K
+from .rng import DUALITY_STREAM, derive_rng
 
 MAX_CHAOS_ORDER = 4
 
@@ -171,50 +166,31 @@ def chaos_variance(model: LevyMeasureModel, kernel: StepKernel) -> Fraction | fl
 # evaluation
 # ---------------------------------------------------------------------------
 
-def compensated_cell_count(real: PointRealization, cell: Cell) -> Fraction | float:
-    """``hatN(F) = #points in F - |A| nu(B)`` on one realization."""
-    if max(abs(cell.a), abs(cell.b)) > real.window + 1e-15:
+def compensated_cell_count(src: PointRealization | RealizationBatch,
+                           cell: Cell) -> Fraction | np.ndarray:
+    """``hatN(F) = #points in F - |A| nu(B)``, exact or one float per realization."""
+    if max(abs(cell.a), abs(cell.b)) > src.window + 1e-15:
         raise WindowExceededError(f"cell ({cell.a}, {cell.b}] outside window")
-    count = 0
-    for k in range(len(real.x)):
-        if cell.contains(float(real.x[k]), float(real.z[k]),
-                         None if real.atom is None else int(real.atom[k])):
-            count += 1
-    intensity = cell_intensity(real.model, cell)
-    if isinstance(intensity, Fraction):
-        return Fraction(count) - intensity
-    return float(count) - intensity
+    return src.count(cell.a, cell.b, cell.marks) - src.num(cell_intensity(src.model, cell))
 
 
-def eval_multiple_integral(real: PointRealization, kernel: StepKernel) -> Fraction | float:
-    """Exact pathwise value of ``I_k(h)`` on one realization."""
-    nhat = [compensated_cell_count(real, c) for c in kernel.cells]
-    exact = all(isinstance(v, Fraction) for v in nhat)
-    total: Fraction | float = Fraction(0) if exact else 0.0
+def eval_multiple_integral(src: PointRealization | RealizationBatch,
+                           kernel: StepKernel) -> Fraction | np.ndarray:
+    """Pathwise value of ``I_k(h)``, exact or one float per realization."""
+    nhat = [compensated_cell_count(src, c) for c in kernel.cells]
+    total = src.full(0.0)
     for idx in np.ndindex(kernel.beta.shape):
         b = float(kernel.beta[idx])
         if b == 0.0:
             continue
-        prod: Fraction | float = Fraction(b) if exact else b
+        prod = src.full(b)
         for i in idx:
-            prod *= nhat[i]
+            prod = prod * nhat[i]
         total += prod
     return total
 
 
-def batch_multiple_integral(batch: RealizationBatch, kernel: StepKernel) -> np.ndarray:
-    nhat = [batch_cell_count(batch, c.a, c.b, c.marks) - float(cell_intensity(batch.model, c))
-            for c in kernel.cells]
-    out = np.zeros(batch.n)
-    for idx in np.ndindex(kernel.beta.shape):
-        b = float(kernel.beta[idx])
-        if b == 0.0:
-            continue
-        prod = np.full(batch.n, b)
-        for i in idx:
-            prod = prod * nhat[i]
-        out += prod
-    return out
+batch_multiple_integral = eval_multiple_integral  # older batch name, used by perfbench
 
 
 def project_kernel(kernel: StepKernel, y: float) -> StepKernel:
@@ -277,17 +253,11 @@ class ChaosFunctional:
         return r
 
 
-def eval_chaos(real: PointRealization, F: ChaosFunctional) -> Fraction | float:
-    vals = [eval_multiple_integral(real, k) for k in F.kernels]
-    if all(isinstance(v, Fraction) for v in vals):
-        return Fraction(float(F.constant)) + sum(vals, Fraction(0))
-    return float(F.constant) + math.fsum(float(v) for v in vals)
-
-
-def batch_chaos(batch: RealizationBatch, F: ChaosFunctional) -> np.ndarray:
-    out = np.full(batch.n, float(F.constant))
+def eval_chaos(src: PointRealization | RealizationBatch,
+               F: ChaosFunctional) -> Fraction | np.ndarray:
+    out = src.full(F.constant)
     for k in F.kernels:
-        out += batch_multiple_integral(batch, k)
+        out += eval_multiple_integral(src, k)
     return out
 
 
@@ -362,7 +332,7 @@ def duality_gap(model: LevyMeasureModel, F: ChaosFunctional, proc: SimpleProcess
         for c in kern.cells:
             cells[(c.a, c.b, c.marks)] = c
     window = max(F.read_window(), proc.read_window())
-    rng = derive_rng(seed, 17)
+    rng = derive_rng(seed, DUALITY_STREAM)
     batch = sample_prm_batch(model, window, n_samples, rng)
 
     pairing = np.zeros(n_samples)
@@ -374,10 +344,10 @@ def duality_gap(model: LevyMeasureModel, F: ChaosFunctional, proc: SimpleProcess
             continue
         probe = _probe_in_cell(model, cell)
         dF = malliavin_derivative(F, *probe, model)
-        dvals = batch_chaos(batch, dF)
+        dvals = eval_chaos(batch, dF)
         overlap = _phi_overlap(batch, proc, cell)
         pairing += dvals * overlap * zmass
-    adjoint = batch_chaos(batch, F) * batch_I_K(batch, proc)
+    adjoint = eval_chaos(batch, F) * eval_I_K(batch, proc)
     gap, se = _mean_se(pairing - adjoint)
     passed = abs(gap) <= se_multiplier * se if se > 0 else gap == 0.0
     return DualityResult(gap, se, float(pairing.mean()), float(adjoint.mean()),
@@ -385,7 +355,7 @@ def duality_gap(model: LevyMeasureModel, F: ChaosFunctional, proc: SimpleProcess
 
 
 def _probe_in_cell(model: LevyMeasureModel, cell: Cell) -> tuple[float, float]:
-    x = 0.5 * (cell.a + cell.b)
+    x = cell.b  # cells are right-closed, so b always lies in (a, b]
     if isinstance(cell.marks, frozenset):
         j = min(cell.marks)
         return x, float(model.atoms[j][0])
@@ -399,7 +369,7 @@ def _phi_overlap(batch: RealizationBatch, proc: SimpleProcess, cell: Cell) -> np
     for (a, b), coef in zip(proc.cells, proc.coefficients):
         length = min(b, cell.b) - max(a, cell.a)
         if length > 0:
-            out += coef.eval_batch(batch) * length
+            out += coef.eval(batch) * length
     return out
 
 

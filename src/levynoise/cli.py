@@ -37,14 +37,21 @@ from .harness import (
 )
 from .measure import validate_measure
 from .partitions import moment_of_step_functional, step_functional_cumulants
-from .prm import batch_L_union, sample_prm_batch
-from .rng import derive_rng
+from .prm import eval_L_set, sample_prm_batch
+from .rng import SIMULATE_STREAM, derive_rng
 from .stepfun import StepFunction
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a JSON experiment config")
-    parser.add_argument("--seed", type=int, help="master seed override")
+    parser.add_argument("--seed", type=_seed, help="master seed override (>= 0)")
     parser.add_argument("--samples", type=int, help="sample count override")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -116,9 +123,9 @@ def _cmd_simulate(args) -> int:
         a, b = part.split(",")
         sets.append((float(a), float(b)))
     n = args.samples or 1000
-    rng = derive_rng(args.seed if args.seed is not None else 0, 99)
+    rng = derive_rng(args.seed if args.seed is not None else 0, SIMULATE_STREAM)
     batch = sample_prm_batch(model, args.window, n, rng)
-    columns = [batch_L_union(batch, [s]) for s in sets]
+    columns = [eval_L_set(batch, [s]) for s in sets]
     rows = zip(*columns) if columns else []
     out = Path(args.out).open("w", newline="") if args.out else sys.stdout
     try:

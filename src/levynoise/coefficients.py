@@ -25,11 +25,14 @@ from typing import Union
 import numpy as np
 
 from .errors import UnboundedCoefficientError
-from .prm import PointRealization, RealizationBatch, batch_L_interval, eval_L_set
+from .prm import PointRealization, RealizationBatch
 
 DEFAULT_CLIP = 1e6
 
 Coefficient = Union["Const", "ClampedNoise", "Poly", "Product", "Sum"]
+# ``eval`` returns an exact Fraction on a PointRealization and one float per
+# realization on a RealizationBatch; ``eval_batch`` is its older batch name,
+# which perfbench still calls.
 
 
 @dataclass(frozen=True)
@@ -44,11 +47,10 @@ class Const:
     def bound(self) -> float:
         return abs(self.value)
 
-    def eval(self, real: PointRealization) -> Fraction:
-        return Fraction(float(self.value))
+    def eval(self, src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
+        return src.full(self.value)
 
-    def eval_batch(self, batch: RealizationBatch) -> np.ndarray:
-        return np.full(batch.n, float(self.value))
+    eval_batch = eval
 
     def read_intervals(self) -> list[tuple[float, float]]:
         return []
@@ -76,13 +78,10 @@ class ClampedNoise:
     def bound(self) -> float:
         return self.clip
 
-    def eval(self, real: PointRealization) -> Fraction:
-        v = eval_L_set(real, (self.a, self.b))
-        c = Fraction(float(self.clip))
-        return max(-c, min(c, v))
+    def eval(self, src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
+        return src.clip(src.mass((self.a, self.b)), self.clip)
 
-    def eval_batch(self, batch: RealizationBatch) -> np.ndarray:
-        return np.clip(batch_L_interval(batch, self.a, self.b), -self.clip, self.clip)
+    eval_batch = eval
 
     def read_intervals(self) -> list[tuple[float, float]]:
         return [(self.a, self.b)]
@@ -104,18 +103,16 @@ class Poly:
         b = self.arg.bound
         return float(sum(abs(c) * b ** k for k, c in enumerate(self.coeffs)))
 
-    def eval(self, real: PointRealization) -> Fraction:
-        y = self.arg.eval(real)
-        total = Fraction(0)
-        power = Fraction(1)
-        for c in self.coeffs:
-            total += Fraction(float(c)) * power
-            power *= y
-        return total
+    def eval(self, src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
+        # Horner in the order of numpy.polynomial.polynomial.polyval
+        y = self.arg.eval(src)
+        coeffs = self.coeffs or (0.0,)
+        out = src.num(coeffs[-1]) + y * 0
+        for c in coeffs[-2::-1]:
+            out = src.num(c) + out * y
+        return out
 
-    def eval_batch(self, batch: RealizationBatch) -> np.ndarray:
-        y = self.arg.eval_batch(batch)
-        return np.polynomial.polynomial.polyval(y, np.asarray(self.coeffs, dtype=float))
+    eval_batch = eval
 
     def read_intervals(self) -> list[tuple[float, float]]:
         return self.arg.read_intervals()
@@ -133,17 +130,13 @@ class Product:
     def bound(self) -> float:
         return float(math.prod(f.bound for f in self.factors))
 
-    def eval(self, real: PointRealization) -> Fraction:
-        out = Fraction(1)
+    def eval(self, src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
+        out = src.full(1.0)
         for f in self.factors:
-            out *= f.eval(real)
+            out = out * f.eval(src)
         return out
 
-    def eval_batch(self, batch: RealizationBatch) -> np.ndarray:
-        out = np.ones(batch.n)
-        for f in self.factors:
-            out = out * f.eval_batch(batch)
-        return out
+    eval_batch = eval
 
     def read_intervals(self) -> list[tuple[float, float]]:
         return [iv for f in self.factors for iv in f.read_intervals()]
@@ -161,17 +154,13 @@ class Sum:
     def bound(self) -> float:
         return float(sum(t.bound for t in self.terms))
 
-    def eval(self, real: PointRealization) -> Fraction:
-        out = Fraction(0)
+    def eval(self, src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
+        out = src.full(0.0)
         for t in self.terms:
-            out += t.eval(real)
+            out = out + t.eval(src)
         return out
 
-    def eval_batch(self, batch: RealizationBatch) -> np.ndarray:
-        out = np.zeros(batch.n)
-        for t in self.terms:
-            out = out + t.eval_batch(batch)
-        return out
+    eval_batch = eval
 
     def read_intervals(self) -> list[tuple[float, float]]:
         return [iv for t in self.terms for iv in t.read_intervals()]

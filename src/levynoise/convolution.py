@@ -40,8 +40,8 @@ from .errors import InfiniteNuTError
 from .integral import _mean_se, integral_bound_constant
 from .measure import LevyMeasureModel
 from .prm import sample_prm_batch
-from .processes import SimpleProcess, batch_I_K, validate_simple
-from .rng import derive_rng
+from .processes import SimpleProcess, eval_I_K, validate_simple
+from .rng import CONVOLUTION_STREAM, FIELD_MOMENT_STREAM, derive_rng
 
 REFINE_REL_TOL = 1e-3
 MAX_REFINES = 7
@@ -144,9 +144,8 @@ class SeparableField:
         return self.space.breakpoints
 
     def coefficient_on_cell(self, y_lo: float, y_hi: float) -> Coefficient | None:
-        mid = 0.5 * (y_lo + y_hi)
         for (a, b), coef in zip(self.space.cells, self.space.coefficients):
-            if a < mid <= b:
+            if a < y_hi <= b:  # cells are right-closed, so y_hi lies in (y_lo, y_hi]
                 return coef
         return Const(0.0)  # field vanishes outside its own support
 
@@ -159,9 +158,9 @@ def _coefficient_pth_moment(model: LevyMeasureModel, coef: Coefficient, p: int,
     """Monte Carlo ``E|C|^p`` for one catalog coefficient (exact for constants)."""
     if isinstance(coef, Const):
         return abs(coef.value) ** p, 0.0
-    rng = derive_rng(seed, 16)
+    rng = derive_rng(seed, FIELD_MOMENT_STREAM)
     batch = sample_prm_batch(model, window, n_samples, rng)
-    return _mean_se(np.abs(coef.eval_batch(batch)) ** p)
+    return _mean_se(np.abs(coef.eval(batch)) ** p)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +313,9 @@ def check_convolution_moment_bound(model: LevyMeasureModel, kernel: ConvolutionK
                                                 n_samples, seed)
     rhs_pow = b_pow * (integral_val + delta)
     proc = build_convolution_process(kernel, field, t, x, n_space, n_time)
-    rng = derive_rng(seed, 15)
+    rng = derive_rng(seed, CONVOLUTION_STREAM)
     batch = sample_prm_batch(model, proc.read_window(), n_samples, rng)
-    lhs_pow, se_lhs = _mean_se(np.abs(batch_I_K(batch, proc)) ** p)
+    lhs_pow, se_lhs = _mean_se(np.abs(eval_I_K(batch, proc)) ** p)
     margin = se_multiplier * math.hypot(se_lhs, b_pow * se_phi)
     passed = lhs_pow <= rhs_pow + margin
     return ConvolutionBoundResult(p, t, x, nu_t, b_pow, lhs_pow, rhs_pow,

@@ -26,12 +26,12 @@ import numpy as np
 from . import __version__
 from .chaos import (
     add_one_cost,
-    batch_multiple_integral,
     catalog_functional,
     catalog_kernel,
     chaos_variance,
     duality_gap,
     eval_chaos,
+    eval_multiple_integral,
     malliavin_derivative,
     project_kernel,
 )
@@ -55,9 +55,26 @@ from .partitions import (
     count_no_singleton_partitions,
     moment_of_step_functional,
 )
-from .prm import batch_L_union, char_function_gap, sample_L_interval, sample_prm_batch
-from .processes import batch_I_K, batch_square_integral, catalog_process, process_from_config
-from .rng import derive_rng, derive_seed
+from .prm import (
+    char_function_gap,
+    eval_L_set,
+    sample_L_interval,
+    sample_prm,
+    sample_prm_batch,
+)
+from .processes import catalog_process, eval_I_K, process_from_config, square_integral
+from .rng import (
+    CHAOS_ISOMETRY_STREAM,
+    CHAOS_ORTHOGONALITY_STREAM,
+    DERIVATIVE_PROBES_STREAM,
+    ISOMETRY_STREAM,
+    MARTINGALE_STREAM,
+    MEAN_ZERO_STREAM,
+    MOMENT_MC_STREAM,
+    PROJECTION_STREAM,
+    derive_rng,
+    derive_seed,
+)
 from .stepfun import StepFunction
 
 MIN_SAMPLES = 1_000
@@ -76,6 +93,11 @@ class ExperimentConfig:
     seed: int
     se_multiplier: float
     checks: tuple[dict, ...]
+
+    def __post_init__(self) -> None:
+        # config files; the CLI checks --seed when it parses it
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def model(self) -> LevyMeasureModel:
         return validate_measure(self.measure)
@@ -246,7 +268,7 @@ def _run_moment_mc(model, config, check, seed):
     n = _samples_count(config, check)
     mult = _gate(config, check, heavy=p >= 4)
     target = float(moment_of_step_functional(model, StepFunction.indicator(a, b), p))
-    rng = derive_rng(seed, 1)
+    rng = derive_rng(seed, MOMENT_MC_STREAM)
     draws = sample_L_interval(model, float(b) - float(a), n, rng)
     samples = draws ** p
     est, se, z, passed = mc_mean_test(samples, target, mult)
@@ -273,9 +295,9 @@ def _run_char_gap(model, config, check, seed):
 def _run_mean_zero(model, config, check, seed):
     proc = _resolve_process(check.get("process", "det_step"))
     n = _samples_count(config, check)
-    rng = derive_rng(seed, 2)
+    rng = derive_rng(seed, MEAN_ZERO_STREAM)
     batch = sample_prm_batch(model, proc.read_window(), n, rng)
-    samples = batch_I_K(batch, proc)
+    samples = eval_I_K(batch, proc)
     est, se, z, passed = mc_mean_test(samples, 0.0, config.se_multiplier)
     return CheckResult(check.get("name", "mean_zero"), "mean_zero",
                        est, 0.0, est, se, z, passed,
@@ -285,10 +307,10 @@ def _run_mean_zero(model, config, check, seed):
 def _run_isometry(model, config, check, seed):
     proc = _resolve_process(check.get("process", "det_step"))
     n = _samples_count(config, check)
-    rng = derive_rng(seed, 3)
+    rng = derive_rng(seed, ISOMETRY_STREAM)
     batch = sample_prm_batch(model, proc.read_window(), n, rng)
-    ivals = batch_I_K(batch, proc)
-    q2 = batch_square_integral(proc, batch)
+    ivals = eval_I_K(batch, proc)
+    q2 = square_integral(proc, batch)
     m2 = float(abs_moment(model, 2))
     paired = ivals ** 2 - m2 * q2
     est, se, z, passed = mc_mean_test(paired, 0.0, _gate(config, check, heavy=True))
@@ -305,13 +327,13 @@ def _run_martingale(model, config, check, seed):
     mult = _gate(config, check, heavy=True)
     window = max(proc.read_window(),
                  max(abs(bp - probe_width) for bp in proc.breakpoints))
-    rng = derive_rng(seed, 4)
+    rng = derive_rng(seed, MARTINGALE_STREAM)
     batch = sample_prm_batch(model, window, n, rng)
     zs = []
     for k, ((a, b), coef) in enumerate(zip(proc.cells, proc.coefficients)):
         probe = ClampedNoise(a - probe_width, a, 10.0)
-        increment = coef.eval_batch(batch) * batch_L_union(batch, [(a, b)])
-        d = increment * probe.eval_batch(batch)
+        increment = coef.eval(batch) * eval_L_set(batch, [(a, b)])
+        d = increment * probe.eval(batch)
         _, _, z, _ = mc_mean_test(d, 0.0, mult)
         zs.append(z)
     worst = max(abs(z) for z in zs)
@@ -406,8 +428,7 @@ def _run_derivative_probes(model, config, check, seed):
     checked = 0
     mismatches = 0
     for i in range(n_real):
-        real_seed = derive_seed(seed, 5, i)
-        real = _sample_single(model, window, real_seed)
+        real = sample_prm(model, window, derive_seed(seed, DERIVATIVE_PROBES_STREAM, i))
         for x in probes_x:
             for z in zs:
                 d = malliavin_derivative(F, float(x), float(z), model)
@@ -423,11 +444,6 @@ def _run_derivative_probes(model, config, check, seed):
                         "probes": checked})
 
 
-def _sample_single(model, window, seed):
-    from .prm import sample_prm
-    return sample_prm(model, window, seed)
-
-
 def _run_projection(model, config, check, seed):
     kern = catalog_kernel(check.get("kernel", "k2"))
     y = float(check.get("y", 0.0))
@@ -436,12 +452,12 @@ def _run_projection(model, config, check, seed):
     probe = ClampedNoise(y - 1.0, y, 10.0)
     window = max(max(abs(c.a) for c in kern.cells), max(abs(c.b) for c in kern.cells),
                  abs(y - 1.0), abs(y))
-    rng = derive_rng(seed, 6)
+    rng = derive_rng(seed, PROJECTION_STREAM)
     batch = sample_prm_batch(model, window, n, rng)
-    ik = batch_multiple_integral(batch, kern)
-    iky = batch_multiple_integral(batch, proj)
+    ik = eval_multiple_integral(batch, kern)
+    iky = eval_multiple_integral(batch, proj)
     mult = _gate(config, check, heavy=True)
-    g = probe.eval_batch(batch)
+    g = probe.eval(batch)
     est, se, z, orth = mc_mean_test((ik - iky) * g, 0.0, mult)
     # projecting cannot increase the second moment
     contraction = (ik ** 2 - iky ** 2)
@@ -491,9 +507,9 @@ def _run_chaos_isometry(model, config, check, seed):
     n = _samples_count(config, check)
     target = float(chaos_variance(model, kern))
     window = max(max(abs(c.a), abs(c.b)) for c in kern.cells)
-    rng = derive_rng(seed, 7)
+    rng = derive_rng(seed, CHAOS_ISOMETRY_STREAM)
     batch = sample_prm_batch(model, window, n, rng)
-    vals = batch_multiple_integral(batch, kern)
+    vals = eval_multiple_integral(batch, kern)
     est, se, z, passed = mc_mean_test(vals ** 2, target,
                                       _gate(config, check, heavy=kern.order >= 2))
     return CheckResult(check.get("name", f"chaos_isometry_{check.get('kernel', 'k2')}"),
@@ -509,9 +525,9 @@ def _run_chaos_orthogonality(model, config, check, seed):
     n = _samples_count(config, check)
     cells = list(k1.cells) + list(k2.cells)
     window = max(max(abs(c.a), abs(c.b)) for c in cells)
-    rng = derive_rng(seed, 8)
+    rng = derive_rng(seed, CHAOS_ORTHOGONALITY_STREAM)
     batch = sample_prm_batch(model, window, n, rng)
-    prod = batch_multiple_integral(batch, k1) * batch_multiple_integral(batch, k2)
+    prod = eval_multiple_integral(batch, k1) * eval_multiple_integral(batch, k2)
     est, se, z, passed = mc_mean_test(prod, 0.0,
                                       _gate(config, check, heavy=k1.order + k2.order >= 3))
     return CheckResult(check.get("name", "chaos_orthogonality"), "chaos_orthogonality",

@@ -34,13 +34,8 @@ from .errors import InfinitePMomentError
 from .measure import LevyMeasureModel, abs_moment
 from .partitions import count_no_singleton_partitions, moment_of_step_functional
 from .prm import batch_L_weighted, sample_prm_batch
-from .processes import (
-    SimpleProcess,
-    batch_I_K,
-    batch_abs_power_integral,
-    batch_square_integral,
-)
-from .rng import derive_rng
+from .processes import SimpleProcess, abs_power_integral, eval_I_K, square_integral
+from .rng import INTEGRAL_BOUND_STREAM, SEMINORM_STREAM, TAIL_STREAM, derive_rng
 from .stepfun import StepFunction
 
 
@@ -90,10 +85,10 @@ def estimate_seminorm(model: LevyMeasureModel, proc: SimpleProcess, p: int,
         qp = float(phi.abs_power_integral(p))
         return SeminormEstimate(K, p, math.sqrt(q2), qp ** (1.0 / p),
                                 q2 ** (p / 2), qp, 0.0, 0.0, 0, True)
-    rng = derive_rng(seed, 11)
+    rng = derive_rng(seed, SEMINORM_STREAM)
     batch = sample_prm_batch(model, proc.read_window(), n_samples, rng)
-    q2 = batch_square_integral(proc, batch, K) ** (p / 2)
-    qp = batch_abs_power_integral(proc, batch, p, K)
+    q2 = square_integral(proc, batch, K) ** (p / 2)
+    qp = abs_power_integral(proc, batch, p, K)
     m2p, s2p = _mean_se(q2)
     mpp, spp = _mean_se(qp)
     return SeminormEstimate(K, p, m2p ** (1.0 / p), mpp ** (1.0 / p),
@@ -204,9 +199,9 @@ def check_integral_moment_bound(model: LevyMeasureModel, proc: SimpleProcess,
     if not math.isfinite(float(abs_moment(model, p))):
         raise InfinitePMomentError(f"m_{p} diverges")
     const = integral_bound_constant(model, p, rosenthal_b, convention)
-    rng = derive_rng(seed, 12)
+    rng = derive_rng(seed, INTEGRAL_BOUND_STREAM)
     batch = sample_prm_batch(model, proc.read_window(), n_samples, rng)
-    ivals = batch_I_K(batch, proc)
+    ivals = eval_I_K(batch, proc)
     lhs_pow, se_lhs_pow = _mean_se(np.abs(ivals) ** p)
     semi = estimate_seminorm(model, proc, p, None, n_samples, seed)
     rhs = const * semi.value
@@ -249,7 +244,7 @@ def tail_convergence(model: LevyMeasureModel, func, schedule, k_outer: float,
     reads only the tail region ``K < |x| <= K'``, so its samples are the
     tail-restricted compensated sums.
     """
-    rng = derive_rng(seed, 13)
+    rng = derive_rng(seed, TAIL_STREAM)
     batch = sample_prm_batch(model, float(k_outer), n_samples, rng)
     m2 = float(abs_moment(model, 2))
     rows = []

@@ -10,10 +10,15 @@ Every set evaluation is fully compensated:
 
     L(A) = sum of jumps located in A  -  |A| * mt_1
 
-Single-realization evaluators run in exact rational arithmetic so that
-pathwise identities (additivity, restriction, linearity of the
-integral) hold exactly; the batch evaluators are float-vectorized for
-Monte Carlo work.
+Both realization types expose the same five backend methods: ``mass``
+(compensated mass of a union of intervals), ``count`` (points in a
+product cell), ``clip``, ``num`` (a scalar) and ``full`` (a constant
+value).  Every evaluator in the package is written once against them,
+and the type of its argument picks the backend.  A ``PointRealization``
+computes in exact rational arithmetic, so pathwise identities
+(additivity, restriction, linearity of the integral) hold exactly; a
+``RealizationBatch`` computes one float per realization for Monte Carlo
+work.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import WindowExceededError
 from .measure import LevyMeasureModel, signed_moment, _quad
-from .rng import derive_rng
+from .rng import CHAR_GAP_STREAM, derive_rng
 from .stepfun import StepFunction
 
 Interval = tuple[float, float]
@@ -72,6 +77,41 @@ class PointRealization:
                                 np.insert(self.z, pos, z), new_atom,
                                 self.model, self.seed)
 
+    # -- exact backend: masses and counts are Fractions and ints ----------
+
+    def mass(self, sets) -> Fraction:
+        intervals = normalize_intervals(sets)
+        _check_window(intervals, self.window)
+        total = Fraction(0)
+        length = Fraction(0)
+        for a, b in intervals:
+            lo = int(np.searchsorted(self.x, a, side="right"))
+            hi = int(np.searchsorted(self.x, b, side="right"))
+            for k in range(lo, hi):
+                total += Fraction(float(self.z[k]))
+            length += Fraction(b) - Fraction(a)
+        return total - length * _mt1(self.model)
+
+    def count(self, a: float, b: float, marks) -> int:
+        """Number of points in ``(a, b] x B``; ``marks`` as for ``RealizationBatch.count``."""
+        lo = int(np.searchsorted(self.x, a, side="right"))
+        hi = int(np.searchsorted(self.x, b, side="right"))
+        if isinstance(marks, frozenset):
+            return 0 if self.atom is None else sum(j in marks for j in self.atom[lo:hi].tolist())
+        zlo, zhi = marks
+        return sum(zlo < z <= zhi for z in self.z[lo:hi].tolist())
+
+    @staticmethod
+    def clip(v: Fraction, c: float) -> Fraction:
+        c = Fraction(c)
+        return max(-c, min(c, v))
+
+    @staticmethod
+    def num(x) -> Fraction:
+        return Fraction(x)
+
+    full = num
+
 
 @dataclass(frozen=True, eq=False)
 class RealizationBatch:
@@ -95,6 +135,44 @@ class RealizationBatch:
         return PointRealization(self.window, self.x[mask][order], self.z[mask][order],
                                 None if self.atom is None else self.atom[mask][order],
                                 self.model)
+
+    # -- float backend: one value per realization -------------------------
+
+    def mass(self, sets) -> np.ndarray:
+        intervals = normalize_intervals(sets)
+        _check_window(intervals, self.window)
+        out = np.zeros(self.n)
+        length = 0.0
+        for a, b in intervals:
+            mask = (self.x > a) & (self.x <= b)
+            out += np.bincount(self.owner[mask], weights=self.z[mask], minlength=self.n)
+            length += b - a
+        return out - length * float(_mt1(self.model))
+
+    def count(self, a: float, b: float, marks) -> np.ndarray:
+        """Per-realization point counts in ``(a, b] x B``.
+
+        ``marks`` is a frozenset of atom indices (atomic models) or a
+        ``(z_lo, z_hi]`` interval of jump sizes (density models).
+        """
+        mask = (self.x > a) & (self.x <= b)
+        if isinstance(marks, frozenset):
+            mask &= np.isin(self.atom, np.fromiter(marks, dtype=int))
+        else:
+            zlo, zhi = marks
+            mask &= (self.z > zlo) & (self.z <= zhi)
+        return np.bincount(self.owner[mask], minlength=self.n).astype(float)
+
+    @staticmethod
+    def clip(v: np.ndarray, c: float) -> np.ndarray:
+        return np.clip(v, -c, c)
+
+    @staticmethod
+    def num(x) -> float:
+        return float(x)
+
+    def full(self, x) -> np.ndarray:
+        return np.full(self.n, float(x))
 
 
 def _sample_marks(model: LevyMeasureModel, count: int, rng: np.random.Generator):
@@ -191,26 +269,19 @@ def _mt1(model: LevyMeasureModel) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# exact single-realization evaluation
+# evaluation
 # ---------------------------------------------------------------------------
 
-def eval_L_set(real: PointRealization, sets) -> Fraction:
-    """Compensated noise mass of a finite union of intervals, exactly.
+def eval_L_set(src: PointRealization | RealizationBatch, sets) -> Fraction | np.ndarray:
+    """Compensated noise mass ``sum_{x_i in A} z_i - |A| mt_1`` of a finite
+    union of intervals.
 
-    Returns ``sum_{x_i in A} z_i - |A| mt_1`` as an exact rational, so
-    finite additivity over disjoint sets holds with no rounding.
+    On a PointRealization the result is an exact rational, so finite
+    additivity over disjoint sets holds with no rounding; on a
+    RealizationBatch it is one float per realization.  This is the public
+    entry point; ``mass`` is the backend hook that the evaluators call.
     """
-    intervals = normalize_intervals(sets)
-    _check_window(intervals, real.window)
-    total = Fraction(0)
-    length = Fraction(0)
-    for a, b in intervals:
-        lo = int(np.searchsorted(real.x, a, side="right"))
-        hi = int(np.searchsorted(real.x, b, side="right"))
-        for k in range(lo, hi):
-            total += Fraction(float(real.z[k]))
-        length += Fraction(b) - Fraction(a)
-    return total - length * _mt1(real.model)
+    return src.mass(sets)
 
 
 def eval_L_step(real: PointRealization, phi: StepFunction) -> Fraction:
@@ -236,43 +307,16 @@ def eval_path(real: PointRealization, x: float) -> Fraction:
     return -eval_L_set(real, (float(x), 0.0))
 
 
-def eval_L_callable(real: PointRealization, f, f_integral: float) -> float:
-    """Noise smoothed by an arbitrary bounded function with known integral.
-
-    Float evaluation: ``sum f(x_i) z_i - mt_1 * f_integral``.  The caller
-    supplies the Lebesgue integral of ``f`` (closed form or quadrature).
-    """
-    fx = f(real.x) if len(real.x) else np.empty(0)
-    return float(np.dot(fx, real.z) - float(_mt1(real.model)) * f_integral)
-
-
 # ---------------------------------------------------------------------------
 # vectorized batch evaluation
 # ---------------------------------------------------------------------------
 
+batch_L_union = eval_L_set  # older batch name, used by perfbench
+
+
 def batch_L_interval(batch: RealizationBatch, a: float, b: float) -> np.ndarray:
     """Vector of ``L((a, b])`` over the batch."""
-    return batch_L_union(batch, [(a, b)])
-
-
-def batch_L_union(batch: RealizationBatch, sets) -> np.ndarray:
-    intervals = normalize_intervals(sets)
-    _check_window(intervals, batch.window)
-    out = np.zeros(batch.n)
-    length = 0.0
-    for a, b in intervals:
-        mask = (batch.x > a) & (batch.x <= b)
-        out += np.bincount(batch.owner[mask], weights=batch.z[mask], minlength=batch.n)
-        length += b - a
-    return out - length * float(_mt1(batch.model))
-
-
-def batch_L_step(batch: RealizationBatch, phi: StepFunction) -> np.ndarray:
-    a, b = phi.support
-    _check_window([(a, b)], batch.window)
-    w = phi(batch.x) * batch.z
-    return (np.bincount(batch.owner, weights=w, minlength=batch.n)
-            - float(_mt1(batch.model)) * float(phi.integral()))
+    return eval_L_set(batch, [(a, b)])
 
 
 def batch_L_weighted(batch: RealizationBatch, f, f_integral: float) -> np.ndarray:
@@ -280,21 +324,6 @@ def batch_L_weighted(batch: RealizationBatch, f, f_integral: float) -> np.ndarra
     w = f(batch.x) * batch.z
     return (np.bincount(batch.owner, weights=w, minlength=batch.n)
             - float(_mt1(batch.model)) * f_integral)
-
-
-def batch_cell_count(batch: RealizationBatch, a: float, b: float, marks) -> np.ndarray:
-    """Per-realization point counts in ``(a, b] x B``.
-
-    ``marks`` is a frozenset of atom indices (atomic models) or a
-    ``(z_lo, z_hi]`` interval of jump sizes (density models).
-    """
-    mask = (batch.x > a) & (batch.x <= b)
-    if isinstance(marks, frozenset):
-        mask &= np.isin(batch.atom, np.fromiter(marks, dtype=int))
-    else:
-        zlo, zhi = marks
-        mask &= (batch.z > zlo) & (batch.z <= zhi)
-    return np.bincount(batch.owner[mask], minlength=batch.n).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +380,7 @@ def char_function_gap(model: LevyMeasureModel, interval: Interval, thetas,
     """Sup over a theta grid of |empirical - theoretical| characteristic function."""
     a, b = interval
     length = float(b) - float(a)
-    rng = derive_rng(seed, 14)
+    rng = derive_rng(seed, CHAR_GAP_STREAM)
     samples = sample_L_interval(model, length, n_samples, rng)
     emp = []
     theo = []

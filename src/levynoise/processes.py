@@ -11,7 +11,8 @@ The integral over the window ``[-K, K]`` is the finite sum
     I_K(X) = sum_i Y_i L((b_{i-1}, b_i] intersect [-K, K])
 
 computed pathwise; on a single realization it is an exact rational, so
-linearity and window restriction hold with no rounding.
+linearity and window restriction hold with no rounding, and on a batch
+it is one float per realization.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .errors import (
     UnboundedCoefficientError,
     WindowExceededError,
 )
-from .prm import PointRealization, RealizationBatch, batch_L_interval, eval_L_set
+from .measure import signed_moment
+from .prm import PointRealization, RealizationBatch
 from .stepfun import StepFunction
 
 
@@ -134,80 +136,42 @@ def _clipped_cells(proc: SimpleProcess, window: float):
             yield (lo, hi), coef
 
 
-def coefficient_values(proc: SimpleProcess, real: PointRealization) -> list[Fraction]:
-    return [c.eval(real) for c in proc.coefficients]
+def eval_I_K(src: PointRealization | RealizationBatch, proc: SimpleProcess,
+             window: float | None = None) -> Fraction | np.ndarray:
+    """Pathwise integral ``sum_i Y_i L(A_i)`` of ``proc`` over ``[-K, K]``.
 
-
-def eval_I_K(real: PointRealization, proc: SimpleProcess, window: float | None = None) -> Fraction:
-    """Pathwise integral of ``proc`` against the noise over ``[-K, K]``, exactly.
-
-    Cells are clipped to the window; coefficient reads must lie inside
-    the realization's own window.
+    Exact on a PointRealization, one float per realization on a
+    RealizationBatch.  Cells are clipped to the window; coefficient
+    reads must lie inside the realization's own window.
     """
-    K = real.window if window is None else float(window)
-    if K > real.window + 1e-15:
+    K = src.window if window is None else float(window)
+    if K > src.window + 1e-15:
         raise WindowExceededError("integration window exceeds the sampled window")
-    total = Fraction(0)
+    total = src.full(0.0)
     for (lo, hi), coef in _clipped_cells(proc, K):
-        total += coef.eval(real) * eval_L_set(real, (lo, hi))
+        total += coef.eval(src) * src.mass((lo, hi))
     return total
 
 
-def batch_I_K(batch: RealizationBatch, proc: SimpleProcess,
-              window: float | None = None) -> np.ndarray:
-    K = batch.window if window is None else float(window)
-    if K > batch.window + 1e-15:
-        raise WindowExceededError("integration window exceeds the sampled window")
-    out = np.zeros(batch.n)
+def abs_power_integral(proc: SimpleProcess, src: PointRealization | RealizationBatch, p: int,
+                       window: float | None = None) -> Fraction | np.ndarray:
+    """Pathwise ``integral |X(x)|^p dx`` over the window."""
+    K = src.window if window is None else float(window)
+    total = src.full(0.0)
     for (lo, hi), coef in _clipped_cells(proc, K):
-        out += coef.eval_batch(batch) * batch_L_interval(batch, lo, hi)
-    return out
-
-
-def partial_sums(real: PointRealization, proc: SimpleProcess) -> list[Fraction]:
-    """Martingale partial sums ``S_k = sum_{i<=k} Y_i L(A_i)``, exactly."""
-    sums = [Fraction(0)]
-    for (a, b), coef in zip(proc.cells, proc.coefficients):
-        sums.append(sums[-1] + coef.eval(real) * eval_L_set(real, (a, b)))
-    return sums
-
-
-def square_integral(proc: SimpleProcess, real: PointRealization,
-                    window: float | None = None) -> Fraction:
-    """Exact ``integral |X(x)|^2 dx`` over the window for one realization."""
-    K = real.window if window is None else float(window)
-    total = Fraction(0)
-    for (lo, hi), coef in _clipped_cells(proc, K):
-        total += coef.eval(real) ** 2 * (Fraction(hi) - Fraction(lo))
+        total += abs(coef.eval(src)) ** p * (src.num(hi) - src.num(lo))
     return total
 
 
-def abs_power_integral(proc: SimpleProcess, real: PointRealization, p: int,
-                       window: float | None = None) -> Fraction:
-    """Exact ``integral |X(x)|^p dx`` over the window for one realization."""
-    K = real.window if window is None else float(window)
-    total = Fraction(0)
-    for (lo, hi), coef in _clipped_cells(proc, K):
-        total += abs(coef.eval(real)) ** p * (Fraction(hi) - Fraction(lo))
-    return total
+def square_integral(proc: SimpleProcess, src: PointRealization | RealizationBatch,
+                    window: float | None = None) -> Fraction | np.ndarray:
+    """Pathwise ``integral |X(x)|^2 dx`` over the window."""
+    return abs_power_integral(proc, src, 2, window)
 
 
-def batch_square_integral(proc: SimpleProcess, batch: RealizationBatch,
-                          window: float | None = None) -> np.ndarray:
-    K = batch.window if window is None else float(window)
-    out = np.zeros(batch.n)
-    for (lo, hi), coef in _clipped_cells(proc, K):
-        out += coef.eval_batch(batch) ** 2 * (hi - lo)
-    return out
-
-
-def batch_abs_power_integral(proc: SimpleProcess, batch: RealizationBatch, p: int,
-                             window: float | None = None) -> np.ndarray:
-    K = batch.window if window is None else float(window)
-    out = np.zeros(batch.n)
-    for (lo, hi), coef in _clipped_cells(proc, K):
-        out += np.abs(coef.eval_batch(batch)) ** p * (hi - lo)
-    return out
+# older batch names, kept because perfbench/workloads.py imports them
+batch_I_K = eval_I_K
+batch_square_integral = square_integral
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +277,6 @@ class SlidingWindowProfile:
         coefs = tuple(ClampedNoise(b - self.width, b, self.clip) for b in bps[:-1])
         return validate_simple(bps, coefs)
 
-    def value_at(self, real: PointRealization, x: float) -> Fraction:
-        v = eval_L_set(real, (x - self.width, x))
-        c = Fraction(float(self.clip))
-        return max(-c, min(c, v))
-
 
 def freeze_error_sq_deterministic(profile: DeterministicProfile, proc: SimpleProcess,
                                   window: float, n_quad: int = 20001) -> float:
@@ -343,20 +302,29 @@ def freeze_error_sq_sliding(profile: SlidingWindowProfile, proc: SimpleProcess,
     """
     vals = []
     for real in realizations:
+        if window + profile.width > real.window + 1e-15:
+            raise WindowExceededError(
+                f"profile reads ({-window - profile.width}, {window}] outside "
+                f"sampled window [-{real.window}, {real.window}]")
+        xs = real.x
+        ends = xs + profile.width  # nondecreasing, since xs is sorted
+        zs = [Fraction(float(z)) for z in real.z]
+        comp = Fraction(profile.width) * Fraction(signed_moment(real.model, 1))
         crit = {-window, window}
         crit.update(b for b in proc.breakpoints if -window <= b <= window)
-        for xi in real.x:
-            for c in (float(xi), float(xi) + profile.width):
-                if -window < c < window:
-                    crit.add(c)
+        crit.update(float(c) for c in np.concatenate([xs, ends]) if -window < c < window)
         pts = sorted(crit)
         total = Fraction(0)
         for lo, hi in zip(pts, pts[1:]):
-            mid = 0.5 * (lo + hi)
-            xv = profile.value_at(real, mid)
+            # the profile is constant on [lo, hi), where the window
+            # (x - width, x] holds the points with x_i <= lo < ends_i; the
+            # mesh is constant on (lo, hi]
+            first = int(np.searchsorted(ends, lo, side="right"))
+            last = int(np.searchsorted(xs, lo, side="right"))
+            xv = real.clip(sum(zs[first:last], Fraction(0)) - comp, profile.clip)
             mv = Fraction(0)
             for (a, b), coef in zip(proc.cells, proc.coefficients):
-                if a < mid <= b:
+                if a < hi <= b:
                     mv = coef.eval(real)
                     break
             total += (xv - mv) ** 2 * (Fraction(hi) - Fraction(lo))

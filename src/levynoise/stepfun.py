@@ -105,9 +105,10 @@ class StepFunction:
         which leaves every integral unchanged.
         """
         pts = sorted(set(self.breakpoints) | {float(e) for e in extra})
-        # new cells never straddle an original breakpoint, so the midpoint
-        # value is the cell value (0 outside the original support)
-        values = tuple(self.value_at(0.5 * (lo + hi)) for lo, hi in zip(pts, pts[1:]))
+        # new cells never straddle an original breakpoint, so the value at
+        # the right end is the cell value (0 outside the original support);
+        # a midpoint can round onto the open left end of a subnormal cell
+        values = tuple(self.value_at(hi) for hi in pts[1:])
         return StepFunction(tuple(pts), values)
 
     def restricted(self, a: float, b: float) -> "StepFunction":

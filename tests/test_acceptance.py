@@ -19,7 +19,7 @@ from levynoise.chaos import CATALOG_FUNCTIONAL_NAMES
 from levynoise.coefficients import ClampedNoise, Const, Product
 from levynoise.errors import HorizonViolationError
 from levynoise.harness import report_to_dict
-from levynoise.processes import CATALOG_PROCESS_NAMES
+from levynoise.processes import CATALOG_PROCESS_NAMES, square_integral
 from levynoise.rng import derive_rng
 
 MASTER_SEED = 20_260_809
@@ -155,9 +155,8 @@ def test_05_isometry_three_processes():
         proc = ln.catalog_process(name)
         batch = ln.sample_prm_batch(model, proc.read_window(), 100_000,
                                     derive_rng(MASTER_SEED, 5, i))
-        ivals = ln.batch_I_K(batch, proc)
-        from levynoise.processes import batch_square_integral
-        paired = ivals ** 2 - m2 * batch_square_integral(proc, batch)
+        ivals = ln.eval_I_K(batch, proc)
+        paired = ivals ** 2 - m2 * square_integral(proc, batch)
         est, se, z, passed = ln.mc_mean_test(paired, 0.0, 3.0)
         zs.append(f"{name}:z={z:+.2f}")
         ok &= passed
@@ -217,9 +216,9 @@ def test_08_martingale_and_horizon_violations():
                                     derive_rng(MASTER_SEED, 8, i))
         for (a, b), coef in zip(proc.cells, proc.coefficients):
             probe = ClampedNoise(a - 1.0, a, 10.0)
-            d = (coef.eval_batch(batch)
-                 * ln.prm.batch_L_union(batch, [(a, b)])
-                 * probe.eval_batch(batch))
+            d = (coef.eval(batch)
+                 * ln.eval_L_set(batch, (a, b))
+                 * probe.eval(batch))
             est, se, z, passed = ln.mc_mean_test(d, 0.0, 3.0)
             worst = max(worst, abs(z))
             ok &= passed
@@ -321,9 +320,9 @@ def test_11_malliavin_suite():
     kern = ln.catalog_kernel("k2")
     proj = ln.project_kernel(kern, 0.0)
     batch = ln.sample_prm_batch(model, 2.0, 100_000, derive_rng(MASTER_SEED, 11, 99))
-    g = ClampedNoise(-1.0, 0.0, 10.0).eval_batch(batch)
-    d = (ln.batch_multiple_integral(batch, kern)
-         - ln.batch_multiple_integral(batch, proj)) * g
+    g = ClampedNoise(-1.0, 0.0, 10.0).eval(batch)
+    d = (ln.eval_multiple_integral(batch, kern)
+         - ln.eval_multiple_integral(batch, proj)) * g
     _, _, z_proj, proj_ok = ln.mc_mean_test(d, 0.0, 3.0)
     ok &= proj_ok
     # left-supported functionals have identically zero derivative to the right
@@ -351,12 +350,12 @@ def test_11_malliavin_suite():
     for kname in ("k1", "k2", "k3"):
         k = ln.catalog_kernel(kname)
         target = float(ln.chaos_variance(model, k))
-        sq = ln.batch_multiple_integral(batch, k) ** 2
+        sq = ln.eval_multiple_integral(batch, k) ** 2
         _, _, _, iso_ok = ln.mc_mean_test(sq, target, 3.0)
         ok &= iso_ok
     for ka, kb in (("k1", "k2"), ("k1", "k3"), ("k2", "k3")):
-        prod = (ln.batch_multiple_integral(batch, ln.catalog_kernel(ka))
-                * ln.batch_multiple_integral(batch, ln.catalog_kernel(kb)))
+        prod = (ln.eval_multiple_integral(batch, ln.catalog_kernel(ka))
+                * ln.eval_multiple_integral(batch, ln.catalog_kernel(kb)))
         _, _, _, orth_ok = ln.mc_mean_test(prod, 0.0, 3.0)
         ok &= orth_ok
     announce(11, "derivative oracle exact, projection/duality/isometry gates", ok,

@@ -9,8 +9,6 @@ from levynoise import (
     ChaosFunctional,
     Const,
     add_one_cost,
-    batch_chaos,
-    batch_multiple_integral,
     catalog_functional,
     catalog_kernel,
     chaos_variance,
@@ -83,7 +81,7 @@ def test_first_order_isometry(unit_atom):
     assert chaos_variance(unit_atom, k) == 1
     n = 100_000
     batch = sample_prm_batch(unit_atom, 1.0, n, derive_rng(41))
-    vals = batch_multiple_integral(batch, k)
+    vals = eval_multiple_integral(batch, k)
     sq = vals ** 2
     se = sq.std(ddof=1) / math.sqrt(n)
     assert abs(sq.mean() - 1.0) <= 3 * se
@@ -96,7 +94,7 @@ def test_isometry_orders(unit_atom, name, order):
     target = float(chaos_variance(unit_atom, k))
     n = 100_000
     batch = sample_prm_batch(unit_atom, 2.0, n, derive_rng(42 + order))
-    sq = batch_multiple_integral(batch, k) ** 2
+    sq = eval_multiple_integral(batch, k) ** 2
     se = sq.std(ddof=1) / math.sqrt(n)
     assert abs(sq.mean() - target) <= 3 * se
 
@@ -106,8 +104,8 @@ def test_chaos_orthogonality(unit_atom):
     batch = sample_prm_batch(unit_atom, 2.0, n, derive_rng(55))
     pairs = [("k1", "k2"), ("k1", "k3"), ("k2", "k3")]
     for a, b in pairs:
-        prod = (batch_multiple_integral(batch, catalog_kernel(a))
-                * batch_multiple_integral(batch, catalog_kernel(b)))
+        prod = (eval_multiple_integral(batch, catalog_kernel(a))
+                * eval_multiple_integral(batch, catalog_kernel(b)))
         se = prod.std(ddof=1) / math.sqrt(n)
         assert abs(prod.mean()) <= 3 * se, (a, b)
 
@@ -129,8 +127,8 @@ def test_projection_is_conditional_expectation(unit_atom):
     y = 0.0
     proj = project_kernel(k, y)
     batch = sample_prm_batch(unit_atom, 2.0, n, derive_rng(66))
-    g = ClampedNoise(-1.0, 0.0, 10.0).eval_batch(batch)
-    d = (batch_multiple_integral(batch, k) - batch_multiple_integral(batch, proj)) * g
+    g = ClampedNoise(-1.0, 0.0, 10.0).eval(batch)
+    d = (eval_multiple_integral(batch, k) - eval_multiple_integral(batch, proj)) * g
     se = d.std(ddof=1) / math.sqrt(n)
     assert abs(d.mean()) <= 3 * se
     # projection contracts the second moment; here exactly by half the cells
@@ -236,12 +234,15 @@ def test_duality_catalog(unit_atom, fname, pname):
     assert res.passed, (fname, pname, res)
 
 
-def test_batch_chaos_matches_single(unit_atom):
-    F = catalog_functional("mixed")
-    batch = sample_prm_batch(unit_atom, 2.0, 30, derive_rng(91))
-    vec = batch_chaos(batch, F)
+@pytest.mark.parametrize("measure", ["unit_atom", "skew_two_atom"])
+@pytest.mark.parametrize("fname", CATALOG_FUNCTIONAL_NAMES)
+def test_batch_chaos_matches_single(request, measure, fname):
+    F = catalog_functional(fname)
+    batch = sample_prm_batch(request.getfixturevalue(measure), 2.0, 30, derive_rng(91))
+    vec = eval_chaos(batch, F)
     for i in range(0, 30, 4):
-        assert vec[i] == pytest.approx(float(eval_chaos(batch.realization(i), F)), abs=1e-12)
+        assert vec[i] == pytest.approx(float(eval_chaos(batch.realization(i), F)),
+                                       rel=1e-12, abs=1e-12)
 
 
 def test_kernel_norm_explicit(unit_atom):

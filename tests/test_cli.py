@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from levynoise.cli import main
 
 MEASURE = '{"atoms": [[1.0, 1.0]]}'
@@ -70,6 +72,19 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("report", "--config", str(bad)) == 2
+
+
+def test_negative_seed_exit_code(tmp_path, capsys):
+    cfg = {"measure": {"atoms": [[1.0, 1.0]]}, "samples": 2000, "seed": -3, "checks": []}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("report", "--config", str(path)) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    for argv in (("report",), ("simulate", "--measure", MEASURE)):
+        with pytest.raises(SystemExit) as exc:  # argparse rejects --seed
+            run_cli(*argv, "--seed", "-1")
+        assert exc.value.code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_strict_failure_exit_code(tmp_path):

@@ -119,12 +119,12 @@ def test_integral_bound_catalog(unit_atom, name):
 @pytest.mark.parametrize("name", ["det_step", "det_two_cell", "clamped_left",
                                   "two_block", "poly_block", "product_block"])
 def test_integral_is_centered(unit_atom, name):
-    from levynoise import batch_I_K, sample_prm_batch
+    from levynoise import eval_I_K, sample_prm_batch
     from levynoise.rng import derive_rng
     proc = catalog_process(name)
     n = 50_000
     batch = sample_prm_batch(unit_atom, proc.read_window(), n, derive_rng(44))
-    vals = batch_I_K(batch, proc)
+    vals = eval_I_K(batch, proc)
     se = vals.std(ddof=1) / np.sqrt(n)
     assert abs(vals.mean()) <= 3 * se
 

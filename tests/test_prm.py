@@ -16,7 +16,7 @@ from levynoise import (
     StepFunction,
 )
 from levynoise.errors import WindowExceededError
-from levynoise.prm import batch_L_interval, batch_L_union, normalize_intervals
+from levynoise.prm import normalize_intervals
 from levynoise.rng import derive_rng
 
 from conftest import make_realization
@@ -109,7 +109,7 @@ def test_normalize_intervals():
 def test_batch_matches_single(unit_atom):
     n = 50
     batch = sample_prm_batch(unit_atom, 2.0, n, derive_rng(5))
-    vec = batch_L_interval(batch, -1.0, 1.5)
+    vec = eval_L_set(batch, (-1.0, 1.5))
     for i in range(0, n, 7):
         real = batch.realization(i)
         assert vec[i] == pytest.approx(float(eval_L_set(real, (-1.0, 1.5))), abs=1e-12)
@@ -129,8 +129,8 @@ def test_mean_and_isometry_of_L(unit_atom):
 def test_disjoint_sets_uncorrelated(unit_atom):
     n = 100_000
     batch = sample_prm_batch(unit_atom, 2.0, n, derive_rng(31))
-    a = batch_L_union(batch, [(-2.0, 0.0)])
-    b = batch_L_union(batch, [(0.0, 2.0)])
+    a = eval_L_set(batch, (-2.0, 0.0))
+    b = eval_L_set(batch, (0.0, 2.0))
     prod = a * b
     se = prod.std(ddof=1) / math.sqrt(n)
     assert abs(prod.mean()) <= 3 * se
@@ -141,8 +141,8 @@ def test_bounded_transforms_factorize(unit_atom):
     # E[e^{i a L(A1)} e^{i b L(A2)}] = E[e^{i a L(A1)}] E[e^{i b L(A2)}]
     n = 100_000
     batch = sample_prm_batch(unit_atom, 2.0, n, derive_rng(32))
-    t1 = np.exp(1j * 1.3 * batch_L_union(batch, [(-2.0, 0.0)]))
-    t2 = np.exp(1j * 0.7 * batch_L_union(batch, [(0.0, 2.0)]))
+    t1 = np.exp(1j * 1.3 * eval_L_set(batch, (-2.0, 0.0)))
+    t2 = np.exp(1j * 0.7 * eval_L_set(batch, (0.0, 2.0)))
     joint = (t1 * t2).mean()
     split = t1.mean() * t2.mean()
     assert abs(joint - split) <= 5.0 / math.sqrt(n)
@@ -170,7 +170,7 @@ def test_direct_sampler_matches_window_route(unit_atom):
     n = 100_000
     direct = sample_L_interval(unit_atom, 1.0, n, derive_rng(71))
     batch = sample_prm_batch(unit_atom, 1.0, n, derive_rng(72))
-    windowed = batch_L_interval(batch, 0.0, 1.0)
+    windowed = eval_L_set(batch, (0.0, 1.0))
     for p in (1, 2, 3, 4):
         d, w = direct ** p, windowed ** p
         se = math.hypot(d.std(ddof=1), w.std(ddof=1)) / math.sqrt(n)

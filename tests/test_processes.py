@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,9 +9,9 @@ from levynoise import (
     ClampedNoise,
     Const,
     Product,
-    batch_I_K,
     catalog_process,
     eval_I_K,
+    eval_L_set,
     from_step,
     linear_combination,
     restrict_process,
@@ -23,16 +24,15 @@ from levynoise.errors import (
     BreakpointOrderError,
     HorizonViolationError,
     UnboundedCoefficientError,
+    WindowExceededError,
 )
 from levynoise.processes import (
     CATALOG_PROCESS_NAMES,
     DeterministicProfile,
     SlidingWindowProfile,
     abs_power_integral,
-    coefficient_values,
     freeze_error_sq_deterministic,
     freeze_error_sq_sliding,
-    partial_sums,
     process_from_config,
     process_to_config,
     square_integral,
@@ -131,7 +131,7 @@ def test_exact_restriction(unit_atom):
 def test_square_integral_pathwise(unit_atom):
     real = make_realization(unit_atom, 2.0, [(-0.5, 1.0)])
     proc = catalog_process("clamped_left")
-    y = coefficient_values(proc, real)[0]
+    y = proc.coefficients[0].eval(real)
     assert y == 1 - 1 == 0 or isinstance(y, Fraction)
     assert square_integral(proc, real) == y ** 2
     assert abs_power_integral(proc, real, 4) == abs(y) ** 4
@@ -143,7 +143,7 @@ def test_power_sum_inequality_pathwise(unit_atom):
     p = 4
     for seed in range(20):
         real = sample_prm(unit_atom, 2.0, seed)
-        values = coefficient_values(proc, real)
+        values = [c.eval(real) for c in proc.coefficients]
         lhs = sum(abs(y) ** p * (Fraction(b) - Fraction(a)) ** (p // 2)
                   for y, (a, b) in zip(values, proc.cells))
         rhs = sum(y ** 2 * (Fraction(b) - Fraction(a))
@@ -154,16 +154,24 @@ def test_power_sum_inequality_pathwise(unit_atom):
 def test_partial_sums_match_total(unit_atom):
     proc = catalog_process("two_block")
     real = sample_prm(unit_atom, 2.0, 77)
-    sums = partial_sums(real, proc)
+    sums = list(itertools.accumulate(
+        (c.eval(real) * eval_L_set(real, cell) for c, cell in zip(proc.coefficients, proc.cells)),
+        initial=Fraction(0)))
     assert sums[-1] == eval_I_K(real, proc)
 
 
-def test_batch_matches_single_process_eval(unit_atom):
-    proc = catalog_process("poly_block")
-    batch = sample_prm_batch(unit_atom, 2.0, 40, derive_rng(9))
-    vec = batch_I_K(batch, proc)
-    for i in range(0, 40, 5):
-        assert vec[i] == pytest.approx(float(eval_I_K(batch.realization(i), proc)), abs=1e-12)
+@pytest.mark.parametrize("measure", ["unit_atom", "skew_two_atom"])
+@pytest.mark.parametrize("name", CATALOG_PROCESS_NAMES)
+def test_batch_matches_single_process_eval(request, measure, name):
+    proc = catalog_process(name)
+    batch = sample_prm_batch(request.getfixturevalue(measure), 2.0, 40, derive_rng(9))
+    for evaluate in (lambda src: eval_I_K(src, proc),
+                     lambda src: square_integral(proc, src),
+                     lambda src: abs_power_integral(proc, src, 4)):
+        vec = evaluate(batch)
+        for i in range(0, 40, 5):
+            assert vec[i] == pytest.approx(float(evaluate(batch.realization(i))),
+                                           rel=1e-12, abs=1e-12)
 
 
 def test_config_round_trip():
@@ -201,3 +209,20 @@ def test_sliding_freeze_error_decreases(unit_atom):
         mean, se = freeze_error_sq_sliding(prof, proc, 2.0, reals)
         means.append((mean, se))
     assert means[1][0] < means[0][0]
+
+
+@pytest.mark.parametrize("width", [1.0, 0.7])
+def test_sliding_freeze_error_hand_computed(unit_atom, width):
+    # one jump at 0.2: the profile is 1 - width on [0.2, 0.2 + width) and
+    # -width elsewhere, the frozen mesh is -width on (-2, 2], so the error
+    # is the length of [0.2, 0.2 + width); for both widths
+    # fl(0.2 + width) - width < 0.2, so reading the window back from the
+    # left end of the next piece would count the jump there too
+    real = make_realization(unit_atom, 3.0, [(0.2, 1.0)])
+    prof = SlidingWindowProfile(width=width)
+    proc = prof.freeze((-2.0, 0.0, 2.0))
+    mean, se = freeze_error_sq_sliding(prof, proc, 2.0, [real, real])
+    assert mean == pytest.approx(width, abs=1e-12)
+    assert se == 0.0
+    with pytest.raises(WindowExceededError):  # reads (-2.5 - width, ...] off the sample
+        freeze_error_sq_sliding(prof, proc, 2.5, [real, real])

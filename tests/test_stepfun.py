@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from levynoise import StepFunction
 from levynoise.errors import UnboundedSupportError
@@ -49,6 +49,7 @@ def test_restricted():
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=6, unique=True),
        st.lists(st.floats(-3, 3), min_size=1, max_size=5),
        st.lists(st.floats(-6, 6), min_size=1, max_size=4))
+@example(bps=[0.0, 5e-324], vals=[1.0], extra=[0.0])  # subnormal cell: midpoint rounds to 0
 def test_refinement_preserves_integrals(bps, vals, extra):
     bps = sorted(bps)
     if len(vals) != len(bps) - 1:
