@@ -17,7 +17,6 @@ from .measure import (
     abs_moment,
     atomic_measure,
     interpolation_check,
-    moment_table,
     power_law_measure,
     signed_moment,
     validate_measure,
@@ -27,7 +26,6 @@ from .partitions import (
     count_no_singleton_partitions,
     moment_from_cumulants,
     moment_of_step_functional,
-    moment_over_all_partitions,
     partitions_no_singletons,
     step_functional_cumulants,
 )

@@ -158,12 +158,52 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(f"sample count must be >= {MIN_SAMPLES}")
     if cfg.se_multiplier < 1.0:
         raise ConfigError("se_multiplier must be >= 1")
+    model = validate_measure(cfg.measure)
     for check in cfg.checks:
+        if not isinstance(check, dict):
+            raise ConfigError(f"a check must be an object, got {check!r}")
         kind = check.get("kind")
         if kind not in CHECK_RUNNERS:
             raise UnknownCheckError(f"unknown check kind: {kind!r}")
-    validate_measure(cfg.measure)
+        _check_params(check, model)
     return cfg
+
+
+# default p of the kinds whose p must be even (None: the check must give p)
+EVEN_P_KINDS = {"linear_moment_bound": None, "interpolation": 6,
+                "integral_moment_bound": 4, "convolution_bound": 2}
+# kinds whose catalog kernels and functionals mark atom indices
+ATOMIC_ONLY_KINDS = ("derivative_probes", "projection", "duality",
+                     "chaos_isometry", "chaos_orthogonality")
+
+
+def _check_params(check: dict, model: LevyMeasureModel) -> None:
+    """Reject parameters that a check's runner cannot use, before any sampling."""
+    kind = check["kind"]
+    if kind in ATOMIC_ONLY_KINDS and not model.is_atomic:
+        raise ConfigError(f"{kind} needs an atomic measure: its kernels mark atoms")
+    if kind in EVEN_P_KINDS:
+        p = _param_p(check, EVEN_P_KINDS[kind])
+        if p < 2 or p % 2:
+            raise ConfigError(f"{kind}: p must be an even integer >= 2, got {p}")
+    if kind == "moment_mc" and _param_p(check, None) < 2:
+        raise ConfigError(f"moment_mc: p must be >= 2, got {check['p']}")
+    if kind in ("moment_mc", "char_gap"):
+        raw = check.get("set", (0.0, 1.0))
+        try:
+            a, b = (float(v) for v in raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{kind}: set must be [a, b], got {raw!r}") from exc
+        if not a < b:
+            raise ConfigError(f"{kind}: set must have a < b, got [{a}, {b}]")
+
+
+def _param_p(check: dict, default: int | None) -> int:
+    raw = check.get("p", default)
+    try:
+        return int(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{check['kind']}: p must be an integer, got {raw!r}") from exc
 
 
 # ---------------------------------------------------------------------------

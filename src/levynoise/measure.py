@@ -237,32 +237,6 @@ def small_jump_variance_bias(model: LevyMeasureModel) -> float:
     return _quad(g, -den.eps, 0.0) + _quad(g, 0.0, den.eps)
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Cached absolute and signed moments of one model up to a max order."""
-
-    abs_moments: dict[int, Fraction | float]
-    signed_moments: dict[int, Fraction | float]
-
-    def __post_init__(self) -> None:
-        for n, mt in self.signed_moments.items():
-            mp = self.abs_moments[n]
-            exact = isinstance(mt, Fraction) and isinstance(mp, Fraction)
-            if n % 2 == 0:
-                same = mt == mp if exact else math.isclose(float(mt), float(mp), rel_tol=1e-12)
-                if not same:
-                    raise ValueError(f"even signed moment must equal m_{n}")
-            if abs(mt) > mp * (1 + 1e-12):
-                raise ValueError(f"|mt_{n}| exceeds m_{n}")
-
-
-def moment_table(model: LevyMeasureModel, p_max: int) -> MomentTable:
-    return MomentTable(
-        abs_moments={n: abs_moment(model, n) for n in range(1, p_max + 1)},
-        signed_moments={n: signed_moment(model, n) for n in range(1, p_max + 1)},
-    )
-
-
 # ---------------------------------------------------------------------------
 # interpolation inequality m_r <= m_p^theta * m_2^(1-theta)
 # ---------------------------------------------------------------------------

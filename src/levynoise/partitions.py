@@ -5,18 +5,23 @@ partitions of ``{1, ..., m}`` whose blocks all have at least two
 elements, of the product of cumulants indexed by block sizes.
 Partitions containing a singleton block contribute a factor ``kappa_1 = 0``
 and drop out, so summing over all partitions with ``kappa_1 = 0`` gives
-the same value; both routes are implemented and tested against each
-other.
+the same value.
 
-Enumeration is the deliberate algorithm here (no closed-form shortcut):
-a restricted-growth recursion with singleton pruning, capped at size 14
-to keep runtimes at desk scale.
+A term depends on its partition only through the sizes of its blocks,
+so the engine computes this no-singleton sum by block type: one term per
+integer partition of m into parts >= 2, weighted by the number of set
+partitions of that type.  The constant ``C*`` of the moment bound is the
+same sum with every cumulant set to 1.  Set-partition enumeration (a
+restricted-growth recursion with singleton pruning) stays as the
+independent oracle the engine is cross-checked against; both are capped
+at size 14.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 from .errors import MissingCumulantError, SizeLimitError
@@ -79,6 +84,34 @@ def partitions_no_singletons(m: int) -> list[Partition]:
     return list(_partitions(m, 2))
 
 
+@lru_cache(maxsize=None)
+def _block_types(m: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """Block-size multisets of the no-singleton partitions of an m-set.
+
+    Each entry is ``(weight, ((k, a_k), ...))``: a_k blocks of size k,
+    every k >= 2, and ``weight = m! / prod(k!^a_k a_k!)`` set partitions
+    with exactly these block sizes (Comtet, *Advanced Combinatorics*,
+    1974).  The table is built from the integer partitions of m into
+    parts >= 2, so its length grows far slower than the number of set
+    partitions.
+    """
+    table = []
+
+    def parts(rest: int, largest: int, sizes: list[int]) -> None:
+        if rest == 0:
+            blocks = tuple((k, sizes.count(k)) for k in sorted(set(sizes)))
+            denom = math.prod(math.factorial(k) ** a * math.factorial(a) for k, a in blocks)
+            table.append((math.factorial(m) // denom, blocks))
+            return
+        for k in range(min(rest, largest), 1, -1):
+            sizes.append(k)
+            parts(rest - k, k, sizes)
+            sizes.pop()
+
+    parts(m, m, [])
+    return tuple(table)
+
+
 def count_no_singleton_partitions(p: int) -> int:
     """Number of no-singleton partitions of a ``p``-element set.
 
@@ -88,20 +121,17 @@ def count_no_singleton_partitions(p: int) -> int:
     if p < 2:
         raise SizeLimitError("count defined for p >= 2")
     _check_size(p)
-    return sum(1 for _ in _partitions(p, 2))
-
-
-def _values_exact(values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
+    return sum(weight for weight, _ in _block_types(p))
 
 
 def moment_from_cumulants(kappas: Mapping[int, Fraction | float], m: int) -> Fraction | float:
     """m-th moment of a centered variable from its cumulants.
 
     ``kappas`` maps order ``n`` to the n-th cumulant for every
-    ``2 <= n <= m``.  The sum runs over no-singleton partitions; exact
-    rational inputs give an exact rational result, float inputs are
-    accumulated with compensated summation.
+    ``2 <= n <= m``.  The sum runs over no-singleton partitions, grouped
+    by block type, in exact rational arithmetic: rational inputs give an
+    exact rational result, and float inputs give that exact sum rounded
+    once to a float.
     """
     if m < 2:
         raise ValueError("moment order must be >= 2")
@@ -111,50 +141,15 @@ def moment_from_cumulants(kappas: Mapping[int, Fraction | float], m: int) -> Fra
             raise MissingCumulantError(n)
     if kappas[2] < 0:
         raise ValueError("second cumulant must be nonnegative")
-    exact = _values_exact([kappas[n] for n in range(2, m + 1)])
-    if exact:
-        total = Fraction(0)
-        for part in _partitions(m, 2):
-            prod = Fraction(1)
-            for block in part:
-                prod *= kappas[len(block)]
-            total += prod
-        return total
-    terms = []
-    for part in _partitions(m, 2):
-        prod = 1.0
-        for block in part:
-            prod *= float(kappas[len(block)])
-        terms.append(prod)
-    return math.fsum(terms)
-
-
-def moment_over_all_partitions(kappas: Mapping[int, Fraction | float], m: int) -> Fraction | float:
-    """Same moment, summed over *all* partitions with ``kappa_1`` forced to 0.
-
-    Cross-check for :func:`moment_from_cumulants`: singleton-containing
-    partitions contribute zero, so both readings must agree.
-    """
-    if m < 2:
-        raise ValueError("moment order must be >= 2")
-    _check_size(m)
-    full = dict(kappas)
-    full[1] = 0
-    exact = _values_exact([full[n] for n in range(1, m + 1) if n in full])
-    total: Fraction | float = Fraction(0) if exact else 0.0
-    terms = []
-    for part in _partitions(m, 1):
-        prod = Fraction(1) if exact else 1.0
-        for block in part:
-            n = len(block)
-            if n not in full:
-                raise MissingCumulantError(n)
-            prod *= full[n]
-        if exact:
-            total += prod
-        else:
-            terms.append(prod)
-    return total if exact else math.fsum(terms)
+    kappa = {n: Fraction(kappas[n]) for n in range(2, m + 1)}
+    total = Fraction(0)
+    for weight, blocks in _block_types(m):
+        prod = Fraction(weight)
+        for k, a in blocks:
+            prod *= kappa[k] ** a
+        total += prod
+    exact = all(isinstance(kappas[n], (int, Fraction)) for n in range(2, m + 1))
+    return total if exact else float(total)
 
 
 def step_functional_cumulants(model: LevyMeasureModel, phi: StepFunction,

@@ -5,9 +5,12 @@ import sys
 
 import pytest
 
+import levynoise.cli
 from levynoise.cli import main
+from levynoise.harness import parse_config
 
 MEASURE = '{"atoms": [[1.0, 1.0]]}'
+DENSITY = {"family": "symmetric_power_law", "alpha": 1.5, "eps": 0.25, "z_max": 4.0}
 
 
 def run_cli(*argv):
@@ -86,6 +89,44 @@ def test_negative_seed_exit_code(tmp_path, capsys):
         assert exc.value.code == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+
+
+def _report_rejects(tmp_path, monkeypatch, measure, check):
+    """Exit code of ``report`` on a one-check config; fails if any check runs."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("the config was accepted and run")
+    monkeypatch.setattr(levynoise.cli, "run", no_run)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"measure": measure, "samples": 2000, "seed": 4,
+                                "checks": [check]}))
+    return run_cli("report", "--config", str(path))
+
+
+@pytest.mark.parametrize("check", [
+    {"kind": "integral_moment_bound", "p": 3},
+    {"kind": "convolution_bound", "p": 3},
+    {"kind": "linear_moment_bound", "p": 5},
+    {"kind": "interpolation", "p": 3},
+    {"kind": "moment_mc", "p": 1},
+    {"kind": "moment_mc", "p": 2, "set": [1, 0]},
+    {"kind": "char_gap", "set": [1.0, 1.0]},
+    {"kind": "char_gap", "set": [2.0, 0.5]},
+], ids=["integral_odd_p", "convolution_odd_p", "linear_odd_p", "interpolation_odd_p",
+        "moment_mc_p1", "moment_mc_reversed", "char_gap_empty", "char_gap_reversed"])
+def test_bad_check_parameters_exit_code(tmp_path, monkeypatch, capsys, check):
+    assert _report_rejects(tmp_path, monkeypatch, {"atoms": [[1.0, 1.0]]}, check) == 2
+    assert check["kind"] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["derivative_probes", "projection", "duality",
+                                  "chaos_isometry", "chaos_orthogonality"])
+def test_malliavin_kinds_on_density_exit_code(tmp_path, monkeypatch, capsys, kind):
+    assert _report_rejects(tmp_path, monkeypatch, DENSITY, {"kind": kind}) == 2
+    assert kind in capsys.readouterr().err
+
+
+def test_left_zero_accepted_on_density():
+    parse_config({"measure": DENSITY, "checks": [{"kind": "left_zero"}]})
 
 def test_strict_failure_exit_code(tmp_path):
     # an impossible statistical target must fail under --strict

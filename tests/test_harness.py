@@ -55,6 +55,8 @@ def test_parse_rejects_garbage():
         parse_config("{not json")
     with pytest.raises(ConfigError):
         parse_config(12)
+    with pytest.raises(ConfigError):
+        cfg(checks=["moment_mc"])
 
 
 def test_mc_mean_test_constant_on_target():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from levynoise import (
     abs_moment,
     atomic_measure,
     interpolation_check,
-    moment_table,
     power_law_measure,
     signed_moment,
     validate_measure,
@@ -20,6 +20,33 @@ from levynoise.errors import (
     NonPositiveMassError,
 )
 from levynoise.measure import drift_of_centered_representation, small_jump_variance_bias
+
+
+@dataclass(frozen=True)
+class MomentTable:
+    """Absolute and signed moments of one model up to a max order, with
+    the invariants between them checked on construction."""
+
+    abs_moments: dict[int, Fraction | float]
+    signed_moments: dict[int, Fraction | float]
+
+    def __post_init__(self) -> None:
+        for n, mt in self.signed_moments.items():
+            mp = self.abs_moments[n]
+            exact = isinstance(mt, Fraction) and isinstance(mp, Fraction)
+            if n % 2 == 0:
+                same = mt == mp if exact else math.isclose(float(mt), float(mp), rel_tol=1e-12)
+                if not same:
+                    raise ValueError(f"even signed moment must equal m_{n}")
+            if abs(mt) > mp * (1 + 1e-12):
+                raise ValueError(f"|mt_{n}| exceeds m_{n}")
+
+
+def moment_table(model, p_max: int) -> MomentTable:
+    return MomentTable(
+        abs_moments={n: abs_moment(model, n) for n in range(1, p_max + 1)},
+        signed_moments={n: signed_moment(model, n) for n in range(1, p_max + 1)},
+    )
 
 
 def test_validate_single_unit_atom():

@@ -1,5 +1,7 @@
-"""Partition enumeration against an independent restricted-growth oracle."""
+"""Partition enumeration against an independent restricted-growth oracle,
+and the block-type moment engine against enumeration."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,6 @@ from levynoise import (
     count_no_singleton_partitions,
     moment_from_cumulants,
     moment_of_step_functional,
-    moment_over_all_partitions,
     partitions_no_singletons,
     step_functional_cumulants,
 )
@@ -43,6 +44,20 @@ def rgs_partitions(m):
 
 def no_singleton_count_oracle(m):
     return sum(1 for part in rgs_partitions(m) if all(len(b) >= 2 for b in part))
+
+
+def moment_over_all_partitions(kappas, m):
+    """Oracle: the moment summed over *all* set partitions with ``kappa_1 = 0``.
+
+    Partitions with a singleton contribute zero, so this must equal the
+    no-singleton sum that ``moment_from_cumulants`` computes by block
+    type.  Rational cumulants give an exact sum, floats a compensated one.
+    """
+    full = {**kappas, 1: 0}
+    exact = all(isinstance(v, (int, Fraction)) for v in full.values())
+    terms = [math.prod((full[len(b)] for b in part), start=Fraction(1) if exact else 1.0)
+             for part in all_partitions(m)]
+    return sum(terms, Fraction(0)) if exact else math.fsum(terms)
 
 
 def test_no_singletons_m1_empty():
@@ -112,14 +127,44 @@ def test_centered_poisson_moment_identities():
         assert moment_from_cumulants(kappas, 6) == lam + 25 * lam ** 2 + 15 * lam ** 3
 
 
-@given(st.integers(2, 7),
+@given(st.integers(2, 8),
        st.lists(st.fractions(min_value=Fraction(-3), max_value=Fraction(3)),
-                min_size=6, max_size=6))
+                min_size=7, max_size=7))
 @settings(max_examples=40, deadline=None)
 def test_both_partition_readings_agree(m, kappa_values):
-    kappas = {n: v for n, v in zip(range(2, 8), kappa_values)}
+    kappas = {n: v for n, v in zip(range(2, 9), kappa_values)}
     kappas[2] = abs(kappas[2])
-    assert moment_from_cumulants(kappas, m) == moment_over_all_partitions(kappas, m)
+    got = moment_from_cumulants(kappas, m)
+    assert type(got) is Fraction
+    assert got == moment_over_all_partitions(kappas, m)
+
+
+@given(st.integers(2, 8),
+       st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=7, max_size=7))
+@settings(max_examples=40, deadline=None)
+def test_float_cumulants_match_enumeration(m, kappa_values):
+    kappas = {n: v for n, v in zip(range(2, 9), kappa_values)}
+    kappas[2] = abs(kappas[2])
+    got = moment_from_cumulants(kappas, m)
+    assert type(got) is float
+    assert got == pytest.approx(moment_over_all_partitions(kappas, m), rel=1e-13)
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_block_types_match_enumeration_beyond_eight(m):
+    # Bell(10) = 115 975 partitions: one fixed example per order, not a Hypothesis run
+    exact = {n: Fraction((-1) ** n * (n + 1), 7 - n % 3) for n in range(2, m + 1)}
+    floats = {n: float(v) / 3.0 for n, v in exact.items()}
+    assert moment_from_cumulants(exact, m) == moment_over_all_partitions(exact, m)
+    assert moment_from_cumulants(floats, m) == pytest.approx(
+        moment_over_all_partitions(floats, m), rel=1e-13)
+
+
+@pytest.mark.parametrize("p,expected", [(11, 98253), (12, 580317), (13, 3633280),
+                                        (14, 24011157)])
+def test_count_known_values_to_cap(p, expected):
+    # OEIS A000296; the restricted-growth oracle covers p <= 10
+    assert count_no_singleton_partitions(p) == expected
 
 
 def test_odd_moments_vanish_with_odd_cumulants():

@@ -9,6 +9,7 @@ from levynoise import (
     eval_L_set,
     eval_L_step,
     eval_path,
+    power_law_measure,
     sample_L_interval,
     sample_prm,
     sample_prm_batch,
@@ -17,7 +18,7 @@ from levynoise import (
 )
 from levynoise.errors import WindowExceededError
 from levynoise.prm import normalize_intervals
-from levynoise.rng import derive_rng
+from levynoise.rng import CHAR_GAP_STREAM, derive_rng
 
 from conftest import make_realization
 
@@ -163,6 +164,22 @@ def test_char_gap_small(unit_atom, sym_two_atom):
     # symmetric law: characteristic function is real
     assert all(abs(t.imag) < 1e-12 for t in rep.theoretical)
 
+
+
+@pytest.mark.parametrize("model", [
+    atomic_measure([(1.0, 1.0)]),
+    atomic_measure([(2.0, 1.0), (-1.0, 3.0)]),
+    atomic_measure([(0.3, 0.7), (-1.1, 1.3), (2.5, 0.2)]),
+    power_law_measure(alpha=1.5, eps=0.25, z_max=4.0),
+], ids=["unit_atom", "skew_two_atom", "three_atom", "power_law_density"])
+def test_char_gap_empirical_is_sample_mean(model):
+    # the empirical value, summed over distinct values, is the plain mean over the draws
+    thetas = np.linspace(-math.pi, math.pi, 7)
+    n, seed = 20_000, 31
+    rep = char_function_gap(model, (0.0, 1.5), thetas, n, seed)
+    samples = sample_L_interval(model, 1.5, n, derive_rng(seed, CHAR_GAP_STREAM))
+    for theta, emp in zip(thetas, rep.empirical):
+        assert abs(emp - np.exp(1j * theta * samples).mean()) <= 1e-15
 
 def test_direct_sampler_matches_window_route(unit_atom):
     # marginal law of L((0,1]) from the direct compound-Poisson sampler
