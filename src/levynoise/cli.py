@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from .harness import (
     parse_config,
     report_to_json,
     run,
+    step_function_from_config,
     write_report,
     write_samples_csv,
 )
@@ -39,7 +41,6 @@ from .measure import validate_measure
 from .partitions import moment_of_step_functional, step_functional_cumulants
 from .prm import eval_L_set, sample_prm_batch
 from .rng import SIMULATE_STREAM, derive_rng
-from .stepfun import StepFunction
 
 
 def _seed(text: str) -> int:
@@ -113,15 +114,30 @@ def _emit_report(report, args) -> int:
     return 0
 
 
+def _parse_sets(text: str, window: float) -> list[tuple[float, float]]:
+    """``"a,b;c,d"`` as ``(a, b)`` pairs with ``-window <= a < b <= window``."""
+    sets = []
+    for part in text.split(";"):
+        try:
+            a, b = (float(v) for v in part.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"--sets: {part!r} is not an interval 'a,b'") from exc
+        if not -window <= a < b <= window:
+            raise ConfigError(f"--sets: need -{window} <= a < b <= {window}, got ({a}, {b}]")
+        sets.append((a, b))
+    return sets
+
+
 def _cmd_simulate(args) -> int:
+    if args.samples is not None and args.samples < 0:
+        raise ConfigError(f"--samples must be >= 0, got {args.samples}")
+    if not 0.0 <= args.window < math.inf:
+        raise ConfigError(f"--window must be finite and >= 0, got {args.window}")
+    sets = _parse_sets(args.sets, args.window)
     if args.measure:
         model = validate_measure(json.loads(args.measure))
     else:
         model = _load_config(args).model()
-    sets = []
-    for part in args.sets.split(";"):
-        a, b = part.split(",")
-        sets.append((float(a), float(b)))
     n = args.samples or 1000
     rng = derive_rng(args.seed if args.seed is not None else 0, SIMULATE_STREAM)
     batch = sample_prm_batch(model, args.window, n, rng)
@@ -140,10 +156,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    if args.p < 2:
+        raise ConfigError(f"--p must be >= 2, got {args.p}")
     model = validate_measure(json.loads(args.measure))
-    spec = json.loads(args.phi)
-    phi = StepFunction(tuple(float(b) for b in spec["breakpoints"]),
-                       tuple(float(v) for v in spec["values"]))
+    phi = step_function_from_config(json.loads(args.phi))
     kappas = step_functional_cumulants(model, phi, args.p)
     payload = {
         "p": args.p,

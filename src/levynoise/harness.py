@@ -172,6 +172,8 @@ def parse_config(source) -> ExperimentConfig:
 # default p of the kinds whose p must be even (None: the check must give p)
 EVEN_P_KINDS = {"linear_moment_bound": None, "interpolation": 6,
                 "integral_moment_bound": 4, "convolution_bound": 2}
+# phi of linear_moment_bound when the check gives none: the indicator of (0, 1]
+DEFAULT_PHI = {"breakpoints": [0.0, 1.0], "values": [1.0]}
 # kinds whose catalog kernels and functionals mark atom indices
 ATOMIC_ONLY_KINDS = ("derivative_probes", "projection", "duality",
                      "chaos_isometry", "chaos_orthogonality")
@@ -188,6 +190,8 @@ def _check_params(check: dict, model: LevyMeasureModel) -> None:
             raise ConfigError(f"{kind}: p must be an even integer >= 2, got {p}")
     if kind == "moment_mc" and _param_p(check, None) < 2:
         raise ConfigError(f"moment_mc: p must be >= 2, got {check['p']}")
+    if kind == "linear_moment_bound":
+        step_function_from_config(check.get("phi", DEFAULT_PHI))
     if kind in ("moment_mc", "char_gap"):
         raw = check.get("set", (0.0, 1.0))
         try:
@@ -241,11 +245,15 @@ def _resolve_process(spec, clip: float = 1e6):
     return process_from_config(spec)
 
 
-def _resolve_phi(spec) -> StepFunction:
-    if isinstance(spec, dict):
+def step_function_from_config(spec) -> StepFunction:
+    """Build ``{"breakpoints": [...], "values": [...]}``; ConfigError if malformed."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"step function spec must be a dict, got {spec!r}")
+    try:
         return StepFunction(tuple(float(b) for b in spec["breakpoints"]),
                             tuple(float(v) for v in spec["values"]))
-    raise ConfigError(f"step function spec must be a dict, got {spec!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad step function {spec!r}: {exc}") from exc
 
 
 def _resolve_kernel(name: str):
@@ -384,7 +392,7 @@ def _run_martingale(model, config, check, seed):
 
 
 def _run_linear_moment_bound(model, config, check, seed):
-    phi = _resolve_phi(check.get("phi", {"breakpoints": [0.0, 1.0], "values": [1.0]}))
+    phi = step_function_from_config(check.get("phi", DEFAULT_PHI))
     p = int(check["p"])
     res = check_linear_moment_bound(model, phi, p)
     return CheckResult(check.get("name", f"linear_moment_bound_p{p}"),

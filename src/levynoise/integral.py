@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InfinitePMomentError
 from .measure import LevyMeasureModel, abs_moment
@@ -262,6 +261,8 @@ def tail_convergence(model: LevyMeasureModel, func, schedule, k_outer: float,
 
 
 def _two_sided_quad(func, k_inner: float, k_outer: float, power: int) -> float:
+    import scipy.integrate as integrate  # loaded on first use, as in measure._quad
+
     g = lambda x: float(func(np.asarray([x]))[0]) ** power
     left, _ = integrate.quad(g, -k_outer, -k_inner, epsabs=1e-12, limit=200)
     right, _ = integrate.quad(g, k_inner, k_outer, epsabs=1e-12, limit=200)

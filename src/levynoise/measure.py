@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     AtomAtZeroError,
@@ -78,6 +77,10 @@ class LevyMeasureModel:
 
 
 def _quad(f: Callable[[float], float], a: float, b: float) -> float:
+    # loaded on first use: atomic runs never need scipy.  ``import scipy.integrate``
+    # skips scipy's module ``__getattr__``, which costs ~13 ms more on first use
+    import scipy.integrate as integrate
+
     val, err = integrate.quad(f, a, b, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200)
     if not math.isfinite(val) or err > max(QUAD_ABS_TOL * 10, 1e-6 * abs(val)):
         raise QuadratureError(f"quadrature on [{a}, {b}] did not converge (err={err})")

@@ -175,14 +175,28 @@ class RealizationBatch:
         return np.full(self.n, float(x))
 
 
+# Compact per-point storage: a batch keeps 21 bytes per point (x, z, a 4-byte
+# owner, a 1-byte atom index), and the mark lookup runs in chunks, so no
+# whole-batch 8-byte index array lives next to the uniforms.
+_MARK_CHUNK = 1 << 20
+
+
+def _owner_dtype(n: int):
+    return np.int32 if n <= np.iinfo(np.int32).max else np.intp
+
+
 def _sample_marks(model: LevyMeasureModel, count: int, rng: np.random.Generator):
     """Draw ``count`` i.i.d. jump sizes from the normalized measure."""
     if model.is_atomic:
         zs, lams = model.atom_arrays()
         cum = np.cumsum(lams)
         cum /= cum[-1]
-        idx = np.searchsorted(cum, rng.random(count), side="right")
-        idx = np.minimum(idx, len(zs) - 1)
+        u = rng.random(count)
+        idx = np.empty(count, dtype=np.int8 if len(zs) <= np.iinfo(np.int8).max else np.intp)
+        for lo in range(0, count, _MARK_CHUNK):
+            idx[lo:lo + _MARK_CHUNK] = np.searchsorted(cum, u[lo:lo + _MARK_CHUNK], side="right")
+        del u
+        np.minimum(idx, len(zs) - 1, out=idx)
         return zs[idx], idx
     grid_z, grid_cdf = _density_cdf_table(model)
     u = rng.random(count) * grid_cdf[-1]
@@ -227,7 +241,7 @@ def sample_prm_batch(model: LevyMeasureModel, window: float, n: int,
         raise ValueError("window must be >= 0")
     counts = rng.poisson(2.0 * window * model.total_mass, n) if window > 0 else np.zeros(n, dtype=int)
     total = int(counts.sum())
-    owner = np.repeat(np.arange(n), counts)
+    owner = np.repeat(np.arange(n, dtype=_owner_dtype(n)), counts)
     x = rng.uniform(-window, window, total)
     z, atom = _sample_marks(model, total, rng)
     return RealizationBatch(float(window), n, x, z, owner, atom, model)
@@ -343,7 +357,7 @@ def sample_L_interval(model: LevyMeasureModel, length: float, n: int,
     counts = rng.poisson(length * model.total_mass, n)
     total = int(counts.sum())
     z, _ = _sample_marks(model, total, rng)
-    owner = np.repeat(np.arange(n), counts)
+    owner = np.repeat(np.arange(n, dtype=_owner_dtype(n)), counts)
     sums = np.bincount(owner, weights=z, minlength=n)
     return sums - length * float(_mt1(model))
 

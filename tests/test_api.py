@@ -1,13 +1,19 @@
-"""The public surface: names other code imports, and the stream-id registry."""
+"""The public surface: names other code imports, the stream-id registry, and
+what a cold process loads."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 import types
 from pathlib import Path
 
 from levynoise import rng
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def _lookup(module, name: str):
@@ -52,3 +58,40 @@ def test_stream_ids_unique():
     streams = {name: value for name, value in vars(rng).items() if name.endswith("_STREAM")}
     assert len(streams) >= 16
     assert len(set(streams.values())) == len(streams), streams
+
+
+def _loads_scipy(code: str) -> bool:
+    """Whether running ``code`` in a fresh interpreter imports scipy."""
+    code = textwrap.dedent(code) + "import sys; print('scipy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_scipy_loaded_only_by_quadrature():
+    """Atomic runs never load scipy; only quadrature (density measures, the
+    ``tail`` check) does."""
+    assert not _loads_scipy("import levynoise\n")
+    assert not _loads_scipy("""
+        from dataclasses import replace
+        from levynoise.harness import default_verification_config, run
+        cfg = default_verification_config()
+        cfg = replace(cfg, checks=tuple(c for c in cfg.checks if c["kind"] != "tail"))
+        assert run(cfg).passed
+    """)
+    assert not _loads_scipy("""
+        import contextlib, io
+        from levynoise.cli import main
+        atoms = '{"atoms": [[1.0, 1.0]]}'
+        phi = '{"breakpoints": [0, 1], "values": [1]}'
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["moments", "--measure", atoms, "--phi", phi, "--p", "6"]) == 0
+            assert main(["simulate", "--measure", atoms, "--samples", "50"]) == 0
+    """)
+    # positive control: the probe does see scipy when a quadrature runs
+    assert _loads_scipy("""
+        from levynoise import validate_measure
+        validate_measure({"family": "symmetric_power_law", "alpha": 1.5,
+                          "eps": 0.25, "z_max": 4.0})
+    """)

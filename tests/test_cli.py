@@ -125,6 +125,57 @@ def test_malliavin_kinds_on_density_exit_code(tmp_path, monkeypatch, capsys, kin
     assert kind in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phi", [{"breakpoints": [1, 0], "values": [1]},
+                                 {"breakpoints": [0, 1], "values": [1, 2]},
+                                 {"breakpoints": [0, 1]},
+                                 [0, 1]],
+                         ids=["reversed", "value_count", "no_values", "not_object"])
+def test_bad_phi_exit_code(tmp_path, monkeypatch, capsys, phi):
+    check = {"kind": "linear_moment_bound", "p": 4, "phi": phi}
+    assert _report_rejects(tmp_path, monkeypatch, {"atoms": [[1.0, 1.0]]}, check) == 2
+    assert "step function" in capsys.readouterr().err
+
+
+def _no_sampling(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the input was accepted and sampled")
+    monkeypatch.setattr(levynoise.cli, "sample_prm_batch", fail)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--sets", "1,0"),
+    ("--sets", "1,1"),
+    ("--sets", "1"),
+    ("--sets", "a,b"),
+    ("--sets", "0,1;"),
+    ("--sets", "0,5"),
+    ("--samples", "-1"),
+    ("--window", "-1"),
+    ("--window", "inf"),
+], ids=["reversed", "empty", "one_end", "not_numbers", "trailing_separator",
+        "outside_window", "negative_samples", "negative_window", "infinite_window"])
+def test_simulate_bad_input_exit_code(monkeypatch, capsys, argv):
+    _no_sampling(monkeypatch)
+    assert run_cli("simulate", "--measure", MEASURE, *argv) == 2
+    assert argv[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--p", "1"),
+    ("--p", "0"),
+    ("--phi", '{"breakpoints": [1, 0], "values": [1]}'),
+    ("--phi", '{"breakpoints": [0, 1, 1], "values": [1, 2]}'),
+    ("--phi", '{"breakpoints": [0, 1], "values": []}'),
+], ids=["p1", "p0", "reversed_phi", "repeated_breakpoint", "no_values"])
+def test_moments_bad_input_exit_code(capsys, argv):
+    args = {"--measure": MEASURE, "--phi": '{"breakpoints": [0, 1], "values": [1]}',
+            "--p": "4"}
+    args[argv[0]] = argv[1]
+    assert run_cli("moments", *(x for kv in args.items() for x in kv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_left_zero_accepted_on_density():
     parse_config({"measure": DENSITY, "checks": [{"kind": "left_zero"}]})
 

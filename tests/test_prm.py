@@ -116,6 +116,30 @@ def test_batch_matches_single(unit_atom):
         assert vec[i] == pytest.approx(float(eval_L_set(real, (-1.0, 1.5))), abs=1e-12)
 
 
+@pytest.mark.parametrize("atoms, atom_dtype", [
+    ([(0.3, 0.7), (-1.1, 1.3), (2.5, 0.2)], np.int8),
+    ([(float(k + 1), 0.01) for k in range(200)], np.intp),
+], ids=["three_atom", "200_atoms"])
+def test_batch_storage_matches_whole_array_draws(atoms, atom_dtype):
+    # the chunked mark lookup and the compact owner/atom arrays hold the same
+    # values as one whole-array lookup on the same stream, across chunk ends
+    model, window, n = atomic_measure(atoms), 4.0, 200_000
+    batch = sample_prm_batch(model, window, n, derive_rng(13))
+    rng = derive_rng(13)
+    counts = rng.poisson(2.0 * window * model.total_mass, n)
+    x = rng.uniform(-window, window, int(counts.sum()))
+    zs, lams = model.atom_arrays()
+    cum = np.cumsum(lams)
+    cum /= cum[-1]
+    idx = np.minimum(np.searchsorted(cum, rng.random(len(x)), side="right"), len(zs) - 1)
+    assert len(x) > 1 << 20
+    assert batch.owner.dtype == np.int32 and batch.atom.dtype == atom_dtype
+    assert np.array_equal(batch.owner, np.repeat(np.arange(n), counts))
+    assert np.array_equal(batch.x, x)
+    assert np.array_equal(batch.atom, idx)
+    assert np.array_equal(batch.z, zs[idx])
+
+
 def test_mean_and_isometry_of_L(unit_atom):
     n = 200_000
     rng = derive_rng(2024)
