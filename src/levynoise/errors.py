@@ -32,7 +32,7 @@ class InfinitePMomentError(MeasureError):
 
 
 class QuadratureError(LevyNoiseError):
-    """Numerical quadrature against a density failed to converge."""
+    """Numerical quadrature failed to converge."""
 
 
 # --- combinatorics ---

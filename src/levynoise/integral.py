@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfinitePMomentError
+from .errors import InfinitePMomentError, QuadratureError
 from .measure import LevyMeasureModel, abs_moment
 from .partitions import count_no_singleton_partitions, moment_of_step_functional
 from .prm import batch_L_weighted, sample_prm_batch
@@ -261,9 +261,51 @@ def tail_convergence(model: LevyMeasureModel, func, schedule, k_outer: float,
 
 
 def _two_sided_quad(func, k_inner: float, k_outer: float, power: int) -> float:
-    import scipy.integrate as integrate  # loaded on first use, as in measure._quad
+    """``int_{k_inner < |x| <= k_outer} func(x) ** power dx``."""
+    g = lambda x: np.asarray(func(x), dtype=float) ** power
+    return _adaptive_gauss(g, -k_outer, -k_inner) + _adaptive_gauss(g, k_inner, k_outer)
 
-    g = lambda x: float(func(np.asarray([x]))[0]) ** power
-    left, _ = integrate.quad(g, -k_outer, -k_inner, epsabs=1e-12, limit=200)
-    right, _ = integrate.quad(g, k_inner, k_outer, epsabs=1e-12, limit=200)
-    return left + right
+
+# The 10-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre.leggauss(10)
+# gives it; written out so that importing this module does not load numpy.polynomial.
+# Every node is interior, so a profile's value at a window edge never enters a tail
+# integral over K < |x| <= K'.
+_GL_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
+    -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717])
+_GL_WEIGHTS = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
+    0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814])
+QUAD_RTOL = 1e-12
+QUAD_MAX_PANELS = 200
+
+
+def _gauss_panel(g, a: float, b: float) -> tuple[float, float, float, float, float]:
+    """``(error, a, b, estimate, estimate for |g|)`` on ``(a, b)``: the rule on
+    both halves, with its distance from the rule on the whole panel as the error."""
+    m, r = 0.5 * (a + b), 0.5 * (b - a)
+    t = 0.5 * r * _GL_NODES
+    y = g(np.concatenate([m + r * _GL_NODES, 0.5 * (a + m) + t, 0.5 * (m + b) + t])).reshape(3, -1)
+    whole, left, right = (y * _GL_WEIGHTS).sum(axis=1) * (r, 0.5 * r, 0.5 * r)
+    size = 0.5 * abs(r) * float((np.abs(y[1:]) * _GL_WEIGHTS).sum())
+    return float(abs(whole - left - right)), a, b, float(left + right), size
+
+
+def _adaptive_gauss(g, a: float, b: float) -> float:
+    """Integral of the vectorized ``g`` over ``(a, b)``: bisect the panel of
+    largest error until the summed error is within QUAD_RTOL of the integral
+    of ``|g|``."""
+    panels = [_gauss_panel(g, a, b)]
+    while True:
+        err = math.fsum(p[0] for p in panels)
+        if err <= QUAD_RTOL * math.fsum(p[4] for p in panels):
+            return math.fsum(p[3] for p in panels)
+        if len(panels) >= QUAD_MAX_PANELS:
+            raise QuadratureError(f"quadrature on ({a}, {b}) did not converge (err={err})")
+        worst = max(panels)  # panels compare by error first
+        panels.remove(worst)
+        _, lo, hi, _, _ = worst
+        mid = 0.5 * (lo + hi)
+        panels += [_gauss_panel(g, lo, mid), _gauss_panel(g, mid, hi)]

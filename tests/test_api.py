@@ -70,15 +70,12 @@ def _loads_scipy(code: str) -> bool:
 
 
 def test_scipy_loaded_only_by_quadrature():
-    """Atomic runs never load scipy; only quadrature (density measures, the
-    ``tail`` check) does."""
+    """Atomic runs never load scipy; only quadrature against a density
+    measure does."""
     assert not _loads_scipy("import levynoise\n")
     assert not _loads_scipy("""
-        from dataclasses import replace
         from levynoise.harness import default_verification_config, run
-        cfg = default_verification_config()
-        cfg = replace(cfg, checks=tuple(c for c in cfg.checks if c["kind"] != "tail"))
-        assert run(cfg).passed
+        assert run(default_verification_config()).passed
     """)
     assert not _loads_scipy("""
         import contextlib, io

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, erfc
 
 from levynoise import (
     atomic_measure,
@@ -139,6 +139,23 @@ def test_tail_convergence_gaussian(unit_atom):
                                              - erf(math.sqrt(2.0) * row.k_inner))
         assert row.theory == pytest.approx(closed, rel=1e-9)
         assert row.passed
+
+
+def test_tail_theory_quadrature(unit_atom):
+    # the tail integrals to near machine precision: erfc form of the squared
+    # Gaussian profile, with no cancellation at large K
+    gauss = lambda x: np.exp(-np.asarray(x) ** 2)
+    rows = tail_convergence(unit_atom, gauss, [0.5, 2.0, 4.0, 6.0], 8.0, n_samples=2_000, seed=8)
+    for row in rows:
+        closed = math.sqrt(math.pi / 2.0) * (erfc(math.sqrt(2.0) * row.k_inner)
+                                             - erfc(math.sqrt(2.0) * 8.0))
+        assert row.theory == pytest.approx(closed, rel=1e-12, abs=0.0)
+    # indicator of [-2, 2]: the tail 1 < |x| <= 4 holds two unit pieces, and the
+    # quadrature must resolve the jump at |x| = 2
+    step = lambda x: np.where(np.abs(np.asarray(x)) <= 2.0, 1.0, 0.0)
+    rows = tail_convergence(unit_atom, step, [1.0, 3.0], 4.0, n_samples=5_000, seed=8)
+    assert [row.theory for row in rows] == pytest.approx([2.0, 0.0], rel=1e-10, abs=1e-12)
+    assert all(row.passed for row in rows)
 
 
 def test_tail_zero_for_supported_process(unit_atom):
