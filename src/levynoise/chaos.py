@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import WindowExceededError
 from .integral import _mean_se
-from .measure import LevyMeasureModel, _quad
+from .measure import LevyMeasureModel, _density_integral
 from .prm import PointRealization, RealizationBatch, sample_prm_batch
 from .processes import SimpleProcess, eval_I_K
 from .rng import DUALITY_STREAM, derive_rng
@@ -76,18 +76,14 @@ def mark_mass(model: LevyMeasureModel, marks) -> Fraction | float:
     """``nu(B)`` for a mark set."""
     if isinstance(marks, frozenset):
         return sum(Fraction(model.atoms[j][1]) for j in marks)
-    zlo, zhi = marks
-    den = model.density
-    return _quad(den.density, max(zlo, -den.z_max), min(zhi, den.z_max))
+    return _density_integral(model.density, lambda z: 1.0, *marks)
 
 
 def mark_first_moment(model: LevyMeasureModel, marks) -> Fraction | float:
     """``integral_B z nu(dz)`` for a mark set."""
     if isinstance(marks, frozenset):
         return sum(Fraction(model.atoms[j][1]) * Fraction(model.atoms[j][0]) for j in marks)
-    zlo, zhi = marks
-    den = model.density
-    return _quad(lambda z: z * den.density(z), max(zlo, -den.z_max), min(zhi, den.z_max))
+    return _density_integral(model.density, lambda z: z, *marks)
 
 
 def atom_index_of(model: LevyMeasureModel, z: float) -> int | None:

@@ -138,7 +138,7 @@ def _cmd_simulate(args) -> int:
         model = validate_measure(json.loads(args.measure))
     else:
         model = _load_config(args).model()
-    n = args.samples or 1000
+    n = 1000 if args.samples is None else args.samples
     rng = derive_rng(args.seed if args.seed is not None else 0, SIMULATE_STREAM)
     batch = sample_prm_batch(model, args.window, n, rng)
     columns = [eval_L_set(batch, [s]) for s in sets]

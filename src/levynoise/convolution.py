@@ -21,10 +21,11 @@ with ``B^p = 2^{p-1} C_p^p (t^{p/2} nu_t^{p/2-1} + t^{p-1})`` and
 Quadrature: time integrals run a composite midpoint rule in the graded
 variable ``tau = t u^2`` (exact for time-constant kernels, and smooth
 for kernels with an integrable power singularity at ``tau = 0``), with
-the space integral done adaptively at every time node.  Time grids
-refine until the value moves by less than 0.1%; the final bound is
-inflated by the last observed delta before the comparison, and
-sustained growth at the refinement cap is reported as divergence.
+the space integral done by the adaptive Gauss-Legendre rule of
+:mod:`levynoise.measure` at every time node.  Time grids refine until
+the value moves by less than 0.1%; the final bound is inflated by the
+last observed delta before the comparison, and sustained growth at the
+refinement cap is reported as divergence.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from .coefficients import Coefficient, Const, Product
 from .errors import InfiniteNuTError
 from .integral import _mean_se, integral_bound_constant
-from .measure import LevyMeasureModel
+from .measure import LevyMeasureModel, _adaptive_gauss
 from .prm import sample_prm_batch
 from .processes import SimpleProcess, eval_I_K, validate_simple
 from .rng import CONVOLUTION_STREAM, FIELD_MOMENT_STREAM, derive_rng
@@ -174,27 +175,25 @@ def _graded_time_nodes(t: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return t * u ** 2, 2.0 * t * u / n
 
 
-def _space_quad(f, lo: float, hi: float, breakpoints=()) -> float:
-    """Composite Simpson with grid doubling, vectorized, split at breakpoints."""
-    edges = [lo] + sorted(b for b in set(breakpoints) if lo < b < hi) + [hi]
-    return float(sum(_simpson_segment(f, a, b) for a, b in zip(edges, edges[1:])))
+def _space_quad(f, lo: float, hi: float, origin: float, breakpoints=()) -> float:
+    """Integral of the vectorized ``f`` over ``(lo, hi)``, one adaptive Gauss
+    quadrature per piece between the breakpoints and ``origin``.
 
-
-def _simpson_segment(f, a: float, b: float, rel_tol: float = 1e-9,
-                     n0: int = 32, n_max: int = 1 << 17) -> float:
-    n = n0
-    prev = None
-    while True:
-        x = np.linspace(a, b, n + 1)
-        y = np.asarray(f(x), dtype=float)
-        h = (b - a) / n
-        s = h / 3.0 * (y[0] + y[-1] + 4.0 * y[1::2].sum() + 2.0 * y[2:-1:2].sum())
-        if prev is not None and abs(s - prev) <= max(rel_tol * abs(s), 1e-13):
-            return s
-        if n >= n_max:
-            return s
-        prev = s
-        n *= 2
+    ``origin`` is where the kernel concentrates as ``t -> 0``.  A piece that
+    ends there is integrated in ``s`` with ``x = origin + (far end - origin) s^4``,
+    so that the rule's interior nodes reach within 2e-9 piece lengths of the
+    origin and a peak of width ``~sqrt(t)`` cannot fall between them unseen.
+    """
+    edges = [lo] + sorted(b for b in {*breakpoints, origin} if lo < b < hi) + [hi]
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        if origin in (a, b):
+            span = b - a if origin == a else a - b
+            g = lambda s: f(origin + span * s ** 4) * (4.0 * abs(span) * s ** 3)
+            total += _adaptive_gauss(g, 0.0, 1.0)
+        else:
+            total += _adaptive_gauss(f, a, b)
+    return total
 
 
 def _refine_time_quadrature(term, t: float, n0: int, what: str) -> tuple[float, float]:
@@ -230,7 +229,7 @@ def kernel_power_integral(kernel: ConvolutionKernel, p: int, t: float,
 
     def term(tau: float) -> float:
         return _space_quad(lambda x: np.abs(kernel.func(tau, x)) ** p,
-                           kernel.x_lo, kernel.x_hi)
+                           kernel.x_lo, kernel.x_hi, 0.0)
 
     value, _ = _refine_time_quadrature(term, t, n0, "kernel power integral")
     return value
@@ -248,7 +247,7 @@ def _rhs_integral(kernel: ConvolutionKernel, field, p: int, t: float, x: float,
         def f(y: np.ndarray) -> np.ndarray:
             g = np.asarray(kernel.func(tau, x - y), dtype=float)
             return (g ** 2 + np.abs(g) ** p) * profile(t - tau, y)
-        return _space_quad(f, y_lo, y_hi, bps)
+        return _space_quad(f, y_lo, y_hi, x, bps)
 
     value, delta = _refine_time_quadrature(term, t, n0, "bound integral")
     return value, delta, se_phi

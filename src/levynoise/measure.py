@@ -33,16 +33,15 @@ from .errors import (
     QuadratureError,
 )
 
-QUAD_ABS_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class TruncatedDensity:
     """Density mode description.
 
-    ``density`` must already vanish for ``|z| < eps`` and ``|z| > z_max``;
-    ``untruncated`` optionally gives the full (pre-truncation) density so
-    the small-jump variance that truncation discards can be reported.
+    ``density`` is a scalar callable (one float in, one float out) and
+    must already vanish for ``|z| < eps`` and ``|z| > z_max``;
+    ``untruncated``, a scalar callable too, optionally gives the full
+    (pre-truncation) density so the small-jump variance that truncation
+    discards can be reported.
     """
 
     density: Callable[[float], float]
@@ -76,20 +75,71 @@ class LevyMeasureModel:
         return zs, lams
 
 
+# The 10-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre.leggauss(10)
+# gives it; written out so that importing this module does not load numpy.polynomial.
+# Every node is interior, so an integrand is never read at a panel edge: not at a
+# window edge K, not at a truncation level +-eps, not at an integrable singularity.
+_GL_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
+    -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717])
+_GL_WEIGHTS = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
+    0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814])
+QUAD_RTOL = 1e-12
+QUAD_MAX_PANELS = 200
+
+
+def _gauss_panel(g, a: float, b: float) -> tuple[float, float, float, float, float]:
+    """``(error, a, b, estimate, estimate for |g|)`` on ``(a, b)``: the rule on
+    both halves, with its distance from the rule on the whole panel as the error."""
+    m, r = 0.5 * (a + b), 0.5 * (b - a)
+    t = 0.5 * r * _GL_NODES
+    y = g(np.concatenate([m + r * _GL_NODES, 0.5 * (a + m) + t, 0.5 * (m + b) + t])).reshape(3, -1)
+    whole, left, right = (y * _GL_WEIGHTS).sum(axis=1) * (r, 0.5 * r, 0.5 * r)
+    size = 0.5 * abs(r) * float((np.abs(y[1:]) * _GL_WEIGHTS).sum())
+    return float(abs(whole - left - right)), a, b, float(left + right), size
+
+
+def _adaptive_gauss(g, a: float, b: float) -> float:
+    """Integral of the vectorized ``g`` over ``(a, b)``: bisect the panel of
+    largest error until the summed error is within QUAD_RTOL of the integral
+    of ``|g|``.  This is the package's one integration rule."""
+    panels = [_gauss_panel(g, a, b)]
+    while True:
+        err = math.fsum(p[0] for p in panels)
+        if err <= QUAD_RTOL * math.fsum(p[4] for p in panels):
+            return math.fsum(p[3] for p in panels)
+        if len(panels) >= QUAD_MAX_PANELS:
+            raise QuadratureError(f"quadrature on ({a}, {b}) did not converge (err={err})")
+        worst = max(panels)  # panels compare by error first
+        panels.remove(worst)
+        _, lo, hi, _, _ = worst
+        mid = 0.5 * (lo + hi)
+        panels += [_gauss_panel(g, lo, mid), _gauss_panel(g, mid, hi)]
+
+
 def _quad(f: Callable[[float], float], a: float, b: float) -> float:
-    # loaded on first use: atomic runs never need scipy.  ``import scipy.integrate``
-    # skips scipy's module ``__getattr__``, which costs ~13 ms more on first use
-    import scipy.integrate as integrate
-
-    val, err = integrate.quad(f, a, b, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200)
-    if not math.isfinite(val) or err > max(QUAD_ABS_TOL * 10, 1e-6 * abs(val)):
-        raise QuadratureError(f"quadrature on [{a}, {b}] did not converge (err={err})")
-    return val
+    """:func:`_adaptive_gauss` for a scalar ``f``, called once per node."""
+    return _adaptive_gauss(lambda x: np.array([f(v) for v in x]), a, b)
 
 
-def _density_integral(den: TruncatedDensity, f: Callable[[float], float]) -> float:
+def _density_integral(den: TruncatedDensity, f: Callable[[float], float],
+                      lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``integral_(lo, hi] f(z) den.density(z) dz`` for a scalar ``f``.
+
+    One quadrature per support piece ``[-z_max, -eps]``, ``[eps, z_max]``
+    that the interval overlaps, so that no panel holds the jump of the
+    density at ``+-eps``.
+    """
     g = lambda z: f(z) * den.density(z)
-    return _quad(g, -den.z_max, -den.eps) + _quad(g, den.eps, den.z_max)
+    total = 0.0
+    for a, b in ((-den.z_max, -den.eps), (den.eps, den.z_max)):
+        a, b = max(a, lo), min(b, hi)
+        if a < b:
+            total += _quad(g, a, b)
+    return total
 
 
 def validate_measure(spec) -> LevyMeasureModel:
@@ -216,12 +266,9 @@ def drift_of_centered_representation(model: LevyMeasureModel) -> Fraction | floa
     """
     if model.is_atomic:
         return -sum(Fraction(lam) * Fraction(z) for z, lam in model.atoms if abs(z) > 1)
-    den = model.density
-    lo = max(1.0, den.eps)
-    if den.z_max <= lo:
-        return 0.0
-    g = lambda z: z * den.density(z)
-    return -(_quad(g, -den.z_max, -lo) + _quad(g, lo, den.z_max))
+    f = lambda z: z
+    return -(_density_integral(model.density, f, hi=-1.0)
+             + _density_integral(model.density, f, lo=1.0))
 
 
 def small_jump_variance_bias(model: LevyMeasureModel) -> float:

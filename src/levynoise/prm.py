@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import WindowExceededError
-from .measure import LevyMeasureModel, signed_moment, _quad
+from .measure import LevyMeasureModel, _density_integral, signed_moment
 from .rng import CHAR_GAP_STREAM, derive_rng
 from .stepfun import StepFunction
 
@@ -367,11 +367,8 @@ def char_exponent(model: LevyMeasureModel, theta: float) -> complex:
     if model.is_atomic:
         return sum(lam * (cmath.exp(1j * theta * z) - 1.0 - 1j * theta * z)
                    for z, lam in model.atoms)
-    den = model.density
-    re = _quad(lambda z: (math.cos(theta * z) - 1.0) * den.density(z), -den.z_max, -den.eps) \
-        + _quad(lambda z: (math.cos(theta * z) - 1.0) * den.density(z), den.eps, den.z_max)
-    im = _quad(lambda z: (math.sin(theta * z) - theta * z) * den.density(z), -den.z_max, -den.eps) \
-        + _quad(lambda z: (math.sin(theta * z) - theta * z) * den.density(z), den.eps, den.z_max)
+    re = _density_integral(model.density, lambda z: math.cos(theta * z) - 1.0)
+    im = _density_integral(model.density, lambda z: math.sin(theta * z) - theta * z)
     return complex(re, im)
 
 

@@ -60,24 +60,24 @@ def test_stream_ids_unique():
     assert len(set(streams.values())) == len(streams), streams
 
 
-def _loads_scipy(code: str) -> bool:
-    """Whether running ``code`` in a fresh interpreter imports scipy."""
-    code = textwrap.dedent(code) + "import sys; print('scipy' in sys.modules)\n"
+def _loads(code: str, module: str = "scipy") -> bool:
+    """Whether running ``code`` in a fresh interpreter imports ``module``."""
+    code = textwrap.dedent(code) + f"import sys; print({module!r} in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1] == "True"
 
 
-def test_scipy_loaded_only_by_quadrature():
-    """Atomic runs never load scipy; only quadrature against a density
-    measure does."""
-    assert not _loads_scipy("import levynoise\n")
-    assert not _loads_scipy("""
+def test_no_path_loads_scipy():
+    """No levynoise path loads scipy: not the import, not the bundled run,
+    not the CLI, and not quadrature against a density measure."""
+    assert not _loads("import levynoise\n")
+    assert not _loads("""
         from levynoise.harness import default_verification_config, run
         assert run(default_verification_config()).passed
     """)
-    assert not _loads_scipy("""
+    assert not _loads("""
         import contextlib, io
         from levynoise.cli import main
         atoms = '{"atoms": [[1.0, 1.0]]}'
@@ -86,9 +86,19 @@ def test_scipy_loaded_only_by_quadrature():
             assert main(["moments", "--measure", atoms, "--phi", phi, "--p", "6"]) == 0
             assert main(["simulate", "--measure", atoms, "--samples", "50"]) == 0
     """)
-    # positive control: the probe does see scipy when a quadrature runs
-    assert _loads_scipy("""
+    assert not _loads("""
         from levynoise import validate_measure
-        validate_measure({"family": "symmetric_power_law", "alpha": 1.5,
-                          "eps": 0.25, "z_max": 4.0})
+        from levynoise.prm import char_exponent
+        model = validate_measure({"family": "symmetric_power_law", "alpha": 1.5,
+                                  "eps": 0.25, "z_max": 4.0})
+        char_exponent(model, 1.0)
     """)
+    # positive control: the probe sees a module that a call loads after import
+    lazy = textwrap.dedent("""
+        import levynoise
+
+        def load():
+            import colorsys
+    """)
+    assert not _loads(lazy, "colorsys")
+    assert _loads(lazy + "load()\n", "colorsys")

@@ -38,6 +38,15 @@ def test_simulate_csv(tmp_path):
     assert len(rows) == 1 + 1200
 
 
+def test_simulate_zero_samples(tmp_path):
+    out = tmp_path / "sim.csv"
+    code = run_cli("simulate", "--measure", MEASURE, "--samples", "0", "--out", str(out))
+    assert code == 0
+    with out.open() as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 and rows[0][0] == "sample"
+
+
 def test_report_runs_default_suite(tmp_path):
     out = tmp_path / "report.json"
     code = run_cli("report", "--samples", "2000", "--seed", "9",

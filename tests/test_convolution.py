@@ -12,8 +12,8 @@ from levynoise import (
     indicator_kernel,
     kernel_power_integral,
 )
-from levynoise.convolution import build_convolution_process
-from levynoise.errors import InfiniteNuTError
+from levynoise.convolution import _space_quad, build_convolution_process
+from levynoise.errors import InfiniteNuTError, QuadratureError
 
 
 def unit_field():
@@ -32,9 +32,25 @@ def test_heat_kernel_power_integral_p2():
     assert val == pytest.approx(math.sqrt(1.0 / (2.0 * math.pi)), rel=2e-3)
 
 
+@pytest.mark.parametrize("t", [0.1, 0.01, 0.001])
+def test_heat_kernel_power_integral_small_t(t):
+    # at small t the time nodes reach tau ~ 1e-8 t, where G is a peak of width
+    # ~2e-4 sqrt(t) about x = 0 that an ungraded space rule steps over
+    val = kernel_power_integral(heat_kernel(), 2, t)
+    assert val == pytest.approx(math.sqrt(t / (2.0 * math.pi)), rel=1e-9)
+
+
 def test_heat_kernel_diverges_for_p4():
-    with pytest.raises(InfiniteNuTError):
+    # the space rule must see the peak at every time node, or the sums stall
+    # instead of growing
+    with pytest.raises(InfiniteNuTError, match="grows without bound"):
         kernel_power_integral(heat_kernel(), 4, 1.0)
+
+
+@pytest.mark.parametrize("origin", [0.0, 2.0], ids=["graded", "plain"])
+def test_space_quad_raises_on_nonintegrable(origin):
+    with pytest.raises(QuadratureError):
+        _space_quad(lambda x: 1.0 / x, 0.0, 1.0, origin)
 
 
 def test_convolution_process_is_indicator(unit_atom):

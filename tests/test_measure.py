@@ -2,6 +2,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,13 +14,20 @@ from levynoise import (
     signed_moment,
     validate_measure,
 )
+from levynoise.chaos import mark_first_moment, mark_mass
 from levynoise.errors import (
     AtomAtZeroError,
     InfiniteSecondMomentError,
     InfiniteTotalMassError,
     NonPositiveMassError,
+    QuadratureError,
 )
-from levynoise.measure import drift_of_centered_representation, small_jump_variance_bias
+from levynoise.measure import (
+    TruncatedDensity,
+    _adaptive_gauss,
+    drift_of_centered_representation,
+    small_jump_variance_bias,
+)
 
 
 @dataclass(frozen=True)
@@ -153,19 +161,57 @@ def test_symmetrized_odd_moments_vanish(pos_atoms, n):
     assert signed_moment(atomic_measure(atoms), n) == 0
 
 
+def test_quadrature_raises_on_nonintegrable():
+    # 1/x on (0, 1): bisecting toward 0 never shrinks the error, so the rule
+    # runs out of panels and says so
+    with pytest.raises(QuadratureError):
+        _adaptive_gauss(lambda x: 1.0 / x, 0.0, 1.0)
+    root = _adaptive_gauss(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
+    assert root == pytest.approx(2.0, rel=1e-11, abs=0)  # integrable: converges
+
+
 def test_drift_reporting():
     m = atomic_measure([(2.0, 1.0), (0.5, 3.0)])
     assert drift_of_centered_representation(m) == -2
+    # unit density on [0.5, 2]: the drift integrates z over (1, 2] only
+    den = TruncatedDensity(lambda z: 1.0 if 0.5 <= z <= 2.0 else 0.0, 0.5, 2.0)
+    assert drift_of_centered_representation(validate_measure(den)) == pytest.approx(-1.5)
 
 
-def test_power_law_density_mode():
-    m = power_law_measure(alpha=1.5, eps=0.1, z_max=5.0)
+def _power_law_integral(alpha, q, lo, hi):
+    """``integral_lo^hi z^q z^-alpha dz`` for ``0 <= lo < hi``."""
+    e = q + 1 - alpha
+    return (hi ** e - lo ** e) / e
+
+
+@pytest.mark.parametrize("alpha, eps, z_max", [(0.5, 0.01, 10.0), (1.5, 0.1, 5.0),
+                                               (2.5, 0.5, 3.0)],
+                         ids=["alpha0.5", "alpha1.5", "alpha2.5"])
+def test_power_law_density_mode(alpha, eps, z_max):
+    """Quadrature of the power law ``|z|^-alpha`` against its closed forms."""
+    m = power_law_measure(alpha=alpha, eps=eps, z_max=z_max)
     assert not m.is_atomic
-    assert m.total_mass > 0
+    closed = lambda q, lo, hi: _power_law_integral(alpha, q, lo, hi)
+    assert m.total_mass == pytest.approx(2 * closed(0, eps, z_max), rel=1e-11, abs=0)
+    assert m.m2 == pytest.approx(2 * closed(2, eps, z_max), rel=1e-11, abs=0)
     assert abs_moment(m, 2) == pytest.approx(m.m2)
-    # truncation bias: variance carried by jumps below eps
+    # truncation bias: variance carried by jumps below eps, on both sides
     bias = small_jump_variance_bias(m)
-    exact = 2 * (0.1 ** 1.5) / 1.5  # integral of z^2 z^-1.5 over (0, 0.1), both sides
-    assert bias == pytest.approx(exact, rel=1e-8)
+    assert bias == pytest.approx(2 * closed(2, 0, eps), rel=1e-11, abs=0)
+    # a mark set that straddles the gap (-eps, eps) and ends inside each piece
+    marks = (-2 * eps, 3 * eps)
+    assert mark_mass(m, marks) == pytest.approx(
+        closed(0, eps, 2 * eps) + closed(0, eps, 3 * eps), rel=1e-11, abs=0)
+    assert mark_first_moment(m, marks) == pytest.approx(
+        closed(1, eps, 3 * eps) - closed(1, eps, 2 * eps), rel=1e-11, abs=0)
     rows = interpolation_check(m, 4)
     assert all(r.passed for r in rows)
+
+
+def test_mark_mass_across_the_gap_is_symmetric():
+    # (-0.3, 0.2] and (0.1, 0.3] both hold one support piece of width 0.05;
+    # a panel holding the jump at -eps would make them differ by ~5e-13
+    m = power_law_measure(alpha=1.5, eps=0.25, z_max=4.0)
+    closed = _power_law_integral(1.5, 0, 0.25, 0.3)
+    assert mark_mass(m, (-0.3, 0.2)) == pytest.approx(closed, rel=1e-14, abs=0)
+    assert mark_mass(m, (0.1, 0.3)) == pytest.approx(closed, rel=1e-14, abs=0)
