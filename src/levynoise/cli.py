@@ -21,14 +21,13 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, LevyNoiseError
 from .harness import (
-    BOUND_CHECK_KINDS,
-    CONVOLUTION_CHECK_KINDS,
-    MALLIAVIN_CHECK_KINDS,
     ExperimentConfig,
+    check_spec,
     default_verification_config,
     parse_config,
     report_to_json,
@@ -87,19 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, kinds=None) -> ExperimentConfig:
-    cfg = parse_config(args.config) if args.config else default_verification_config()
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.samples is not None:
-        updates["samples"] = args.samples
-    checks = cfg.checks if kinds is None else tuple(
-        c for c in cfg.checks if c["kind"] in kinds)
-    return ExperimentConfig(cfg.measure, cfg.window,
-                            updates.get("samples", cfg.samples),
-                            updates.get("seed", cfg.seed),
-                            cfg.se_multiplier, checks)
+def _base_config(args) -> ExperimentConfig:
+    return parse_config(args.config) if args.config else default_verification_config()
+
+
+def _load_config(args, family: str | None) -> ExperimentConfig:
+    """The config with the CLI overrides; ``family`` keeps that family's checks."""
+    cfg = _base_config(args)
+    checks = cfg.checks if family is None else tuple(
+        c for c in cfg.checks if check_spec(c).family == family)
+    return replace(cfg, checks=checks,
+                   samples=cfg.samples if args.samples is None else args.samples,
+                   seed=cfg.seed if args.seed is None else args.seed)
 
 
 def _emit_report(report, args) -> int:
@@ -137,7 +135,7 @@ def _cmd_simulate(args) -> int:
     if args.measure:
         model = validate_measure(json.loads(args.measure))
     else:
-        model = _load_config(args).model()
+        model = _base_config(args).model()
     n = 1000 if args.samples is None else args.samples
     rng = derive_rng(args.seed if args.seed is not None else 0, SIMULATE_STREAM)
     batch = sample_prm_batch(model, args.window, n, rng)
@@ -177,22 +175,15 @@ def _cmd_moments(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    kinds = {"verify-bounds": BOUND_CHECK_KINDS,
-             "convolution": CONVOLUTION_CHECK_KINDS,
-             "malliavin-check": MALLIAVIN_CHECK_KINDS,
-             "report": None}
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "moments":
             return _cmd_moments(args)
-        config = _load_config(args, kinds[args.command])
+        config = _load_config(args, None if args.command == "report" else args.command)
         report = run(config, keep_samples=bool(args.dump_samples))
         return _emit_report(report, args)
-    except (ConfigError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LevyNoiseError as exc:
+    except (LevyNoiseError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -169,6 +169,8 @@ def atomic_measure(pairs) -> LevyMeasureModel:
     return _validate_atoms(pairs)
 
 
+# one model per argument tuple, so the caches keyed by the model fill once per measure
+@lru_cache(maxsize=None)
 def power_law_measure(alpha: float, eps: float, z_max: float,
                       scale: float = 1.0) -> LevyMeasureModel:
     """Symmetric density ``scale * |z|^(-alpha)`` truncated to ``eps <= |z| <= z_max``."""

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import levynoise.cli
+import levynoise.harness
 from levynoise.cli import main
 from levynoise.harness import parse_config
 
@@ -111,20 +112,67 @@ def _report_rejects(tmp_path, monkeypatch, measure, check):
     return run_cli("report", "--config", str(path))
 
 
-@pytest.mark.parametrize("check", [
-    {"kind": "integral_moment_bound", "p": 3},
-    {"kind": "convolution_bound", "p": 3},
-    {"kind": "linear_moment_bound", "p": 5},
-    {"kind": "interpolation", "p": 3},
-    {"kind": "moment_mc", "p": 1},
-    {"kind": "moment_mc", "p": 2, "set": [1, 0]},
-    {"kind": "char_gap", "set": [1.0, 1.0]},
-    {"kind": "char_gap", "set": [2.0, 0.5]},
+@pytest.mark.parametrize("check, param", [
+    ({"kind": "integral_moment_bound", "p": 3}, "p"),
+    ({"kind": "convolution_bound", "p": 3}, "p"),
+    ({"kind": "linear_moment_bound", "p": 5}, "p"),
+    ({"kind": "interpolation", "p": 3}, "p"),
+    ({"kind": "moment_mc", "p": 1}, "p"),
+    ({"kind": "moment_mc", "p": 2, "set": [1, 0]}, "set"),
+    ({"kind": "char_gap", "set": [1.0, 1.0]}, "set"),
+    ({"kind": "char_gap", "set": [2.0, 0.5]}, "set"),
+    ({"kind": "convolution_bound", "convention": "bogus"}, "convention"),
+    ({"kind": "integral_moment_bound", "convention": "bogus"}, "convention"),
+    ({"kind": "char_gap", "n_theta": "x"}, "n_theta"),
+    ({"kind": "char_gap", "n_theta": 0}, "n_theta"),
+    ({"kind": "tail", "schedule": []}, "schedule"),
+    ({"kind": "martingale", "probe_width": -1}, "probe_width"),
+    ({"kind": "projection", "y": "x"}, "y"),
+    ({"kind": "moment_mc", "p": 4, "se_multiplier": "x"}, "se_multiplier"),
+    ({"kind": "tail", "schedule": [9.0], "k_outer": 6.0}, "k_outer"),
+    ({"kind": "left_zero", "n_probes": 0}, "n_probes"),
+    ({"kind": "derivative_probes", "n_realizations": 0}, "n_realizations"),
+    ({"kind": "convolution_bound", "t": -1}, "t"),
+    ({"kind": "moment_mc", "p": 4.5}, "p"),
+    ({"kind": "isometry", "procss": "clamped_left"}, "procss"),
+    ({"kind": "mean_zero", "se_multiplier": 1e-4}, "se_multiplier"),
+    ({"kind": "mean_zero", "process": "nope"}, "process"),
+    ({"kind": "mean_zero", "process": {"breakpoints": [0, 1], "coefficients": [5]}}, "process"),
+    ({"kind": "tail", "profile": "cauchy"}, "profile"),
+    ({"kind": "chaos_orthogonality", "kernel_a": "k1", "kernel_b": "k1_two"}, "kernel_b"),
+    ({"kind": "isometry", "samples": 10}, "samples"),
+    ({"kind": "partition_count", "p_values": [20]}, "p_values"),
+    ({"kind": "convolution_bound", "field": "separable_clamped"}, "field"),
+    ({"kind": "convolution_bound", "kernel": "heat", "p": 4}, "heat"),
 ], ids=["integral_odd_p", "convolution_odd_p", "linear_odd_p", "interpolation_odd_p",
-        "moment_mc_p1", "moment_mc_reversed", "char_gap_empty", "char_gap_reversed"])
-def test_bad_check_parameters_exit_code(tmp_path, monkeypatch, capsys, check):
+        "moment_mc_p1", "moment_mc_reversed", "char_gap_empty", "char_gap_reversed",
+        "convolution_convention", "integral_convention", "char_gap_n_theta_text",
+        "char_gap_n_theta_zero", "tail_empty_schedule", "martingale_probe_width",
+        "projection_y_text", "moment_mc_multiplier_text", "tail_schedule_past_k_outer",
+        "left_zero_no_probes", "derivative_probes_no_realizations", "convolution_negative_t",
+        "moment_mc_fractional_p", "isometry_misspelled_key", "mean_zero_multiplier",
+        "mean_zero_unknown_process", "mean_zero_bad_inline_process", "tail_unknown_profile",
+        "orthogonality_same_order", "isometry_few_samples", "partition_count_past_cap",
+        "convolution_field_off_kernel", "convolution_heat_p4"])
+def test_bad_check_parameters_exit_code(tmp_path, monkeypatch, capsys, check, param):
     assert _report_rejects(tmp_path, monkeypatch, {"atoms": [[1.0, 1.0]]}, check) == 2
-    assert check["kind"] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert check["kind"] in err and param in err, err
+
+
+def test_rejects_before_the_first_check_runs(tmp_path, monkeypatch, capsys):
+    # a bad check late in the config stops the run before the first check samples
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(levynoise.harness, "sample_L_interval", no_sampling)
+    cfg = {"measure": {"atoms": [[1.0, 1.0]]}, "samples": 2000,
+           "checks": [{"kind": "moment_mc", "p": 2}, {"kind": "tail", "profile": "cauchy"}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("report", "--config", str(path)) == 2
+    assert "tail: profile" in capsys.readouterr().err
+    assert run_cli("report", "--samples", "500") == 2
+    assert "sample count must be >= 1000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["derivative_probes", "projection", "duality",
@@ -187,6 +235,20 @@ def test_moments_bad_input_exit_code(capsys, argv):
 
 def test_left_zero_accepted_on_density():
     parse_config({"measure": DENSITY, "checks": [{"kind": "left_zero"}]})
+
+
+@pytest.mark.parametrize("check", [
+    {"kind": "moment_mc", "p": 4.0},
+    {"kind": "convolution_bound", "field": "separable_clamped", "x": 0.5},
+    {"kind": "convolution_bound", "kernel": "heat", "t": 0.5},
+    {"kind": "mean_zero", "process": {"breakpoints": [0, 1],
+                                      "coefficients": [{"type": "const", "value": 2}]}},
+    {"kind": "tail", "schedule": [0.0, 5.5], "k_outer": 6, "se_multiplier": 5},
+    {"kind": "interpolation", "p": 16, "name": "high_p"},
+], ids=["integer_valued_float_p", "field_meets_kernel", "heat_p2", "inline_process",
+        "tail_edges", "interpolation_past_partition_cap"])
+def test_edge_parameters_accepted(check):
+    parse_config({"measure": {"atoms": [[1.0, 1.0]]}, "checks": [check]})
 
 def test_strict_failure_exit_code(tmp_path):
     # an impossible statistical target must fail under --strict

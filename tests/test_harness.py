@@ -1,4 +1,7 @@
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from levynoise import (
     write_report,
 )
 from levynoise.errors import ConfigError, DegenerateVarianceError, UnknownCheckError
-from levynoise.harness import write_samples_csv
+from levynoise.harness import CHECK_RUNNERS, write_samples_csv
+from levynoise.prm import _density_cdf_table
+from levynoise.rng import derive_seed
 
 
 BASE = {
@@ -148,3 +153,63 @@ def test_default_suite_passes():
     assert report.passed, failed
     kinds = {c.kind for c in report.checks}
     assert len(kinds) >= 15  # every family is represented
+
+
+def test_runners_take_raw_checks():
+    # the benchmark's traced path calls each runner with a raw check dict
+    config = default_verification_config(samples=1000)
+    model = config.model()
+    report = run(config, keep_samples=True)
+    for index, check in enumerate(config.checks):
+        res = CHECK_RUNNERS[check["kind"]](model, config, check,
+                                           derive_seed(config.seed, index))
+        expected = report.checks[index]
+        assert replace(res, samples=None) == replace(expected, samples=None), check
+        assert (res.samples is None) == (expected.samples is None)
+        if res.samples is not None:
+            assert np.array_equal(res.samples, expected.samples)
+
+
+def test_check_name_overrides_default():
+    report = run(cfg(checks=[{"kind": "interpolation", "p": 4, "name": "interp"},
+                             {"kind": "interpolation", "p": 4}]))
+    assert [c.name for c in report.checks] == ["interp", "interpolation_p4"]
+
+
+def test_density_runs_share_one_model():
+    density = {"family": "symmetric_power_law", "alpha": 1.5, "eps": 0.25, "z_max": 4.0}
+    raw = {"measure": density, "samples": 1000, "seed": 3,
+           "checks": [{"kind": "moment_mc", "p": 2}]}
+    before = _density_cdf_table.cache_info().currsize
+    for _ in range(4):
+        run(parse_config(raw))
+    assert _density_cdf_table.cache_info().currsize <= before + 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_section(title: str) -> str:
+    text = README.read_text()
+    start = text.index(title)
+    return text[start:text.index("\n## ", start)]
+
+
+def test_readme_config_schema_parses():
+    section = _readme_section("### Config schema")
+    block = section[section.index("```json") + len("```json"):]
+    config = parse_config(json.loads(block[:block.index("```")]))
+    assert config.checks
+
+
+def test_readme_check_table_matches_declarations():
+    rows = [line.split(" | ") for line in _readme_section("### Check kinds").splitlines()
+            if line.startswith("| `")]
+    documented = {}
+    for kind, family, params, atomic in rows:
+        names = [re.match(r"`(\w+)`", item).group(1) for item in params.split("; ")]
+        documented[kind.strip("| `")] = (family.strip("`"), names, atomic.strip(" |"))
+    declared = {kind: (spec.family or "—", list(spec.params),
+                       "yes" if spec.atomic_only else "no")
+                for kind, spec in CHECK_RUNNERS.items()}
+    assert documented == declared
