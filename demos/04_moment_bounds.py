@@ -42,5 +42,6 @@ print("\nwindow-tail variance for the Gaussian profile exp(-x^2):")
 rows = ln.tail_convergence(unit, lambda x: np.exp(-np.asarray(x) ** 2),
                            [1.0, 2.0, 3.0], 8.0, n_samples=100_000, seed=4)
 for r in rows:
-    print(f"  K={r.k_inner:.0f}: Var(I_8 - I_K) = {r.var_estimate:.3e} "
-          f"vs tail {r.theory:.3e}  (z = {r.z:+.2f})")
+    g = r.gate
+    print(f"  K={r.k_inner:.0f}: Var(I_8 - I_K) = {g.statistic:.3e} "
+          f"vs tail {g.target:.3e}  (z = {(g.statistic - g.target) / g.se:+.2f})")

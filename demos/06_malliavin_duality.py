@@ -45,9 +45,10 @@ closed = ln.duality_gap(unit, ln.catalog_functional("first_chaos"),
                         ln.validate_simple((0.0, 2.0), (Const(1.0),)),
                         n_samples=100_000, seed=31)
 print(f"  closed-form pair: pairing {closed.mean_pairing:.4f}, "
-      f"adjoint {closed.mean_adjoint:.4f}, gap {closed.gap:+.5f} +- {closed.se:.5f}")
+      f"adjoint {closed.mean_adjoint:.4f}, "
+      f"gap {closed.gate.statistic:+.5f} +- {closed.gate.se:.5f}")
 for fname, pname in (("second_chaos", "two_block"), ("mixed", "det_step")):
     res = ln.duality_gap(unit, ln.catalog_functional(fname),
                          ln.catalog_process(pname), n_samples=50_000, seed=37)
-    print(f"  {fname:12s} x {pname:9s}: gap {res.gap:+.5f} +- {res.se:.5f}  "
+    print(f"  {fname:12s} x {pname:9s}: gap {res.gate.statistic:+.5f} +- {res.gate.se:.5f}  "
           f"{'ok' if res.passed else 'OFF'}")

@@ -9,7 +9,7 @@ every moment inequality and the derivative/adjoint duality with seeded
 Monte Carlo hypothesis tests.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .measure import (
     LevyMeasureModel,

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import WindowExceededError
-from .integral import _mean_se
+from .gate import Gate, Gated, mean_gate
 from .measure import LevyMeasureModel, _density_integral
 from .prm import PointRealization, RealizationBatch, sample_prm_batch
 from .processes import SimpleProcess, eval_I_K
@@ -303,13 +303,11 @@ def skorohod_integral(real: PointRealization, proc: SimpleProcess) -> Fraction:
 
 
 @dataclass(frozen=True)
-class DualityResult:
-    gap: float
-    se: float
+class DualityResult(Gated):
     mean_pairing: float       # E <DF, Phi(x) z>
     mean_adjoint: float       # E [F * delta(Phi z)]
     n_samples: int
-    passed: bool
+    gate: Gate                # the mean gap E[<DF, V> - F delta(V)] against 0
 
 
 def duality_gap(model: LevyMeasureModel, F: ChaosFunctional, proc: SimpleProcess,
@@ -344,10 +342,8 @@ def duality_gap(model: LevyMeasureModel, F: ChaosFunctional, proc: SimpleProcess
         overlap = _phi_overlap(batch, proc, cell)
         pairing += dvals * overlap * zmass
     adjoint = eval_chaos(batch, F) * eval_I_K(batch, proc)
-    gap, se = _mean_se(pairing - adjoint)
-    passed = abs(gap) <= se_multiplier * se if se > 0 else gap == 0.0
-    return DualityResult(gap, se, float(pairing.mean()), float(adjoint.mean()),
-                         n_samples, passed)
+    gate = mean_gate("E[<DF, V> - F delta(V)]", pairing - adjoint, 0.0, se_multiplier)
+    return DualityResult(float(pairing.mean()), float(adjoint.mean()), n_samples, gate)
 
 
 def _probe_in_cell(model: LevyMeasureModel, cell: Cell) -> tuple[float, float]:

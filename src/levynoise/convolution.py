@@ -38,7 +38,8 @@ import numpy as np
 
 from .coefficients import Coefficient, Const, Product
 from .errors import InfiniteNuTError
-from .integral import _mean_se, integral_bound_constant
+from .gate import Gate, Gated, mean_se
+from .integral import integral_bound_constant
 from .measure import LevyMeasureModel, _adaptive_gauss
 from .prm import sample_prm_batch
 from .processes import SimpleProcess, eval_I_K, validate_simple
@@ -161,7 +162,7 @@ def _coefficient_pth_moment(model: LevyMeasureModel, coef: Coefficient, p: int,
         return abs(coef.value) ** p, 0.0
     rng = derive_rng(seed, FIELD_MOMENT_STREAM)
     batch = sample_prm_batch(model, window, n_samples, rng)
-    return _mean_se(np.abs(coef.eval(batch)) ** p)
+    return mean_se(np.abs(coef.eval(batch)) ** p)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +283,7 @@ def build_convolution_process(kernel: ConvolutionKernel, field, t: float, x: flo
 
 
 @dataclass(frozen=True)
-class ConvolutionBoundResult:
+class ConvolutionBoundResult(Gated):
     p: int
     t: float
     x: float
@@ -293,7 +294,7 @@ class ConvolutionBoundResult:
     se_lhs: float
     quad_delta: float
     n_samples: int
-    passed: bool
+    gate: Gate                # lhs_pow against rhs_pow
 
 
 def check_convolution_moment_bound(model: LevyMeasureModel, kernel: ConvolutionKernel,
@@ -314,8 +315,8 @@ def check_convolution_moment_bound(model: LevyMeasureModel, kernel: ConvolutionK
     proc = build_convolution_process(kernel, field, t, x, n_space, n_time)
     rng = derive_rng(seed, CONVOLUTION_STREAM)
     batch = sample_prm_batch(model, proc.read_window(), n_samples, rng)
-    lhs_pow, se_lhs = _mean_se(np.abs(eval_I_K(batch, proc)) ** p)
-    margin = se_multiplier * math.hypot(se_lhs, b_pow * se_phi)
-    passed = lhs_pow <= rhs_pow + margin
+    lhs_pow, se_lhs = mean_se(np.abs(eval_I_K(batch, proc)) ** p)
+    gate = Gate(f"E|U|^{p}", lhs_pow, rhs_pow, "upper",
+                math.hypot(se_lhs, b_pow * se_phi), se_multiplier)
     return ConvolutionBoundResult(p, t, x, nu_t, b_pow, lhs_pow, rhs_pow,
-                                  se_lhs, delta, n_samples, passed)
+                                  se_lhs, delta, n_samples, gate)

@@ -1,18 +1,20 @@
 """Declarative experiment runner with machine-readable reports.
 
-A configuration names a jump-size measure, a master seed, default
-sample counts and a list of checks; :func:`run` executes every check on
-its own derived random stream and assembles an :class:`ExperimentReport`
-whose JSON serialization is byte-stable given ``(config, seed,
-version)`` apart from the wall-time field.
+A configuration names a jump-size measure, a master seed, a default
+sample count and SE multiplier, and a list of checks; :func:`run`
+executes every check on its own stream derived from ``(seed, check
+index)`` and assembles an :class:`ExperimentReport` whose JSON
+serialization is byte-stable given the config and the package version,
+apart from the wall-time field.
 
 Each check kind is declared once, as a :class:`CheckSpec`; :func:`parse_config`
 resolves every check against its declaration before any check runs.
 
-Statistical checks gate on standard-error multiples (default 3, with a
-wider default of 4 for heavy-tailed p-th moment targets) because every
-target here has a computable Monte Carlo variance; exact checks gate on
-equality or the stated relative tolerance.
+A check's verdict is the conjunction of its :class:`~levynoise.gate.Gate`
+records.  Monte Carlo gates allow a multiple of the sample standard
+error (default 3, and 4 for heavy-tailed statistics, whose standard
+error is itself noisy); exact gates compare ``Fraction`` values with no
+margin, or floats at a relative tolerance of 1e-12.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ import csv
 import inspect
 import json
 import math
+import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +53,7 @@ from .convolution import (
     indicator_kernel,
 )
 from .errors import ConfigError, DegenerateVarianceError, UnknownCheckError
+from .gate import Gate, mean_gate
 from .integral import (
     check_integral_moment_bound,
     check_linear_moment_bound,
@@ -115,14 +120,18 @@ class ExperimentConfig:
 class CheckResult:
     name: str
     kind: str
-    lhs: float | None
-    rhs: float | None
-    estimate: float | None
-    se: float | None
-    z: float | None
-    passed: bool
+    gates: tuple[Gate, ...]
     details: dict = field(default_factory=dict)
     samples: np.ndarray | None = None
+
+    @property
+    def passed(self) -> bool:
+        return all(g.passed for g in self.gates)
+
+    @property
+    def estimate(self):
+        """The first gate's statistic (the probes checked, when they all agree)."""
+        return self.gates[0].statistic
 
 
 @dataclass(frozen=True)
@@ -140,6 +149,7 @@ class ExperimentReport:
 def parse_config(source) -> ExperimentConfig:
     """Parse and validate a config, every check included, from a dict,
     JSON string or file path.  A top-level ``window`` key is ignored."""
+    raw = source
     if isinstance(source, (str, Path)):
         try:
             if isinstance(source, str) and source.lstrip().startswith("{"):
@@ -148,20 +158,23 @@ def parse_config(source) -> ExperimentConfig:
                 raw = json.loads(Path(source).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
-    elif isinstance(source, dict):
-        raw = source
-    else:
-        raise ConfigError(f"unsupported config source: {type(source)!r}")
-    try:
-        cfg = ExperimentConfig(
-            measure=raw["measure"],
-            samples=int(raw.get("samples", 10_000)),
-            seed=int(raw.get("seed", 0)),
-            se_multiplier=float(raw.get("se_multiplier", 3.0)),
-            checks=tuple(raw.get("checks", ())),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+    if not isinstance(raw, dict) or "measure" not in raw:
+        raise ConfigError("a config must be an object with a measure")
+    keys = ("measure", "samples", "seed", "se_multiplier", "checks", "window")
+    unknown = [key for key in raw if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {unknown}; a config takes {', '.join(keys)}")
+    if not isinstance(raw.get("checks", []), list):
+        raise ConfigError(f"checks must be a list of check objects, got {raw['checks']!r}")
+    values = {}
+    # types only: the domains are ExperimentConfig's, which CLI overrides pass too
+    for key, default, parse in (("samples", 10_000, _integer), ("seed", 0, _integer),
+                                ("se_multiplier", 3.0, _real)):
+        try:
+            values[key] = parse(raw.get(key, default), -math.inf)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    cfg = ExperimentConfig(raw["measure"], checks=tuple(raw.get("checks", [])), **values)
     model = cfg.model()
     for check in cfg.checks:
         check_spec(check).resolve(check, cfg, model)
@@ -182,18 +195,14 @@ def mc_mean_test(samples: np.ndarray, target: float,
     samples = np.asarray(samples, dtype=float)
     if len(samples) < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    est = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(len(samples)))
-    if se == 0.0:
-        if est == target:
-            return est, 0.0, 0.0, True
-        raise DegenerateVarianceError(
-            f"all samples equal {est} but target is {target}")
-    z = (est - target) / se
-    return est, se, z, abs(z) <= se_multiplier
+    gate = mean_gate("mean", samples, target, se_multiplier)
+    if not gate.se and not gate.passed:
+        raise DegenerateVarianceError(f"all samples equal {gate.statistic} but target is {target}")
+    z = (gate.statistic - target) / gate.se if gate.se else 0.0
+    return gate.statistic, gate.se, z, gate.passed
 
 
-def _gate(config: ExperimentConfig, se_multiplier: float | None, heavy: bool = False) -> float:
+def _se_mult(config: ExperimentConfig, se_multiplier: float | None, heavy: bool = False) -> float:
     """SE multiplier of a check: its own, else 4 for squares/products of chaos
     variables (kurtosis makes the SE estimate itself noisy), else the config's."""
     if se_multiplier is not None:
@@ -384,10 +393,10 @@ def check_spec(check) -> CheckSpec:
 
 def _run_partition_count(model, config, seed, *, p_values=(2, 3, 4, 5, 6, 7, 8)):
     counts = {str(p): count_no_singleton_partitions(p) for p in p_values}
-    oracle = {str(p): sum(1 for part in all_partitions(p) if all(len(b) >= 2 for b in part))
-              for p in p_values}
-    return CheckResult("partition_count", "partition_count", None, None, None, None, None,
-                       counts == oracle, {"counts": counts, "oracle": oracle})
+    gates = tuple(Gate(f"p={p}", counts[str(p)],
+                       sum(1 for part in all_partitions(p) if all(len(b) >= 2 for b in part)))
+                  for p in p_values)
+    return CheckResult("partition_count", "partition_count", gates, {"counts": counts})
 
 
 def _run_moment_mc(model, config, seed, *, p, set=(0.0, 1.0), samples=None,
@@ -395,8 +404,8 @@ def _run_moment_mc(model, config, seed, *, p, set=(0.0, 1.0), samples=None,
     a, b = set
     target = float(moment_of_step_functional(model, StepFunction.indicator(a, b), p))
     values = sample_L_interval(model, b - a, samples, derive_rng(seed, MOMENT_MC_STREAM)) ** p
-    est, se, z, passed = mc_mean_test(values, target, _gate(config, se_multiplier, p >= 4))
-    return CheckResult(f"moment_mc_p{p}", "moment_mc", est, target, est, se, z, passed,
+    gate = mean_gate(f"E[L^{p}]", values, target, _se_mult(config, se_multiplier, p >= 4))
+    return CheckResult(f"moment_mc_p{p}", "moment_mc", (gate,),
                        {"p": p, "set": [a, b], "samples_used": samples}, values)
 
 
@@ -404,9 +413,8 @@ def _run_char_gap(model, config, seed, *, set=(0.0, 1.0), samples=None, n_theta=
                   theta_max=math.pi, threshold_scale=5.0):
     thetas = np.linspace(-theta_max, theta_max, n_theta)
     gap = char_function_gap(model, set, thetas, samples, seed).sup_gap
-    threshold = threshold_scale / math.sqrt(samples)
-    return CheckResult("char_gap", "char_gap", gap, threshold, gap, None, None,
-                       gap < threshold,
+    gate = Gate("sup gap", gap, threshold_scale / math.sqrt(samples), "upper")
+    return CheckResult("char_gap", "char_gap", (gate,),
                        {"n_theta": n_theta, "theta_max": theta_max, "samples_used": samples})
 
 
@@ -415,8 +423,8 @@ def _run_mean_zero(model, config, seed, *, process="det_step", samples=None):
     batch = sample_prm_batch(model, proc.read_window(), samples,
                              derive_rng(seed, MEAN_ZERO_STREAM))
     values = eval_I_K(batch, proc)
-    est, se, z, passed = mc_mean_test(values, 0.0, config.se_multiplier)
-    return CheckResult("mean_zero", "mean_zero", est, 0.0, est, se, z, passed,
+    return CheckResult("mean_zero", "mean_zero",
+                       (mean_gate("E[I]", values, 0.0, config.se_multiplier),),
                        {"process": process.label}, values)
 
 
@@ -429,42 +437,37 @@ def _run_isometry(model, config, seed, *, process="det_step", samples=None,
     q2 = square_integral(proc, batch)
     m2 = float(abs_moment(model, 2))
     paired = ivals ** 2 - m2 * q2
-    est, se, z, passed = mc_mean_test(paired, 0.0, _gate(config, se_multiplier, heavy=True))
-    return CheckResult("isometry", "isometry",
-                       float((ivals ** 2).mean()), float(m2 * q2.mean()),
-                       est, se, z, passed, {"process": process.label}, paired)
+    gate = mean_gate("E[I^2 - m2 int X^2]", paired, 0.0,
+                     _se_mult(config, se_multiplier, heavy=True))
+    return CheckResult("isometry", "isometry", (gate,),
+                       {"process": process.label, "mean_square": float((ivals ** 2).mean()),
+                        "mean_compensator": float(m2 * q2.mean())}, paired)
 
 
 def _run_martingale(model, config, seed, *, process="two_block", samples=None,
                     probe_width=1.0, se_multiplier=None):
     proc = process.value
-    mult = _gate(config, se_multiplier, heavy=True)
+    mult = _se_mult(config, se_multiplier, heavy=True)
     window = max(proc.read_window(), *(abs(bp - probe_width) for bp in proc.breakpoints))
     batch = sample_prm_batch(model, window, samples, derive_rng(seed, MARTINGALE_STREAM))
-    zs = []
+    gates = []
     for (a, b), coef in zip(proc.cells, proc.coefficients):
         probe = ClampedNoise(a - probe_width, a, 10.0)
         increment = coef.eval(batch) * eval_L_set(batch, [(a, b)])
-        _, _, z, _ = mc_mean_test(increment * probe.eval(batch), 0.0, mult)
-        zs.append(z)
-    worst = max(abs(z) for z in zs)
-    return CheckResult("martingale", "martingale", worst, mult, worst, None, worst,
-                       worst <= mult, {"per_cell_z": [float(z) for z in zs]})
+        gates.append(mean_gate(f"cell ({a}, {b}]", increment * probe.eval(batch), 0.0, mult))
+    return CheckResult("martingale", "martingale", tuple(gates))
 
 
 def _run_linear_moment_bound(model, config, seed, *, p,
                              phi={"breakpoints": [0.0, 1.0], "values": [1.0]}):
     res = check_linear_moment_bound(model, phi, p)
-    return CheckResult(f"linear_moment_bound_p{p}", "linear_moment_bound",
-                       float(res.exact_moment), float(res.rhs), None, None, None,
-                       res.passed, {"p": p, "partition_count": res.partition_count,
-                                    "ratio": res.ratio})
+    return CheckResult(f"linear_moment_bound_p{p}", "linear_moment_bound", (res.gate,),
+                       {"p": p, "partition_count": res.partition_count, "ratio": res.ratio})
 
 
 def _run_interpolation(model, config, seed, *, p=6):
     rows = interpolation_check(model, p)
-    return CheckResult(f"interpolation_p{p}", "interpolation",
-                       None, None, None, None, None, all(r.passed for r in rows),
+    return CheckResult(f"interpolation_p{p}", "interpolation", tuple(r.gate for r in rows),
                        {"rows": [{"r": r.r, "value": r.value, "bound": r.bound,
                                   "equality": r.equality} for r in rows]})
 
@@ -474,10 +477,9 @@ def _run_integral_moment_bound(model, config, seed, *, process="det_step", p=4,
     res = check_integral_moment_bound(
         model, process.value, p, rosenthal_b=rosenthal_b, n_samples=samples, seed=seed,
         convention=convention, se_multiplier=config.se_multiplier)
-    return CheckResult(f"integral_bound_p{p}", "integral_moment_bound",
-                       res.lhs, res.rhs, res.lhs, res.se_lhs_pow, None, res.passed,
+    return CheckResult(f"integral_bound_p{p}", "integral_moment_bound", (res.gate,),
                        {"p": p, "constant": res.constant, "convention": res.convention,
-                        "process": process.label})
+                        "process": process.label, "p_norm": res.lhs, "p_norm_bound": res.rhs})
 
 
 def _run_convolution_bound(model, config, seed, *, kernel="indicator", field="unit", p=2,
@@ -486,8 +488,7 @@ def _run_convolution_bound(model, config, seed, *, kernel="indicator", field="un
     res = check_convolution_moment_bound(
         model, kernel, field, p, t=t, x=x, rosenthal_b=rosenthal_b, n_samples=samples,
         seed=seed, convention=convention, se_multiplier=config.se_multiplier)
-    return CheckResult(f"convolution_bound_p{p}", "convolution_bound",
-                       res.lhs_pow, res.rhs_pow, res.lhs_pow, res.se_lhs, None, res.passed,
+    return CheckResult(f"convolution_bound_p{p}", "convolution_bound", (res.gate,),
                        {"p": p, "nu_t": res.nu_t, "b_const_pow": res.b_const_pow,
                         "quad_delta": res.quad_delta,
                         "kernel": kernel.name, "field": field.name})
@@ -495,13 +496,10 @@ def _run_convolution_bound(model, config, seed, *, kernel="indicator", field="un
 
 def _run_tail(model, config, seed, *, profile="gaussian", schedule=(1.0, 2.0, 3.0),
               k_outer=8.0, samples=None, se_multiplier=None):
-    mult = _gate(config, se_multiplier, heavy=True)
-    rows = tail_convergence(model, profile, schedule, k_outer, samples, seed, mult)
-    worst = max(abs(r.z) for r in rows)
-    return CheckResult("tail", "tail", worst, mult, worst, None, worst,
-                       all(r.passed for r in rows),
-                       {"rows": [{"k": r.k_inner, "var": r.var_estimate,
-                                  "theory": r.theory, "z": r.z} for r in rows]})
+    rows = tail_convergence(model, profile, schedule, k_outer, samples, seed,
+                            _se_mult(config, se_multiplier, heavy=True))
+    return CheckResult("tail", "tail", tuple(r.gate for r in rows),
+                       {"rows": [{"k": r.k_inner} for r in rows]})
 
 
 def _run_derivative_probes(model, config, seed, *, functional="mixed", n_realizations=20,
@@ -510,16 +508,15 @@ def _run_derivative_probes(model, config, seed, *, functional="mixed", n_realiza
     window = F.read_window() + 1.0
     probes_x = np.linspace(-window + 0.25, window - 0.25, n_probes_x)
     z = float(model.atoms[0][0])
-    mismatches = 0
+    agree = 0
     for i in range(n_realizations):
         real = sample_prm(model, window, derive_seed(seed, DERIVATIVE_PROBES_STREAM, i))
         for x in probes_x:
             d = malliavin_derivative(F, float(x), z, model)
-            mismatches += eval_chaos(real, d) != add_one_cost(F, real, float(x), z)
-    checked = n_realizations * n_probes_x
-    return CheckResult("derivative_probes", "derivative_probes",
-                       float(mismatches), 0.0, float(checked), None, None, mismatches == 0,
-                       {"functional": functional.label, "probes": checked})
+            agree += eval_chaos(real, d) == add_one_cost(F, real, float(x), z)
+    gate = Gate("probes agreeing with the add-one cost", agree, n_realizations * n_probes_x)
+    return CheckResult("derivative_probes", "derivative_probes", (gate,),
+                       {"functional": functional.label})
 
 
 def _run_projection(model, config, seed, *, kernel="k2", y=0.0, samples=None,
@@ -531,14 +528,11 @@ def _run_projection(model, config, seed, *, kernel="k2", y=0.0, samples=None,
     batch = sample_prm_batch(model, window, samples, derive_rng(seed, PROJECTION_STREAM))
     ik = eval_multiple_integral(batch, kern)
     iky = eval_multiple_integral(batch, proj)
-    mult = _gate(config, se_multiplier, heavy=True)
-    est, se, z, orth = mc_mean_test((ik - iky) * probe.eval(batch), 0.0, mult)
+    mult = _se_mult(config, se_multiplier, heavy=True)
     # projecting cannot increase the second moment
-    c_est, c_se, _, _ = mc_mean_test(ik ** 2 - iky ** 2, 0.0, mult)
-    contracts = c_est >= -mult * c_se
-    return CheckResult("projection", "projection", est, 0.0, est, se, z, orth and contracts,
-                       {"kernel": kernel.label, "y": y,
-                        "second_moment_drop": c_est, "drop_se": c_se})
+    gates = (mean_gate("orthogonality", (ik - iky) * probe.eval(batch), 0.0, mult),
+             mean_gate("contraction", ik ** 2 - iky ** 2, 0.0, mult, "lower"))
+    return CheckResult("projection", "projection", gates, {"kernel": kernel.label, "y": y})
 
 
 def _run_left_zero(model, config, seed, *, functional="second_chaos_left", y=0.0,
@@ -546,19 +540,19 @@ def _run_left_zero(model, config, seed, *, functional="second_chaos_left", y=0.0
     probes_x = np.linspace(y + 0.1, y + 2.0, n_probes)
     z = float(model.atoms[0][0]) if model.is_atomic else 1.0
     derivatives = [malliavin_derivative(functional.value, float(x), z, model) for x in probes_x]
-    bad = sum(1 for d in derivatives if d.constant != 0.0 or d.kernels)
-    return CheckResult("left_zero", "left_zero", float(bad), 0.0, float(len(probes_x)),
-                       None, None, bad == 0, {"functional": functional.label, "y": y})
+    zero = sum(1 for d in derivatives if d.constant == 0.0 and not d.kernels)
+    return CheckResult("left_zero", "left_zero",
+                       (Gate("probes with a zero derivative", zero, n_probes),),
+                       {"functional": functional.label, "y": y})
 
 
 def _run_duality(model, config, seed, *, functional="first_chaos", process="det_step",
                  samples=None, se_multiplier=None):
     res = duality_gap(model, functional.value, process.value, samples, seed,
-                      _gate(config, se_multiplier, heavy=True))
-    z = res.gap / res.se if res.se > 0 else 0.0
-    return CheckResult("duality", "duality",
-                       res.mean_pairing, res.mean_adjoint, res.gap, res.se, z, res.passed,
-                       {"functional": functional.label, "process": process.label})
+                      _se_mult(config, se_multiplier, heavy=True))
+    return CheckResult("duality", "duality", (res.gate,),
+                       {"functional": functional.label, "process": process.label,
+                        "mean_pairing": res.mean_pairing, "mean_adjoint": res.mean_adjoint})
 
 
 def _run_chaos_isometry(model, config, seed, *, kernel="k2", samples=None,
@@ -568,10 +562,9 @@ def _run_chaos_isometry(model, config, seed, *, kernel="k2", samples=None,
     window = max(max(abs(c.a), abs(c.b)) for c in kern.cells)
     batch = sample_prm_batch(model, window, samples, derive_rng(seed, CHAOS_ISOMETRY_STREAM))
     vals = eval_multiple_integral(batch, kern)
-    est, se, z, passed = mc_mean_test(vals ** 2, target,
-                                      _gate(config, se_multiplier, heavy=kern.order >= 2))
-    return CheckResult(f"chaos_isometry_{kernel.label}", "chaos_isometry",
-                       est, target, est, se, z, passed,
+    gate = mean_gate(f"E[I_{kern.order}^2]", vals ** 2, target,
+                     _se_mult(config, se_multiplier, heavy=kern.order >= 2))
+    return CheckResult(f"chaos_isometry_{kernel.label}", "chaos_isometry", (gate,),
                        {"kernel": kernel.label, "order": kern.order})
 
 
@@ -582,10 +575,9 @@ def _run_chaos_orthogonality(model, config, seed, *, kernel_a="k1", kernel_b="k2
     batch = sample_prm_batch(model, window, samples,
                              derive_rng(seed, CHAOS_ORTHOGONALITY_STREAM))
     prod = eval_multiple_integral(batch, k1) * eval_multiple_integral(batch, k2)
-    est, se, z, passed = mc_mean_test(prod, 0.0, _gate(config, se_multiplier,
-                                                        heavy=k1.order + k2.order >= 3))
-    return CheckResult("chaos_orthogonality", "chaos_orthogonality",
-                       est, 0.0, est, se, z, passed,
+    gate = mean_gate(f"E[I_{k1.order} I_{k2.order}]", prod, 0.0,
+                     _se_mult(config, se_multiplier, heavy=k1.order + k2.order >= 3))
+    return CheckResult("chaos_orthogonality", "chaos_orthogonality", (gate,),
                        {"kernel_a": kernel_a.label, "kernel_b": kernel_b.label})
 
 
@@ -632,12 +624,18 @@ def run(config: ExperimentConfig, keep_samples: bool = False) -> ExperimentRepor
 # emission
 # ---------------------------------------------------------------------------
 
+GATE_FIELDS = (*(f.name for f in fields(Gate)), "margin", "passed")  # as _gate_dict lists them
+
+
+def _gate_dict(gate: Gate) -> dict:
+    return _jsonify({**asdict(gate), "margin": gate.margin, "passed": gate.passed})
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
     return {
         "checks": [
-            {"name": c.name, "kind": c.kind, "lhs": c.lhs, "rhs": c.rhs,
-             "estimate": c.estimate, "se": c.se, "z": c.z, "passed": c.passed,
-             "details": _jsonify(c.details)}
+            {"name": c.name, "kind": c.kind, "passed": c.passed,
+             "gates": [_gate_dict(g) for g in c.gates], "details": _jsonify(c.details)}
             for c in report.checks
         ],
         "environment": {"seed": report.seed, "version": report.version,
@@ -653,6 +651,8 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
+    if isinstance(obj, Fraction):  # an exact gate may compare powers past the float range
+        return float(obj) if abs(obj) <= sys.float_info.max else math.inf * (1 if obj > 0 else -1)
     return obj
 
 
@@ -661,19 +661,17 @@ def report_to_json(report: ExperimentReport) -> str:
 
 
 def write_report(report: ExperimentReport, fmt: str, path) -> None:
-    """Write the report as JSON or CSV with stable field ordering."""
+    """Write the report as JSON, or as CSV with one row per gate."""
     path = Path(path)
     if fmt == "json":
         path.write_text(report_to_json(report) + "\n")
     elif fmt == "csv":
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["name", "kind", "lhs", "rhs", "estimate", "se", "z", "passed"])
+            writer = csv.writer(fh)  # str() of a float is its shortest round-trip repr
+            writer.writerow(["name", "kind", *GATE_FIELDS])
             for c in report.checks:
-                writer.writerow([c.name, c.kind,
-                                 *(None if v is None else repr(float(v))
-                                   for v in (c.lhs, c.rhs, c.estimate, c.se, c.z)),
-                                 c.passed])
+                for g in c.gates:
+                    writer.writerow([c.name, c.kind, *_gate_dict(g).values()])
     else:
         raise ConfigError(f"unknown report format: {fmt!r}")
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfinitePMomentError
+from .gate import REL_TOL, Gate, Gated, mean_gate, mean_se
 from .measure import LevyMeasureModel, _adaptive_gauss, abs_moment
 from .partitions import count_no_singleton_partitions, moment_of_step_functional
 from .prm import batch_L_weighted, sample_prm_batch
@@ -88,15 +88,10 @@ def estimate_seminorm(model: LevyMeasureModel, proc: SimpleProcess, p: int,
     batch = sample_prm_batch(model, proc.read_window(), n_samples, rng)
     q2 = square_integral(proc, batch, K) ** (p / 2)
     qp = abs_power_integral(proc, batch, p, K)
-    m2p, s2p = _mean_se(q2)
-    mpp, spp = _mean_se(qp)
+    m2p, s2p = mean_se(q2)
+    mpp, spp = mean_se(qp)
     return SeminormEstimate(K, p, m2p ** (1.0 / p), mpp ** (1.0 / p),
                             m2p, mpp, s2p, spp, n_samples, False)
-
-
-def _mean_se(samples: np.ndarray) -> tuple[float, float]:
-    n = len(samples)
-    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +99,12 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LinearMomentBound:
+class LinearMomentBound(Gated):
     p: int
     partition_count: int
     exact_moment: Fraction | float
     rhs: Fraction | float
-    passed: bool
+    gate: Gate
 
     @property
     def ratio(self) -> float:
@@ -125,9 +120,7 @@ def check_linear_moment_bound(model: LevyMeasureModel, phi: StepFunction,
     """
     if p < 2 or p % 2:
         raise ValueError("p must be an even integer >= 2")
-    mp = abs_moment(model, p)
-    if not math.isfinite(float(mp)):
-        raise InfinitePMomentError(f"m_{p} diverges")
+    mp = abs_moment(model, p)  # raises InfinitePMomentError where m_p diverges
     cstar = count_no_singleton_partitions(p)
     exact = moment_of_step_functional(model, phi, p)
     m2 = abs_moment(model, 2)
@@ -135,11 +128,11 @@ def check_linear_moment_bound(model: LevyMeasureModel, phi: StepFunction,
     ip = phi.abs_power_integral(p)
     if isinstance(m2, Fraction) and isinstance(mp, Fraction):
         rhs: Fraction | float = cstar * ((m2 * i2) ** (p // 2) + mp * ip)
-        passed = exact <= rhs
+        gate = Gate(f"E[L(phi)^{p}]", exact, rhs, "upper")
     else:
         rhs = cstar * ((float(m2) * float(i2)) ** (p / 2) + float(mp) * float(ip))
-        passed = float(exact) <= rhs * (1 + 1e-12)
-    return LinearMomentBound(p, cstar, exact, rhs, passed)
+        gate = Gate(f"E[L(phi)^{p}]", float(exact), rhs, "upper", tolerance=REL_TOL)
+    return LinearMomentBound(p, cstar, exact, rhs, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +162,7 @@ def integral_bound_constant(model: LevyMeasureModel, p: int, rosenthal_b: float,
 
 
 @dataclass(frozen=True)
-class IntegralMomentBound:
+class IntegralMomentBound(Gated):
     p: int
     constant: float           # C_p at the configured Rosenthal constant
     convention: str
@@ -178,7 +171,7 @@ class IntegralMomentBound:
     se_lhs_pow: float         # SE of the p-th moment estimate
     se_rhs_pow: float         # SE of rhs^p propagated from the seminorm
     n_samples: int
-    passed: bool
+    gate: Gate                # E|I(X)|^p against (C_p [X]_p)^p
     seminorm: SeminormEstimate
 
 
@@ -195,13 +188,11 @@ def check_integral_moment_bound(model: LevyMeasureModel, proc: SimpleProcess,
     """
     if p < 2 or p % 2:
         raise ValueError("p must be an even integer >= 2")
-    if not math.isfinite(float(abs_moment(model, p))):
-        raise InfinitePMomentError(f"m_{p} diverges")
     const = integral_bound_constant(model, p, rosenthal_b, convention)
     rng = derive_rng(seed, INTEGRAL_BOUND_STREAM)
     batch = sample_prm_batch(model, proc.read_window(), n_samples, rng)
     ivals = eval_I_K(batch, proc)
-    lhs_pow, se_lhs_pow = _mean_se(np.abs(ivals) ** p)
+    lhs_pow, se_lhs_pow = mean_se(np.abs(ivals) ** p)
     semi = estimate_seminorm(model, proc, p, None, n_samples, seed)
     rhs = const * semi.value
     # d(rhs^p)/d(mean parts) via the chain rule through the 1/p roots
@@ -212,10 +203,10 @@ def check_integral_moment_bound(model: LevyMeasureModel, proc: SimpleProcess,
         d_l2 = semi.l2_part / (p * semi.mean_sq_pow) if semi.mean_sq_pow else 0.0
         d_lp = semi.lp_part / (p * semi.mean_abs_pow) if semi.mean_abs_pow else 0.0
         se_rhs_pow = outer * math.hypot(d_l2 * semi.se_sq_pow, d_lp * semi.se_abs_pow)
-    margin = se_multiplier * math.hypot(se_lhs_pow, se_rhs_pow)
-    passed = lhs_pow <= rhs ** p + margin
+    gate = Gate(f"E|I|^{p}", lhs_pow, rhs ** p, "upper",
+                math.hypot(se_lhs_pow, se_rhs_pow), se_multiplier)
     return IntegralMomentBound(p, const, convention, lhs_pow ** (1.0 / p), rhs,
-                               se_lhs_pow, se_rhs_pow, n_samples, passed, semi)
+                               se_lhs_pow, se_rhs_pow, n_samples, gate, semi)
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +214,10 @@ def check_integral_moment_bound(model: LevyMeasureModel, proc: SimpleProcess,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TailRow:
+class TailRow(Gated):
     k_inner: float
     k_outer: float
-    var_estimate: float
-    se: float
-    theory: float
-    z: float
-    passed: bool
+    gate: Gate                # Var(I_K' - I_K) against m_2 int_tail phi^2
 
 
 def tail_convergence(model: LevyMeasureModel, func, schedule, k_outer: float,
@@ -252,11 +239,9 @@ def tail_convergence(model: LevyMeasureModel, func, schedule, k_outer: float,
         tail_f = lambda x: np.where(np.abs(x) > k, func(x), 0.0)
         f_int = _two_sided_quad(func, k, k_outer, power=1)
         diff = batch_L_weighted(batch, tail_f, f_int)
-        est, se = _mean_se(diff ** 2)
         theory = m2 * _two_sided_quad(func, k, k_outer, power=2)
-        z = (est - theory) / se if se > 0 else 0.0
-        rows.append(TailRow(k, float(k_outer), est, se, theory, z,
-                            abs(z) <= se_multiplier))
+        rows.append(TailRow(k, float(k_outer), mean_gate(f"K={k}", diff ** 2, theory,
+                                                         se_multiplier)))
     return rows
 
 

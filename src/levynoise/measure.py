@@ -17,6 +17,7 @@ rationals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,9 +30,11 @@ from .errors import (
     InfinitePMomentError,
     InfiniteSecondMomentError,
     InfiniteTotalMassError,
+    MeasureError,
     NonPositiveMassError,
     QuadratureError,
 )
+from .gate import REL_TOL, Gate, Gated
 
 @dataclass(frozen=True)
 class TruncatedDensity:
@@ -158,10 +161,25 @@ def validate_measure(spec) -> LevyMeasureModel:
         if "atoms" in spec:
             return _validate_atoms(spec["atoms"])
         if spec.get("family") == "symmetric_power_law":
-            return power_law_measure(spec["alpha"], spec["eps"], spec["z_max"],
-                                     scale=spec.get("scale", 1.0))
+            return power_law_measure(**_power_law_fields(spec))
         raise NonPositiveMassError(f"unrecognized measure description: {spec!r}")
     return _validate_atoms(spec)
+
+
+def _power_law_fields(spec: dict) -> dict:
+    """The fields of a ``symmetric_power_law`` spec, each a finite number;
+    ``scale`` defaults to 1."""
+    fields = {"scale": 1.0, **spec}
+    del fields["family"]
+    if set(fields) != {"alpha", "eps", "z_max", "scale"}:
+        raise MeasureError("symmetric_power_law takes alpha, eps, z_max and an optional "
+                           f"scale, got {sorted(spec)}")
+    for key, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not abs(value) <= sys.float_info.max:  # NaN, infinite, or an int past floats
+            raise MeasureError(f"symmetric_power_law: {key} must be a finite number, "
+                               f"got {value!r}")
+    return fields
 
 
 def atomic_measure(pairs) -> LevyMeasureModel:
@@ -294,16 +312,13 @@ def small_jump_variance_bias(model: LevyMeasureModel) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class InterpolationRow:
+class InterpolationRow(Gated):
     r: int
     theta: float
     value: float          # m_r
     bound: float          # m_p^theta * m_2^(1-theta)
-    passed: bool
     equality: bool
-
-
-INTERP_REL_TOL = 1e-12
+    gate: Gate
 
 
 def interpolation_check(model: LevyMeasureModel, p: int) -> list[InterpolationRow]:
@@ -317,9 +332,7 @@ def interpolation_check(model: LevyMeasureModel, p: int) -> list[InterpolationRo
     if p < 2 or p % 2 != 0:
         raise ValueError("p must be an even integer >= 2")
     m2 = abs_moment(model, 2)
-    mp = abs_moment(model, p)
-    if not math.isfinite(float(mp)):
-        raise InfinitePMomentError(f"m_{p} diverges")
+    mp = abs_moment(model, p)  # raises InfinitePMomentError where m_p diverges
     rows = []
     for r in range(2, p + 1):
         mr = abs_moment(model, r)
@@ -329,10 +342,10 @@ def interpolation_check(model: LevyMeasureModel, p: int) -> list[InterpolationRo
             # exact: compare m_r^(p-2) against m_p^(r-2) * m_2^(p-r)
             lhs = mr ** (p - 2)
             rhs = mp ** (r - 2) * m2 ** (p - r)
-            passed = lhs <= rhs
+            gate = Gate(f"r={r}", lhs, rhs, "upper")
             equality = lhs == rhs
         else:
-            passed = float(mr) <= bound * (1.0 + INTERP_REL_TOL)
-            equality = abs(float(mr) - bound) <= INTERP_REL_TOL * max(abs(bound), 1.0)
-        rows.append(InterpolationRow(r, theta, float(mr), bound, passed, equality))
+            gate = Gate(f"r={r}", float(mr), bound, "upper", tolerance=REL_TOL)
+            equality = abs(float(mr) - bound) <= REL_TOL * max(abs(bound), 1.0)
+        rows.append(InterpolationRow(r, theta, float(mr), bound, equality, gate))
     return rows

@@ -58,13 +58,6 @@ class PointRealization:
     def __len__(self) -> int:
         return len(self.x)
 
-    def restrict_left(self, y: float) -> "PointRealization":
-        """Prefix of the configuration with locations <= y."""
-        cut = int(np.searchsorted(self.x, y, side="right"))
-        return PointRealization(self.window, self.x[:cut], self.z[:cut],
-                                None if self.atom is None else self.atom[:cut],
-                                self.model, self.seed)
-
     def with_point(self, x: float, z: float, atom: int | None = None) -> "PointRealization":
         """Configuration with one extra point inserted (sorted order kept)."""
         if abs(x) > self.window:

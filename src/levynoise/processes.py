@@ -41,6 +41,7 @@ from .errors import (
     UnboundedCoefficientError,
     WindowExceededError,
 )
+from .gate import mean_se
 from .measure import signed_moment
 from .prm import PointRealization, RealizationBatch
 from .stepfun import StepFunction
@@ -329,5 +330,4 @@ def freeze_error_sq_sliding(profile: SlidingWindowProfile, proc: SimpleProcess,
                     break
             total += (xv - mv) ** 2 * (Fraction(hi) - Fraction(lo))
         vals.append(float(total))
-    arr = np.asarray(vals)
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
+    return mean_se(np.asarray(vals))

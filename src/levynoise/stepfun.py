@@ -69,9 +69,6 @@ class StepFunction:
 
     # -- integrals ---------------------------------------------------
 
-    def cell_lengths(self) -> tuple[float, ...]:
-        return tuple(b2 - b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:]))
-
     def power_integral(self, q: int) -> Fraction:
         """Exact ``integral of f(x)^q dx`` (signed for odd q)."""
         total = Fraction(0)

@@ -248,9 +248,10 @@ def test_09_tail_convergence():
     for r in rows:
         closed = math.sqrt(math.pi / 2) * (math.erf(math.sqrt(2) * 8.0)
                                            - math.erf(math.sqrt(2) * r.k_inner))
-        ok &= abs(r.theory - closed) <= 1e-9 * closed + 1e-13
+        ok &= abs(r.gate.target - closed) <= 1e-9 * closed + 1e-13
     announce(9, "window-tail variance matches m2*tail integral at K=1..4", ok,
-             "z: " + " ".join(f"{r.z:+.2f}" for r in rows))
+             "z: " + " ".join(f"{(r.gate.statistic - r.gate.target) / r.gate.se:+.2f}"
+                              for r in rows))
     assert ok
 
 
@@ -335,7 +336,7 @@ def test_11_malliavin_suite():
                             100_000, ln.derive_seed(MASTER_SEED, 11, 101))
     ok &= closed.passed
     ok &= abs(closed.mean_pairing - 1.0) <= 1e-12
-    ok &= abs(closed.mean_adjoint - 1.0) <= 4 * closed.se
+    ok &= abs(closed.mean_adjoint - 1.0) <= 4 * closed.gate.se
     pairs = [("first_chaos", "det_step"), ("first_chaos", "clamped_left"),
              ("second_chaos", "two_block"), ("second_chaos_left", "clamped_left"),
              ("mixed", "det_step")]

@@ -206,7 +206,7 @@ def test_duality_closed_form_pair(unit_atom):
     proc = validate_simple((0.0, 2.0), (Const(1.0),))
     res = duality_gap(unit_atom, F, proc, 50_000, 3)
     assert res.mean_pairing == pytest.approx(1.0, abs=1e-12)
-    assert res.mean_adjoint == pytest.approx(1.0, abs=4 * res.se)
+    assert res.mean_adjoint == pytest.approx(1.0, abs=4 * res.gate.se)
     assert res.passed
 
 
@@ -216,7 +216,7 @@ def test_duality_disjoint_supports(unit_atom):
     proc = validate_simple((1.0, 2.0), (Const(1.0),))
     res = duality_gap(unit_atom, F, proc, 5_000, 4)
     assert res.mean_pairing == 0.0
-    assert abs(res.mean_adjoint) <= 4 * res.se
+    assert abs(res.mean_adjoint) <= 4 * res.gate.se
     assert res.passed
 
 

@@ -233,6 +233,53 @@ def test_moments_bad_input_exit_code(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("overrides", [
+    {"sample": 2000},
+    {"samples": 2000.9},
+    {"samples": "2000"},
+    {"seed": 3.7},
+    {"seed": True},
+    {"se_multiplier": "3"},
+    {"checks": {"kind": "moment_mc", "p": 2}},
+], ids=["misspelled_key", "fractional_samples", "text_samples", "fractional_seed",
+        "bool_seed", "text_multiplier", "checks_not_list"])
+def test_bad_top_level_keys_exit_code(tmp_path, monkeypatch, capsys, overrides):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the config was accepted and run")
+    monkeypatch.setattr(levynoise.cli, "run", no_run)
+    cfg = {"measure": {"atoms": [[1.0, 1.0]]}, "samples": 2000, "seed": 4, "checks": []}
+    cfg.update(overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("report", "--config", str(path)) == 2
+    assert next(iter(overrides)) in capsys.readouterr().err
+
+
+def test_window_key_accepted_and_integer_valued_numbers_parsed():
+    cfg = parse_config({"measure": {"atoms": [[1.0, 1.0]]}, "window": 4.0,
+                        "samples": 2000.0, "seed": 3, "se_multiplier": 4})
+    assert (cfg.samples, cfg.seed, cfg.se_multiplier) == (2000, 3, 4.0)
+    assert type(cfg.samples) is int
+
+
+@pytest.mark.parametrize("density", [
+    {**DENSITY, "alpha": "1.5"}, {**DENSITY, "alpha": [1.5]}, {**DENSITY, "eps": None},
+    {**DENSITY, "z_max": float("inf")}, {**DENSITY, "z_max": 10 ** 400}, {**DENSITY, "scale": True},
+    {**DENSITY, "scale": -1.0}, {**DENSITY, "shape": 2.0},
+    {key: v for key, v in DENSITY.items() if key != "alpha"},
+], ids=["text_alpha", "list_alpha", "null_eps", "infinite_z_max", "huge_z_max", "bool_scale",
+        "negative_scale", "unknown_field", "missing_alpha"])
+def test_bad_density_fields_exit_code(tmp_path, monkeypatch, capsys, density):
+    _no_sampling(monkeypatch)
+    assert _report_rejects(tmp_path, monkeypatch, density, {"kind": "moment_mc", "p": 2}) == 2
+    assert run_cli("simulate", "--measure", json.dumps(density)) == 2
+    assert run_cli("moments", "--measure", json.dumps(density),
+                   "--phi", '{"breakpoints": [0, 1], "values": [1]}', "--p", "4") == 2
+    err = capsys.readouterr().err
+    assert err.count("symmetric_power_law") + err.count("scale") >= 3, err
+    assert "Traceback" not in err
+
+
 def test_left_zero_accepted_on_density():
     parse_config({"measure": DENSITY, "checks": [{"kind": "left_zero"}]})
 

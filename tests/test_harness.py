@@ -88,7 +88,7 @@ def test_empty_check_list_passes():
 def test_char_gap_at_zero_theta():
     report = run(cfg(checks=[{"kind": "char_gap", "set": [0.0, 1.0],
                               "n_theta": 1, "theta_max": 0.0}]))
-    assert report.checks[0].lhs == pytest.approx(0.0, abs=1e-12)
+    assert report.checks[0].estimate == pytest.approx(0.0, abs=1e-12)
     assert report.passed
 
 
@@ -96,7 +96,7 @@ def test_moment_check_hits_exact_target():
     report = run(cfg(samples=100_000,
                      checks=[{"kind": "moment_mc", "p": 6, "set": [0.0, 1.0]}]))
     c = report.checks[0]
-    assert c.rhs == 41.0  # exact sixth moment for the unit-atom measure
+    assert c.gates[0].target == 41.0  # exact sixth moment for the unit-atom measure
     assert c.passed
 
 
@@ -108,15 +108,19 @@ def test_reports_are_reproducible(tmp_path):
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
+NUMERIC_GATE_FIELDS = ("statistic", "target", "se", "multiplier", "tolerance", "margin")
+
+
 def test_json_round_trip_full_precision(tmp_path):
     config = default_verification_config(seed=6, samples=2000)
     report = run(config)
     path = tmp_path / "report.json"
     write_report(report, "json", path)
     loaded = json.loads(path.read_text())
-    for c_obj, c in zip(loaded["checks"], report.checks):
-        if c.z is not None:
-            assert c_obj["z"] == c.z  # repr round-trip is exact
+    for c_obj, c in zip(loaded["checks"], report.checks, strict=True):
+        for g_obj, g in zip(c_obj["gates"], c.gates, strict=True):
+            for key in NUMERIC_GATE_FIELDS:
+                assert g_obj[key] == float(getattr(g, key))  # repr round-trip is exact
 
 
 def test_csv_round_trip_z_scores(tmp_path):
@@ -127,9 +131,52 @@ def test_csv_round_trip_z_scores(tmp_path):
     import csv as csvmod
     with path.open() as fh:
         rows = list(csvmod.DictReader(fh))
-    for row, c in zip(rows, report.checks):
-        if c.z is not None:
-            assert float(row["z"]) == c.z
+    gates = [(c, g) for c in report.checks for g in c.gates]
+    for row, (c, g) in zip(rows, gates, strict=True):
+        assert (row["name"], row["label"], row["side"]) == (c.name, g.label, g.side)
+        for key in NUMERIC_GATE_FIELDS:
+            assert float(row[key]) == float(getattr(g, key))
+        assert row["passed"] == str(g.passed)
+
+
+DENSITY_CONFIG = {  # the density_quad benchmark workload's measure and checks
+    "measure": {"family": "symmetric_power_law", "alpha": 1.5, "eps": 0.25, "z_max": 4.0},
+    "samples": 50_000, "seed": 20_260_809,
+    "checks": [{"kind": "moment_mc", "p": 2}, {"kind": "moment_mc", "p": 4},
+               {"kind": "char_gap"}, {"kind": "mean_zero", "process": "clamped_left"},
+               {"kind": "isometry", "process": "two_block"},
+               {"kind": "martingale", "process": "two_block"},
+               {"kind": "linear_moment_bound", "p": 4}, {"kind": "interpolation", "p": 6},
+               {"kind": "integral_moment_bound", "process": "det_step", "p": 4},
+               {"kind": "convolution_bound", "kernel": "heat", "field": "unit", "p": 2},
+               {"kind": "tail", "schedule": [1.0, 2.0], "k_outer": 6.0}],
+}
+
+
+@pytest.mark.parametrize("make_config", [default_verification_config,
+                                         lambda: parse_config(DENSITY_CONFIG)],
+                         ids=["bundled", "density_quad"])
+def test_verdicts_follow_from_gate_fields(make_config):
+    report = json.loads(report_to_json(run(make_config())))
+    for check in report["checks"]:
+        assert check["gates"], check["name"]
+        for g in check["gates"]:
+            s, t = g["statistic"], g["target"]
+            margin = g["multiplier"] * g["se"] + g["tolerance"] * abs(t)
+            assert g["margin"] == margin
+            assert g["passed"] == {"two": abs(s - t) <= margin, "upper": s <= t + margin,
+                                   "lower": s >= t - margin}[g["side"]], (check["name"], g)
+        assert check["passed"] == all(g["passed"] for g in check["gates"])
+    assert report["passed"] == all(c["passed"] for c in report["checks"])
+
+
+def test_exact_gate_past_the_float_range_reports_infinity():
+    # m_14^12 of an atom at 1e10 is an exact Fraction near 1e1680
+    report = run(cfg(measure={"atoms": [[1e10, 1.0]]},
+                     checks=[{"kind": "interpolation", "p": 14}]))
+    last = json.loads(report_to_json(report))["checks"][0]["gates"][-1]
+    assert last["statistic"] == last["target"] == float("inf")
+    assert report.passed
 
 
 def test_unknown_format_rejected(tmp_path):

@@ -136,7 +136,7 @@ def test_tail_convergence_gaussian(unit_atom):
         # closed-form tail of the squared profile: sqrt(pi/2) (1 - erf(sqrt2 K))
         closed = math.sqrt(math.pi / 2.0) * (math.erf(math.sqrt(2.0) * 8.0)
                                              - math.erf(math.sqrt(2.0) * row.k_inner))
-        assert row.theory == pytest.approx(closed, rel=1e-9)
+        assert row.gate.target == pytest.approx(closed, rel=1e-9)
         assert row.passed
 
 
@@ -148,12 +148,12 @@ def test_tail_theory_quadrature(unit_atom):
     for row in rows:
         closed = math.sqrt(math.pi / 2.0) * (math.erfc(math.sqrt(2.0) * row.k_inner)
                                              - math.erfc(math.sqrt(2.0) * 8.0))
-        assert row.theory == pytest.approx(closed, rel=1e-12, abs=0.0)
+        assert row.gate.target == pytest.approx(closed, rel=1e-12, abs=0.0)
     # indicator of [-2, 2]: the tail 1 < |x| <= 4 holds two unit pieces, and the
     # quadrature must resolve the jump at |x| = 2
     step = lambda x: np.where(np.abs(np.asarray(x)) <= 2.0, 1.0, 0.0)
     rows = tail_convergence(unit_atom, step, [1.0, 3.0], 4.0, n_samples=5_000, seed=8)
-    assert [row.theory for row in rows] == pytest.approx([2.0, 0.0], rel=1e-10, abs=1e-12)
+    assert [row.gate.target for row in rows] == pytest.approx([2.0, 0.0], rel=1e-10, abs=1e-12)
     assert all(row.passed for row in rows)
 
 
@@ -163,4 +163,4 @@ def test_tail_zero_for_supported_process(unit_atom):
     rows = tail_convergence(unit_atom, func, [1.0, 2.0], 4.0,
                             n_samples=2_000, seed=7)
     for row in rows:
-        assert row.var_estimate == 0.0 and row.theory == pytest.approx(0.0, abs=1e-12)
+        assert row.gate.statistic == 0.0 and row.gate.target == pytest.approx(0.0, abs=1e-12)
