@@ -34,7 +34,6 @@ from .prm import (
     RealizationBatch,
     char_function_gap,
     eval_L_set,
-    eval_L_step,
     eval_path,
     sample_L_interval,
     sample_prm,
@@ -47,6 +46,7 @@ from .processes import (
     SimpleProcess,
     catalog_process,
     eval_I_K,
+    eval_L_step,
     batch_I_K,
     from_step,
     linear_combination,

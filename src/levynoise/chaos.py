@@ -131,22 +131,21 @@ def make_kernel(order: int, cells, beta) -> StepKernel:
 
 
 def cell_intensity(model: LevyMeasureModel, cell: Cell) -> Fraction | float:
-    """Mean measure of the cell: ``(b - a) * nu(B)``."""
+    """Mean measure of the cell: ``(b - a) * nu(B)``, exact when ``nu(B)`` is."""
     nu = mark_mass(model, cell.marks)
     length = Fraction(cell.b) - Fraction(cell.a)
-    return length * nu if isinstance(nu, Fraction) else float(length) * nu
+    return length * nu
 
 
 def kernel_sq_norm(model: LevyMeasureModel, kernel: StepKernel) -> Fraction | float:
     """Squared norm of the (symmetrized) kernel in the product mean measure."""
     intens = [cell_intensity(model, c) for c in kernel.cells]
-    exact = all(isinstance(v, Fraction) for v in intens)
-    total: Fraction | float = Fraction(0) if exact else 0.0
+    total = Fraction(0)
     for idx in np.ndindex(kernel.beta.shape):
         b = float(kernel.beta[idx])
         if b == 0.0:
             continue
-        prod: Fraction | float = Fraction(float(b)) ** 2 if exact else b * b
+        prod = Fraction(b) ** 2
         for i in idx:
             prod *= intens[i]
         total += prod

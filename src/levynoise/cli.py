@@ -49,18 +49,6 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a JSON experiment config")
-    parser.add_argument("--seed", type=_seed, help="master seed override (>= 0)")
-    parser.add_argument("--samples", type=int, help="sample count override")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 1 when any check fails")
-    parser.add_argument("--dump-samples", metavar="PATH",
-                        help="write raw MC samples of sample-bearing checks to CSV")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="levynoise",
                                      description="Levy white-noise simulation and verification")
@@ -71,18 +59,26 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--window", type=float, default=4.0)
     sim.add_argument("--sets", default="0,1",
                      help="semicolon-separated intervals, e.g. '0,1;1,2'")
-    _add_common(sim)
 
     mom = sub.add_parser("moments", help="exact moments of the smoothed noise")
     mom.add_argument("--measure", required=True)
     mom.add_argument("--phi", required=True,
                      help='step function JSON {"breakpoints": [...], "values": [...]}')
     mom.add_argument("--p", type=int, required=True)
-    _add_common(mom)
 
-    for name in ("verify-bounds", "convolution", "malliavin-check", "report"):
-        p = sub.add_parser(name)
-        _add_common(p)
+    checks = [sub.add_parser(name) for name in
+              ("verify-bounds", "convolution", "malliavin-check", "report")]
+    for p in (sim, *checks):
+        p.add_argument("--config", help="path to a JSON experiment config")
+        p.add_argument("--seed", type=_seed, help="master seed override (>= 0)")
+        p.add_argument("--samples", type=int, help="sample count override")
+    for p in (sim, mom, *checks):
+        p.add_argument("--out", help="output path (default: stdout)")
+    for p in checks:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--strict", action="store_true", help="exit 1 when any check fails")
+        p.add_argument("--dump-samples", metavar="PATH",
+                       help="write raw MC samples of sample-bearing checks to CSV")
     return parser
 
 

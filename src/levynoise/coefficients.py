@@ -172,16 +172,6 @@ def scaled(coef: Coefficient, c: float) -> Coefficient:
     return Product((Const(float(c)), coef))
 
 
-def is_deterministic(coef: Coefficient) -> bool:
-    if isinstance(coef, Const):
-        return True
-    if isinstance(coef, ClampedNoise):
-        return False
-    if isinstance(coef, Poly):
-        return is_deterministic(coef.arg)
-    return all(is_deterministic(c) for c in (coef.factors if isinstance(coef, Product) else coef.terms))
-
-
 # ---------------------------------------------------------------------------
 # serialization (config files)
 # ---------------------------------------------------------------------------

@@ -47,6 +47,9 @@ from .rng import CONVOLUTION_STREAM, FIELD_MOMENT_STREAM, derive_rng
 
 REFINE_REL_TOL = 1e-3
 MAX_REFINES = 7
+REFINE_FIRST_NODES = 32      # time nodes of the first rule that refinement doubles
+FREEZE_TIME_NODES = 256      # time nodes of build_convolution_process
+HEAT_X_RADIUS = 6.0          # the heat kernel's space support is cut to |x| <= this
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ def indicator_kernel() -> ConvolutionKernel:
     return ConvolutionKernel(g, math.inf, 0.0, 1.0, "indicator")
 
 
-def heat_kernel(x_radius: float = 6.0) -> ConvolutionKernel:
+def heat_kernel() -> ConvolutionKernel:
     """Gaussian smoothing kernel ``exp(-x^2/(4t)) / sqrt(4 pi t)``.
 
     The space-time integral of its p-th power is finite only for p = 2;
@@ -78,7 +81,7 @@ def heat_kernel(x_radius: float = 6.0) -> ConvolutionKernel:
         t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
         t = np.maximum(t, 1e-300)
         return np.exp(-x ** 2 / (4.0 * t)) / np.sqrt(4.0 * math.pi * t)
-    return ConvolutionKernel(g, math.inf, -x_radius, x_radius, "heat")
+    return ConvolutionKernel(g, math.inf, -HEAT_X_RADIUS, HEAT_X_RADIUS, "heat")
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +200,14 @@ def _space_quad(f, lo: float, hi: float, origin: float, breakpoints=()) -> float
     return total
 
 
-def _refine_time_quadrature(term, t: float, n0: int, what: str) -> tuple[float, float]:
+def _refine_time_quadrature(term, t: float, what: str) -> tuple[float, float]:
     """Refine ``sum_j term(tau_j) w_j`` until it moves < 0.1%; return (value, delta).
 
     Sustained geometric growth across refinements marks a divergent
     integral early (a time singularity too strong for the grading).
     """
     prev = None
-    n = n0
+    n = REFINE_FIRST_NODES
     growth_streak = 0
     for _ in range(MAX_REFINES + 1):
         taus, weights = _graded_time_nodes(t, n)
@@ -224,21 +227,20 @@ def _refine_time_quadrature(term, t: float, n0: int, what: str) -> tuple[float, 
     raise InfiniteNuTError(f"{what} did not stabilize under refinement (last value {prev})")
 
 
-def kernel_power_integral(kernel: ConvolutionKernel, p: int, t: float,
-                          n0: int = 32) -> float:
+def kernel_power_integral(kernel: ConvolutionKernel, p: int, t: float) -> float:
     """``nu_t``: space-time integral of ``|G|^p`` over ``[0, t] x support``."""
 
     def term(tau: float) -> float:
         return _space_quad(lambda x: np.abs(kernel.func(tau, x)) ** p,
                            kernel.x_lo, kernel.x_hi, 0.0)
 
-    value, _ = _refine_time_quadrature(term, t, n0, "kernel power integral")
+    value, _ = _refine_time_quadrature(term, t, "kernel power integral")
     return value
 
 
 def _rhs_integral(kernel: ConvolutionKernel, field, p: int, t: float, x: float,
-                  model: LevyMeasureModel, n_samples: int, seed: int,
-                  n0: int = 32) -> tuple[float, float, float]:
+                  model: LevyMeasureModel, n_samples: int,
+                  seed: int) -> tuple[float, float, float]:
     """``integral (G^2 + G^p) E|Phi|^p``; returns (value, quad delta, field SE)."""
     profile, se_phi = field.pth_moment_profile(p, model, n_samples, seed)
     y_lo, y_hi = x - kernel.x_hi, x - kernel.x_lo
@@ -250,12 +252,12 @@ def _rhs_integral(kernel: ConvolutionKernel, field, p: int, t: float, x: float,
             return (g ** 2 + np.abs(g) ** p) * profile(t - tau, y)
         return _space_quad(f, y_lo, y_hi, x, bps)
 
-    value, delta = _refine_time_quadrature(term, t, n0, "bound integral")
+    value, delta = _refine_time_quadrature(term, t, "bound integral")
     return value, delta, se_phi
 
 
 def build_convolution_process(kernel: ConvolutionKernel, field, t: float, x: float,
-                              n_space: int = 64, n_time: int = 256) -> SimpleProcess:
+                              n_space: int = 64) -> SimpleProcess:
     """Freeze ``Psi(y) = integral_0^t G_{t-s}(x-y) Phi(s, y) ds`` on a y-grid.
 
     The grid refines the field's own breakpoints, so each frozen
@@ -266,7 +268,7 @@ def build_convolution_process(kernel: ConvolutionKernel, field, t: float, x: flo
     pts = set(np.linspace(y_lo, y_hi, n_space + 1))
     pts.update(b for b in field.breakpoints() if y_lo < b < y_hi)
     bps = tuple(sorted(pts))
-    taus, weights = _graded_time_nodes(t, n_time)
+    taus, weights = _graded_time_nodes(t, FREEZE_TIME_NODES)
     coefs: list[Coefficient] = []
     for lo, hi in zip(bps, bps[1:]):
         ym = 0.5 * (lo + hi)
@@ -302,7 +304,7 @@ def check_convolution_moment_bound(model: LevyMeasureModel, kernel: ConvolutionK
                                    rosenthal_b: float = 1.0, n_samples: int = 20_000,
                                    seed: int = 0, convention: str = "linear",
                                    se_multiplier: float = 3.0,
-                                   n_space: int = 64, n_time: int = 256) -> ConvolutionBoundResult:
+                                   n_space: int = 64) -> ConvolutionBoundResult:
     """Monte Carlo gate for the convolution moment bound at the configured constant."""
     if p < 2 or p % 2:
         raise ValueError("p must be an even integer >= 2")
@@ -312,7 +314,7 @@ def check_convolution_moment_bound(model: LevyMeasureModel, kernel: ConvolutionK
     integral_val, delta, se_phi = _rhs_integral(kernel, field, p, t, x, model,
                                                 n_samples, seed)
     rhs_pow = b_pow * (integral_val + delta)
-    proc = build_convolution_process(kernel, field, t, x, n_space, n_time)
+    proc = build_convolution_process(kernel, field, t, x, n_space)
     rng = derive_rng(seed, CONVOLUTION_STREAM)
     batch = sample_prm_batch(model, proc.read_window(), n_samples, rng)
     lhs_pow, se_lhs = mean_se(np.abs(eval_I_K(batch, proc)) ** p)

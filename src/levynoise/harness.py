@@ -62,7 +62,7 @@ from .integral import (
 from .measure import LevyMeasureModel, abs_moment, interpolation_check, validate_measure
 from .partitions import (
     MAX_PARTITION_SIZE,
-    all_partitions,
+    _partitions,
     count_no_singleton_partitions,
     moment_of_step_functional,
 )
@@ -393,8 +393,7 @@ def check_spec(check) -> CheckSpec:
 
 def _run_partition_count(model, config, seed, *, p_values=(2, 3, 4, 5, 6, 7, 8)):
     counts = {str(p): count_no_singleton_partitions(p) for p in p_values}
-    gates = tuple(Gate(f"p={p}", counts[str(p)],
-                       sum(1 for part in all_partitions(p) if all(len(b) >= 2 for b in part)))
+    gates = tuple(Gate(f"p={p}", counts[str(p)], sum(1 for _ in _partitions(p, 2)))
                   for p in p_values)
     return CheckResult("partition_count", "partition_count", gates, {"counts": counts})
 

@@ -65,29 +65,27 @@ class SeminormEstimate:
 
 
 def estimate_seminorm(model: LevyMeasureModel, proc: SimpleProcess, p: int,
-                      window: float | None = None, n_samples: int = 10_000,
-                      seed: int = 0) -> SeminormEstimate:
+                      n_samples: int = 10_000, seed: int = 0) -> SeminormEstimate:
     """Estimate ``[X]_{K,p}`` (exact for deterministic processes).
 
-    ``window=None`` integrates over the whole support, which equals the
-    whole-line seminorm because simple processes vanish outside it.  The
+    ``K`` is the process's read window, which covers its support, so this
+    is the whole-line seminorm: simple processes vanish outside it.  The
     space integrals are exact per realization from the step structure;
     only the expectation is Monte Carlo.
     """
     if p < 2 or p % 2:
         raise ValueError("p must be an even integer >= 2")
-    K = proc.read_window() if window is None else float(window)
+    K = proc.read_window()
     if proc.is_deterministic():
         phi = proc.as_step()
-        phi = phi.restricted(-K, K)
         q2 = float(phi.abs_power_integral(2))
         qp = float(phi.abs_power_integral(p))
         return SeminormEstimate(K, p, math.sqrt(q2), qp ** (1.0 / p),
                                 q2 ** (p / 2), qp, 0.0, 0.0, 0, True)
     rng = derive_rng(seed, SEMINORM_STREAM)
-    batch = sample_prm_batch(model, proc.read_window(), n_samples, rng)
-    q2 = square_integral(proc, batch, K) ** (p / 2)
-    qp = abs_power_integral(proc, batch, p, K)
+    batch = sample_prm_batch(model, K, n_samples, rng)
+    q2 = square_integral(proc, batch) ** (p / 2)
+    qp = abs_power_integral(proc, batch, p)
     m2p, s2p = mean_se(q2)
     mpp, spp = mean_se(qp)
     return SeminormEstimate(K, p, m2p ** (1.0 / p), mpp ** (1.0 / p),
@@ -126,12 +124,9 @@ def check_linear_moment_bound(model: LevyMeasureModel, phi: StepFunction,
     m2 = abs_moment(model, 2)
     i2 = phi.abs_power_integral(2)
     ip = phi.abs_power_integral(p)
-    if isinstance(m2, Fraction) and isinstance(mp, Fraction):
-        rhs: Fraction | float = cstar * ((m2 * i2) ** (p // 2) + mp * ip)
-        gate = Gate(f"E[L(phi)^{p}]", exact, rhs, "upper")
-    else:
-        rhs = cstar * ((float(m2) * float(i2)) ** (p / 2) + float(mp) * float(ip))
-        gate = Gate(f"E[L(phi)^{p}]", float(exact), rhs, "upper", tolerance=REL_TOL)
+    rhs = cstar * ((m2 * i2) ** (p // 2) + mp * ip)  # a float as soon as one moment is
+    tolerance = 0 if isinstance(rhs, Fraction) else REL_TOL
+    gate = Gate(f"E[L(phi)^{p}]", exact, rhs, "upper", tolerance=tolerance)
     return LinearMomentBound(p, cstar, exact, rhs, gate)
 
 
@@ -193,7 +188,7 @@ def check_integral_moment_bound(model: LevyMeasureModel, proc: SimpleProcess,
     batch = sample_prm_batch(model, proc.read_window(), n_samples, rng)
     ivals = eval_I_K(batch, proc)
     lhs_pow, se_lhs_pow = mean_se(np.abs(ivals) ** p)
-    semi = estimate_seminorm(model, proc, p, None, n_samples, seed)
+    semi = estimate_seminorm(model, proc, p, n_samples, seed)
     rhs = const * semi.value
     # d(rhs^p)/d(mean parts) via the chain rule through the 1/p roots
     if semi.exact:

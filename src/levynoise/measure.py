@@ -17,6 +17,7 @@ rationals.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,11 +159,12 @@ def validate_measure(spec) -> LevyMeasureModel:
     if isinstance(spec, TruncatedDensity):
         return _validate_density(spec)
     if isinstance(spec, dict):
-        if "atoms" in spec:
+        if "atoms" in spec and len(spec) == 1:
             return _validate_atoms(spec["atoms"])
         if spec.get("family") == "symmetric_power_law":
             return power_law_measure(**_power_law_fields(spec))
-        raise NonPositiveMassError(f"unrecognized measure description: {spec!r}")
+        raise NonPositiveMassError('a measure is {"atoms": [[z, mass], ...]} or a density '
+                                   f"family with its fields, got {spec!r}")
     return _validate_atoms(spec)
 
 
@@ -175,11 +177,16 @@ def _power_law_fields(spec: dict) -> dict:
         raise MeasureError("symmetric_power_law takes alpha, eps, z_max and an optional "
                            f"scale, got {sorted(spec)}")
     for key, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not abs(value) <= sys.float_info.max:  # NaN, infinite, or an int past floats
+        if not _is_real(value) or not abs(value) <= sys.float_info.max:  # NaN or infinite
             raise MeasureError(f"symmetric_power_law: {key} must be a finite number, "
                                f"got {value!r}")
     return fields
+
+
+def _is_real(value) -> bool:
+    """A real number, not a bool, that converts to a float (no int past the float range)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and (not abs(value) > sys.float_info.max or abs(value) == math.inf)
 
 
 def atomic_measure(pairs) -> LevyMeasureModel:
@@ -187,11 +194,15 @@ def atomic_measure(pairs) -> LevyMeasureModel:
     return _validate_atoms(pairs)
 
 
-# one model per argument tuple, so the caches keyed by the model fill once per measure
-@lru_cache(maxsize=None)
 def power_law_measure(alpha: float, eps: float, z_max: float,
                       scale: float = 1.0) -> LevyMeasureModel:
     """Symmetric density ``scale * |z|^(-alpha)`` truncated to ``eps <= |z| <= z_max``."""
+    return _power_law_model(alpha, eps, z_max, scale)
+
+
+# one model per density however its arguments are spelled, so the caches keyed by it fill once
+@lru_cache(maxsize=None)
+def _power_law_model(alpha: float, eps: float, z_max: float, scale: float) -> LevyMeasureModel:
     if eps <= 0 or z_max <= eps:
         raise NonPositiveMassError("need 0 < eps < z_max")
     if scale <= 0:
@@ -208,6 +219,11 @@ def power_law_measure(alpha: float, eps: float, z_max: float,
 
 
 def _validate_atoms(pairs) -> LevyMeasureModel:
+    if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_real, pair))
+            for pair in pairs):
+        raise MeasureError(f"atoms must be a list of [z, mass] pairs of real numbers, "
+                           f"got {pairs!r}")
     atoms = []
     for z, lam in pairs:
         z, lam = float(z), float(lam)

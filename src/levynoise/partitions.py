@@ -165,7 +165,7 @@ def step_functional_cumulants(model: LevyMeasureModel, phi: StepFunction,
     for n in range(2, p + 1):
         mt = signed_moment(model, n)
         integ = phi.power_integral(n)
-        out[n] = mt * integ if isinstance(mt, Fraction) else float(mt) * float(integ)
+        out[n] = mt * integ  # a float when mt_n is
     return out
 
 

@@ -34,7 +34,6 @@ import numpy as np
 from .errors import WindowExceededError
 from .measure import LevyMeasureModel, _density_integral, signed_moment
 from .rng import CHAR_GAP_STREAM, derive_rng
-from .stepfun import StepFunction
 
 Interval = tuple[float, float]
 
@@ -53,7 +52,6 @@ class PointRealization:
     z: np.ndarray
     atom: np.ndarray | None
     model: LevyMeasureModel
-    seed: int | None = None
 
     def __len__(self) -> int:
         return len(self.x)
@@ -67,8 +65,7 @@ class PointRealization:
         if self.atom is not None:
             new_atom = np.insert(self.atom, pos, -1 if atom is None else atom)
         return PointRealization(self.window, np.insert(self.x, pos, x),
-                                np.insert(self.z, pos, z), new_atom,
-                                self.model, self.seed)
+                                np.insert(self.z, pos, z), new_atom, self.model)
 
     # -- exact backend: masses and counts are Fractions and ints ----------
 
@@ -224,7 +221,7 @@ def sample_prm(model: LevyMeasureModel, window: float, seed: int) -> PointRealiz
     count = int(rng.poisson(2.0 * window * model.total_mass)) if window > 0 else 0
     x = np.sort(rng.uniform(-window, window, count))
     z, atom = _sample_marks(model, count, rng)
-    return PointRealization(float(window), x, z, atom, model, int(seed))
+    return PointRealization(float(window), x, z, atom, model)
 
 
 def sample_prm_batch(model: LevyMeasureModel, window: float, n: int,
@@ -289,18 +286,6 @@ def eval_L_set(src: PointRealization | RealizationBatch, sets) -> Fraction | np.
     entry point; ``mass`` is the backend hook that the evaluators call.
     """
     return src.mass(sets)
-
-
-def eval_L_step(real: PointRealization, phi: StepFunction) -> Fraction:
-    """Noise smoothed by a step function: ``sum phi(x_i) z_i - mt_1 integral phi``."""
-    a, b = phi.support
-    _check_window([(a, b)], real.window)
-    total = Fraction(0)
-    for xi, zi in zip(real.x, real.z):
-        v = phi.value_at(float(xi))
-        if v != 0.0:
-            total += Fraction(v) * Fraction(float(zi))
-    return total - _mt1(real.model) * phi.integral()
 
 
 def eval_path(real: PointRealization, x: float) -> Fraction:

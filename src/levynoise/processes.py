@@ -10,9 +10,9 @@ The integral over the window ``[-K, K]`` is the finite sum
 
     I_K(X) = sum_i Y_i L((b_{i-1}, b_i] intersect [-K, K])
 
-computed pathwise; on a single realization it is an exact rational, so
-linearity and window restriction hold with no rounding, and on a batch
-it is one float per realization.
+computed pathwise on a realization sampled on ``[-K, K]``.  On a single
+realization it is an exact rational, so linearity and window restriction
+hold with no rounding, and on a batch it is one float per realization.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .coefficients import (
     Sum,
     coefficient_from_config,
     coefficient_to_config,
-    is_deterministic,
     scaled,
 )
 from .errors import (
@@ -43,8 +42,10 @@ from .errors import (
 )
 from .gate import mean_se
 from .measure import signed_moment
-from .prm import PointRealization, RealizationBatch
+from .prm import PointRealization, RealizationBatch, _check_window
 from .stepfun import StepFunction
+
+FREEZE_QUAD_NODES = 20001  # grid of freeze_error_sq_deterministic
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class SimpleProcess:
         return r
 
     def is_deterministic(self) -> bool:
-        return all(is_deterministic(c) for c in self.coefficients)
+        return not any(c.read_intervals() for c in self.coefficients)
 
     def as_step(self) -> StepFunction:
         if not self.is_deterministic():
@@ -137,37 +138,39 @@ def _clipped_cells(proc: SimpleProcess, window: float):
             yield (lo, hi), coef
 
 
-def eval_I_K(src: PointRealization | RealizationBatch, proc: SimpleProcess,
-             window: float | None = None) -> Fraction | np.ndarray:
-    """Pathwise integral ``sum_i Y_i L(A_i)`` of ``proc`` over ``[-K, K]``.
+def eval_I_K(src: PointRealization | RealizationBatch,
+             proc: SimpleProcess) -> Fraction | np.ndarray:
+    """Pathwise integral ``sum_i Y_i L(A_i)`` of ``proc`` over the window ``[-K, K]`` of ``src``.
 
     Exact on a PointRealization, one float per realization on a
     RealizationBatch.  Cells are clipped to the window; coefficient
-    reads must lie inside the realization's own window.
+    reads must lie inside it.
     """
-    K = src.window if window is None else float(window)
-    if K > src.window + 1e-15:
-        raise WindowExceededError("integration window exceeds the sampled window")
     total = src.full(0.0)
-    for (lo, hi), coef in _clipped_cells(proc, K):
+    for (lo, hi), coef in _clipped_cells(proc, src.window):
         total += coef.eval(src) * src.mass((lo, hi))
     return total
 
 
-def abs_power_integral(proc: SimpleProcess, src: PointRealization | RealizationBatch, p: int,
-                       window: float | None = None) -> Fraction | np.ndarray:
-    """Pathwise ``integral |X(x)|^p dx`` over the window."""
-    K = src.window if window is None else float(window)
+def abs_power_integral(proc: SimpleProcess, src: PointRealization | RealizationBatch,
+                       p: int) -> Fraction | np.ndarray:
+    """Pathwise ``integral |X(x)|^p dx`` over the window of ``src``."""
     total = src.full(0.0)
-    for (lo, hi), coef in _clipped_cells(proc, K):
+    for (lo, hi), coef in _clipped_cells(proc, src.window):
         total += abs(coef.eval(src)) ** p * (src.num(hi) - src.num(lo))
     return total
 
 
-def square_integral(proc: SimpleProcess, src: PointRealization | RealizationBatch,
-                    window: float | None = None) -> Fraction | np.ndarray:
-    """Pathwise ``integral |X(x)|^2 dx`` over the window."""
-    return abs_power_integral(proc, src, 2, window)
+def square_integral(proc: SimpleProcess,
+                    src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
+    """Pathwise ``integral |X(x)|^2 dx`` over the window of ``src``."""
+    return abs_power_integral(proc, src, 2)
+
+
+def eval_L_step(real: PointRealization, phi: StepFunction) -> Fraction:
+    """Noise smoothed by a step function: ``sum phi(x_i) z_i - mt_1 integral phi``."""
+    _check_window([phi.support], real.window)
+    return eval_I_K(real, from_step(phi))
 
 
 # older batch names, kept because perfbench/workloads.py imports them
@@ -280,14 +283,14 @@ class SlidingWindowProfile:
 
 
 def freeze_error_sq_deterministic(profile: DeterministicProfile, proc: SimpleProcess,
-                                  window: float, n_quad: int = 20001) -> float:
+                                  window: float) -> float:
     """``integral (X - X_m)^2`` over the window for a deterministic profile.
 
     Composite midpoint evaluation on a fine grid refined by the process
     breakpoints; adequate for monitoring mesh convergence.
     """
     step = proc.as_step()
-    grid = np.linspace(-window, window, n_quad)
+    grid = np.linspace(-window, window, FREEZE_QUAD_NODES)
     mids = 0.5 * (grid[1:] + grid[:-1])
     diff = np.asarray(profile.func(mids), dtype=float) - step(mids)
     return float(np.sum(diff ** 2 * np.diff(grid)))

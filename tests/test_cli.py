@@ -1,7 +1,10 @@
+import argparse
 import csv
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +281,58 @@ def test_bad_density_fields_exit_code(tmp_path, monkeypatch, capsys, density):
     err = capsys.readouterr().err
     assert err.count("symmetric_power_law") + err.count("scale") >= 3, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("measure", [
+    {"atoms": 5}, {"atoms": [[1]]}, {"atoms": [[1, 1, 2]]}, {"atoms": [["a", 1]]}, [1, 2], None,
+    {"atoms": [[True, 1]]}, {"atoms": [[1, 1]], "scale": 2}, {"atoms": [[10 ** 400, 1]]},
+], ids=["atoms_not_list", "one_entry", "three_entries", "text_jump", "pairs_not_lists", "null",
+        "bool_jump", "extra_key", "huge_jump"])
+def test_bad_atoms_exit_code(tmp_path, monkeypatch, capsys, measure):
+    _no_sampling(monkeypatch)
+    assert _report_rejects(tmp_path, monkeypatch, measure, {"kind": "moment_mc", "p": 2}) == 2
+    assert run_cli("simulate", "--measure", json.dumps(measure)) == 2
+    assert run_cli("moments", "--measure", json.dumps(measure),
+                   "--phi", '{"breakpoints": [0, 1], "values": [1]}', "--p", "4") == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 3 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--format"), ("simulate", "--strict"), ("simulate", "--dump-samples"),
+    ("moments", "--format"), ("moments", "--strict"), ("moments", "--dump-samples"),
+    ("moments", "--config"), ("moments", "--seed"), ("moments", "--samples"),
+])
+def test_unread_flags_exit_code(tmp_path, capsys, command, flag):
+    # flags that a subcommand would ignore are usage errors
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"measure": {"atoms": [[1.0, 1.0]]}}))
+    value = {"--format": ["csv"], "--strict": [], "--dump-samples": [str(tmp_path / "d.csv")],
+             "--config": [str(config)], "--seed": ["3"], "--samples": ["2000"]}[flag]
+    args = {"simulate": ["--measure", MEASURE, "--samples", "10"],
+            "moments": ["--measure", MEASURE, "--phi", '{"breakpoints": [0, 1], "values": [1]}',
+                        "--p", "4"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *args, "--out", str(tmp_path / "out"), flag, *value)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_readme_flags_match_parser():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text[text.index("Flags by subcommand"):]
+    documented = {}
+    for item in section[:section.index("\n\n", section.index("\n- "))].split("\n- ")[1:]:
+        commands, flags = item.split(":", 1)
+        for command in re.findall(r"`([\w-]+)`", commands):
+            documented[command] = re.findall(r"`(--[\w-]+)", flags)
+    sub = next(a for a in levynoise.cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    declared = {command: [flag for action in parser._actions
+                          for flag in action.option_strings if flag != "--help"
+                          and flag.startswith("--")]
+                for command, parser in sub.choices.items()}
+    assert documented == declared
 
 
 def test_left_zero_accepted_on_density():

@@ -164,3 +164,26 @@ def test_tail_zero_for_supported_process(unit_atom):
                             n_samples=2_000, seed=7)
     for row in rows:
         assert row.gate.statistic == 0.0 and row.gate.target == pytest.approx(0.0, abs=1e-12)
+
+
+def test_density_float_paths_match_recorded_values():
+    # the float results of a density measure, recorded before these functions
+    # lost their separate float branches: a Fraction times a float is that float
+    from levynoise import power_law_measure
+    from levynoise.chaos import Cell, cell_intensity, kernel_sq_norm, make_kernel
+    from levynoise.partitions import step_functional_cumulants
+    m = power_law_measure(1.5, 0.25, 4.0)
+    c1, c2 = Cell(0.1, 1.3, (0.25, 2.0)), Cell(-0.7, 0.1, (-4.0, -0.5))
+    assert cell_intensity(m, c1) == 3.1029437251522856
+    assert cell_intensity(m, c2) == 1.4627416997969518
+    assert kernel_sq_norm(m, make_kernel(2, (c2, c1), [[0.0, 0.5], [0.5, 0.0]])) \
+        == 2.26940258945177
+    assert kernel_sq_norm(m, make_kernel(1, (c2, c1), [1.0, -0.75])) == 3.2081475451951125
+    phi = StepFunction((-0.7, 0.3, 1.9), (1.5, -0.3))
+    kappas = step_functional_cumulants(m, phi, 6)
+    assert kappas == {2: 25.136999999999997, 3: 0.0, 4: 371.2109874107145,
+                      5: 2.15716852380865e-13, 6: 8483.775718109762}
+    assert all(type(k) is float for k in kappas.values())
+    res = check_linear_moment_bound(m, phi, 6)
+    assert (res.exact_moment, res.rhs) == (386700.01327155164, 999049.499542973)
+    assert type(res.rhs) is float and res.gate.tolerance == 1e-12 and res.passed

@@ -25,6 +25,7 @@ from levynoise.errors import (
 from levynoise.measure import (
     TruncatedDensity,
     _adaptive_gauss,
+    _power_law_model,
     drift_of_centered_representation,
     small_jump_variance_bias,
 )
@@ -206,6 +207,17 @@ def test_power_law_density_mode(alpha, eps, z_max):
         closed(1, eps, 3 * eps) - closed(1, eps, 2 * eps), rel=1e-11, abs=0)
     rows = interpolation_check(m, 4)
     assert all(r.passed for r in rows)
+
+
+def test_power_law_measure_one_model_per_density():
+    # a config passes every field by keyword, scale included; the API may not
+    _power_law_model.cache_clear()
+    a = power_law_measure(1.5, 0.25, 4.0)
+    b = validate_measure({"family": "symmetric_power_law", "alpha": 1.5, "eps": 0.25,
+                          "z_max": 4.0})
+    c = power_law_measure(1.5, 0.25, 4.0, scale=1.0)
+    assert a is b is c
+    assert _power_law_model.cache_info().currsize == 1
 
 
 def test_mark_mass_across_the_gap_is_symmetric():

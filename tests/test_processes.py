@@ -91,7 +91,7 @@ def test_clamping_binds(unit_atom):
 def test_eval_I_K_example(unit_atom):
     real = make_realization(unit_atom, 2.0, [(0.2, 1.0), (0.7, 1.0)])
     proc = from_step(StepFunction.constant_on(0.0, 1.0, 3.0))
-    assert eval_I_K(real, proc, 2.0) == 3  # 3 * (2 - 1)
+    assert eval_I_K(real, proc) == 3  # 3 * (2 - 1)
 
 
 def test_zero_process(unit_atom):
@@ -121,11 +121,15 @@ def test_exact_linearity(unit_atom):
 
 
 def test_exact_restriction(unit_atom):
+    # I_K(X) = I(X 1_[-K, K]): X on the points in (-1, 1] with window 1,
+    # against the restricted process on the whole window-3 sample
     X = catalog_process("two_block")   # supported on (0, 2]
     cut = restrict_process(X, 1.0)
     for seed in range(10):
         real = sample_prm(unit_atom, 3.0, seed)
-        assert eval_I_K(real, X, 1.0) == eval_I_K(real, cut, 3.0)
+        inner = make_realization(unit_atom, 1.0, [(x, z) for x, z in zip(real.x, real.z)
+                                                  if -1.0 < x <= 1.0])
+        assert eval_I_K(inner, X) == eval_I_K(real, cut)
 
 
 def test_square_integral_pathwise(unit_atom):
