@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,6 +101,8 @@ class StepKernel:
     order: int
     cells: tuple[Cell, ...]
     beta: np.ndarray
+    # the nonzero coefficients as ``(index tuple, float)``, in ``np.ndindex`` order
+    entries: tuple[tuple[tuple[int, ...], float], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         k, m = self.order, len(self.cells)
@@ -113,9 +116,15 @@ class StepKernel:
             ci, cj = self.cells[i], self.cells[j]
             if max(ci.a, cj.a) < min(ci.b, cj.b) and ci.marks_intersect(cj):
                 raise ValueError(f"cells {i} and {j} overlap")
+        entries = []
         for idx in np.ndindex(self.beta.shape):
-            if len(set(idx)) < k and self.beta[idx] != 0.0:
+            b = float(self.beta[idx])
+            if b == 0.0:
+                continue
+            if len(set(idx)) < k:
                 raise ValueError("coefficients on repeated indices must be zero")
+            entries.append((idx, b))
+        object.__setattr__(self, "entries", tuple(entries))
 
 
 def make_kernel(order: int, cells, beta) -> StepKernel:
@@ -130,6 +139,9 @@ def make_kernel(order: int, cells, beta) -> StepKernel:
     return StepKernel(order, tuple(cells), beta)
 
 
+# Memoized by value with a bounded key set: derivative kernels share their
+# parent's cells, and a new kernel per probe must not grow the cache.
+@lru_cache(maxsize=1024)
 def cell_intensity(model: LevyMeasureModel, cell: Cell) -> Fraction | float:
     """Mean measure of the cell: ``(b - a) * nu(B)``, exact when ``nu(B)`` is."""
     nu = mark_mass(model, cell.marks)
@@ -141,10 +153,7 @@ def kernel_sq_norm(model: LevyMeasureModel, kernel: StepKernel) -> Fraction | fl
     """Squared norm of the (symmetrized) kernel in the product mean measure."""
     intens = [cell_intensity(model, c) for c in kernel.cells]
     total = Fraction(0)
-    for idx in np.ndindex(kernel.beta.shape):
-        b = float(kernel.beta[idx])
-        if b == 0.0:
-            continue
+    for idx, b in kernel.entries:
         prod = Fraction(b) ** 2
         for i in idx:
             prod *= intens[i]
@@ -174,10 +183,7 @@ def eval_multiple_integral(src: PointRealization | RealizationBatch,
     """Pathwise value of ``I_k(h)``, exact or one float per realization."""
     nhat = [compensated_cell_count(src, c) for c in kernel.cells]
     total = src.full(0.0)
-    for idx in np.ndindex(kernel.beta.shape):
-        b = float(kernel.beta[idx])
-        if b == 0.0:
-            continue
+    for idx, b in kernel.entries:
         prod = src.full(b)
         for i in idx:
             prod = prod * nhat[i]

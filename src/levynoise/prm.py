@@ -63,24 +63,29 @@ class PointRealization:
         pos = int(np.searchsorted(self.x, x, side="right"))
         new_atom = None
         if self.atom is not None:
-            new_atom = np.insert(self.atom, pos, -1 if atom is None else atom)
-        return PointRealization(self.window, np.insert(self.x, pos, x),
-                                np.insert(self.z, pos, z), new_atom, self.model)
+            new_atom = _inserted(self.atom, pos, -1 if atom is None else atom)
+        return PointRealization(self.window, _inserted(self.x, pos, x),
+                                _inserted(self.z, pos, z), new_atom, self.model)
 
     # -- exact backend: masses and counts are Fractions and ints ----------
 
     def mass(self, sets) -> Fraction:
+        # Every float is a dyadic rational n / 2**k: the jumps and the interval
+        # lengths are summed exactly as integers over the largest 2**k present,
+        # and the one Fraction is built at the end.
         intervals = normalize_intervals(sets)
         _check_window(intervals, self.window)
-        total = Fraction(0)
-        length = Fraction(0)
+        jumps: list[float] = []
+        ends: list[float] = []
         for a, b in intervals:
-            lo = int(np.searchsorted(self.x, a, side="right"))
-            hi = int(np.searchsorted(self.x, b, side="right"))
-            for k in range(lo, hi):
-                total += Fraction(float(self.z[k]))
-            length += Fraction(b) - Fraction(a)
-        return total - length * _mt1(self.model)
+            lo, hi = np.searchsorted(self.x, (a, b), side="right").tolist()
+            jumps += self.z[lo:hi].tolist()
+            ends += (b, -a)
+        z_num, z_den = _dyadic_sum(jumps)
+        len_num, len_den = _dyadic_sum(ends)
+        mt1 = _mt1(self.model)
+        return Fraction(z_num * len_den * mt1.denominator - len_num * z_den * mt1.numerator,
+                        z_den * len_den * mt1.denominator)
 
     def count(self, a: float, b: float, marks) -> int:
         """Number of points in ``(a, b] x B``; ``marks`` as for ``RealizationBatch.count``."""
@@ -268,8 +273,25 @@ def _check_window(intervals: list[Interval], window: float) -> None:
                 f"set ({a}, {b}] outside sampled window [-{window}, {window}]")
 
 
+@lru_cache(maxsize=None)
 def _mt1(model: LevyMeasureModel) -> Fraction:
     return Fraction(signed_moment(model, 1))
+
+
+def _dyadic_sum(values: list[float]) -> tuple[int, int]:
+    """Exact sum of floats as ``(numerator, 2**k)``, ``2**k`` the largest denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max((d for _, d in ratios), default=1)
+    return sum(n * (den // d) for n, d in ratios), den
+
+
+def _inserted(arr: np.ndarray, pos: int, value) -> np.ndarray:
+    """``np.insert(arr, pos, value)`` for a 1-d array, in one preallocated copy."""
+    out = np.empty(len(arr) + 1, dtype=arr.dtype)
+    out[:pos] = arr[:pos]
+    out[pos] = value
+    out[pos + 1:] = arr[pos:]
+    return out
 
 
 # ---------------------------------------------------------------------------

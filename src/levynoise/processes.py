@@ -76,21 +76,10 @@ class SimpleProcess:
     def as_step(self) -> StepFunction:
         if not self.is_deterministic():
             raise ValueError("only deterministic processes reduce to a step function")
+        # a coefficient that reads no noise needs only the exact backend's
+        # static ``num``/``full``: evaluate it exactly, then round once
         return StepFunction(self.breakpoints,
-                            tuple(_deterministic_value(c) for c in self.coefficients))
-
-
-def _deterministic_value(coef: Coefficient) -> float:
-    if isinstance(coef, Const):
-        return float(coef.value)
-    if isinstance(coef, Poly):
-        v = _deterministic_value(coef.arg)
-        return float(sum(c * v ** k for k, c in enumerate(coef.coeffs)))
-    if isinstance(coef, Product):
-        return float(math.prod(_deterministic_value(f) for f in coef.factors))
-    if isinstance(coef, Sum):
-        return float(sum(_deterministic_value(t) for t in coef.terms))
-    raise ValueError(f"coefficient {coef!r} is not deterministic")
+                            tuple(float(c.eval(PointRealization)) for c in self.coefficients))
 
 
 def validate_simple(breakpoints, coefficients) -> SimpleProcess:

@@ -107,12 +107,3 @@ class StepFunction:
         # a midpoint can round onto the open left end of a subnormal cell
         values = tuple(self.value_at(hi) for hi in pts[1:])
         return StepFunction(tuple(pts), values)
-
-    def restricted(self, a: float, b: float) -> "StepFunction":
-        """Pointwise product with the indicator of ``(a, b]``."""
-        ref = self.refined((float(a), float(b)))
-        vals = tuple(
-            v if (lo >= a and hi <= b) else 0.0
-            for (lo, hi), v in zip(zip(ref.breakpoints, ref.breakpoints[1:]), ref.values)
-        )
-        return StepFunction(ref.breakpoints, vals)

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -251,3 +253,30 @@ def test_kernel_norm_explicit(unit_atom):
     k = catalog_kernel("k2")
     assert kernel_sq_norm(unit_atom, k) == Fraction(1, 2)
     assert chaos_variance(unit_atom, k) == 1
+
+
+def _probe_loop(model, functionals, reals, xs):
+    for F in functionals:
+        for real in reals:
+            for x in xs:
+                eval_chaos(real, malliavin_derivative(F, x, 1.0, model))
+                add_one_cost(F, real, x, 1.0)
+
+
+def test_probe_loop_retains_no_memory(unit_atom):
+    # every probe builds new derivative kernels and a new bumped realization;
+    # a cache keyed on those objects would grow by each of them
+    functionals = [catalog_functional(name) for name in CATALOG_FUNCTIONAL_NAMES]
+    reals = [sample_prm(unit_atom, 3.0, seed) for seed in range(25)]
+    xs = [float(x) for x in np.linspace(-2.9, 2.9, 8)]  # 5 * 25 * 8 = 1000 probes
+    _probe_loop(unit_atom, functionals, reals, xs)      # warm the caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _probe_loop(unit_atom, functionals, reals, xs)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 1024

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from levynoise import (
     atomic_measure,
@@ -13,11 +15,12 @@ from levynoise import (
     sample_L_interval,
     sample_prm,
     sample_prm_batch,
+    signed_moment,
     theoretical_char,
     StepFunction,
 )
 from levynoise.errors import WindowExceededError
-from levynoise.prm import normalize_intervals
+from levynoise.prm import PointRealization, normalize_intervals
 from levynoise.rng import CHAR_GAP_STREAM, derive_rng
 
 from conftest import make_realization
@@ -105,6 +108,56 @@ def test_normalize_intervals():
     assert normalize_intervals((0.0, 1.0)) == [(0.0, 1.0)]
     assert normalize_intervals([(0.0, 1.0), (0.5, 2.0)]) == [(0.0, 2.0)]
     assert normalize_intervals([(1.0, 1.0)]) == []
+
+
+# mt_1 = 1, a dyadic mt_1 of three atoms, and a density's quadrature float
+MASS_MODELS = (atomic_measure([(1.0, 1.0)]),
+               atomic_measure([(0.1, 3.0), (-0.3, 0.7), (2.5, 0.2)]),
+               power_law_measure(1.5, 0.25, 4.0))
+# any finite float, with the subnormal, huge and signed-zero extremes drawn often
+JUMPS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                     1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0]))
+UNIONS = st.lists(st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2).map(sorted),
+                  min_size=1, max_size=4)
+
+
+@given(st.sampled_from(MASS_MODELS),
+       st.lists(st.tuples(st.floats(-4.0, 4.0), JUMPS), max_size=12), UNIONS)
+@example(MASS_MODELS[1], [(0.5, 5e-324), (0.75, 1e300), (1.0, -0.0), (3.0, -1e300)],
+         [[0.0, 1.0], [0.5, 2.0], [2.5, 4.0]])
+def test_mass_is_its_definition(model, points, sets):
+    points.sort()
+    real = PointRealization(4.0, np.array([x for x, _ in points], dtype=float),
+                            np.array([z for _, z in points], dtype=float), None, model)
+    inside = [Fraction(z) for x, z in points if any(a < x <= b for a, b in sets)]
+    length = sum((Fraction(b) - Fraction(a) for a, b in normalize_intervals(sets)), Fraction(0))
+    want = sum(inside, Fraction(0)) - length * Fraction(signed_moment(model, 1))
+    got = eval_L_set(real, sets)
+    assert type(got) is Fraction and got == want
+
+
+@given(st.lists(st.floats(-4.0, 4.0), max_size=8), st.floats(-4.0, 4.0),
+       st.integers(0, 8), st.booleans(), st.one_of(st.none(), st.integers(0, 3)))
+@example(xs=[-1.0, 0.5, 0.5, 2.0], x=0.0, copy_index=1, atomic=True, atom=2)  # tie at 0.5
+@example(xs=[0.0], x=-0.0, copy_index=5, atomic=False, atom=None)           # -0.0 ties 0.0
+def test_with_point_is_np_insert(xs, x, copy_index, atomic, atom):
+    xs = np.sort(np.array(xs, dtype=float))
+    if copy_index < len(xs):
+        x = float(xs[copy_index])  # a tie: the new point goes right of the equal ones
+    zs = np.arange(len(xs), dtype=float) + 0.5
+    atoms = (np.arange(len(xs)) % 3).astype(np.int8) if atomic else None
+    real = PointRealization(4.0, xs, zs, atoms, MASS_MODELS[0])
+    bumped = real.with_point(x, -1.0, atom)
+    pos = np.searchsorted(xs, x, side="right")
+    pairs = [(bumped.x, np.insert(xs, pos, x)), (bumped.z, np.insert(zs, pos, -1.0))]
+    if atomic:
+        pairs.append((bumped.atom, np.insert(atoms, pos, -1 if atom is None else atom)))
+    else:
+        assert bumped.atom is None
+    for got, want in pairs:  # bytes, so -0.0 and 0.0 differ
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_batch_matches_single(unit_atom):

@@ -9,6 +9,7 @@ from levynoise import (
     ClampedNoise,
     Const,
     Product,
+    Sum,
     catalog_process,
     eval_I_K,
     eval_L_set,
@@ -201,6 +202,13 @@ def test_aligned_simple_process_freezes_exactly():
     prof = DeterministicProfile(lambda x: phi(np.asarray(x) + 1e-9))  # right limit at grid pts
     proc = prof.freeze((0.0, 1.0, 2.0))
     assert proc.as_step().values == (2.0, -1.0)
+
+
+def test_as_step_rounds_the_exact_value_once():
+    # float addition gives 0.6000000000000001; the exact sum of the three
+    # doubles rounds to 0.6, as eval_I_K sees it
+    proc = validate_simple((0.0, 1.0), (Sum((Const(0.1), Const(0.2), Const(0.3))),))
+    assert proc.as_step().values == (0.6,)
 
 
 def test_sliding_freeze_error_decreases(unit_atom):

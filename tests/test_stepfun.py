@@ -39,13 +39,6 @@ def test_validation():
         StepFunction((0.0, float("inf")), (1.0,))
 
 
-def test_restricted():
-    phi = StepFunction((0.0, 2.0), (3.0,))
-    cut = phi.restricted(0.0, 1.0)
-    assert cut.power_integral(1) == 3
-    assert cut(1.5) == 0.0 and cut(0.5) == 3.0
-
-
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=6, unique=True),
        st.lists(st.floats(-3, 3), min_size=1, max_size=5),
        st.lists(st.floats(-6, 6), min_size=1, max_size=4))
