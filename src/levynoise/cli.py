@@ -36,7 +36,7 @@ from .harness import (
     write_report,
     write_samples_csv,
 )
-from .measure import validate_measure
+from .measure import finite_moment, validate_measure
 from .partitions import moment_of_step_functional, step_functional_cumulants
 from .prm import eval_L_set, sample_prm_batch
 from .rng import SIMULATE_STREAM, derive_rng
@@ -157,8 +157,10 @@ def _cmd_moments(args) -> int:
     kappas = step_functional_cumulants(model, phi, args.p)
     payload = {
         "p": args.p,
-        "moment": float(moment_of_step_functional(model, phi, args.p)),
-        "cumulants": {str(n): float(v) for n, v in kappas.items()},
+        "moment": finite_moment(moment_of_step_functional(model, phi, args.p), args.p,
+                                "E[L(phi)^p]"),
+        "cumulants": {str(n): finite_moment(v, args.p, f"cumulant {n} of L(phi)")
+                      for n, v in kappas.items()},
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:

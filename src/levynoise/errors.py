@@ -38,7 +38,7 @@ class QuadratureError(LevyNoiseError):
 # --- combinatorics ---
 
 class SizeLimitError(LevyNoiseError, ValueError):
-    """Partition enumeration requested beyond the supported size."""
+    """A partition enumeration or a moment order past its declared cap."""
 
 
 class MissingCumulantError(LevyNoiseError, KeyError):

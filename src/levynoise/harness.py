@@ -59,8 +59,15 @@ from .integral import (
     check_linear_moment_bound,
     tail_convergence,
 )
-from .measure import LevyMeasureModel, abs_moment, interpolation_check, validate_measure
+from .measure import (
+    LevyMeasureModel,
+    abs_moment,
+    finite_moment,
+    interpolation_check,
+    validate_measure,
+)
 from .partitions import (
+    MAX_MOMENT_ORDER,
     MAX_PARTITION_SIZE,
     _partitions,
     count_no_singleton_partitions,
@@ -277,7 +284,7 @@ def step_function_from_config(spec) -> StepFunction:
 
 
 _PARSERS = {
-    "p": lambda v, _: _integer(v, 2, MAX_PARTITION_SIZE),
+    "p": lambda v, _: _integer(v, 2, MAX_MOMENT_ORDER),
     "p_values": lambda v, _: _nonempty(tuple(_integer(p, 2, MAX_PARTITION_SIZE) for p in v)),
     "set": _interval,
     "samples": lambda v, config: config.samples if v is None else _integer(v, MIN_SAMPLES),
@@ -303,8 +310,8 @@ _PARSERS = {
     **dict.fromkeys(("n_theta", "n_probes", "n_probes_x", "n_realizations"),
                     lambda v, _: _integer(v, 1)),
 }
-# p of the moment bounds, whose constant sums over partitions of p
-_EVEN_P = lambda v, _: _integer(v, 2, MAX_PARTITION_SIZE, even=True)
+# p of the moment bounds: even, and at most the moment engine's order cap
+_EVEN_P = lambda v, _: _integer(v, 2, MAX_MOMENT_ORDER, even=True)
 
 
 def _schedule_inside_window(schedule, k_outer, **_) -> None:
@@ -401,7 +408,8 @@ def _run_partition_count(model, config, seed, *, p_values=(2, 3, 4, 5, 6, 7, 8))
 def _run_moment_mc(model, config, seed, *, p, set=(0.0, 1.0), samples=None,
                    se_multiplier=None):
     a, b = set
-    target = float(moment_of_step_functional(model, StepFunction.indicator(a, b), p))
+    target = finite_moment(moment_of_step_functional(model, StepFunction.indicator(a, b), p),
+                           p, "E[L^p]")
     values = sample_L_interval(model, b - a, samples, derive_rng(seed, MOMENT_MC_STREAM)) ** p
     gate = mean_gate(f"E[L^{p}]", values, target, _se_mult(config, se_multiplier, p >= 4))
     return CheckResult(f"moment_mc_p{p}", "moment_mc", (gate,),

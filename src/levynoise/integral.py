@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gate import REL_TOL, Gate, Gated, mean_gate, mean_se
-from .measure import LevyMeasureModel, _adaptive_gauss, abs_moment
+from .measure import LevyMeasureModel, _adaptive_gauss, abs_moment, finite_moment
 from .partitions import count_no_singleton_partitions, moment_of_step_functional
 from .prm import batch_L_weighted, sample_prm_batch
 from .processes import SimpleProcess, abs_power_integral, eval_I_K, square_integral
@@ -106,7 +106,7 @@ class LinearMomentBound(Gated):
 
     @property
     def ratio(self) -> float:
-        return float(self.exact_moment) / float(self.rhs) if self.rhs else 0.0
+        return float(self.exact_moment / self.rhs) if self.rhs else 0.0
 
 
 def check_linear_moment_bound(model: LevyMeasureModel, phi: StepFunction,
@@ -146,7 +146,7 @@ def integral_bound_constant(model: LevyMeasureModel, p: int, rosenthal_b: float,
     """
     cstar = count_no_singleton_partitions(p)
     m2 = float(abs_moment(model, 2))
-    mp = float(abs_moment(model, p))
+    mp = finite_moment(abs_moment(model, p), p, "m_p")
     if convention == "linear":
         b_factor = rosenthal_b
     elif convention == "power":

@@ -240,9 +240,13 @@ def _validate_atoms(pairs) -> LevyMeasureModel:
         atoms.append((z, lam))
     if not atoms:
         raise NonPositiveMassError("measure needs at least one atom")
-    total = float(sum(Fraction(lam) for _, lam in atoms))
-    m2 = float(sum(Fraction(lam) * Fraction(z) ** 2 for z, lam in atoms))
-    return LevyMeasureModel(tuple(atoms), None, total, m2)
+    total = sum(Fraction(lam) for _, lam in atoms)
+    if total > sys.float_info.max:
+        raise InfiniteTotalMassError("total mass is past the float range")
+    m2 = sum(Fraction(lam) * Fraction(z) ** 2 for z, lam in atoms)
+    if m2 > sys.float_info.max:
+        raise InfiniteSecondMomentError("second moment is past the float range")
+    return LevyMeasureModel(tuple(atoms), None, float(total), float(m2))
 
 
 def _validate_density(den: TruncatedDensity) -> LevyMeasureModel:
@@ -292,6 +296,13 @@ def signed_moment(model: LevyMeasureModel, n: int) -> Fraction | float:
     if model.is_atomic:
         return sum(Fraction(lam) * Fraction(z) ** n for z, lam in model.atoms)
     return _density_integral(model.density, lambda z: z ** n)
+
+
+def finite_moment(value: Fraction | float, p: int, name: str) -> float:
+    """An exact or float moment as a float; InfinitePMomentError past the float range."""
+    if not abs(value) <= sys.float_info.max:
+        raise InfinitePMomentError(f"{name} at p = {p} is past the float range")
+    return float(value)
 
 
 def drift_of_centered_representation(model: LevyMeasureModel) -> Fraction | float:
@@ -353,7 +364,7 @@ def interpolation_check(model: LevyMeasureModel, p: int) -> list[InterpolationRo
     for r in range(2, p + 1):
         mr = abs_moment(model, r)
         theta = (r - 2) / (p - 2) if p > 2 else 1.0
-        bound = float(mp) ** theta * float(m2) ** (1.0 - theta)
+        bound = finite_moment(mp, p, "m_p") ** theta * float(m2) ** (1.0 - theta)
         if isinstance(mr, Fraction) and isinstance(mp, Fraction) and p > 2:
             # exact: compare m_r^(p-2) against m_p^(r-2) * m_2^(p-r)
             lhs = mr ** (p - 2)

@@ -1,4 +1,4 @@
-"""Set-partition enumeration and the cumulant-to-moment formula.
+"""The cumulant-to-moment recurrence and set-partition enumeration.
 
 For a centered random variable the m-th moment is the sum, over all set
 partitions of ``{1, ..., m}`` whose blocks all have at least two
@@ -7,28 +7,34 @@ Partitions containing a singleton block contribute a factor ``kappa_1 = 0``
 and drop out, so summing over all partitions with ``kappa_1 = 0`` gives
 the same value.
 
-A term depends on its partition only through the sizes of its blocks,
-so the engine computes this no-singleton sum by block type: one term per
-integer partition of m into parts >= 2, weighted by the number of set
-partitions of that type.  The constant ``C*`` of the moment bound is the
-same sum with every cumulant set to 1.  Set-partition enumeration (a
+The engine computes this sum by the moment-cumulant recurrence for a
+centered variable (McCullagh, *Tensor Methods in Statistics*, 1987,
+ch. 2): the block that holds element n has k elements, k - 1 of them
+chosen from the other n - 1, so
+
+    m_0 = 1,  m_1 = 0,  m_n = sum_{k=2}^{n} C(n-1, k-1) kappa_k m_{n-k}.
+
+The constant ``C*`` of the moment bound, the number of no-singleton
+partitions, is the same recurrence with every cumulant set to 1.  Its
+orders are capped at ``MAX_MOMENT_ORDER``, since a ``p`` can come from a
+config or the command line.  Set-partition enumeration (a
 restricted-growth recursion with singleton pruning) stays as the
-independent oracle the engine is cross-checked against; both are capped
-at size 14.
+independent oracle the engine is cross-checked against; only it is
+capped at ``MAX_PARTITION_SIZE``, because it lists every partition.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .errors import MissingCumulantError, SizeLimitError
-from .measure import LevyMeasureModel, abs_moment, signed_moment
+from .measure import LevyMeasureModel, finite_moment, signed_moment
 from .stepfun import StepFunction
 
 MAX_PARTITION_SIZE = 14
+MAX_MOMENT_ORDER = 64
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -84,32 +90,18 @@ def partitions_no_singletons(m: int) -> list[Partition]:
     return list(_partitions(m, 2))
 
 
-@lru_cache(maxsize=None)
-def _block_types(m: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Block-size multisets of the no-singleton partitions of an m-set.
+def _check_order(m: int) -> None:
+    if m > MAX_MOMENT_ORDER:
+        raise SizeLimitError(f"moment order capped at {MAX_MOMENT_ORDER}, got {m}")
 
-    Each entry is ``(weight, ((k, a_k), ...))``: a_k blocks of size k,
-    every k >= 2, and ``weight = m! / prod(k!^a_k a_k!)`` set partitions
-    with exactly these block sizes (Comtet, *Advanced Combinatorics*,
-    1974).  The table is built from the integer partitions of m into
-    parts >= 2, so its length grows far slower than the number of set
-    partitions.
-    """
-    table = []
 
-    def parts(rest: int, largest: int, sizes: list[int]) -> None:
-        if rest == 0:
-            blocks = tuple((k, sizes.count(k)) for k in sorted(set(sizes)))
-            denom = math.prod(math.factorial(k) ** a * math.factorial(a) for k, a in blocks)
-            table.append((math.factorial(m) // denom, blocks))
-            return
-        for k in range(min(rest, largest), 1, -1):
-            sizes.append(k)
-            parts(rest - k, k, sizes)
-            sizes.pop()
-
-    parts(m, m, [])
-    return tuple(table)
+def _centered_moment(kappa: Mapping[int, Fraction] | Sequence[int], m: int):
+    """The recurrence of the module docstring: m-th moment from ``kappa[2..m]``."""
+    moments = [1, 0]
+    for n in range(2, m + 1):
+        moments.append(sum(math.comb(n - 1, k - 1) * kappa[k] * moments[n - k]
+                           for k in range(2, n + 1)))
+    return moments[m]
 
 
 def count_no_singleton_partitions(p: int) -> int:
@@ -120,36 +112,29 @@ def count_no_singleton_partitions(p: int) -> int:
     """
     if p < 2:
         raise SizeLimitError("count defined for p >= 2")
-    _check_size(p)
-    return sum(weight for weight, _ in _block_types(p))
+    _check_order(p)
+    return _centered_moment([1] * (p + 1), p)
 
 
 def moment_from_cumulants(kappas: Mapping[int, Fraction | float], m: int) -> Fraction | float:
     """m-th moment of a centered variable from its cumulants.
 
     ``kappas`` maps order ``n`` to the n-th cumulant for every
-    ``2 <= n <= m``.  The sum runs over no-singleton partitions, grouped
-    by block type, in exact rational arithmetic: rational inputs give an
-    exact rational result, and float inputs give that exact sum rounded
-    once to a float.
+    ``2 <= n <= m``.  The recurrence runs in exact rational arithmetic:
+    rational inputs give an exact rational result, and float inputs give
+    that exact sum rounded once to a float.
     """
     if m < 2:
         raise ValueError("moment order must be >= 2")
-    _check_size(m)
+    _check_order(m)
     for n in range(2, m + 1):
         if n not in kappas:
             raise MissingCumulantError(n)
     if kappas[2] < 0:
         raise ValueError("second cumulant must be nonnegative")
-    kappa = {n: Fraction(kappas[n]) for n in range(2, m + 1)}
-    total = Fraction(0)
-    for weight, blocks in _block_types(m):
-        prod = Fraction(weight)
-        for k, a in blocks:
-            prod *= kappa[k] ** a
-        total += prod
+    total = _centered_moment({n: Fraction(kappas[n]) for n in range(2, m + 1)}, m)
     exact = all(isinstance(kappas[n], (int, Fraction)) for n in range(2, m + 1))
-    return total if exact else float(total)
+    return total if exact else finite_moment(total, m, "the moment")
 
 
 def step_functional_cumulants(model: LevyMeasureModel, phi: StepFunction,
@@ -161,6 +146,7 @@ def step_functional_cumulants(model: LevyMeasureModel, phi: StepFunction,
     """
     if p < 2:
         raise ValueError("need p >= 2")
+    _check_order(p)
     out: dict[int, Fraction | float] = {}
     for n in range(2, p + 1):
         mt = signed_moment(model, n)
@@ -171,7 +157,5 @@ def step_functional_cumulants(model: LevyMeasureModel, phi: StepFunction,
 
 def moment_of_step_functional(model: LevyMeasureModel, phi: StepFunction,
                               p: int) -> Fraction | float:
-    """Exact p-th moment of ``integral phi dL`` via cumulants and partitions."""
-    if not math.isfinite(float(abs_moment(model, p))):
-        raise ValueError(f"m_{p} must be finite")
+    """Exact p-th moment of ``integral phi dL`` from its cumulants."""
     return moment_from_cumulants(step_functional_cumulants(model, phi, p), p)

@@ -98,12 +98,14 @@ class PointRealization:
 
     @staticmethod
     def clip(v: Fraction, c: float) -> Fraction:
-        c = Fraction(c)
-        return max(-c, min(c, v))
+        n, d = c.as_integer_ratio()  # compared on ints: no Fraction unless v is clamped
+        if abs(v.numerator) * d <= n * v.denominator:
+            return v
+        return Fraction(n if v > 0 else -n, d)
 
     @staticmethod
     def num(x) -> Fraction:
-        return Fraction(x)
+        return x if isinstance(x, Fraction) else Fraction(x)
 
     full = num
 

@@ -94,16 +94,3 @@ class StepFunction:
 
     def scaled(self, c: float) -> "StepFunction":
         return StepFunction(self.breakpoints, tuple(c * v for v in self.values))
-
-    def refined(self, extra: tuple[float, ...]) -> "StepFunction":
-        """Equivalent step function whose grid also contains ``extra`` points.
-
-        Extra points outside the support extend it with zero-valued cells,
-        which leaves every integral unchanged.
-        """
-        pts = sorted(set(self.breakpoints) | {float(e) for e in extra})
-        # new cells never straddle an original breakpoint, so the value at
-        # the right end is the cell value (0 outside the original support);
-        # a midpoint can round onto the open left end of a subnormal cell
-        values = tuple(self.value_at(hi) for hi in pts[1:])
-        return StepFunction(tuple(pts), values)

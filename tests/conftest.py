@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levynoise import atomic_measure
+from levynoise import StepFunction, atomic_measure
 from levynoise.prm import PointRealization
 
 
@@ -30,3 +30,16 @@ def make_realization(model, window, points):
         lookup = {z: j for j, (z, _) in enumerate(model.atoms)}
         atom = np.array([lookup[z] for z in zs], dtype=int) if len(zs) else np.empty(0, dtype=int)
     return PointRealization(float(window), xs, zs, atom, model)
+
+
+def refined(phi, extra):
+    """The step function ``phi`` on a grid that also contains the ``extra`` points.
+
+    Extra points outside the support extend it with zero-valued cells,
+    which leaves every integral unchanged.
+    """
+    pts = sorted(set(phi.breakpoints) | {float(e) for e in extra})
+    # new cells never straddle an original breakpoint, so the value at
+    # the right end is the cell value (0 outside the original support);
+    # a midpoint can round onto the open left end of a subnormal cell
+    return StepFunction(tuple(pts), tuple(phi.value_at(hi) for hi in pts[1:]))

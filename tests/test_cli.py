@@ -145,6 +145,8 @@ def _report_rejects(tmp_path, monkeypatch, measure, check):
     ({"kind": "chaos_orthogonality", "kernel_a": "k1", "kernel_b": "k1_two"}, "kernel_b"),
     ({"kind": "isometry", "samples": 10}, "samples"),
     ({"kind": "partition_count", "p_values": [20]}, "p_values"),
+    ({"kind": "partition_count", "p_values": [15]}, "p_values"),
+    ({"kind": "moment_mc", "p": 65}, "p"),
     ({"kind": "convolution_bound", "field": "separable_clamped"}, "field"),
     ({"kind": "convolution_bound", "kernel": "heat", "p": 4}, "heat"),
 ], ids=["integral_odd_p", "convolution_odd_p", "linear_odd_p", "interpolation_odd_p",
@@ -156,6 +158,7 @@ def _report_rejects(tmp_path, monkeypatch, measure, check):
         "moment_mc_fractional_p", "isometry_misspelled_key", "mean_zero_multiplier",
         "mean_zero_unknown_process", "mean_zero_bad_inline_process", "tail_unknown_profile",
         "orthogonality_same_order", "isometry_few_samples", "partition_count_past_cap",
+        "partition_count_past_oracle_cap", "moment_mc_past_order_cap",
         "convolution_field_off_kernel", "convolution_heat_p4"])
 def test_bad_check_parameters_exit_code(tmp_path, monkeypatch, capsys, check, param):
     assert _report_rejects(tmp_path, monkeypatch, {"atoms": [[1.0, 1.0]]}, check) == 2
@@ -226,7 +229,10 @@ def test_simulate_bad_input_exit_code(monkeypatch, capsys, argv):
     ("--phi", '{"breakpoints": [1, 0], "values": [1]}'),
     ("--phi", '{"breakpoints": [0, 1, 1], "values": [1, 2]}'),
     ("--phi", '{"breakpoints": [0, 1], "values": []}'),
-], ids=["p1", "p0", "reversed_phi", "repeated_breakpoint", "no_values"])
+    ("--p", "65"),
+    ("--p", "1000000000"),
+], ids=["p1", "p0", "reversed_phi", "repeated_breakpoint", "no_values", "p_past_order_cap",
+        "p_huge"])
 def test_moments_bad_input_exit_code(capsys, argv):
     args = {"--measure": MEASURE, "--phi": '{"breakpoints": [0, 1], "values": [1]}',
             "--p": "4"}
@@ -286,8 +292,10 @@ def test_bad_density_fields_exit_code(tmp_path, monkeypatch, capsys, density):
 @pytest.mark.parametrize("measure", [
     {"atoms": 5}, {"atoms": [[1]]}, {"atoms": [[1, 1, 2]]}, {"atoms": [["a", 1]]}, [1, 2], None,
     {"atoms": [[True, 1]]}, {"atoms": [[1, 1]], "scale": 2}, {"atoms": [[10 ** 400, 1]]},
+    {"atoms": [[1e200, 1]]}, {"atoms": [[1, 1e308], [2, 1e308]]},
 ], ids=["atoms_not_list", "one_entry", "three_entries", "text_jump", "pairs_not_lists", "null",
-        "bool_jump", "extra_key", "huge_jump"])
+        "bool_jump", "extra_key", "huge_jump", "second_moment_past_float_range",
+        "total_mass_past_float_range"])
 def test_bad_atoms_exit_code(tmp_path, monkeypatch, capsys, measure):
     _no_sampling(monkeypatch)
     assert _report_rejects(tmp_path, monkeypatch, measure, {"kind": "moment_mc", "p": 2}) == 2
@@ -296,6 +304,40 @@ def test_bad_atoms_exit_code(tmp_path, monkeypatch, capsys, measure):
                    "--phi", '{"breakpoints": [0, 1], "values": [1]}', "--p", "4") == 2
     err = capsys.readouterr().err
     assert err.count("error: ") == 3 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["moment_mc", "integral_moment_bound", "convolution_bound",
+                                  "interpolation"])
+def test_moment_past_the_float_range_exit_code(tmp_path, capsys, kind):
+    # m_4 of an atom at 1e100 is exact, but 1e400 has no float
+    measure = '{"atoms": [[1e100, 1]]}'
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"measure": json.loads(measure), "samples": 2000,
+                                "checks": [{"kind": kind, "p": 4}]}))
+    assert run_cli("report", "--config", str(path)) == 2
+    assert run_cli("moments", "--measure", measure,
+                   "--phi", '{"breakpoints": [0, 1], "values": [1]}', "--p", "4") == 2
+    err = capsys.readouterr().err
+    assert err.count("p = 4 is past the float range") == 2 and "Traceback" not in err, err
+
+
+def test_density_moment_past_the_float_range_exit_code(capsys):
+    # every cumulant is a float in range, but kappa_4 + 3 kappa_2^2 (kappa_2 near 1e301) is not
+    measure = json.dumps({**DENSITY, "scale": 1e300})
+    assert run_cli("moments", "--measure", measure,
+                   "--phi", '{"breakpoints": [0, 1], "values": [1]}', "--p", "4") == 2
+    err = capsys.readouterr().err
+    assert "p = 4 is past the float range" in err and "Traceback" not in err, err
+
+
+def test_linear_bound_past_the_float_range_passes(tmp_path, capsys):
+    # both sides are exact: E[L^4] = 1e400 + 3e400 against C* (1e400 + 1e400)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"measure": {"atoms": [[1e100, 1]]}, "samples": 2000,
+                                "checks": [{"kind": "linear_moment_bound", "p": 4}]}))
+    assert run_cli("report", "--strict", "--config", str(path)) == 0
+    gate = json.loads(capsys.readouterr().out)["checks"][0]["gates"][0]
+    assert gate["statistic"] == gate["target"] == float("inf") and gate["passed"]
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -347,8 +389,11 @@ def test_left_zero_accepted_on_density():
                                       "coefficients": [{"type": "const", "value": 2}]}},
     {"kind": "tail", "schedule": [0.0, 5.5], "k_outer": 6, "se_multiplier": 5},
     {"kind": "interpolation", "p": 16, "name": "high_p"},
+    {"kind": "linear_moment_bound", "p": 16},
+    {"kind": "moment_mc", "p": 64},
 ], ids=["integer_valued_float_p", "field_meets_kernel", "heat_p2", "inline_process",
-        "tail_edges", "interpolation_past_partition_cap"])
+        "tail_edges", "interpolation_past_partition_cap", "linear_past_partition_cap",
+        "moment_mc_at_order_cap"])
 def test_edge_parameters_accepted(check):
     parse_config({"measure": {"atoms": [[1.0, 1.0]]}, "checks": [check]})
 

@@ -1,5 +1,5 @@
 """Partition enumeration against an independent restricted-growth oracle,
-and the block-type moment engine against enumeration."""
+and the moment recurrence against enumeration and closed forms."""
 
 import math
 from fractions import Fraction
@@ -17,6 +17,8 @@ from levynoise import (
 )
 from levynoise.errors import MissingCumulantError, SizeLimitError
 from levynoise import StepFunction
+
+from conftest import refined
 
 
 def rgs_partitions(m):
@@ -50,8 +52,8 @@ def moment_over_all_partitions(kappas, m):
     """Oracle: the moment summed over *all* set partitions with ``kappa_1 = 0``.
 
     Partitions with a singleton contribute zero, so this must equal the
-    no-singleton sum that ``moment_from_cumulants`` computes by block
-    type.  Rational cumulants give an exact sum, floats a compensated one.
+    no-singleton sum that ``moment_from_cumulants`` computes by
+    recurrence.  Rational cumulants give an exact sum, floats a compensated one.
     """
     full = {**kappas, 1: 0}
     exact = all(isinstance(v, (int, Fraction)) for v in full.values())
@@ -84,10 +86,13 @@ def test_count_oracle_through_ten():
 
 
 def test_size_limit():
+    # enumeration lists every partition; the recurrence is capped only as an order
     with pytest.raises(SizeLimitError):
         partitions_no_singletons(15)
     with pytest.raises(SizeLimitError):
-        count_no_singleton_partitions(15)
+        count_no_singleton_partitions(65)
+    with pytest.raises(SizeLimitError):
+        moment_from_cumulants({n: 1 for n in range(2, 66)}, 65)
 
 
 @given(st.integers(1, 7))
@@ -150,14 +155,48 @@ def test_float_cumulants_match_enumeration(m, kappa_values):
     assert got == pytest.approx(moment_over_all_partitions(kappas, m), rel=1e-13)
 
 
-@pytest.mark.parametrize("m", [9, 10])
-def test_block_types_match_enumeration_beyond_eight(m):
-    # Bell(10) = 115 975 partitions: one fixed example per order, not a Hypothesis run
+@pytest.mark.parametrize("m", [9, 10, 11])
+def test_recurrence_matches_enumeration_beyond_eight(m):
+    # Bell(10) = 115 975 partitions: one fixed example per order, not a Hypothesis run;
+    # at m = 11 the sum runs over the 98 253 no-singleton partitions only
     exact = {n: Fraction((-1) ** n * (n + 1), 7 - n % 3) for n in range(2, m + 1)}
     floats = {n: float(v) / 3.0 for n, v in exact.items()}
-    assert moment_from_cumulants(exact, m) == moment_over_all_partitions(exact, m)
-    assert moment_from_cumulants(floats, m) == pytest.approx(
-        moment_over_all_partitions(floats, m), rel=1e-13)
+    if m == 11:
+        parts = partitions_no_singletons(m)
+        expect_exact = sum(math.prod((exact[len(b)] for b in part), start=Fraction(1))
+                           for part in parts)
+        expect_float = math.fsum(math.prod(floats[len(b)] for b in part) for part in parts)
+    else:
+        expect_exact = moment_over_all_partitions(exact, m)
+        expect_float = moment_over_all_partitions(floats, m)
+    assert moment_from_cumulants(exact, m) == expect_exact
+    assert moment_from_cumulants(floats, m) == pytest.approx(expect_float, rel=1e-13)
+
+
+def stirling2_rows(n):
+    """Rows ``S(j, 0..j)``, j = 0..n, of the Stirling numbers of the second kind,
+    by S(j, k) = k S(j-1, k) + S(j-1, k-1)."""
+    rows = [[1]]
+    for j in range(1, n + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, j + 1)])
+    return rows
+
+
+def test_recurrence_matches_closed_forms():
+    stirling = stirling2_rows(64)
+    # centered Poisson, kappa_n = lam: E[(N - lam)^m] from the raw moments
+    # E[N^j] = sum_k S(j, k) lam^k (Touchard polynomials), which use no cumulant sum
+    for m in (15, 30, 64):
+        for lam in (Fraction(1), Fraction(1, 2), Fraction(3)):
+            raw = [sum(s * lam ** k for k, s in enumerate(row)) for row in stirling[:m + 1]]
+            central = sum(math.comb(m, j) * (-lam) ** (m - j) * raw[j] for j in range(m + 1))
+            assert moment_from_cumulants({n: lam for n in range(2, m + 1)}, m) == central
+    # C*: the inverse binomial transform of the Bell numbers (OEIS A000296)
+    bell = [sum(row) for row in stirling]
+    for p in range(2, 65):
+        expected = sum((-1) ** (p - k) * math.comb(p, k) * bell[k] for k in range(p + 1))
+        assert count_no_singleton_partitions(p) == expected
 
 
 @pytest.mark.parametrize("p,expected", [(11, 98253), (12, 580317), (13, 3633280),
@@ -185,7 +224,7 @@ def test_step_functional_cumulants_examples(unit_atom, sym_two_atom):
 
 def test_moment_invariant_under_step_refinement(unit_atom):
     phi = StepFunction((0.0, 1.0, 2.0), (2.0, -1.0))
-    refined = phi.refined((0.25, 0.5, 1.5, 1.75))
+    finer = refined(phi, (0.25, 0.5, 1.5, 1.75))
     for p in (2, 3, 4, 6):
         assert (moment_of_step_functional(unit_atom, phi, p)
-                == moment_of_step_functional(unit_atom, refined, p))
+                == moment_of_step_functional(unit_atom, finer, p))

@@ -138,6 +138,22 @@ def test_mass_is_its_definition(model, points, sets):
     assert type(got) is Fraction and got == want
 
 
+@given(st.fractions(), st.floats(min_value=5e-324, max_value=1e300))
+@example(v=Fraction(10), c=10.0)     # on the bound
+@example(v=Fraction(-10), c=10.0)
+@example(v=Fraction(7, 2), c=3)      # an int bound
+def test_exact_clip_is_the_clamp(v, c):
+    got = PointRealization.clip(v, c)
+    assert type(got) is Fraction and got == max(-Fraction(c), min(Fraction(c), v))
+    assert (got is v) == (abs(v) <= c)  # a value inside the bound passes through
+
+
+def test_exact_num_passes_fractions_through():
+    v = Fraction(1, 3)
+    assert PointRealization.num(v) is v and PointRealization.full(v) is v
+    assert type(PointRealization.num(0.5)) is Fraction and PointRealization.num(0.5) == 0.5
+
+
 @given(st.lists(st.floats(-4.0, 4.0), max_size=8), st.floats(-4.0, 4.0),
        st.integers(0, 8), st.booleans(), st.one_of(st.none(), st.integers(0, 3)))
 @example(xs=[-1.0, 0.5, 0.5, 2.0], x=0.0, copy_index=1, atomic=True, atom=2)  # tie at 0.5
