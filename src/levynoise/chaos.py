@@ -41,8 +41,6 @@ from .rng import DUALITY_STREAM, derive_rng
 
 MAX_CHAOS_ORDER = 4
 
-Marks = "frozenset[int] | tuple[float, float]"
-
 
 @dataclass(frozen=True)
 class Cell:
@@ -125,6 +123,10 @@ class StepKernel:
                 raise ValueError("coefficients on repeated indices must be zero")
             entries.append((idx, b))
         object.__setattr__(self, "entries", tuple(entries))
+
+    def read_window(self) -> float:
+        """Smallest window radius that covers every cell."""
+        return max(max(abs(c.a), abs(c.b)) for c in self.cells)
 
 
 def make_kernel(order: int, cells, beta) -> StepKernel:
@@ -240,18 +242,8 @@ class ChaosFunctional:
                         raise ValueError("kernel cells must be identical or disjoint across orders")
                 seen.append(c)
 
-    def mean(self) -> float:
-        return self.constant
-
-    def variance(self, model: LevyMeasureModel) -> float:
-        return float(sum(float(chaos_variance(model, k)) for k in self.kernels))
-
     def read_window(self) -> float:
-        r = 0.0
-        for kern in self.kernels:
-            for c in kern.cells:
-                r = max(r, abs(c.a), abs(c.b))
-        return r
+        return max((k.read_window() for k in self.kernels), default=0.0)
 
 
 def eval_chaos(src: PointRealization | RealizationBatch,
@@ -311,7 +303,6 @@ def skorohod_integral(real: PointRealization, proc: SimpleProcess) -> Fraction:
 class DualityResult(Gated):
     mean_pairing: float       # E <DF, Phi(x) z>
     mean_adjoint: float       # E [F * delta(Phi z)]
-    n_samples: int
     gate: Gate                # the mean gap E[<DF, V> - F delta(V)] against 0
 
 
@@ -348,7 +339,7 @@ def duality_gap(model: LevyMeasureModel, F: ChaosFunctional, proc: SimpleProcess
         pairing += dvals * overlap * zmass
     adjoint = eval_chaos(batch, F) * eval_I_K(batch, proc)
     gate = mean_gate("E[<DF, V> - F delta(V)]", pairing - adjoint, 0.0, se_multiplier)
-    return DualityResult(float(pairing.mean()), float(adjoint.mean()), n_samples, gate)
+    return DualityResult(float(pairing.mean()), float(adjoint.mean()), gate)
 
 
 def _probe_in_cell(model: LevyMeasureModel, cell: Cell) -> tuple[float, float]:
@@ -419,6 +410,5 @@ def catalog_functional(name: str) -> ChaosFunctional:
     raise KeyError(f"unknown catalog functional: {name!r}")
 
 
-CATALOG_KERNEL_NAMES = ("k1", "k1_two", "k2", "k2_right", "k2_left", "k3")
 CATALOG_FUNCTIONAL_NAMES = ("first_chaos", "second_chaos", "second_chaos_left",
                             "mixed", "third_chaos")

@@ -10,6 +10,9 @@ Subcommands::
     malliavin-check run the derivative/adjoint checks of a config
     report          run every check of a config
 
+Every command writes its output to the ``--out`` file, or to stdout
+without one, in the same bytes either way.
+
 Exit codes: 0 all checks passed (or nothing to check), 1 at least one
 check failed under ``--strict``, 2 usage or configuration error.
 """
@@ -21,6 +24,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +34,6 @@ from .harness import (
     check_spec,
     default_verification_config,
     parse_config,
-    report_to_json,
     run,
     step_function_from_config,
     write_report,
@@ -96,11 +99,19 @@ def _load_config(args, family: str | None) -> ExperimentConfig:
                    seed=cfg.seed if args.seed is None else args.seed)
 
 
+@contextmanager
+def _output(args):
+    """The stream a command writes its output to: the ``--out`` file, else stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with Path(args.out).open("w", newline="") as fh:
+        yield fh
+
+
 def _emit_report(report, args) -> int:
-    if args.out:
-        write_report(report, args.format, args.out)
-    else:
-        sys.stdout.write(report_to_json(report) + "\n")
+    with _output(args) as out:
+        write_report(report, args.format, out)
     if args.dump_samples:
         write_samples_csv(report, args.dump_samples)
     if args.strict and not report.passed:
@@ -137,15 +148,11 @@ def _cmd_simulate(args) -> int:
     batch = sample_prm_batch(model, args.window, n, rng)
     columns = [eval_L_set(batch, [s]) for s in sets]
     rows = zip(*columns) if columns else []
-    out = Path(args.out).open("w", newline="") if args.out else sys.stdout
-    try:
+    with _output(args) as out:
         writer = csv.writer(out)
         writer.writerow(["sample"] + [f"L({a},{b}]" for a, b in sets])
         for i, row in enumerate(rows):
             writer.writerow([i] + [repr(float(v)) for v in row])
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -162,11 +169,8 @@ def _cmd_moments(args) -> int:
         "cumulants": {str(n): finite_moment(v, args.p, f"cumulant {n} of L(phi)")
                       for n, v in kappas.items()},
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    with _output(args) as out:
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -3,16 +3,17 @@
 A coefficient is a bounded functional of the noise configuration to the
 left of a horizon.  The catalog is deliberately small and serializable:
 
-* ``Const(c)``                       -- horizon -inf, bound |c|
-* ``ClampedNoise(a, b, clip)``       -- clamp(L((a, b]), clip), horizon b
+* ``Const(c)``                       -- reads nothing, bound |c|
+* ``ClampedNoise(a, b, clip)``       -- clamp(L((a, b]), clip), reads (a, b]
 * ``Poly(arg, coeffs)``              -- polynomial of one catalog entry
 * ``Product(factors)``               -- product of catalog entries
 * ``Sum(terms)``                     -- finite sum of catalog entries
 
-Horizon and bound propagate syntactically through the tree, which makes
-predictability of a simple process a static check: each coefficient's
-horizon must not exceed the left endpoint of its cell.  Clamping is what
-keeps every noise read bounded.
+The horizon is the right end of the intervals a coefficient reads (-inf
+when it reads none), and the bound propagates syntactically through the
+tree, which makes predictability of a simple process a static check: each
+coefficient's horizon must not exceed the left endpoint of its cell.
+Clamping is what keeps every noise read bounded.
 """
 
 from __future__ import annotations
@@ -20,28 +21,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
 from .errors import UnboundedCoefficientError
 from .prm import PointRealization, RealizationBatch
+from .schema import number
 
 DEFAULT_CLIP = 1e6
 
-Coefficient = Union["Const", "ClampedNoise", "Poly", "Product", "Sum"]
-# ``eval`` returns an exact Fraction on a PointRealization and one float per
-# realization on a RealizationBatch; ``eval_batch`` is its older batch name,
-# which perfbench still calls.
 
-
-@dataclass(frozen=True)
-class Const:
-    value: float
+class Coefficient:
+    """Base of the catalog.  ``eval`` returns an exact Fraction on a
+    PointRealization and one float per realization on a RealizationBatch."""
 
     @property
     def horizon(self) -> float:
-        return -math.inf
+        """Right end of the noise intervals read; -inf when none is read."""
+        return max((b for _, b in self.read_intervals()), default=-math.inf)
+
+    def eval_batch(self, src: RealizationBatch) -> np.ndarray:
+        """``eval`` under its older batch name, which perfbench still calls."""
+        return self.eval(src)
+
+
+@dataclass(frozen=True)
+class Const(Coefficient):
+    value: float
 
     @property
     def bound(self) -> float:
@@ -50,14 +56,12 @@ class Const:
     def eval(self, src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
         return src.full(self.value)
 
-    eval_batch = eval
-
     def read_intervals(self) -> list[tuple[float, float]]:
         return []
 
 
 @dataclass(frozen=True)
-class ClampedNoise:
+class ClampedNoise(Coefficient):
     """``clamp(L((a, b]), clip)``: the compensated noise mass of an interval."""
 
     a: float
@@ -71,32 +75,22 @@ class ClampedNoise:
             raise UnboundedCoefficientError("clip bound must be positive and finite")
 
     @property
-    def horizon(self) -> float:
-        return self.b
-
-    @property
     def bound(self) -> float:
         return self.clip
 
     def eval(self, src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
         return src.clip(src.mass((self.a, self.b)), self.clip)
 
-    eval_batch = eval
-
     def read_intervals(self) -> list[tuple[float, float]]:
         return [(self.a, self.b)]
 
 
 @dataclass(frozen=True)
-class Poly:
+class Poly(Coefficient):
     """``c_0 + c_1 y + ... + c_d y^d`` of one catalog coefficient ``y``."""
 
     arg: Coefficient
     coeffs: tuple[float, ...]
-
-    @property
-    def horizon(self) -> float:
-        return self.arg.horizon
 
     @property
     def bound(self) -> float:
@@ -112,19 +106,13 @@ class Poly:
             out = src.num(c) + out * y
         return out
 
-    eval_batch = eval
-
     def read_intervals(self) -> list[tuple[float, float]]:
         return self.arg.read_intervals()
 
 
 @dataclass(frozen=True)
-class Product:
+class Product(Coefficient):
     factors: tuple[Coefficient, ...]
-
-    @property
-    def horizon(self) -> float:
-        return max(f.horizon for f in self.factors)
 
     @property
     def bound(self) -> float:
@@ -136,19 +124,13 @@ class Product:
             out = out * f.eval(src)
         return out
 
-    eval_batch = eval
-
     def read_intervals(self) -> list[tuple[float, float]]:
         return [iv for f in self.factors for iv in f.read_intervals()]
 
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(Coefficient):
     terms: tuple[Coefficient, ...]
-
-    @property
-    def horizon(self) -> float:
-        return max(t.horizon for t in self.terms)
 
     @property
     def bound(self) -> float:
@@ -159,8 +141,6 @@ class Sum:
         for t in self.terms:
             out = out + t.eval(src)
         return out
-
-    eval_batch = eval
 
     def read_intervals(self) -> list[tuple[float, float]]:
         return [iv for t in self.terms for iv in t.read_intervals()]
@@ -194,12 +174,12 @@ def coefficient_to_config(coef: Coefficient) -> dict:
 def coefficient_from_config(cfg: dict) -> Coefficient:
     kind = cfg.get("type")
     if kind == "const":
-        return Const(float(cfg["value"]))
+        return Const(number(cfg["value"]))
     if kind == "clamped_noise":
         a, b = cfg["interval"]
-        return ClampedNoise(float(a), float(b), float(cfg.get("clip", DEFAULT_CLIP)))
+        return ClampedNoise(number(a), number(b), number(cfg.get("clip", DEFAULT_CLIP)))
     if kind == "poly":
-        return Poly(coefficient_from_config(cfg["arg"]), tuple(float(c) for c in cfg["coeffs"]))
+        return Poly(coefficient_from_config(cfg["arg"]), tuple(number(c) for c in cfg["coeffs"]))
     if kind == "product":
         return Product(tuple(coefficient_from_config(f) for f in cfg["factors"]))
     if kind == "sum":

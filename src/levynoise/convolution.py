@@ -54,10 +54,9 @@ HEAT_X_RADIUS = 6.0          # the heat kernel's space support is cut to |x| <= 
 
 @dataclass(frozen=True)
 class ConvolutionKernel:
-    """Deterministic kernel ``(t, x) -> G_t(x)`` with bounded support box."""
+    """Deterministic kernel ``(t, x) -> G_t(x)`` with space support ``[x_lo, x_hi]``."""
 
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    t_max: float
     x_lo: float
     x_hi: float
     name: str = "kernel"
@@ -68,7 +67,7 @@ def indicator_kernel() -> ConvolutionKernel:
     def g(t, x):
         t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
         return ((x >= 0.0) & (x <= 1.0)).astype(float)
-    return ConvolutionKernel(g, math.inf, 0.0, 1.0, "indicator")
+    return ConvolutionKernel(g, 0.0, 1.0, "indicator")
 
 
 def heat_kernel() -> ConvolutionKernel:
@@ -81,7 +80,7 @@ def heat_kernel() -> ConvolutionKernel:
         t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
         t = np.maximum(t, 1e-300)
         return np.exp(-x ** 2 / (4.0 * t)) / np.sqrt(4.0 * math.pi * t)
-    return ConvolutionKernel(g, math.inf, -HEAT_X_RADIUS, HEAT_X_RADIUS, "heat")
+    return ConvolutionKernel(g, -HEAT_X_RADIUS, HEAT_X_RADIUS, "heat")
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +285,12 @@ def build_convolution_process(kernel: ConvolutionKernel, field, t: float, x: flo
 
 @dataclass(frozen=True)
 class ConvolutionBoundResult(Gated):
-    p: int
-    t: float
-    x: float
     nu_t: float
     b_const_pow: float        # B^p
     lhs_pow: float            # E|I(Psi)|^p estimate
     rhs_pow: float            # B^p * (inflated bound integral)
     se_lhs: float
     quad_delta: float
-    n_samples: int
     gate: Gate                # lhs_pow against rhs_pow
 
 
@@ -320,5 +315,4 @@ def check_convolution_moment_bound(model: LevyMeasureModel, kernel: ConvolutionK
     lhs_pow, se_lhs = mean_se(np.abs(eval_I_K(batch, proc)) ** p)
     gate = Gate(f"E|U|^{p}", lhs_pow, rhs_pow, "upper",
                 math.hypot(se_lhs, b_pow * se_phi), se_multiplier)
-    return ConvolutionBoundResult(p, t, x, nu_t, b_pow, lhs_pow, rhs_pow,
-                                  se_lhs, delta, n_samples, gate)
+    return ConvolutionBoundResult(nu_t, b_pow, lhs_pow, rhs_pow, se_lhs, delta, gate)

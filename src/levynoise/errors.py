@@ -55,6 +55,10 @@ class WindowExceededError(LevyNoiseError, ValueError):
     """An evaluation reads noise outside the sampled window."""
 
 
+class PointCountError(LevyNoiseError, ValueError):
+    """A sampling call expects more points than the sampler's cap."""
+
+
 # --- predictable processes ---
 
 class ProcessError(LevyNoiseError, ValueError):

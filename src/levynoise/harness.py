@@ -93,6 +93,7 @@ from .rng import (
     derive_rng,
     derive_seed,
 )
+from .schema import integer, number
 from .stepfun import StepFunction
 
 MIN_SAMPLES = 1_000
@@ -175,8 +176,8 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(f"checks must be a list of check objects, got {raw['checks']!r}")
     values = {}
     # types only: the domains are ExperimentConfig's, which CLI overrides pass too
-    for key, default, parse in (("samples", 10_000, _integer), ("seed", 0, _integer),
-                                ("se_multiplier", 3.0, _real)):
+    for key, default, parse in (("samples", 10_000, integer), ("seed", 0, integer),
+                                ("se_multiplier", 3.0, number)):
         try:
             values[key] = parse(raw.get(key, default), -math.inf)
         except (TypeError, ValueError) as exc:
@@ -224,25 +225,6 @@ def _se_mult(config: ExperimentConfig, se_multiplier: float | None, heavy: bool 
 Labeled = namedtuple("Labeled", "label value")  # a parsed spec and its config spelling
 
 
-def _integer(raw, lo: int, hi: float = math.inf, even: bool = False) -> int:
-    if isinstance(raw, bool) or not (isinstance(raw, int)
-                                     or isinstance(raw, float) and raw.is_integer()):
-        raise TypeError(f"must be an integer, got {raw!r}")
-    if not lo <= raw <= hi or even and raw % 2:
-        domain = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-        raise ValueError(f"must be an {'even ' * even}integer {domain}, got {raw!r}")
-    return int(raw)
-
-
-def _real(raw, lo: float = -math.inf, strict: bool = False) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise TypeError(f"must be a number, got {raw!r}")
-    if not math.isfinite(raw) or raw < lo or strict and raw == lo:
-        bound = "" if lo == -math.inf else f" and {'>' if strict else '>='} {lo}"
-        raise ValueError(f"must be finite{bound}, got {raw!r}")
-    return float(raw)
-
-
 def _nonempty(items: tuple) -> tuple:
     if not items:
         raise ValueError("must be a non-empty list")
@@ -250,7 +232,7 @@ def _nonempty(items: tuple) -> tuple:
 
 
 def _interval(raw, config) -> tuple[float, float]:
-    a, b = (_real(v) for v in raw)
+    a, b = (number(v) for v in raw)
     if not a < b:
         raise ValueError(f"must be [a, b] with a < b, got {raw!r}")
     return a, b
@@ -271,24 +253,24 @@ def _process(raw, config) -> Labeled:
                        else process_from_config(raw))
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError("must be a catalog process or an inline one with breakpoints "
-                         f"and coefficients, got {raw!r}") from exc
+                         f"and coefficients, got {raw!r} ({exc})") from exc
 
 
 def step_function_from_config(spec) -> StepFunction:
     """Build ``{"breakpoints": [...], "values": [...]}``; ConfigError if malformed."""
     try:
-        return StepFunction(tuple(float(b) for b in spec["breakpoints"]),
-                            tuple(float(v) for v in spec["values"]))
+        return StepFunction(tuple(number(b) for b in spec["breakpoints"]),
+                            tuple(number(v) for v in spec["values"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad step function {spec!r}: {exc}") from exc
 
 
 _PARSERS = {
-    "p": lambda v, _: _integer(v, 2, MAX_MOMENT_ORDER),
-    "p_values": lambda v, _: _nonempty(tuple(_integer(p, 2, MAX_PARTITION_SIZE) for p in v)),
+    "p": lambda v, _: integer(v, 2, MAX_MOMENT_ORDER),
+    "p_values": lambda v, _: _nonempty(tuple(integer(p, 2, MAX_PARTITION_SIZE) for p in v)),
     "set": _interval,
-    "samples": lambda v, config: config.samples if v is None else _integer(v, MIN_SAMPLES),
-    "se_multiplier": lambda v, _: None if v is None else _real(v, 1.0),
+    "samples": lambda v, config: config.samples if v is None else integer(v, MIN_SAMPLES),
+    "se_multiplier": lambda v, _: None if v is None else number(v, 1.0),
     "process": _process,
     **dict.fromkeys(("kernel", "kernel_a", "kernel_b"),
                     lambda v, _: Labeled(str(v), catalog_kernel(v))),
@@ -302,16 +284,16 @@ _PARSERS = {
     "phi": lambda v, _: step_function_from_config(v),
     "convention": _choice({"linear": "linear", "power": "power"}),
     "profile": _choice({"gaussian": lambda x: np.exp(-np.asarray(x) ** 2)}),
-    "schedule": lambda v, _: _nonempty(tuple(_real(k, 0.0) for k in v)),
-    **dict.fromkeys(("x", "y"), lambda v, _: _real(v)),
+    "schedule": lambda v, _: _nonempty(tuple(number(k, 0.0) for k in v)),
+    **dict.fromkeys(("x", "y"), lambda v, _: number(v)),
     **dict.fromkeys(("t", "probe_width", "k_outer", "rosenthal_b"),
-                    lambda v, _: _real(v, 0.0, strict=True)),
-    **dict.fromkeys(("theta_max", "threshold_scale"), lambda v, _: _real(v, 0.0)),
+                    lambda v, _: number(v, 0.0, strict=True)),
+    **dict.fromkeys(("theta_max", "threshold_scale"), lambda v, _: number(v, 0.0)),
     **dict.fromkeys(("n_theta", "n_probes", "n_probes_x", "n_realizations"),
-                    lambda v, _: _integer(v, 1)),
+                    lambda v, _: integer(v, 1)),
 }
 # p of the moment bounds: even, and at most the moment engine's order cap
-_EVEN_P = lambda v, _: _integer(v, 2, MAX_MOMENT_ORDER, even=True)
+_EVEN_P = lambda v, _: integer(v, 2, MAX_MOMENT_ORDER, even=True)
 
 
 def _schedule_inside_window(schedule, k_outer, **_) -> None:
@@ -531,7 +513,7 @@ def _run_projection(model, config, seed, *, kernel="k2", y=0.0, samples=None,
     kern = kernel.value
     proj = project_kernel(kern, y)
     probe = ClampedNoise(y - 1.0, y, 10.0)
-    window = max(abs(y - 1.0), abs(y), *(max(abs(c.a), abs(c.b)) for c in kern.cells))
+    window = max(abs(y - 1.0), abs(y), kern.read_window())
     batch = sample_prm_batch(model, window, samples, derive_rng(seed, PROJECTION_STREAM))
     ik = eval_multiple_integral(batch, kern)
     iky = eval_multiple_integral(batch, proj)
@@ -566,7 +548,7 @@ def _run_chaos_isometry(model, config, seed, *, kernel="k2", samples=None,
                         se_multiplier=None):
     kern = kernel.value
     target = float(chaos_variance(model, kern))
-    window = max(max(abs(c.a), abs(c.b)) for c in kern.cells)
+    window = kern.read_window()
     batch = sample_prm_batch(model, window, samples, derive_rng(seed, CHAOS_ISOMETRY_STREAM))
     vals = eval_multiple_integral(batch, kern)
     gate = mean_gate(f"E[I_{kern.order}^2]", vals ** 2, target,
@@ -578,7 +560,7 @@ def _run_chaos_isometry(model, config, seed, *, kernel="k2", samples=None,
 def _run_chaos_orthogonality(model, config, seed, *, kernel_a="k1", kernel_b="k2",
                              samples=None, se_multiplier=None):
     k1, k2 = kernel_a.value, kernel_b.value
-    window = max(max(abs(c.a), abs(c.b)) for c in k1.cells + k2.cells)
+    window = max(k1.read_window(), k2.read_window())
     batch = sample_prm_batch(model, window, samples,
                              derive_rng(seed, CHAOS_ORTHOGONALITY_STREAM))
     prod = eval_multiple_integral(batch, k1) * eval_multiple_integral(batch, k2)
@@ -597,7 +579,7 @@ CHECK_RUNNERS = {spec.kind: spec for spec in (
     CheckSpec(_run_isometry),
     CheckSpec(_run_martingale),
     CheckSpec(_run_linear_moment_bound, "verify-bounds", p=_EVEN_P),
-    CheckSpec(_run_interpolation, "verify-bounds", p=lambda v, _: _integer(v, 2, even=True)),
+    CheckSpec(_run_interpolation, "verify-bounds", p=lambda v, _: integer(v, 2, even=True)),
     CheckSpec(_run_integral_moment_bound, "verify-bounds", p=_EVEN_P),
     CheckSpec(_run_tail, "verify-bounds", validate=_schedule_inside_window),
     CheckSpec(_run_convolution_bound, "convolution", validate=_field_meets_kernel, p=_EVEN_P,
@@ -667,18 +649,17 @@ def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
 
 
-def write_report(report: ExperimentReport, fmt: str, path) -> None:
-    """Write the report as JSON, or as CSV with one row per gate."""
-    path = Path(path)
+def write_report(report: ExperimentReport, fmt: str, out) -> None:
+    """Write the report to the text stream ``out`` as JSON, or as CSV with
+    one row per gate (open a file with ``newline=""``)."""
     if fmt == "json":
-        path.write_text(report_to_json(report) + "\n")
+        out.write(report_to_json(report) + "\n")
     elif fmt == "csv":
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)  # str() of a float is its shortest round-trip repr
-            writer.writerow(["name", "kind", *GATE_FIELDS])
-            for c in report.checks:
-                for g in c.gates:
-                    writer.writerow([c.name, c.kind, *_gate_dict(g).values()])
+        writer = csv.writer(out)  # str() of a float is its shortest round-trip repr
+        writer.writerow(["name", "kind", *GATE_FIELDS])
+        for c in report.checks:
+            for g in c.gates:
+                writer.writerow([c.name, c.kind, *_gate_dict(g).values()])
     else:
         raise ConfigError(f"unknown report format: {fmt!r}")
 

@@ -44,15 +44,12 @@ from .stepfun import StepFunction
 
 @dataclass(frozen=True)
 class SeminormEstimate:
-    window: float
-    p: int
     l2_part: float            # (E[(int X^2)^{p/2}])^{1/p}
     lp_part: float            # (E[int |X|^p])^{1/p}
     mean_sq_pow: float        # E[(int X^2)^{p/2}]
     mean_abs_pow: float       # E[int |X|^p]
     se_sq_pow: float
     se_abs_pow: float
-    n_samples: int
     exact: bool
 
     @property
@@ -75,21 +72,19 @@ def estimate_seminorm(model: LevyMeasureModel, proc: SimpleProcess, p: int,
     """
     if p < 2 or p % 2:
         raise ValueError("p must be an even integer >= 2")
-    K = proc.read_window()
     if proc.is_deterministic():
         phi = proc.as_step()
         q2 = float(phi.abs_power_integral(2))
         qp = float(phi.abs_power_integral(p))
-        return SeminormEstimate(K, p, math.sqrt(q2), qp ** (1.0 / p),
-                                q2 ** (p / 2), qp, 0.0, 0.0, 0, True)
+        return SeminormEstimate(math.sqrt(q2), qp ** (1.0 / p), q2 ** (p / 2), qp,
+                                0.0, 0.0, True)
     rng = derive_rng(seed, SEMINORM_STREAM)
-    batch = sample_prm_batch(model, K, n_samples, rng)
+    batch = sample_prm_batch(model, proc.read_window(), n_samples, rng)
     q2 = square_integral(proc, batch) ** (p / 2)
     qp = abs_power_integral(proc, batch, p)
     m2p, s2p = mean_se(q2)
     mpp, spp = mean_se(qp)
-    return SeminormEstimate(K, p, m2p ** (1.0 / p), mpp ** (1.0 / p),
-                            m2p, mpp, s2p, spp, n_samples, False)
+    return SeminormEstimate(m2p ** (1.0 / p), mpp ** (1.0 / p), m2p, mpp, s2p, spp, False)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +93,6 @@ def estimate_seminorm(model: LevyMeasureModel, proc: SimpleProcess, p: int,
 
 @dataclass(frozen=True)
 class LinearMomentBound(Gated):
-    p: int
     partition_count: int
     exact_moment: Fraction | float
     rhs: Fraction | float
@@ -127,7 +121,7 @@ def check_linear_moment_bound(model: LevyMeasureModel, phi: StepFunction,
     rhs = cstar * ((m2 * i2) ** (p // 2) + mp * ip)  # a float as soon as one moment is
     tolerance = 0 if isinstance(rhs, Fraction) else REL_TOL
     gate = Gate(f"E[L(phi)^{p}]", exact, rhs, "upper", tolerance=tolerance)
-    return LinearMomentBound(p, cstar, exact, rhs, gate)
+    return LinearMomentBound(cstar, exact, rhs, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +152,12 @@ def integral_bound_constant(model: LevyMeasureModel, p: int, rosenthal_b: float,
 
 @dataclass(frozen=True)
 class IntegralMomentBound(Gated):
-    p: int
     constant: float           # C_p at the configured Rosenthal constant
     convention: str
     lhs: float                # (E|I(X)|^p)^{1/p} estimate
     rhs: float                # C_p [X]_p
     se_lhs_pow: float         # SE of the p-th moment estimate
-    se_rhs_pow: float         # SE of rhs^p propagated from the seminorm
-    n_samples: int
     gate: Gate                # E|I(X)|^p against (C_p [X]_p)^p
-    seminorm: SeminormEstimate
 
 
 def check_integral_moment_bound(model: LevyMeasureModel, proc: SimpleProcess,
@@ -200,8 +190,7 @@ def check_integral_moment_bound(model: LevyMeasureModel, proc: SimpleProcess,
         se_rhs_pow = outer * math.hypot(d_l2 * semi.se_sq_pow, d_lp * semi.se_abs_pow)
     gate = Gate(f"E|I|^{p}", lhs_pow, rhs ** p, "upper",
                 math.hypot(se_lhs_pow, se_rhs_pow), se_multiplier)
-    return IntegralMomentBound(p, const, convention, lhs_pow ** (1.0 / p), rhs,
-                               se_lhs_pow, se_rhs_pow, n_samples, gate, semi)
+    return IntegralMomentBound(const, convention, lhs_pow ** (1.0 / p), rhs, se_lhs_pow, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +200,6 @@ def check_integral_moment_bound(model: LevyMeasureModel, proc: SimpleProcess,
 @dataclass(frozen=True)
 class TailRow(Gated):
     k_inner: float
-    k_outer: float
     gate: Gate                # Var(I_K' - I_K) against m_2 int_tail phi^2
 
 
@@ -235,8 +223,7 @@ def tail_convergence(model: LevyMeasureModel, func, schedule, k_outer: float,
         f_int = _two_sided_quad(func, k, k_outer, power=1)
         diff = batch_L_weighted(batch, tail_f, f_int)
         theory = m2 * _two_sided_quad(func, k, k_outer, power=2)
-        rows.append(TailRow(k, float(k_outer), mean_gate(f"K={k}", diff ** 2, theory,
-                                                         se_multiplier)))
+        rows.append(TailRow(k, mean_gate(f"K={k}", diff ** 2, theory, se_multiplier)))
     return rows
 
 

@@ -109,9 +109,15 @@ def _gauss_panel(g, a: float, b: float) -> tuple[float, float, float, float, flo
 def _adaptive_gauss(g, a: float, b: float) -> float:
     """Integral of the vectorized ``g`` over ``(a, b)``: bisect the panel of
     largest error until the summed error is within QUAD_RTOL of the integral
-    of ``|g|``.  This is the package's one integration rule."""
+    of ``|g|``.  This is the package's one integration rule.
+
+    An estimate past the float range stops the bisection at once and is
+    returned as it is, non-finite, for the caller to report."""
     panels = [_gauss_panel(g, a, b)]
     while True:
+        for p in panels[-2:]:  # the newest panels; the others were seen before
+            if not math.isfinite(p[3]):
+                return p[3]
         err = math.fsum(p[0] for p in panels)
         if err <= QUAD_RTOL * math.fsum(p[4] for p in panels):
             return math.fsum(p[3] for p in panels)
@@ -281,10 +287,7 @@ def abs_moment(model: LevyMeasureModel, p) -> Fraction | float:
             q = int(p)
             return sum(Fraction(lam) * abs(Fraction(z)) ** q for z, lam in model.atoms)
         return float(sum(lam * abs(z) ** p for z, lam in model.atoms))
-    val = _density_integral(model.density, lambda z: abs(z) ** p)
-    if not math.isfinite(val):
-        raise InfinitePMomentError(f"m_{p} diverges")
-    return val
+    return _density_moment(model.density, lambda z: abs(z) ** p, f"m_{p}")
 
 
 @lru_cache(maxsize=None)
@@ -295,7 +298,16 @@ def signed_moment(model: LevyMeasureModel, n: int) -> Fraction | float:
     n = int(n)
     if model.is_atomic:
         return sum(Fraction(lam) * Fraction(z) ** n for z, lam in model.atoms)
-    return _density_integral(model.density, lambda z: z ** n)
+    return _density_moment(model.density, lambda z: z ** n, f"mt_{n}")
+
+
+def _density_moment(den: TruncatedDensity, f: Callable[[float], float], name: str) -> float:
+    """``integral f(z) den.density(z) dz``; InfinitePMomentError past the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        val = _density_integral(den, f)
+    if not math.isfinite(val):
+        raise InfinitePMomentError(f"{name} is past the float range")
+    return val
 
 
 def finite_moment(value: Fraction | float, p: int, name: str) -> float:
@@ -341,7 +353,6 @@ def small_jump_variance_bias(model: LevyMeasureModel) -> float:
 @dataclass(frozen=True)
 class InterpolationRow(Gated):
     r: int
-    theta: float
     value: float          # m_r
     bound: float          # m_p^theta * m_2^(1-theta)
     equality: bool
@@ -374,5 +385,5 @@ def interpolation_check(model: LevyMeasureModel, p: int) -> list[InterpolationRo
         else:
             gate = Gate(f"r={r}", float(mr), bound, "upper", tolerance=REL_TOL)
             equality = abs(float(mr) - bound) <= REL_TOL * max(abs(bound), 1.0)
-        rows.append(InterpolationRow(r, theta, float(mr), bound, equality, gate))
+        rows.append(InterpolationRow(r, float(mr), bound, equality, gate))
     return rows

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import WindowExceededError
+from .errors import PointCountError, WindowExceededError
 from .measure import LevyMeasureModel, _density_integral, signed_moment
 from .rng import CHAR_GAP_STREAM, derive_rng
 
@@ -176,6 +176,16 @@ class RealizationBatch:
 # owner, a 1-byte atom index), and the mark lookup runs in chunks, so no
 # whole-batch 8-byte index array lives next to the uniforms.
 _MARK_CHUNK = 1 << 20
+# Expected points of one sampling call: about 5.6 GB of batch arrays at 21 bytes
+# per point.  Past it a call is refused before any draw, not left to fail in
+# numpy's Poisson draw or in an allocation of the whole batch.
+MAX_EXPECTED_POINTS = 1 << 28
+
+
+def _check_point_count(expected: float) -> None:
+    if not expected <= MAX_EXPECTED_POINTS:
+        raise PointCountError(f"a sampling call expecting {expected:.3g} points is past "
+                              f"the cap of {MAX_EXPECTED_POINTS} points")
 
 
 def _owner_dtype(n: int):
@@ -224,8 +234,10 @@ def sample_prm(model: LevyMeasureModel, window: float, seed: int) -> PointRealiz
     """Sample one point configuration on ``[-K, K] x R0``; deterministic in ``seed``."""
     if window < 0:
         raise ValueError("window must be >= 0")
+    mean = 2.0 * window * model.total_mass
+    _check_point_count(mean)
     rng = derive_rng(seed)
-    count = int(rng.poisson(2.0 * window * model.total_mass)) if window > 0 else 0
+    count = int(rng.poisson(mean)) if window > 0 else 0
     x = np.sort(rng.uniform(-window, window, count))
     z, atom = _sample_marks(model, count, rng)
     return PointRealization(float(window), x, z, atom, model)
@@ -236,7 +248,9 @@ def sample_prm_batch(model: LevyMeasureModel, window: float, n: int,
     """Sample ``n`` independent configurations as one flat batch."""
     if window < 0:
         raise ValueError("window must be >= 0")
-    counts = rng.poisson(2.0 * window * model.total_mass, n) if window > 0 else np.zeros(n, dtype=int)
+    mean = 2.0 * window * model.total_mass  # points per realization
+    _check_point_count(mean * n)
+    counts = rng.poisson(mean, n) if window > 0 else np.zeros(n, dtype=int)
     total = int(counts.sum())
     owner = np.repeat(np.arange(n, dtype=_owner_dtype(n)), counts)
     x = rng.uniform(-window, window, total)
@@ -356,7 +370,9 @@ def sample_L_interval(model: LevyMeasureModel, length: float, n: int,
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    counts = rng.poisson(length * model.total_mass, n)
+    mean = length * model.total_mass
+    _check_point_count(mean * n)
+    counts = rng.poisson(mean, n)
     total = int(counts.sum())
     z, _ = _sample_marks(model, total, rng)
     owner = np.repeat(np.arange(n, dtype=_owner_dtype(n)), counts)

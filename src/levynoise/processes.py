@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import (
+    DEFAULT_CLIP,
     ClampedNoise,
     Coefficient,
     Const,
@@ -43,6 +44,7 @@ from .errors import (
 from .gate import mean_se
 from .measure import signed_moment
 from .prm import PointRealization, RealizationBatch, _check_window
+from .schema import number
 from .stepfun import StepFunction
 
 FREEZE_QUAD_NODES = 20001  # grid of freeze_error_sq_deterministic
@@ -112,7 +114,7 @@ def process_to_config(proc: SimpleProcess) -> dict:
 
 
 def process_from_config(cfg: dict) -> SimpleProcess:
-    return validate_simple(cfg["breakpoints"],
+    return validate_simple(tuple(number(b) for b in cfg["breakpoints"]),
                            tuple(coefficient_from_config(c) for c in cfg["coefficients"]))
 
 
@@ -213,7 +215,7 @@ def linear_combination(a: float, X: SimpleProcess, b: float, Y: SimpleProcess) -
 # named catalog (used by configs, demos and the verification suite)
 # ---------------------------------------------------------------------------
 
-def catalog_process(name: str, clip: float = 1e6) -> SimpleProcess:
+def catalog_process(name: str, clip: float = DEFAULT_CLIP) -> SimpleProcess:
     """Named predictable processes exercised by the verification suite."""
     if name == "det_step":
         return from_step(StepFunction.indicator(0.0, 1.0))
@@ -263,7 +265,7 @@ class SlidingWindowProfile:
     """
 
     width: float
-    clip: float = 1e6
+    clip: float = DEFAULT_CLIP
 
     def freeze(self, breakpoints) -> SimpleProcess:
         bps = tuple(float(b) for b in breakpoints)

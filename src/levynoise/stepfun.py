@@ -40,10 +40,6 @@ class StepFunction:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "StepFunction":
-        return cls((0.0, 1.0), (0.0,))
-
-    @classmethod
     def indicator(cls, a: float, b: float) -> "StepFunction":
         """Indicator of the interval ``(a, b]``."""
         return cls((float(a), float(b)), (1.0,))
@@ -83,14 +79,6 @@ class StepFunction:
             total += abs(Fraction(v)) ** q * (Fraction(b2) - Fraction(b1))
         return total
 
-    def integral(self) -> Fraction:
-        return self.power_integral(1)
-
     @property
     def support(self) -> tuple[float, float]:
         return (self.breakpoints[0], self.breakpoints[-1])
-
-    # -- algebra -----------------------------------------------------
-
-    def scaled(self, c: float) -> "StepFunction":
-        return StepFunction(self.breakpoints, tuple(c * v for v in self.values))

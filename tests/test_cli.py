@@ -149,6 +149,14 @@ def _report_rejects(tmp_path, monkeypatch, measure, check):
     ({"kind": "moment_mc", "p": 65}, "p"),
     ({"kind": "convolution_bound", "field": "separable_clamped"}, "field"),
     ({"kind": "convolution_bound", "kernel": "heat", "p": 4}, "heat"),
+    ({"kind": "mean_zero", "process": {"breakpoints": ["-1", 0],
+                                       "coefficients": [{"type": "const", "value": 1}]}},
+     "process"),
+    ({"kind": "mean_zero", "process": {"breakpoints": [0, 1], "coefficients": [
+        {"type": "clamped_noise", "interval": [-1, 0], "clip": "5"}]}}, "process"),
+    ({"kind": "mean_zero", "process": {"breakpoints": [0, 1],
+                                       "coefficients": [{"type": "const", "value": True}]}},
+     "process"),
 ], ids=["integral_odd_p", "convolution_odd_p", "linear_odd_p", "interpolation_odd_p",
         "moment_mc_p1", "moment_mc_reversed", "char_gap_empty", "char_gap_reversed",
         "convolution_convention", "integral_convention", "char_gap_n_theta_text",
@@ -159,7 +167,9 @@ def _report_rejects(tmp_path, monkeypatch, measure, check):
         "mean_zero_unknown_process", "mean_zero_bad_inline_process", "tail_unknown_profile",
         "orthogonality_same_order", "isometry_few_samples", "partition_count_past_cap",
         "partition_count_past_oracle_cap", "moment_mc_past_order_cap",
-        "convolution_field_off_kernel", "convolution_heat_p4"])
+        "convolution_field_off_kernel", "convolution_heat_p4",
+        "inline_process_text_breakpoint", "inline_process_text_clip",
+        "inline_process_bool_const"])
 def test_bad_check_parameters_exit_code(tmp_path, monkeypatch, capsys, check, param):
     assert _report_rejects(tmp_path, monkeypatch, {"atoms": [[1.0, 1.0]]}, check) == 2
     err = capsys.readouterr().err
@@ -191,8 +201,12 @@ def test_malliavin_kinds_on_density_exit_code(tmp_path, monkeypatch, capsys, kin
 @pytest.mark.parametrize("phi", [{"breakpoints": [1, 0], "values": [1]},
                                  {"breakpoints": [0, 1], "values": [1, 2]},
                                  {"breakpoints": [0, 1]},
-                                 [0, 1]],
-                         ids=["reversed", "value_count", "no_values", "not_object"])
+                                 [0, 1],
+                                 {"breakpoints": ["0", "1"], "values": [True]},
+                                 {"breakpoints": [0, 1], "values": ["1"]},
+                                 {"breakpoints": [0, 10 ** 400], "values": [1]}],
+                         ids=["reversed", "value_count", "no_values", "not_object",
+                              "text_breakpoints_bool_value", "text_value", "huge_breakpoint"])
 def test_bad_phi_exit_code(tmp_path, monkeypatch, capsys, phi):
     check = {"kind": "linear_moment_bound", "p": 4, "phi": phi}
     assert _report_rejects(tmp_path, monkeypatch, {"atoms": [[1.0, 1.0]]}, check) == 2
@@ -231,8 +245,9 @@ def test_simulate_bad_input_exit_code(monkeypatch, capsys, argv):
     ("--phi", '{"breakpoints": [0, 1], "values": []}'),
     ("--p", "65"),
     ("--p", "1000000000"),
+    ("--phi", '{"breakpoints": ["0", "1e0"], "values": [false]}'),
 ], ids=["p1", "p0", "reversed_phi", "repeated_breakpoint", "no_values", "p_past_order_cap",
-        "p_huge"])
+        "p_huge", "text_and_bool_phi"])
 def test_moments_bad_input_exit_code(capsys, argv):
     args = {"--measure": MEASURE, "--phi": '{"breakpoints": [0, 1], "values": [1]}',
             "--p": "4"}
@@ -328,6 +343,40 @@ def test_density_moment_past_the_float_range_exit_code(capsys):
                    "--phi", '{"breakpoints": [0, 1], "values": [1]}', "--p", "4") == 2
     err = capsys.readouterr().err
     assert "p = 4 is past the float range" in err and "Traceback" not in err, err
+
+
+def test_density_signed_moment_past_the_float_range_exit_code(capsys):
+    # z^52 at z_max = 1e6 is past the float range: a moment error, not a failed quadrature
+    measure = json.dumps({**DENSITY, "z_max": 1e6})
+    assert run_cli("moments", "--measure", measure,
+                   "--phi", '{"breakpoints": [0, 1], "values": [1]}', "--p", "64") == 2
+    err = capsys.readouterr().err
+    assert "mt_52 is past the float range" in err, err
+    assert "Traceback" not in err and "did not converge" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("mass", [1e300, 1e15])
+def test_simulate_point_count_past_the_cap_exit_code(capsys, mass):
+    # refused before the Poisson draw, which fails on 1e300 and cannot be held at 1e15
+    assert run_cli("simulate", "--measure", json.dumps({"atoms": [[1, mass]]}),
+                   "--samples", "10") == 2
+    err = capsys.readouterr().err
+    assert "past the cap" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_stdout_equals_out_file(tmp_path, capsys, fmt):
+    out = tmp_path / f"report.{fmt}"
+    argv = ("report", "--samples", "2000", "--seed", "9", "--format", fmt)
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert run_cli(*argv) == 0
+    printed, written = capsys.readouterr().out, out.read_bytes().decode()
+    if fmt == "json":  # the two runs differ in their wall time only
+        printed, written = (re.sub(r'"wall_time_s": [^,\n]*', "", text)
+                            for text in (printed, written))
+    else:
+        assert printed.startswith("name,kind,label,")
+    assert printed == written
 
 
 def test_linear_bound_past_the_float_range_passes(tmp_path, capsys):

@@ -82,10 +82,9 @@ def test_zero_field_both_sides_zero(unit_atom):
 
 
 def test_zero_kernel_both_sides_zero(unit_atom):
-    import math
     from levynoise.convolution import ConvolutionKernel
     zed = ConvolutionKernel(lambda t, x: np.zeros(np.broadcast(t, x).shape),
-                            math.inf, 0.0, 1.0, "zero")
+                            0.0, 1.0, "zero")
     assert kernel_power_integral(zed, 2, 1.0) == 0.0
     res = check_convolution_moment_bound(unit_atom, zed, unit_field(),
                                          p=2, t=1.0, x=0.0, n_samples=2_000, seed=9)

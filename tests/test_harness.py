@@ -1,3 +1,4 @@
+import io
 import json
 import re
 from dataclasses import replace
@@ -111,26 +112,26 @@ def test_reports_are_reproducible(tmp_path):
 NUMERIC_GATE_FIELDS = ("statistic", "target", "se", "multiplier", "tolerance", "margin")
 
 
-def test_json_round_trip_full_precision(tmp_path):
+def test_json_round_trip_full_precision():
     config = default_verification_config(seed=6, samples=2000)
     report = run(config)
-    path = tmp_path / "report.json"
-    write_report(report, "json", path)
-    loaded = json.loads(path.read_text())
+    out = io.StringIO()
+    write_report(report, "json", out)
+    loaded = json.loads(out.getvalue())
     for c_obj, c in zip(loaded["checks"], report.checks, strict=True):
         for g_obj, g in zip(c_obj["gates"], c.gates, strict=True):
             for key in NUMERIC_GATE_FIELDS:
                 assert g_obj[key] == float(getattr(g, key))  # repr round-trip is exact
 
 
-def test_csv_round_trip_z_scores(tmp_path):
+def test_csv_round_trip_z_scores():
     config = default_verification_config(seed=7, samples=2000)
     report = run(config)
-    path = tmp_path / "report.csv"
-    write_report(report, "csv", path)
+    out = io.StringIO()
+    write_report(report, "csv", out)
     import csv as csvmod
-    with path.open() as fh:
-        rows = list(csvmod.DictReader(fh))
+    out.seek(0)
+    rows = list(csvmod.DictReader(out))
     gates = [(c, g) for c in report.checks for g in c.gates]
     for row, (c, g) in zip(rows, gates, strict=True):
         assert (row["name"], row["label"], row["side"]) == (c.name, g.label, g.side)

@@ -19,7 +19,7 @@ from levynoise import (
     theoretical_char,
     StepFunction,
 )
-from levynoise.errors import WindowExceededError
+from levynoise.errors import PointCountError, WindowExceededError
 from levynoise.prm import PointRealization, normalize_intervals
 from levynoise.rng import CHAR_GAP_STREAM, derive_rng
 
@@ -77,6 +77,22 @@ def test_singletons_are_null(unit_atom):
     real = sample_prm(unit_atom, 2.0, 8)
     assert eval_L_set(real, (1.0, 1.0 + 0.0)) == 0
     assert eval_L_set(real, []) == 0
+
+
+def test_point_count_cap_refuses_before_drawing():
+    # numpy's Poisson draw fails on a mean of 1e300; a mass of 1e15 asks for
+    # arrays that could never be allocated
+    rng = derive_rng(5)
+    for mass in (1e300, 1e15):
+        huge = atomic_measure([(1.0, mass)])
+        with pytest.raises(PointCountError):
+            sample_prm(huge, 1.0, 0)
+        with pytest.raises(PointCountError):
+            sample_L_interval(huge, 1.0, 10, rng)
+    # the batch count is 2 K nu(R0) n: every realization counts
+    with pytest.raises(PointCountError, match=r"2e\+16 points"):
+        sample_prm_batch(atomic_measure([(1.0, 1e15)]), 1.0, 10, rng)
+    assert rng.random() == derive_rng(5).random()  # refused before any draw
 
 
 def test_window_guard(unit_atom):

@@ -8,6 +8,7 @@ import pytest
 from levynoise import (
     ClampedNoise,
     Const,
+    Poly,
     Product,
     Sum,
     catalog_process,
@@ -46,6 +47,31 @@ from conftest import make_realization
 def test_constants_are_valid():
     proc = validate_simple((0.0, 1.0), (Const(3.0),))
     assert proc.coefficients[0].horizon == -math.inf
+
+
+# the horizon is the right end of the noise a coefficient reads, -inf for none
+HORIZON_CASES = [
+    (Const(3.0), -math.inf),
+    (ClampedNoise(-1.0, 0.0, 10.0), 0.0),
+    (Poly(ClampedNoise(-2.0, -0.5, 5.0), (1.0, 0.5)), -0.5),
+    (Poly(Poly(ClampedNoise(-3.0, -1.25, 5.0), (0.0, 1.0)), (1.0, 2.0, 3.0)), -1.25),
+    (Product((Const(2.0), ClampedNoise(-1.0, 0.75, 10.0))), 0.75),
+    (Product((Const(2.0), Const(3.0))), -math.inf),
+    (Sum((ClampedNoise(-1.5, -0.25, 3.0), ClampedNoise(-2.0, -1.0, 3.0))), -0.25),
+    (Sum((Const(1.0), Poly(Product((ClampedNoise(-2.0, -1.5, 2.0),
+                                    ClampedNoise(-1.0, -0.5, 2.0))), (0.0, 1.0)))), -0.5),
+    (Sum((Const(1.0), Const(-2.0))), -math.inf),
+]
+
+
+@pytest.mark.parametrize("coef, horizon", HORIZON_CASES,
+                         ids=["const", "clamped", "poly", "nested_poly", "product",
+                              "product_of_constants", "sum_unequal_ends", "nested_sum",
+                              "sum_of_constants"])
+def test_horizon_and_batch_name(unit_atom, coef, horizon):
+    assert coef.horizon == horizon
+    batch = sample_prm_batch(unit_atom, 3.0, 200, derive_rng(8))
+    assert coef.eval_batch(batch).tobytes() == coef.eval(batch).tobytes()
 
 
 def test_horizon_violation_inside_own_cell():
