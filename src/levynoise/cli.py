@@ -14,7 +14,9 @@ Every command writes its output to the ``--out`` file, or to stdout
 without one, in the same bytes either way.
 
 Exit codes: 0 all checks passed (or nothing to check), 1 at least one
-check failed under ``--strict``, 2 usage or configuration error.
+check failed under ``--strict``, 2 usage or configuration error,
+including an ``--out`` or ``--dump-samples`` path that cannot be
+written; a missing directory is refused before any work runs.
 """
 
 from __future__ import annotations
@@ -99,13 +101,39 @@ def _load_config(args, family: str | None) -> ExperimentConfig:
                    seed=cfg.seed if args.seed is None else args.seed)
 
 
+def _unwritable(flag: str, path: str, reason: str) -> ConfigError:
+    return ConfigError(f"{flag}: cannot write {path}: {reason}")
+
+
+def _check_output_paths(args) -> None:
+    """Refuse an output path in a missing directory, or naming a directory,
+    before any check or sampling runs.  Nothing is opened, so an existing
+    file stays as it is until the output is written."""
+    dump = getattr(args, "dump_samples", None)  # the check subcommands' flag
+    for flag, path in (("--out", args.out), ("--dump-samples", dump)):
+        if not path:
+            continue
+        target = Path(path)
+        try:
+            reason = ("no such directory" if not target.parent.is_dir()
+                      else "it is a directory" if target.is_dir() else None)
+        except OSError as exc:  # e.g. a name too long for the file system
+            reason = exc.strerror
+        if reason:
+            raise _unwritable(flag, path, reason)
+
+
 @contextmanager
 def _output(args):
     """The stream a command writes its output to: the ``--out`` file, else stdout."""
     if not args.out:
         yield sys.stdout
         return
-    with Path(args.out).open("w", newline="") as fh:
+    try:
+        fh = Path(args.out).open("w", newline="")
+    except OSError as exc:
+        raise _unwritable("--out", args.out, exc.strerror) from exc
+    with fh:
         yield fh
 
 
@@ -113,7 +141,10 @@ def _emit_report(report, args) -> int:
     with _output(args) as out:
         write_report(report, args.format, out)
     if args.dump_samples:
-        write_samples_csv(report, args.dump_samples)
+        try:
+            write_samples_csv(report, args.dump_samples)
+        except OSError as exc:
+            raise _unwritable("--dump-samples", args.dump_samples, exc.strerror) from exc
     if args.strict and not report.passed:
         return 1
     return 0
@@ -178,6 +209,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args)
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "moments":

@@ -18,7 +18,14 @@ and the type of its argument picks the backend.  A ``PointRealization``
 computes in exact rational arithmetic, so pathwise identities
 (additivity, restriction, linearity of the integral) hold exactly; a
 ``RealizationBatch`` computes one float per realization for Monte Carlo
-work.
+work.  A batch also gives the masses of many adjacent cells at once
+(``cell_masses``), on realization-aligned parts (``parts``).
+
+Sorted-table lookups, the density marks' inverse CDF and the cell of
+each point, go through one ``GuideTable``: a guide table that answers
+``np.searchsorted`` exactly with a few vector compares per value.  Mark
+sampling in density mode is linear interpolation of the tabulated
+inverse CDF, bit for bit ``np.interp``.
 """
 
 from __future__ import annotations
@@ -146,6 +153,38 @@ class RealizationBatch:
             length += b - a
         return out - length * float(_mt1(self.model))
 
+    def cell_masses(self, edges: "GuideTable") -> np.ndarray:
+        """Compensated masses of the cells ``(e_k, e_{k+1}]`` between consecutive
+        entries of the guide's table: one row per cell, one column per realization.
+
+        Each point gets its cell from the guided search, and one ``bincount``
+        over ``cell * n + owner`` sums the jumps of every cell.  It adds each
+        realization's points in a cell in index order from 0.0, as ``mass``
+        does, so every row equals ``mass`` of its cell bit for bit.
+        """
+        key = edges.search(self.x, "left")
+        key *= self.n
+        key += self.owner
+        sums = np.bincount(key, weights=self.z, minlength=(len(edges.table) + 1) * self.n)
+        sums = sums.reshape(-1, self.n)[1:-1]  # rows 0 and -1: points outside the edges
+        return sums - (np.diff(edges.table) * float(_mt1(self.model)))[:, None]
+
+    def parts(self, row_entries: int):
+        """Realization-aligned sub-batches as ``(first realization, part)`` pairs.
+
+        A part holds about ``_PART_SIZE`` points plus ``row_entries`` table
+        entries per realization.  ``owner`` is sorted, so each part is a
+        slice of the arrays holding whole realizations.
+        """
+        per = max(1, _PART_SIZE * self.n // (len(self.x) + row_entries * self.n))
+        for r0 in range(0, self.n, per):
+            r1 = min(r0 + per, self.n)
+            p0, p1 = np.searchsorted(self.owner, (r0, r1)).tolist()
+            yield r0, RealizationBatch(self.window, r1 - r0, self.x[p0:p1], self.z[p0:p1],
+                                       self.owner[p0:p1] - r0,
+                                       None if self.atom is None else self.atom[p0:p1],
+                                       self.model)
+
     def count(self, a: float, b: float, marks) -> np.ndarray:
         """Per-realization point counts in ``(a, b] x B``.
 
@@ -176,6 +215,10 @@ class RealizationBatch:
 # owner, a 1-byte atom index), and the mark lookup runs in chunks, so no
 # whole-batch 8-byte index array lives next to the uniforms.
 _MARK_CHUNK = 1 << 20
+# Values per step of a guided search: its temporaries stay in cache.
+_SEARCH_CHUNK = 1 << 16
+# Points plus cell-table entries of one part of RealizationBatch.parts.
+_PART_SIZE = 1 << 18
 # Expected points of one sampling call: about 5.6 GB of batch arrays at 21 bytes
 # per point.  Past it a call is refused before any draw, not left to fail in
 # numpy's Poisson draw or in an allocation of the whole batch.
@@ -192,6 +235,53 @@ def _owner_dtype(n: int):
     return np.int32 if n <= np.iinfo(np.int32).max else np.intp
 
 
+class GuideTable:
+    """``np.searchsorted(table, v, side)`` through a guide table (Chen & Asau 1974;
+    Devroye 1986, ch. III).
+
+    The range of the sorted table is cut into equal slices, 8 per entry.
+    Each slice stores how many entries fall in the slices left of it, a
+    lower bound of every answer in the slice, and ``steps`` forward compares
+    finish each search.  Table entries and values get their slices from the
+    same float operations, which round monotonically, so both bounds are
+    exact and the result equals ``np.searchsorted`` on either side.  The
+    table must be finite and nonempty, and the values must not be NaN.
+    """
+
+    def __init__(self, table) -> None:
+        self.table = np.asarray(table, dtype=float)
+        self._lo, self._hi = float(self.table[0]), float(self.table[-1])
+        slices = 8 * len(self.table)
+        scale = slices / (self._hi - self._lo) if self._hi > self._lo else 0.0
+        if not 0.0 < scale < math.inf:  # a zero, subnormal or overflowing span
+            slices, scale, self._lo = 1, 0.0, self._hi  # every value clips onto slice 0
+        self._scale = scale
+        keys = self._slice(self.table)
+        ids = np.arange(slices + 1)  # the top of the range may round onto slice `slices`
+        self._start = np.searchsorted(keys, ids, side="left")
+        self.steps = int((np.searchsorted(keys, ids, side="right") - self._start).max())
+        # a NaN compares false on either side, so no search passes the last entry
+        self._padded = np.append(self.table, np.nan)
+
+    def _slice(self, v: np.ndarray) -> np.ndarray:
+        k = np.clip(v, self._lo, self._hi)  # no overflow below, and no infinity
+        k -= self._lo
+        k *= self._scale
+        return k.astype(np.intp)
+
+    def search(self, v: np.ndarray, side: str) -> np.ndarray:
+        """``np.searchsorted(self.table, v, side)``, ``side`` ``"left"`` or ``"right"``."""
+        before = {"left": np.less, "right": np.less_equal}[side]
+        out = np.empty(len(v), dtype=np.intp)
+        for lo in range(0, len(v), _SEARCH_CHUNK):
+            vc = v[lo:lo + _SEARCH_CHUNK]
+            idx = self._start[self._slice(vc)]
+            for _ in range(self.steps):
+                idx += before(self._padded[idx], vc)
+            out[lo:lo + _SEARCH_CHUNK] = idx
+        return out
+
+
 def _sample_marks(model: LevyMeasureModel, count: int, rng: np.random.Generator):
     """Draw ``count`` i.i.d. jump sizes from the normalized measure."""
     if model.is_atomic:
@@ -205,14 +295,43 @@ def _sample_marks(model: LevyMeasureModel, count: int, rng: np.random.Generator)
         del u
         np.minimum(idx, len(zs) - 1, out=idx)
         return zs[idx], idx
-    grid_z, grid_cdf = _density_cdf_table(model)
-    u = rng.random(count) * grid_cdf[-1]
-    return np.interp(u, grid_cdf, grid_z), None
+    table = _density_cdf_table(model)
+    u = rng.random(count) * table.cdf[-1]
+    z = np.empty(count)
+    for lo in range(0, count, _SEARCH_CHUNK):
+        table.invert(u[lo:lo + _SEARCH_CHUNK], z[lo:lo + _SEARCH_CHUNK])
+    return z, None
+
+
+@dataclass(frozen=True, eq=False)
+class _InverseCDF:
+    """Linear interpolation of a tabulated CDF's inverse, bit for bit ``np.interp``."""
+
+    z: np.ndarray
+    cdf: np.ndarray
+    slope: np.ndarray   # slope of each table piece; 0.0 past the last entry
+    guide: GuideTable   # over ``cdf``
+
+    def invert(self, u: np.ndarray, out: np.ndarray) -> None:
+        """``out[:] = np.interp(u, cdf, z)`` for ``cdf[0] <= u <= cdf[-1]``.
+
+        The piece of ``u`` is ``j = searchsorted(cdf, u, "right") - 1`` and
+        the value np.interp's own ``slope[j] * (u - cdf[j]) + z[j]``; a
+        ``u`` on a table entry gives ``z[j]`` and ``u == cdf[-1]`` gives
+        ``z[-1]``, as in np.interp.  A zero-width piece (a repeated CDF
+        value) is never selected, so its infinite slope is never read.
+        """
+        j = self.guide.search(u, "right")
+        j -= 1
+        np.subtract(u, self.cdf[j], out=out)
+        out *= self.slope[j]
+        out += self.z[j]
 
 
 @lru_cache(maxsize=None)
-def _density_cdf_table(model: LevyMeasureModel):
-    """Tabulated CDF of the normalized truncated density (inverse sampling).
+def _density_cdf_table(model: LevyMeasureModel) -> _InverseCDF:
+    """Tabulated CDF of the normalized truncated density (inverse sampling),
+    with its guide table and slopes built once per model.
 
     Grid inversion is an approximation of the mark law; the acceptance
     suite exercises atomic measures only, where sampling is exact.
@@ -227,7 +346,10 @@ def _density_cdf_table(model: LevyMeasureModel):
     cum_right = np.concatenate([[0.0], np.cumsum((pr[1:] + pr[:-1]) * 0.5 * np.diff(right))])
     grid_z = np.concatenate([left, right])
     grid_cdf = np.concatenate([cum_left, cum_left[-1] + cum_right])
-    return grid_z, grid_cdf
+    dz, dcdf = np.diff(grid_z), np.diff(grid_cdf)
+    # the step between the two pieces has zero width: its infinite slope is never read
+    slope = np.append(np.divide(dz, dcdf, out=np.full_like(dz, np.inf), where=dcdf > 0), 0.0)
+    return _InverseCDF(grid_z, grid_cdf, slope, GuideTable(grid_cdf))
 
 
 def sample_prm(model: LevyMeasureModel, window: float, seed: int) -> PointRealization:

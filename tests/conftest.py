@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levynoise import StepFunction, atomic_measure
+from levynoise import StepFunction, atomic_measure, signed_moment
 from levynoise.prm import PointRealization
 
 
@@ -43,3 +43,20 @@ def refined(phi, extra):
     # the right end is the cell value (0 outside the original support);
     # a midpoint can round onto the open left end of a subnormal cell
     return StepFunction(tuple(pts), tuple(phi.value_at(hi) for hi in pts[1:]))
+
+
+def masked_I_K(batch, proc):
+    """``eval_I_K`` on a batch by the per-cell masked formula: one mask, one
+    bincount from 0.0 and one compensator ``(hi - lo) * mt_1`` per clipped cell.
+
+    The reference that the partitioned batch integral must equal bit for bit.
+    """
+    mt1 = float(signed_moment(batch.model, 1))
+    total = np.full(batch.n, 0.0)
+    for (a, b), coef in zip(proc.cells, proc.coefficients):
+        lo, hi = max(a, -batch.window), min(b, batch.window)
+        if hi > lo:
+            inside = (batch.x > lo) & (batch.x <= hi)
+            mass = np.bincount(batch.owner[inside], weights=batch.z[inside], minlength=batch.n)
+            total += coef.eval(batch) * (mass - (hi - lo) * mt1)
+    return total

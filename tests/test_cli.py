@@ -483,3 +483,61 @@ def test_dump_samples_flag(tmp_path):
                    "--dump-samples", str(dump)) == 0
     assert dump.exists()
     assert len(dump.read_text().strip().splitlines()) == 1 + 2000
+
+
+def _no_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("work ran before the output path was checked")
+    for name in ("run", "sample_prm_batch", "step_functional_cumulants"):
+        monkeypatch.setattr(levynoise.cli, name, fail)
+
+
+def _unwritable_path(tmp_path, where):
+    return {"missing_directory": tmp_path / "missing" / "x.out",
+            "a_directory": tmp_path,
+            "name_too_long": tmp_path / ("x" * 300)}[where]
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "a_directory", "name_too_long"])
+@pytest.mark.parametrize("argv", [
+    ("moments", "--measure", MEASURE, "--phi", '{"breakpoints": [0, 1], "values": [1]}',
+     "--p", "4"),
+    ("simulate", "--measure", MEASURE, "--samples", "10"),
+    ("report",),
+    ("verify-bounds", "--format", "csv"),
+], ids=["moments", "simulate", "report", "verify_bounds"])
+def test_unwritable_out_exit_code(tmp_path, monkeypatch, capsys, argv, where):
+    # refused with exit 2 before any check, sampling or moment runs
+    _no_work(monkeypatch)
+    assert run_cli(*argv, "--out", str(_unwritable_path(tmp_path, where))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: cannot write") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "a_directory", "name_too_long"])
+def test_unwritable_dump_samples_exit_code(tmp_path, monkeypatch, capsys, where):
+    _no_work(monkeypatch)
+    out = tmp_path / "report.json"
+    assert run_cli("report", "--out", str(out),
+                   "--dump-samples", str(_unwritable_path(tmp_path, where))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --dump-samples: cannot write") and "Traceback" not in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--config", "CFG", "--dump-samples", "DUMP"),
+    ("moments", "--measure", MEASURE, "--phi", '{"breakpoints": [1, 0], "values": [1]}',
+     "--p", "4"),
+], ids=["report_bad_check", "moments_bad_phi"])
+def test_rejected_input_leaves_existing_outputs(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"measure": {"atoms": [[1.0, 1.0]]},
+                               "checks": [{"kind": "moment_mc", "p": 1}]}))
+    out, dump = tmp_path / "out.json", tmp_path / "dump.csv"
+    for path in (out, dump):
+        path.write_text("kept\n")
+    argv = [{"CFG": str(cfg), "DUMP": str(dump)}.get(a, a) for a in argv]
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.read_text() == dump.read_text() == "kept\n"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,13 @@ from levynoise import (
     StepFunction,
 )
 from levynoise.errors import PointCountError, WindowExceededError
-from levynoise.prm import PointRealization, normalize_intervals
+from levynoise.prm import (
+    GuideTable,
+    PointRealization,
+    _density_cdf_table,
+    _sample_marks,
+    normalize_intervals,
+)
 from levynoise.rng import CHAR_GAP_STREAM, derive_rng
 
 from conftest import make_realization
@@ -301,3 +308,82 @@ def test_direct_sampler_matches_window_route(unit_atom):
         d, w = direct ** p, windowed ** p
         se = math.hypot(d.std(ddof=1), w.std(ddof=1)) / math.sqrt(n)
         assert abs(d.mean() - w.mean()) <= 4 * se
+
+
+# finite tables with repeated entries, signed zeros, subnormal and overflowing spans
+TABLE_ENTRIES = st.one_of(
+    st.floats(-8.0, 8.0), st.integers(-3, 3).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]))
+SEARCH_VALUES = st.floats(allow_nan=False)  # infinities included
+
+
+@given(st.lists(TABLE_ENTRIES, min_size=1, max_size=40), st.lists(SEARCH_VALUES, max_size=20),
+       st.lists(st.integers(0, 39), max_size=8))
+@example(table=[1.0], values=[0.0, 1.0, 2.0], picks=[0])                      # one entry
+@example(table=[2.0, 2.0, 2.0], values=[-math.inf, math.inf], picks=[1])     # zero span
+@example(table=[0.0, 5e-324], values=[-0.0, 5e-324, 1e-300], picks=[1])     # subnormal span
+@example(table=[-1.7976931348623157e308, 1.7976931348623157e308],
+         values=[0.0, -math.inf], picks=[0, 1])                              # span overflows
+@example(table=[-0.0, 0.0, 0.0, 1.0], values=[0.0, -0.0], picks=[2])        # signed zeros
+@example(table=[0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0],
+         values=[1.0, 0.5, 1.5], picks=[5])                                  # long run of ties
+def test_guided_search_is_searchsorted(table, values, picks):
+    table = np.sort(np.array(table, dtype=float))
+    on = [float(table[i % len(table)]) for i in picks]
+    probes = np.array(values + on + [math.nextafter(v, s) for v in on
+                                     for s in (-math.inf, math.inf)], dtype=float)
+    guide = GuideTable(table)
+    for side in ("left", "right"):
+        got = guide.search(probes, side)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(table, probes, side=side)), side
+
+
+def test_guided_search_across_chunks():
+    table = np.repeat(np.linspace(-1.0, 1.0, 33), 3)  # every entry three times
+    values = np.concatenate([derive_rng(3).uniform(-1.5, 1.5, 3 * (1 << 16) + 5), table])
+    guide = GuideTable(table)
+    for side in ("left", "right"):
+        assert np.array_equal(guide.search(values, side), np.searchsorted(table, values, side))
+
+
+DENSITY_MODELS = (power_law_measure(1.5, 0.25, 4.0), power_law_measure(0.5, 0.1, 2.0),
+                  power_law_measure(1.9, 1.0, 1.5))
+STEP = 4095  # cdf[STEP] == cdf[STEP + 1]: the zero-width step between the two pieces
+
+
+def test_density_table_builds_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in DENSITY_MODELS:
+            table = _density_cdf_table.__wrapped__(model)  # a fresh build, not the cached one
+            assert table.cdf[STEP] == table.cdf[STEP + 1] and math.isinf(table.slope[STEP])
+
+
+@given(st.sampled_from(DENSITY_MODELS), st.lists(st.floats(0.0, 1.0), max_size=20),
+       st.lists(st.integers(0, 8191), max_size=8))
+@example(model=DENSITY_MODELS[0], fractions=[0.0, 1.0, 0.5], picks=[0, STEP, STEP + 1, 8191])
+def test_mark_inverse_is_np_interp(model, fractions, picks):
+    table = _density_cdf_table(model)
+    cdf = table.cdf
+    on = [float(cdf[i]) for i in (*picks, STEP, -1)]
+    near = [math.nextafter(v, s) for v in on for s in (-math.inf, math.inf)]
+    u = np.array([f * cdf[-1] for f in fractions] + on + near, dtype=float)
+    u = u[(u >= cdf[0]) & (u <= cdf[-1])]
+    out = np.empty(len(u))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table.invert(u, out)
+        want = np.interp(u, cdf, table.z)
+    assert out.tobytes() == want.tobytes()
+
+
+def test_density_marks_are_np_interp_of_the_stream():
+    # the chunked inverse holds the same floats as one whole-array np.interp
+    # on the same uniforms, across chunk ends
+    model, count = DENSITY_MODELS[0], 3 * (1 << 16) + 7
+    table = _density_cdf_table(model)
+    z, atom = _sample_marks(model, count, derive_rng(21))
+    u = derive_rng(21).random(count) * table.cdf[-1]
+    assert atom is None and z.tobytes() == np.interp(u, table.cdf, table.z).tobytes()

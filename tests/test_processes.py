@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import levynoise.prm
+import levynoise.processes
 from levynoise import (
     ClampedNoise,
     Const,
@@ -16,6 +18,7 @@ from levynoise import (
     eval_L_set,
     from_step,
     linear_combination,
+    power_law_measure,
     restrict_process,
     sample_prm,
     sample_prm_batch,
@@ -28,8 +31,17 @@ from levynoise.errors import (
     UnboundedCoefficientError,
     WindowExceededError,
 )
+from levynoise.convolution import (
+    DeterministicField,
+    SeparableField,
+    build_convolution_process,
+    heat_kernel,
+    indicator_kernel,
+)
+from levynoise.prm import RealizationBatch
 from levynoise.processes import (
     CATALOG_PROCESS_NAMES,
+    PARTITION_MIN_CELLS,
     DeterministicProfile,
     SlidingWindowProfile,
     abs_power_integral,
@@ -41,7 +53,7 @@ from levynoise.processes import (
 )
 from levynoise.rng import derive_rng
 
-from conftest import make_realization
+from conftest import make_realization, masked_I_K
 
 
 def test_constants_are_valid():
@@ -264,3 +276,67 @@ def test_sliding_freeze_error_hand_computed(unit_atom, width):
     assert se == 0.0
     with pytest.raises(WindowExceededError):  # reads (-2.5 - width, ...] off the sample
         freeze_error_sq_sliding(prof, proc, 2.5, [real, real])
+
+
+UNIT_FIELD = DeterministicField(lambda s, y: np.ones(np.broadcast(s, y).shape), "unit")
+SEPARABLE_FIELD = SeparableField(lambda s: np.ones_like(np.asarray(s, dtype=float)),
+                                 catalog_process("clamped_left", clip=4.0), "separable")
+# (process, window of the batch): 64 cells of constants, 66 cells reading
+# noise, and 64 constant cells of which a window of 3.0 clips half away
+DENSE_PROCESSES = {
+    "heat_unit": (build_convolution_process(heat_kernel(), UNIT_FIELD, 1.0, 0.0), 6.0),
+    "heat_separable": (build_convolution_process(heat_kernel(), SEPARABLE_FIELD, 1.0, 0.5), 6.5),
+    "heat_unit_clipped": (build_convolution_process(heat_kernel(), UNIT_FIELD, 1.0, 0.0), 3.0),
+}
+
+
+def _spy_partitioned(monkeypatch):
+    calls = []
+    inner = levynoise.processes._eval_I_K_by_parts
+
+    def spy(batch, cells):
+        calls.append(batch.n)
+        return inner(batch, cells)
+    monkeypatch.setattr(levynoise.processes, "_eval_I_K_by_parts", spy)
+    return calls
+
+
+def _with_empty_realizations(batch):
+    """The batch with every fifth realization's points removed, the last one's too."""
+    keep = (batch.owner % 5 != 0) & (batch.owner != batch.n - 1)
+    return RealizationBatch(batch.window, batch.n, batch.x[keep], batch.z[keep],
+                            batch.owner[keep], None if batch.atom is None else batch.atom[keep],
+                            batch.model)
+
+
+@pytest.mark.parametrize("part_size, parts", [(4000, "many"), (1 << 30, "one")])
+@pytest.mark.parametrize("measure", ["skew_two_atom", "density"])
+@pytest.mark.parametrize("name", DENSE_PROCESSES)
+def test_partitioned_batch_integral_is_the_masked_formula(request, monkeypatch, name, measure,
+                                                          part_size, parts):
+    model = (power_law_measure(1.5, 0.25, 4.0) if measure == "density"
+             else request.getfixturevalue(measure))
+    proc, window = DENSE_PROCESSES[name]
+    monkeypatch.setattr(levynoise.prm, "_PART_SIZE", part_size)
+    batch = _with_empty_realizations(sample_prm_batch(model, window, 501, derive_rng(31)))
+    assert len(batch.x) >= PARTITION_MIN_CELLS * batch.n
+    sizes = [part.n for _, part in batch.parts(len(proc.cells) + 2)]
+    assert sum(sizes) == batch.n and (len(sizes) == 1) == (parts == "one")
+    if parts == "many":
+        assert batch.n % sizes[0] != 0  # the last part is shorter than the others
+    calls = _spy_partitioned(monkeypatch)
+    got = eval_I_K(batch, proc)
+    assert calls == [batch.n]
+    assert got.dtype == np.float64 and got.tobytes() == masked_I_K(batch, proc).tobytes()
+
+
+@pytest.mark.parametrize("case", ["few_points", "few_cells", "no_realizations"])
+def test_sparse_batches_keep_the_per_cell_loop(unit_atom, monkeypatch, case):
+    proc, window = {"few_points": (DENSE_PROCESSES["heat_unit"][0], 3.0),  # 6 points each
+                    "few_cells": (catalog_process("two_block"), 6.0),
+                    "no_realizations": (DENSE_PROCESSES["heat_unit"][0], 6.0)}[case]
+    n = 0 if case == "no_realizations" else 300
+    batch = sample_prm_batch(unit_atom, window, n, derive_rng(32))
+    calls = _spy_partitioned(monkeypatch)
+    assert eval_I_K(batch, proc).tobytes() == masked_I_K(batch, proc).tobytes()
+    assert calls == []
