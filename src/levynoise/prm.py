@@ -179,7 +179,8 @@ class RealizationBatch:
         per = max(1, _PART_SIZE * self.n // (len(self.x) + row_entries * self.n))
         for r0 in range(0, self.n, per):
             r1 = min(r0 + per, self.n)
-            p0, p1 = np.searchsorted(self.owner, (r0, r1)).tolist()
+            # keys of owner's dtype: other ints would convert the whole array
+            p0, p1 = np.searchsorted(self.owner, np.array((r0, r1), self.owner.dtype)).tolist()
             yield r0, RealizationBatch(self.window, r1 - r0, self.x[p0:p1], self.z[p0:p1],
                                        self.owner[p0:p1] - r0,
                                        None if self.atom is None else self.atom[p0:p1],
