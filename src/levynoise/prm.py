@@ -255,12 +255,12 @@ class GuideTable:
         slices = 8 * len(self.table)
         scale = slices / (self._hi - self._lo) if self._hi > self._lo else 0.0
         if not 0.0 < scale < math.inf:  # a zero, subnormal or overflowing span
-            slices, scale, self._lo = 1, 0.0, self._hi  # every value clips onto slice 0
+            scale, self._lo = 0.0, self._hi  # every value clips onto slice 0
         self._scale = scale
-        keys = self._slice(self.table)
-        ids = np.arange(slices + 1)  # the top of the range may round onto slice `slices`
-        self._start = np.searchsorted(keys, ids, side="left")
-        self.steps = int((np.searchsorted(keys, ids, side="right") - self._start).max())
+        # values clip onto the table's range, so no value passes the last entry's slice
+        counts = np.bincount(self._slice(self.table))
+        self._start = np.cumsum(counts) - counts  # entries in the slices left of each
+        self.steps = int(counts.max())
         # a NaN compares false on either side, so no search passes the last entry
         self._padded = np.append(self.table, np.nan)
 

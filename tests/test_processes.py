@@ -301,10 +301,13 @@ def _spy_partitioned(monkeypatch):
     return calls
 
 
-def _with_empty_realizations(batch):
-    """The batch with every fifth realization's points removed, the last one's too."""
+def _with_empty_realizations_and_edge_points(batch, edges):
+    """The batch with every fifth realization's points removed, the last one's
+    too, and every third point moved onto one of the ``edges``."""
     keep = (batch.owner % 5 != 0) & (batch.owner != batch.n - 1)
-    return RealizationBatch(batch.window, batch.n, batch.x[keep], batch.z[keep],
+    x = batch.x[keep]
+    x[::3] = np.resize(edges, len(x[::3]))
+    return RealizationBatch(batch.window, batch.n, x, batch.z[keep],
                             batch.owner[keep], None if batch.atom is None else batch.atom[keep],
                             batch.model)
 
@@ -318,7 +321,9 @@ def test_partitioned_batch_integral_is_the_masked_formula(request, monkeypatch, 
              else request.getfixturevalue(measure))
     proc, window = DENSE_PROCESSES[name]
     monkeypatch.setattr(levynoise.prm, "_PART_SIZE", part_size)
-    batch = _with_empty_realizations(sample_prm_batch(model, window, 501, derive_rng(31)))
+    edges = [b for b in proc.breakpoints if -window <= b <= window]
+    batch = _with_empty_realizations_and_edge_points(
+        sample_prm_batch(model, window, 501, derive_rng(31)), edges)
     assert len(batch.x) >= PARTITION_MIN_CELLS * batch.n
     sizes = [part.n for _, part in batch.parts(len(proc.cells) + 2)]
     assert sum(sizes) == batch.n and (len(sizes) == 1) == (parts == "one")
