@@ -32,10 +32,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import WindowExceededError
 from .gate import Gate, Gated, mean_gate
 from .measure import LevyMeasureModel, _density_integral
-from .prm import PointRealization, RealizationBatch, sample_prm_batch
+from .prm import PointRealization, RealizationBatch, _check_window, sample_prm_batch
 from .processes import SimpleProcess, eval_I_K
 from .rng import DUALITY_STREAM, derive_rng
 
@@ -175,8 +174,7 @@ def chaos_variance(model: LevyMeasureModel, kernel: StepKernel) -> Fraction | fl
 def compensated_cell_count(src: PointRealization | RealizationBatch,
                            cell: Cell) -> Fraction | np.ndarray:
     """``hatN(F) = #points in F - |A| nu(B)``, exact or one float per realization."""
-    if max(abs(cell.a), abs(cell.b)) > src.window + 1e-15:
-        raise WindowExceededError(f"cell ({cell.a}, {cell.b}] outside window")
+    _check_window([(cell.a, cell.b)], src.window)
     return src.count(cell.a, cell.b, cell.marks) - src.num(cell_intensity(src.model, cell))
 
 

@@ -527,7 +527,7 @@ def _run_projection(model, config, seed, *, kernel="k2", y=0.0, samples=None,
 def _run_left_zero(model, config, seed, *, functional="second_chaos_left", y=0.0,
                    n_probes=8):
     probes_x = np.linspace(y + 0.1, y + 2.0, n_probes)
-    z = float(model.atoms[0][0]) if model.is_atomic else 1.0
+    z = float(model.atoms[0][0])
     derivatives = [malliavin_derivative(functional.value, float(x), z, model) for x in probes_x]
     zero = sum(1 for d in derivatives if d.constant == 0.0 and not d.kernels)
     return CheckResult("left_zero", "left_zero",
@@ -579,14 +579,14 @@ CHECK_RUNNERS = {spec.kind: spec for spec in (
     CheckSpec(_run_isometry),
     CheckSpec(_run_martingale),
     CheckSpec(_run_linear_moment_bound, "verify-bounds", p=_EVEN_P),
-    CheckSpec(_run_interpolation, "verify-bounds", p=lambda v, _: integer(v, 2, even=True)),
+    CheckSpec(_run_interpolation, "verify-bounds", p=_EVEN_P),
     CheckSpec(_run_integral_moment_bound, "verify-bounds", p=_EVEN_P),
     CheckSpec(_run_tail, "verify-bounds", validate=_schedule_inside_window),
     CheckSpec(_run_convolution_bound, "convolution", validate=_field_meets_kernel, p=_EVEN_P,
               kernel=_choice({"indicator": indicator_kernel(), "heat": heat_kernel()})),
     CheckSpec(_run_derivative_probes, "malliavin-check", atomic_only=True),
     CheckSpec(_run_projection, "malliavin-check", atomic_only=True),
-    CheckSpec(_run_left_zero, "malliavin-check"),
+    CheckSpec(_run_left_zero, "malliavin-check", atomic_only=True),
     CheckSpec(_run_duality, "malliavin-check", atomic_only=True),
     CheckSpec(_run_chaos_isometry, "malliavin-check", atomic_only=True),
     CheckSpec(_run_chaos_orthogonality, "malliavin-check", atomic_only=True,

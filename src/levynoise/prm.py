@@ -21,11 +21,11 @@ computes in exact rational arithmetic, so pathwise identities
 work.  A batch also gives the masses of many adjacent cells at once
 (``cell_masses``), on realization-aligned parts (``parts``).
 
-Sorted-table lookups, the density marks' inverse CDF and the cell of
-each point, go through one ``GuideTable``: a guide table that answers
-``np.searchsorted`` exactly with a few vector compares per value.  Mark
-sampling in density mode is linear interpolation of the tabulated
-inverse CDF, bit for bit ``np.interp``.
+One sampler, ``sample_prm_batch``, draws points; ``sample_prm`` is its
+one-realization batch.  Marks invert one tabulated CDF per model, bit for
+bit ``np.interp``; an atom is a zero-slope piece.  Sorted-table lookups,
+the marks' pieces and the cell of each point, go through one
+``GuideTable``, which answers ``np.searchsorted`` with a few compares.
 """
 
 from __future__ import annotations
@@ -65,8 +65,7 @@ class PointRealization:
 
     def with_point(self, x: float, z: float, atom: int | None = None) -> "PointRealization":
         """Configuration with one extra point inserted (sorted order kept)."""
-        if abs(x) > self.window:
-            raise WindowExceededError(f"location {x} outside window {self.window}")
+        _check_window([(x, x)], self.window)
         pos = int(np.searchsorted(self.x, x, side="right"))
         new_atom = None
         if self.atom is not None:
@@ -212,11 +211,9 @@ class RealizationBatch:
         return np.full(self.n, float(x))
 
 
-# Compact per-point storage: a batch keeps 21 bytes per point (x, z, a 4-byte
-# owner, a 1-byte atom index), and the mark lookup runs in chunks, so no
-# whole-batch 8-byte index array lives next to the uniforms.
-_MARK_CHUNK = 1 << 20
-# Values per step of a guided search: its temporaries stay in cache.
+# Values per step of a guided search: its temporaries stay in cache.  Marks
+# are drawn in these chunks too, so a batch keeps 21 bytes per point (x, z, a
+# 4-byte owner, a 1-byte atom index) and no whole-batch 8-byte index array.
 _SEARCH_CHUNK = 1 << 16
 # Points plus cell-table entries of one part of RealizationBatch.parts.
 _PART_SIZE = 1 << 18
@@ -284,24 +281,17 @@ class GuideTable:
 
 
 def _sample_marks(model: LevyMeasureModel, count: int, rng: np.random.Generator):
-    """Draw ``count`` i.i.d. jump sizes from the normalized measure."""
-    if model.is_atomic:
-        zs, lams = model.atom_arrays()
-        cum = np.cumsum(lams)
-        cum /= cum[-1]
-        u = rng.random(count)
-        idx = np.empty(count, dtype=np.int8 if len(zs) <= np.iinfo(np.int8).max else np.intp)
-        for lo in range(0, count, _MARK_CHUNK):
-            idx[lo:lo + _MARK_CHUNK] = np.searchsorted(cum, u[lo:lo + _MARK_CHUNK], side="right")
-        del u
-        np.minimum(idx, len(zs) - 1, out=idx)
-        return zs[idx], idx
-    table = _density_cdf_table(model)
-    u = rng.random(count) * table.cdf[-1]
-    z = np.empty(count)
+    """``count`` i.i.d. jump sizes from the normalized measure, and their atom indices."""
+    table = _mark_table(model)
+    z = rng.random(count)
+    z *= table.cdf[-1]
+    atom = None if table.atom_dtype is None else np.empty(count, table.atom_dtype)
     for lo in range(0, count, _SEARCH_CHUNK):
-        table.invert(u[lo:lo + _SEARCH_CHUNK], z[lo:lo + _SEARCH_CHUNK])
-    return z, None
+        chunk = z[lo:lo + _SEARCH_CHUNK]
+        piece = table.invert(chunk, chunk)
+        if atom is not None:
+            atom[lo:lo + _SEARCH_CHUNK] = piece
+    return z, atom
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,9 +302,11 @@ class _InverseCDF:
     cdf: np.ndarray
     slope: np.ndarray   # slope of each table piece; 0.0 past the last entry
     guide: GuideTable   # over ``cdf``
+    atom_dtype: type | None  # of the pieces, which are atom indices; None in density mode
 
-    def invert(self, u: np.ndarray, out: np.ndarray) -> None:
-        """``out[:] = np.interp(u, cdf, z)`` for ``cdf[0] <= u <= cdf[-1]``.
+    def invert(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out[:] = np.interp(u, cdf, z)`` for ``cdf[0] <= u <= cdf[-1]``; returns
+        the pieces, and ``out`` may be ``u``.
 
         The piece of ``u`` is ``j = searchsorted(cdf, u, "right") - 1`` and
         the value np.interp's own ``slope[j] * (u - cdf[j]) + z[j]``; a
@@ -327,16 +319,27 @@ class _InverseCDF:
         np.subtract(u, self.cdf[j], out=out)
         out *= self.slope[j]
         out += self.z[j]
+        return j
 
 
 @lru_cache(maxsize=None)
-def _density_cdf_table(model: LevyMeasureModel) -> _InverseCDF:
-    """Tabulated CDF of the normalized truncated density (inverse sampling),
-    with its guide table and slopes built once per model.
+def _mark_table(model: LevyMeasureModel) -> _InverseCDF:
+    """Tabulated CDF of the normalized measure (inverse sampling), with its
+    guide table and slopes built once per model.
 
-    Grid inversion is an approximation of the mark law; the acceptance
-    suite exercises atomic measures only, where sampling is exact.
+    Atom ``j`` is the piece from the mass left of it, of slope 0, so its
+    value ``0.0 * (u - cdf[j]) + z[j]`` is ``z[j]`` bit for bit.  In density
+    mode, grid inversion is an approximation of the mark law; the
+    acceptance suite exercises atomic measures only, where sampling is exact.
     """
+    if model.is_atomic:
+        zs, lams = model.atom_arrays()
+        cum = np.cumsum(lams)
+        cum /= cum[-1]  # cum[-1] == 1.0 > u: the last piece is never selected
+        cdf = np.concatenate([[0.0], cum])
+        atom_dtype = np.int8 if len(zs) <= np.iinfo(np.int8).max else np.intp
+        return _InverseCDF(np.append(zs, zs[-1]), cdf, np.zeros(len(cdf)), GuideTable(cdf),
+                           atom_dtype)
     den = model.density
     n_side = 4096
     left = np.linspace(-den.z_max, -den.eps, n_side)
@@ -350,20 +353,16 @@ def _density_cdf_table(model: LevyMeasureModel) -> _InverseCDF:
     dz, dcdf = np.diff(grid_z), np.diff(grid_cdf)
     # the step between the two pieces has zero width: its infinite slope is never read
     slope = np.append(np.divide(dz, dcdf, out=np.full_like(dz, np.inf), where=dcdf > 0), 0.0)
-    return _InverseCDF(grid_z, grid_cdf, slope, GuideTable(grid_cdf))
+    return _InverseCDF(grid_z, grid_cdf, slope, GuideTable(grid_cdf), None)
 
 
 def sample_prm(model: LevyMeasureModel, window: float, seed: int) -> PointRealization:
-    """Sample one point configuration on ``[-K, K] x R0``; deterministic in ``seed``."""
-    if window < 0:
-        raise ValueError("window must be >= 0")
-    mean = 2.0 * window * model.total_mass
-    _check_point_count(mean)
-    rng = derive_rng(seed)
-    count = int(rng.poisson(mean)) if window > 0 else 0
-    x = np.sort(rng.uniform(-window, window, count))
-    z, atom = _sample_marks(model, count, rng)
-    return PointRealization(float(window), x, z, atom, model)
+    """Sample one point configuration on ``[-K, K] x R0``; deterministic in ``seed``.
+
+    The one-realization batch with ``x`` sorted; the marks, drawn apart from
+    the locations, stay in draw order."""
+    batch = sample_prm_batch(model, window, 1, derive_rng(seed))
+    return PointRealization(batch.window, np.sort(batch.x), batch.z, batch.atom, model)
 
 
 def sample_prm_batch(model: LevyMeasureModel, window: float, n: int,
@@ -406,10 +405,11 @@ def normalize_intervals(sets) -> list[Interval]:
 
 
 def _check_window(intervals: list[Interval], window: float) -> None:
+    """Every ``(a, b]`` in ``[-K, K]`` up to a 1e-15 slack; a point ``x`` is ``(x, x)``."""
     for a, b in intervals:
         if a < -window - 1e-15 or b > window + 1e-15:
-            raise WindowExceededError(
-                f"set ({a}, {b}] outside sampled window [-{window}, {window}]")
+            where = f"point {a}" if a == b else f"set ({a}, {b}]"
+            raise WindowExceededError(f"{where} outside sampled window [-{window}, {window}]")
 
 
 @lru_cache(maxsize=None)
@@ -451,8 +451,7 @@ def eval_L_set(src: PointRealization | RealizationBatch, sets) -> Fraction | np.
 
 def eval_path(real: PointRealization, x: float) -> Fraction:
     """Two-sided path value: mass of ``(0, x]`` for x >= 0, minus mass of ``(x, 0]`` for x < 0."""
-    if abs(x) > real.window:
-        raise WindowExceededError(f"path point {x} outside window {real.window}")
+    _check_window([(x, x)], real.window)
     if x == 0:
         return Fraction(0)
     if x > 0:

@@ -42,7 +42,6 @@ from .errors import (
     BreakpointOrderError,
     HorizonViolationError,
     UnboundedCoefficientError,
-    WindowExceededError,
 )
 from .gate import mean_se
 from .measure import signed_moment
@@ -325,10 +324,7 @@ def freeze_error_sq_sliding(profile: SlidingWindowProfile, proc: SimpleProcess,
     """
     vals = []
     for real in realizations:
-        if window + profile.width > real.window + 1e-15:
-            raise WindowExceededError(
-                f"profile reads ({-window - profile.width}, {window}] outside "
-                f"sampled window [-{real.window}, {real.window}]")
+        _check_window([(-window - profile.width, window)], real.window)  # what the profile reads
         xs = real.x
         ends = xs + profile.width  # nondecreasing, since xs is sorted
         zs = [Fraction(float(z)) for z in real.z]

@@ -191,7 +191,22 @@ def test_rejects_before_the_first_check_runs(tmp_path, monkeypatch, capsys):
     assert "sample count must be >= 1000" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["derivative_probes", "projection", "duality",
+def test_interpolation_past_order_cap_rejected_before_sampling(tmp_path, monkeypatch, capsys):
+    # p is capped as the other moment orders are: its cost grows about as p^4
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(levynoise.harness, "sample_L_interval", no_work)
+    monkeypatch.setattr(levynoise.harness, "interpolation_check", no_work)
+    cfg = {"measure": {"atoms": [[1.0, 1.0]]}, "samples": 2000,
+           "checks": [{"kind": "moment_mc", "p": 2}, {"kind": "interpolation", "p": 66}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("report", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "interpolation: p" in err and "64" in err, err
+
+
+@pytest.mark.parametrize("kind", ["derivative_probes", "projection", "left_zero", "duality",
                                   "chaos_isometry", "chaos_orthogonality"])
 def test_malliavin_kinds_on_density_exit_code(tmp_path, monkeypatch, capsys, kind):
     assert _report_rejects(tmp_path, monkeypatch, DENSITY, {"kind": kind}) == 2
@@ -426,10 +441,6 @@ def test_readme_flags_match_parser():
     assert documented == declared
 
 
-def test_left_zero_accepted_on_density():
-    parse_config({"measure": DENSITY, "checks": [{"kind": "left_zero"}]})
-
-
 @pytest.mark.parametrize("check", [
     {"kind": "moment_mc", "p": 4.0},
     {"kind": "convolution_bound", "field": "separable_clamped", "x": 0.5},
@@ -440,9 +451,10 @@ def test_left_zero_accepted_on_density():
     {"kind": "interpolation", "p": 16, "name": "high_p"},
     {"kind": "linear_moment_bound", "p": 16},
     {"kind": "moment_mc", "p": 64},
+    {"kind": "interpolation", "p": 64},
 ], ids=["integer_valued_float_p", "field_meets_kernel", "heat_p2", "inline_process",
         "tail_edges", "interpolation_past_partition_cap", "linear_past_partition_cap",
-        "moment_mc_at_order_cap"])
+        "moment_mc_at_order_cap", "interpolation_at_order_cap"])
 def test_edge_parameters_accepted(check):
     parse_config({"measure": {"atoms": [[1.0, 1.0]]}, "checks": [check]})
 

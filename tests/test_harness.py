@@ -17,7 +17,7 @@ from levynoise import (
 )
 from levynoise.errors import ConfigError, DegenerateVarianceError, UnknownCheckError
 from levynoise.harness import CHECK_RUNNERS, write_samples_csv
-from levynoise.prm import _density_cdf_table
+from levynoise.prm import _mark_table
 from levynoise.rng import derive_seed
 
 
@@ -228,10 +228,10 @@ def test_density_runs_share_one_model():
     density = {"family": "symmetric_power_law", "alpha": 1.5, "eps": 0.25, "z_max": 4.0}
     raw = {"measure": density, "samples": 1000, "seed": 3,
            "checks": [{"kind": "moment_mc", "p": 2}]}
-    before = _density_cdf_table.cache_info().currsize
+    before = _mark_table.cache_info().currsize
     for _ in range(4):
         run(parse_config(raw))
-    assert _density_cdf_table.cache_info().currsize <= before + 1
+    assert _mark_table.cache_info().currsize <= before + 1
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

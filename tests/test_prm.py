@@ -24,7 +24,7 @@ from levynoise.errors import PointCountError, WindowExceededError
 from levynoise.prm import (
     GuideTable,
     PointRealization,
-    _density_cdf_table,
+    _mark_table,
     _sample_marks,
     normalize_intervals,
 )
@@ -357,7 +357,7 @@ def test_density_table_builds_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for model in DENSITY_MODELS:
-            table = _density_cdf_table.__wrapped__(model)  # a fresh build, not the cached one
+            table = _mark_table.__wrapped__(model)  # a fresh build, not the cached one
             assert table.cdf[STEP] == table.cdf[STEP + 1] and math.isinf(table.slope[STEP])
 
 
@@ -365,7 +365,7 @@ def test_density_table_builds_without_warnings():
        st.lists(st.integers(0, 8191), max_size=8))
 @example(model=DENSITY_MODELS[0], fractions=[0.0, 1.0, 0.5], picks=[0, STEP, STEP + 1, 8191])
 def test_mark_inverse_is_np_interp(model, fractions, picks):
-    table = _density_cdf_table(model)
+    table = _mark_table(model)
     cdf = table.cdf
     on = [float(cdf[i]) for i in (*picks, STEP, -1)]
     near = [math.nextafter(v, s) for v in on for s in (-math.inf, math.inf)]
@@ -383,7 +383,78 @@ def test_density_marks_are_np_interp_of_the_stream():
     # the chunked inverse holds the same floats as one whole-array np.interp
     # on the same uniforms, across chunk ends
     model, count = DENSITY_MODELS[0], 3 * (1 << 16) + 7
-    table = _density_cdf_table(model)
+    table = _mark_table(model)
     z, atom = _sample_marks(model, count, derive_rng(21))
     u = derive_rng(21).random(count) * table.cdf[-1]
     assert atom is None and z.tobytes() == np.interp(u, table.cdf, table.z).tobytes()
+
+
+@pytest.mark.parametrize("model, window", [
+    (atomic_measure([(1.0, 1.0)]), 3.0),
+    (atomic_measure([(2.0, 1.0), (-1.0, 3.0)]), 2.5),
+    (power_law_measure(1.5, 0.25, 4.0), 2.0),
+    (atomic_measure([(2.0, 1.0), (-1.0, 3.0)]), 0.0),
+], ids=["unit_atom", "skew_two_atom", "power_law_density", "zero_window"])
+def test_sample_prm_is_the_sorted_one_realization_batch(model, window):
+    for seed in (0, 7, 123):
+        real = sample_prm(model, window, seed)
+        batch = sample_prm_batch(model, window, 1, derive_rng(seed))
+        assert real.x.tobytes() == np.sort(batch.x).tobytes()
+        assert real.z.tobytes() == batch.z.tobytes()
+        if model.is_atomic:
+            assert real.atom.dtype == batch.atom.dtype == np.int8
+            assert real.atom.tobytes() == batch.atom.tobytes()
+        else:
+            assert real.atom is None and batch.atom is None
+        # the stream of a scalar Poisson count, then locations, then marks
+        rng = derive_rng(seed)
+        count = int(rng.poisson(2.0 * window * model.total_mass)) if window > 0 else 0
+        assert real.x.tobytes() == np.sort(rng.uniform(-window, window, count)).tobytes()
+        assert real.z.tobytes() == _sample_marks(model, count, rng)[0].tobytes()
+
+
+@given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=200), st.lists(st.floats(0.0, 1.0),
+       max_size=20), st.lists(st.integers(0, 199), max_size=8))
+@example(masses=[1.0], fractions=[0.0, 0.5], picks=[0])                   # one atom
+@example(masses=[1.0, 1.0, 1e-3, 1e3], fractions=[0.0], picks=[0, 1, 2, 3])
+@example(masses=[1.0] * 127, fractions=[0.5], picks=[0, 126])             # int8 indices
+@example(masses=[0.5] * 128, fractions=[0.5], picks=[0, 127])             # intp indices
+@example(masses=[float(k % 7 + 1) for k in range(200)], fractions=[0.999], picks=[199])
+def test_atomic_mark_pieces_are_searchsorted(masses, fractions, picks):
+    zs = [float(k + 1) if k % 2 else -float(k + 1) for k in range(len(masses))]
+    model = atomic_measure(list(zip(zs, masses)))
+    table = _mark_table.__wrapped__(model)  # a fresh build, not the cached one
+    cum = np.cumsum(masses)
+    cum /= cum[-1]
+    on = [0.0] + [float(cum[k % len(cum)]) for k in picks]
+    near = [math.nextafter(v, s) for v in on for s in (-math.inf, math.inf)]
+    u = np.array(fractions + on + near)
+    u = u[(u >= 0.0) & (u < 1.0)]  # the range of the uniforms
+    out = np.empty(len(u))
+    piece = table.invert(u, out)
+    want = np.searchsorted(cum, u, side="right")
+    assert np.array_equal(piece, want) and want.max(initial=0) < len(masses)
+    assert out.tobytes() == np.array(zs)[want].tobytes()
+    assert table.atom_dtype == (np.int8 if len(masses) <= 127 else np.intp)
+
+
+def test_marks_of_many_atoms_use_intp_indices():
+    model = atomic_measure([(float(k + 1), 1.0 + k % 3) for k in range(200)])
+    z, atom = _sample_marks(model, 3 * (1 << 16) + 5, derive_rng(8))
+    assert atom.dtype == np.intp and 0 <= atom.min() and atom.max() < 200
+    assert z.tobytes() == model.atom_arrays()[0][atom].tobytes()
+
+
+def test_points_share_the_window_slack_of_sets(unit_atom):
+    real = sample_prm(unit_atom, 1.0, 4)
+    for x in (math.nextafter(1.0, 2.0), 1.0 + 9e-16):
+        for v in (x, -x):
+            assert len(real.with_point(v, 1.0, 0)) == len(real) + 1
+            eval_path(real, v)
+    for v in (1.0 + 4e-15, -1.0 - 4e-15):
+        with pytest.raises(WindowExceededError):
+            real.with_point(v, 1.0, 0)
+        with pytest.raises(WindowExceededError):
+            eval_path(real, v)
+        with pytest.raises(WindowExceededError):
+            eval_L_set(real, (min(v, 0.0), max(v, 0.0)))
