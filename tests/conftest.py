@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from levynoise import StepFunction, atomic_measure, signed_moment
+from levynoise import (ClampedNoise, Const, Poly, Product, StepFunction, Sum, atomic_measure,
+                       signed_moment)
 from levynoise.prm import PointRealization
 
 
@@ -45,18 +46,69 @@ def refined(phi, extra):
     return StepFunction(tuple(pts), tuple(phi.value_at(hi) for hi in pts[1:]))
 
 
+def masked_mass(batch, intervals):
+    """Compensated mass of disjoint sorted intervals by whole-batch masks: one
+    bincount from 0.0 per interval, added in interval order, then one compensator.
+
+    The reference that every float reduction of a batch must equal bit for bit.
+    """
+    out = np.zeros(batch.n)
+    length = 0.0
+    for a, b in intervals:
+        inside = (batch.x > a) & (batch.x <= b)
+        out += np.bincount(batch.owner[inside], weights=batch.z[inside], minlength=batch.n)
+        length += b - a
+    return out - length * float(signed_moment(batch.model, 1))
+
+
+def masked_count(batch, a, b, marks):
+    """Per-realization counts in ``(a, b] x B`` by whole-batch masks."""
+    mask = (batch.x > a) & (batch.x <= b)
+    if isinstance(marks, frozenset):
+        mask &= np.isin(batch.atom, np.fromiter(marks, dtype=int))
+    else:
+        zlo, zhi = marks
+        mask &= (batch.z > zlo) & (batch.z <= zhi)
+    return np.bincount(batch.owner[mask], minlength=batch.n).astype(float)
+
+
+def masked_coefficient(coef, batch):
+    """``coef.eval(batch)`` with every noise read through ``masked_mass``, in the
+    catalog's own order of operations."""
+    if isinstance(coef, Const):
+        return np.full(batch.n, float(coef.value))
+    if isinstance(coef, ClampedNoise):
+        return np.clip(masked_mass(batch, [(coef.a, coef.b)]), -coef.clip, coef.clip)
+    if isinstance(coef, Poly):
+        y = masked_coefficient(coef.arg, batch)
+        coeffs = coef.coeffs or (0.0,)
+        out = float(coeffs[-1]) + y * 0
+        for c in coeffs[-2::-1]:
+            out = float(c) + out * y
+        return out
+    if isinstance(coef, Product):
+        out = np.full(batch.n, 1.0)
+        for f in coef.factors:
+            out = out * masked_coefficient(f, batch)
+        return out
+    if isinstance(coef, Sum):
+        out = np.full(batch.n, 0.0)
+        for t in coef.terms:
+            out = out + masked_coefficient(t, batch)
+        return out
+    raise TypeError(f"not a catalog coefficient: {coef!r}")
+
+
 def masked_I_K(batch, proc):
     """``eval_I_K`` on a batch by the per-cell masked formula: one mask, one
-    bincount from 0.0 and one compensator ``(hi - lo) * mt_1`` per clipped cell.
+    bincount from 0.0 and one compensator ``(hi - lo) * mt_1`` per clipped cell,
+    with coefficients from ``masked_coefficient``.
 
     The reference that the partitioned batch integral must equal bit for bit.
     """
-    mt1 = float(signed_moment(batch.model, 1))
     total = np.full(batch.n, 0.0)
     for (a, b), coef in zip(proc.cells, proc.coefficients):
         lo, hi = max(a, -batch.window), min(b, batch.window)
         if hi > lo:
-            inside = (batch.x > lo) & (batch.x <= hi)
-            mass = np.bincount(batch.owner[inside], weights=batch.z[inside], minlength=batch.n)
-            total += coef.eval(batch) * (mass - (hi - lo) * mt1)
+            total += masked_coefficient(coef, batch) * masked_mass(batch, [(lo, hi)])
     return total
