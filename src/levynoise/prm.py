@@ -18,8 +18,11 @@ and the type of its argument picks the backend.  A ``PointRealization``
 computes in exact rational arithmetic, so pathwise identities
 (additivity, restriction, linearity of the integral) hold exactly; a
 ``RealizationBatch`` computes one float per realization for Monte Carlo
-work.  A batch also gives the masses of many adjacent cells at once
-(``cell_masses``), on realization-aligned parts (``parts``).
+work.  Every reduction of a batch runs on its realization-aligned parts
+(``parts``): a part selects its points by index and bincounts them into
+its slice of one output, so temporaries stay the size of a part.  A
+batch also gives the masses of many adjacent cells at once
+(``cell_masses``).
 
 One sampler, ``sample_prm_batch``, draws points; ``sample_prm`` is its
 one-realization batch.  Marks invert one tabulated CDF per model, bit for
@@ -121,7 +124,12 @@ class RealizationBatch:
     """``n`` independent realizations stored as flat arrays.
 
     ``owner[k]`` is the index of the realization that point ``k``
-    belongs to; per-realization reductions are bincounts over it.
+    belongs to, and it is sorted.  A per-realization reduction runs part by
+    part (``parts``): each part takes the indices of its selected points
+    from one ``np.flatnonzero`` of its own mask, and bincounts them over
+    ``owner`` into its slice of one preallocated output.  A realization's
+    points lie in one part in index order, so each sum adds them from 0.0
+    in the order a whole-batch bincount would.
     """
 
     window: float
@@ -133,10 +141,13 @@ class RealizationBatch:
     model: LevyMeasureModel
 
     def realization(self, i: int) -> PointRealization:
-        mask = self.owner == i
-        order = np.argsort(self.x[mask], kind="stable")
-        return PointRealization(self.window, self.x[mask][order], self.z[mask][order],
-                                None if self.atom is None else self.atom[mask][order],
+        if not 0 <= i < self.n:
+            raise IndexError(f"realization {i} of a batch of {self.n}")
+        # owner is sorted: realization i is one slice, its points in draw order
+        p0, p1 = np.searchsorted(self.owner, np.array((i, i + 1), self.owner.dtype)).tolist()
+        order = np.argsort(self.x[p0:p1], kind="stable")
+        return PointRealization(self.window, self.x[p0:p1][order], self.z[p0:p1][order],
+                                None if self.atom is None else self.atom[p0:p1][order],
                                 self.model)
 
     # -- float backend: one value per realization -------------------------
@@ -145,12 +156,13 @@ class RealizationBatch:
         intervals = normalize_intervals(sets)
         _check_window(intervals, self.window)
         out = np.zeros(self.n)
-        length = 0.0
-        for a, b in intervals:
-            mask = (self.x > a) & (self.x <= b)
-            out += np.bincount(self.owner[mask], weights=self.z[mask], minlength=self.n)
-            length += b - a
-        return out - length * float(_mt1(self.model))
+        for r0, part in self.parts(0):
+            total = out[r0:r0 + part.n]
+            for a, b in intervals:
+                k = part._inside(a, b)
+                total += np.bincount(part.owner[k], weights=part.z[k], minlength=part.n)
+        out -= sum(b - a for a, b in intervals) * float(_mt1(self.model))
+        return out
 
     def cell_masses(self, edges: "GuideTable") -> np.ndarray:
         """Compensated masses of the cells ``(e_k, e_{k+1}]`` between consecutive
@@ -159,7 +171,7 @@ class RealizationBatch:
         Each point gets its cell from the guided search, and one ``bincount``
         over ``cell * n + owner`` sums the jumps of every cell.  It adds each
         realization's points in a cell in index order from 0.0, as ``mass``
-        does, so every row equals ``mass`` of its cell bit for bit.
+        does on each part, so every row equals ``mass`` of its cell bit for bit.
         """
         key = edges.search(self.x, "left")
         key *= self.n
@@ -173,9 +185,13 @@ class RealizationBatch:
 
         A part holds about ``_PART_SIZE`` points plus ``row_entries`` table
         entries per realization.  ``owner`` is sorted, so each part is a
-        slice of the arrays holding whole realizations.
+        slice of the arrays holding whole realizations; a batch within one
+        part is its own part.
         """
-        per = max(1, _PART_SIZE * self.n // (len(self.x) + row_entries * self.n))
+        per = max(1, _PART_SIZE * self.n // max(1, len(self.x) + row_entries * self.n))
+        if per >= self.n:
+            yield 0, self
+            return
         for r0 in range(0, self.n, per):
             r1 = min(r0 + per, self.n)
             # keys of owner's dtype: other ints would convert the whole array
@@ -185,19 +201,35 @@ class RealizationBatch:
                                        None if self.atom is None else self.atom[p0:p1],
                                        self.model)
 
+    def _inside(self, a: float, b: float) -> np.ndarray:
+        """Indices of the points located in ``(a, b]``."""
+        inside = self.x > a
+        inside &= self.x <= b
+        return np.flatnonzero(inside)
+
     def count(self, a: float, b: float, marks) -> np.ndarray:
         """Per-realization point counts in ``(a, b] x B``.
 
         ``marks`` is a frozenset of atom indices (atomic models) or a
-        ``(z_lo, z_hi]`` interval of jump sizes (density models).
+        ``(z_lo, z_hi]`` interval of jump sizes (density models).  An atom
+        index the model does not have, or an empty set, selects no point.
         """
-        mask = (self.x > a) & (self.x <= b)
         if isinstance(marks, frozenset):
-            mask &= np.isin(self.atom, np.fromiter(marks, dtype=int))
+            if self.atom is None:
+                return np.zeros(self.n)
+            wanted = np.fromiter(marks, dtype=int)
         else:
             zlo, zhi = marks
-            mask &= (self.z > zlo) & (self.z <= zhi)
-        return np.bincount(self.owner[mask], minlength=self.n).astype(float)
+        out = np.empty(self.n)
+        for r0, part in self.parts(0):
+            k = part._inside(a, b)
+            if isinstance(marks, frozenset):
+                k = k[np.isin(part.atom[k], wanted)]
+            else:
+                zk = part.z[k]
+                k = k[(zk > zlo) & (zk <= zhi)]
+            out[r0:r0 + part.n] = np.bincount(part.owner[k], minlength=part.n)
+        return out
 
     @staticmethod
     def clip(v: np.ndarray, c: float) -> np.ndarray:
@@ -215,7 +247,9 @@ class RealizationBatch:
 # are drawn in these chunks too, so a batch keeps 21 bytes per point (x, z, a
 # 4-byte owner, a 1-byte atom index) and no whole-batch 8-byte index array.
 _SEARCH_CHUNK = 1 << 16
-# Points plus cell-table entries of one part of RealizationBatch.parts.
+# Points plus cell-table entries of one part of RealizationBatch.parts, on which
+# every per-realization reduction of a batch runs: its masks, indices, gathers
+# and weights stay this size, however many realizations the batch holds.
 _PART_SIZE = 1 << 18
 # Expected points of one sampling call: about 5.6 GB of batch arrays at 21 bytes
 # per point.  Past it a call is refused before any draw, not left to fail in
@@ -472,10 +506,16 @@ def batch_L_interval(batch: RealizationBatch, a: float, b: float) -> np.ndarray:
 
 
 def batch_L_weighted(batch: RealizationBatch, f, f_integral: float) -> np.ndarray:
-    """Vector of ``sum f(x_i) z_i - mt_1 * f_integral`` over the batch."""
-    w = f(batch.x) * batch.z
-    return (np.bincount(batch.owner, weights=w, minlength=batch.n)
-            - float(_mt1(batch.model)) * f_integral)
+    """Vector of ``sum f(x_i) z_i - mt_1 * f_integral`` over the batch.
+
+    ``f`` acts elementwise; it is applied part by part, so no whole-batch
+    weight array is built."""
+    out = np.empty(batch.n)
+    for r0, part in batch.parts(0):
+        out[r0:r0 + part.n] = np.bincount(part.owner, weights=f(part.x) * part.z,
+                                          minlength=part.n)
+    out -= float(_mt1(batch.model)) * f_integral
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,8 @@ def eval_I_K(src: PointRealization | RealizationBatch,
     realization takes every cell's mass from one guided table search and
     one bincount per part (``RealizationBatch.cell_masses``), with the
     same floats as the per-cell loop; other batches and a
-    PointRealization run the loop, one ``mass`` per cell.
+    PointRealization run the loop, one ``mass`` per cell, which on a batch
+    runs part by part too.
     """
     cells = list(_clipped_cells(proc, src.window))
     if (isinstance(src, RealizationBatch) and len(cells) >= PARTITION_MIN_CELLS

@@ -3,7 +3,7 @@ import pytest
 
 from levynoise import (ClampedNoise, Const, Poly, Product, StepFunction, Sum, atomic_measure,
                        signed_moment)
-from levynoise.prm import PointRealization
+from levynoise.prm import PointRealization, RealizationBatch
 
 
 @pytest.fixture
@@ -112,3 +112,14 @@ def masked_I_K(batch, proc):
         if hi > lo:
             total += masked_coefficient(coef, batch) * masked_mass(batch, [(lo, hi)])
     return total
+
+
+def with_empty_realizations_and_edge_points(batch, edges):
+    """The batch with every fifth realization's points removed, the last one's
+    too, and every third point moved onto one of the ``edges``."""
+    keep = (batch.owner % 5 != 0) & (batch.owner != batch.n - 1)
+    x = batch.x[keep]
+    x[::3] = np.resize(edges, len(x[::3]))
+    return RealizationBatch(batch.window, batch.n, x, batch.z[keep],
+                            batch.owner[keep], None if batch.atom is None else batch.atom[keep],
+                            batch.model)

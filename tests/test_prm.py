@@ -21,16 +21,23 @@ from levynoise import (
     StepFunction,
 )
 from levynoise.errors import PointCountError, WindowExceededError
+import levynoise.prm
 from levynoise.prm import (
     GuideTable,
     PointRealization,
     _mark_table,
     _sample_marks,
+    batch_L_weighted,
     normalize_intervals,
 )
 from levynoise.rng import CHAR_GAP_STREAM, derive_rng
 
-from conftest import make_realization
+from conftest import (
+    make_realization,
+    masked_count,
+    masked_mass,
+    with_empty_realizations_and_edge_points,
+)
 
 
 def test_zero_window_is_empty(unit_atom):
@@ -206,6 +213,85 @@ def test_batch_matches_single(unit_atom):
     for i in range(0, n, 7):
         real = batch.realization(i)
         assert vec[i] == pytest.approx(float(eval_L_set(real, (-1.0, 1.5))), abs=1e-12)
+
+
+@pytest.mark.parametrize("model", MASS_MODELS, ids=["unit_atom", "three_atoms", "density"])
+def test_realization_is_the_masked_sorted_selection(model):
+    batch = with_empty_realizations_and_edge_points(
+        sample_prm_batch(model, 2.0, 60, derive_rng(17)), [-1.0, 0.5])  # ties in x
+    assert np.any(np.bincount(batch.owner, minlength=batch.n) == 0)
+    for i in range(batch.n):
+        mask = batch.owner == i
+        order = np.argsort(batch.x[mask], kind="stable")
+        real = batch.realization(i)
+        pairs = [(real.x, batch.x[mask][order]), (real.z, batch.z[mask][order])]
+        if batch.atom is None:
+            assert real.atom is None
+        else:
+            pairs.append((real.atom, batch.atom[mask][order]))
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for i in (-1, batch.n):
+        with pytest.raises(IndexError):
+            batch.realization(i)
+
+
+REDUCTION_SETS = ([(0.0, 1.25)], [(-3.0, -0.5), (0.0, 3.0)], [(-2.0, -0.5), (-0.5, 0.0)],
+                  [(-3.0, -2.0), (-1.0, 0.0), (1.0, 1.25), (2.5, 3.0)], [(-3.0, 3.0)], [])
+
+
+def _tail_weight(x):
+    return np.where(np.abs(x) > 1.0, np.exp(-x * x), 0.0)
+
+
+@pytest.mark.parametrize("part_size", [1000, 1 << 30], ids=["many_parts", "one_part"])
+@pytest.mark.parametrize("model", MASS_MODELS, ids=["unit_atom", "three_atoms", "density"])
+def test_batch_reductions_are_the_masked_formulas(monkeypatch, model, part_size):
+    # bytes, so that the order in which each realization's points are added shows
+    monkeypatch.setattr(levynoise.prm, "_PART_SIZE", part_size)
+    edges = [-2.0, -0.5, 0.0, 1.25, 3.0]
+    batch = with_empty_realizations_and_edge_points(
+        sample_prm_batch(model, 3.0, 701, derive_rng(41)), edges)
+    sizes = [part.n for _, part in batch.parts(0)]
+    assert sum(sizes) == batch.n and (len(sizes) > 2) == (part_size == 1000)
+    for sets in REDUCTION_SETS:
+        assert eval_L_set(batch, sets).tobytes() == \
+            masked_mass(batch, normalize_intervals(sets)).tobytes()
+    if model.is_atomic:
+        atoms = len(model.atoms)
+        # past the atoms, negative, empty: np.isin selects nothing for these
+        marks = [frozenset({0}), frozenset(range(atoms)), frozenset({atoms - 1, atoms + 4}),
+                 frozenset({atoms}), frozenset({-1}), frozenset()]
+    else:
+        on_jumps = tuple(sorted(batch.z[:2].tolist()))  # ends on drawn jumps
+        marks = [(-4.0, -0.25), (0.25, 1.0), (-1.0, 4.0), (1.0, 1.0), on_jumps, frozenset({0})]
+    for mark in marks:
+        for a, b in ((-2.0, 1.25), (-3.0, 3.0), (0.0, 0.0)):
+            got = batch.count(a, b, mark)
+            assert got.dtype == np.float64
+            assert got.tobytes() == masked_count(batch, a, b, mark).tobytes()
+    want = (np.bincount(batch.owner, weights=_tail_weight(batch.x) * batch.z, minlength=batch.n)
+            - float(signed_moment(model, 1)) * 0.375)
+    assert batch_L_weighted(batch, _tail_weight, 0.375).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, window", [(0, 2.0), (0, 0.0), (5, 0.0)],
+                         ids=["no_realizations", "no_realizations_window_0", "window_0"])
+def test_reductions_on_a_batch_without_points(unit_atom, n, window):
+    batch = sample_prm_batch(unit_atom, window, n, derive_rng(3))
+    assert len(batch.x) == 0
+    for row_entries in (0, 3):
+        parts = list(batch.parts(row_entries))
+        assert sum(part.n for _, part in parts) == n
+    sets = [(-window, 0.5 * window), (0.75 * window, window)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_L_set(batch, sets).tobytes() == \
+            masked_mass(batch, normalize_intervals(sets)).tobytes()
+        counts = batch.count(-window, window, frozenset({0}))
+        weighted = batch_L_weighted(batch, _tail_weight, 0.5)
+    assert counts.tobytes() == np.zeros(n).tobytes()
+    assert weighted.tobytes() == np.full(n, -0.5).tobytes()
 
 
 @pytest.mark.parametrize("atoms, atom_dtype", [

@@ -38,7 +38,6 @@ from levynoise.convolution import (
     heat_kernel,
     indicator_kernel,
 )
-from levynoise.prm import RealizationBatch
 from levynoise.processes import (
     CATALOG_PROCESS_NAMES,
     PARTITION_MIN_CELLS,
@@ -53,7 +52,7 @@ from levynoise.processes import (
 )
 from levynoise.rng import derive_rng
 
-from conftest import make_realization, masked_I_K
+from conftest import make_realization, masked_I_K, with_empty_realizations_and_edge_points
 
 
 def test_constants_are_valid():
@@ -301,17 +300,6 @@ def _spy_partitioned(monkeypatch):
     return calls
 
 
-def _with_empty_realizations_and_edge_points(batch, edges):
-    """The batch with every fifth realization's points removed, the last one's
-    too, and every third point moved onto one of the ``edges``."""
-    keep = (batch.owner % 5 != 0) & (batch.owner != batch.n - 1)
-    x = batch.x[keep]
-    x[::3] = np.resize(edges, len(x[::3]))
-    return RealizationBatch(batch.window, batch.n, x, batch.z[keep],
-                            batch.owner[keep], None if batch.atom is None else batch.atom[keep],
-                            batch.model)
-
-
 @pytest.mark.parametrize("part_size, parts", [(4000, "many"), (1 << 30, "one")])
 @pytest.mark.parametrize("measure", ["skew_two_atom", "density"])
 @pytest.mark.parametrize("name", DENSE_PROCESSES)
@@ -322,7 +310,7 @@ def test_partitioned_batch_integral_is_the_masked_formula(request, monkeypatch, 
     proc, window = DENSE_PROCESSES[name]
     monkeypatch.setattr(levynoise.prm, "_PART_SIZE", part_size)
     edges = [b for b in proc.breakpoints if -window <= b <= window]
-    batch = _with_empty_realizations_and_edge_points(
+    batch = with_empty_realizations_and_edge_points(
         sample_prm_batch(model, window, 501, derive_rng(31)), edges)
     assert len(batch.x) >= PARTITION_MIN_CELLS * batch.n
     sizes = [part.n for _, part in batch.parts(len(proc.cells) + 2)]
