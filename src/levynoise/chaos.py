@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from .errors import MarkSetError
 from .gate import Gate, Gated, mean_gate
 from .measure import LevyMeasureModel, _density_integral
 from .prm import PointRealization, RealizationBatch, _check_window, sample_prm_batch
@@ -70,8 +72,27 @@ class Cell:
         return a1 < b2 and a2 < b1
 
 
+def _check_marks(model: LevyMeasureModel, marks) -> None:
+    """MarkSetError unless ``marks`` are atom indices in ``range(len(atoms))`` on an
+    atomic model, or a ``(z_lo, z_hi)`` pair of numbers on a density."""
+    if model.is_atomic:
+        if not isinstance(marks, frozenset):
+            raise MarkSetError(f"marks {marks!r} on an atomic measure; it takes a frozenset "
+                               "of atom indices")
+        bad = [j for j in marks if not isinstance(j, numbers.Integral)
+               or not 0 <= j < len(model.atoms)]
+        if bad:
+            raise MarkSetError(f"marks {sorted(map(repr, bad))} name no atom of "
+                               f"{len(model.atoms)}; indices run from 0")
+    elif not (isinstance(marks, tuple) and len(marks) == 2
+              and all(isinstance(z, numbers.Real) for z in marks)):
+        raise MarkSetError(f"marks {marks!r} on a density measure; it takes a "
+                           "(z_lo, z_hi) interval of jump sizes")
+
+
 def mark_mass(model: LevyMeasureModel, marks) -> Fraction | float:
     """``nu(B)`` for a mark set."""
+    _check_marks(model, marks)
     if isinstance(marks, frozenset):
         return sum(Fraction(model.atoms[j][1]) for j in marks)
     return _density_integral(model.density, lambda z: 1.0, *marks)
@@ -79,6 +100,7 @@ def mark_mass(model: LevyMeasureModel, marks) -> Fraction | float:
 
 def mark_first_moment(model: LevyMeasureModel, marks) -> Fraction | float:
     """``integral_B z nu(dz)`` for a mark set."""
+    _check_marks(model, marks)
     if isinstance(marks, frozenset):
         return sum(Fraction(model.atoms[j][1]) * Fraction(model.atoms[j][0]) for j in marks)
     return _density_integral(model.density, lambda z: z, *marks)
@@ -175,7 +197,8 @@ def compensated_cell_count(src: PointRealization | RealizationBatch,
                            cell: Cell) -> Fraction | np.ndarray:
     """``hatN(F) = #points in F - |A| nu(B)``, exact or one float per realization."""
     _check_window([(cell.a, cell.b)], src.window)
-    return src.count(cell.a, cell.b, cell.marks) - src.num(cell_intensity(src.model, cell))
+    intensity = cell_intensity(src.model, cell)  # checks the marks before any count
+    return src.count(cell.a, cell.b, cell.marks) - src.num(intensity)
 
 
 def eval_multiple_integral(src: PointRealization | RealizationBatch,

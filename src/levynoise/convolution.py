@@ -22,10 +22,13 @@ Quadrature: time integrals run a composite midpoint rule in the graded
 variable ``tau = t u^2`` (exact for time-constant kernels, and smooth
 for kernels with an integrable power singularity at ``tau = 0``), with
 the space integral done by the adaptive Gauss-Legendre rule of
-:mod:`levynoise.measure` at every time node.  Time grids refine until
-the value moves by less than 0.1%; the final bound is inflated by the
-last observed delta before the comparison, and sustained growth at the
-refinement cap is reported as divergence.
+:mod:`levynoise.measure` at every time node.  Each refinement evaluates
+the space integrand for all of its time nodes in one call per bisection
+round; each node keeps its own panels, so its bisections, and its value
+to the bit, are those of the rule run on that node alone.  Time grids
+refine until the value moves by less than 0.1%; the final bound is
+inflated by the last observed delta before the comparison, and sustained
+growth at the refinement cap is reported as divergence.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .coefficients import Coefficient, Const, Product
 from .errors import InfiniteNuTError
 from .gate import Gate, Gated, mean_se
 from .integral import integral_bound_constant
-from .measure import LevyMeasureModel, _adaptive_gauss
+from .measure import LevyMeasureModel, _adaptive_gauss_nodes
 from .prm import sample_prm_batch
 from .processes import SimpleProcess, eval_I_K, validate_simple
 from .rng import CONVOLUTION_STREAM, FIELD_MOMENT_STREAM, derive_rng
@@ -136,11 +139,13 @@ class SeparableField:
         cells = self.space.cells
         tf = self.time_func
 
-        def profile(s: float, y: np.ndarray) -> np.ndarray:
+        def profile(s: np.ndarray, y: np.ndarray) -> np.ndarray:
             out = np.zeros_like(np.asarray(y, dtype=float))
             for (a, b), m in zip(cells, moments):
                 out = np.where((y > a) & (y <= b), m, out)
-            return abs(float(tf(np.asarray([s]))[0])) ** p * out
+            # the time factor one float at a time, as a scalar s would give it
+            scale = [abs(float(tf(np.asarray([v]))[0])) ** p for v in np.ravel(s)]
+            return np.reshape(scale, np.shape(s)) * out
 
         return profile, se_max
 
@@ -178,9 +183,11 @@ def _graded_time_nodes(t: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return t * u ** 2, 2.0 * t * u / n
 
 
-def _space_quad(f, lo: float, hi: float, origin: float, breakpoints=()) -> float:
-    """Integral of the vectorized ``f`` over ``(lo, hi)``, one adaptive Gauss
-    quadrature per piece between the breakpoints and ``origin``.
+def _space_quad(f, taus: np.ndarray, lo: float, hi: float, origin: float,
+                breakpoints=()) -> list[float]:
+    """Integral of ``f(tau, .)`` over ``(lo, hi)`` for each of ``taus``, one adaptive
+    Gauss quadrature per piece between the breakpoints and ``origin``; ``f(tau, x)``
+    takes a column of nodes and a matrix of points, as the rule does.
 
     ``origin`` is where the kernel concentrates as ``t -> 0``.  A piece that
     ends there is integrated in ``s`` with ``x = origin + (far end - origin) s^4``,
@@ -188,20 +195,22 @@ def _space_quad(f, lo: float, hi: float, origin: float, breakpoints=()) -> float
     origin and a peak of width ``~sqrt(t)`` cannot fall between them unseen.
     """
     edges = [lo] + sorted(b for b in {*breakpoints, origin} if lo < b < hi) + [hi]
-    total = 0.0
+    totals = [0.0] * len(taus)
     for a, b in zip(edges, edges[1:]):
         if origin in (a, b):
             span = b - a if origin == a else a - b
-            g = lambda s: f(origin + span * s ** 4) * (4.0 * abs(span) * s ** 3)
-            total += _adaptive_gauss(g, 0.0, 1.0)
+            g = lambda tau, s: f(tau, origin + span * s ** 4) * (4.0 * abs(span) * s ** 3)
+            piece = _adaptive_gauss_nodes(g, taus, 0.0, 1.0)
         else:
-            total += _adaptive_gauss(f, a, b)
-    return total
+            piece = _adaptive_gauss_nodes(f, taus, a, b)
+        totals = [total + v for total, v in zip(totals, piece)]
+    return totals
 
 
 def _refine_time_quadrature(term, t: float, what: str) -> tuple[float, float]:
-    """Refine ``sum_j term(tau_j) w_j`` until it moves < 0.1%; return (value, delta).
+    """Refine ``sum_j term(taus)_j w_j`` until it moves < 0.1%; return (value, delta).
 
+    ``term`` maps the time nodes of one refinement to the value at each node.
     Sustained geometric growth across refinements marks a divergent
     integral early (a time singularity too strong for the grading).
     """
@@ -210,7 +219,7 @@ def _refine_time_quadrature(term, t: float, what: str) -> tuple[float, float]:
     growth_streak = 0
     for _ in range(MAX_REFINES + 1):
         taus, weights = _graded_time_nodes(t, n)
-        cur = float(sum(term(float(tau)) * w for tau, w in zip(taus, weights)))
+        cur = float(sum(v * w for v, w in zip(term(taus), weights)))
         if not math.isfinite(cur):
             raise InfiniteNuTError(f"{what} is not finite")
         if prev is not None:
@@ -228,11 +237,8 @@ def _refine_time_quadrature(term, t: float, what: str) -> tuple[float, float]:
 
 def kernel_power_integral(kernel: ConvolutionKernel, p: int, t: float) -> float:
     """``nu_t``: space-time integral of ``|G|^p`` over ``[0, t] x support``."""
-
-    def term(tau: float) -> float:
-        return _space_quad(lambda x: np.abs(kernel.func(tau, x)) ** p,
-                           kernel.x_lo, kernel.x_hi, 0.0)
-
+    f = lambda tau, x: np.abs(kernel.func(tau, x)) ** p
+    term = lambda taus: _space_quad(f, taus, kernel.x_lo, kernel.x_hi, 0.0)
     value, _ = _refine_time_quadrature(term, t, "kernel power integral")
     return value
 
@@ -245,12 +251,11 @@ def _rhs_integral(kernel: ConvolutionKernel, field, p: int, t: float, x: float,
     y_lo, y_hi = x - kernel.x_hi, x - kernel.x_lo
     bps = field.breakpoints()
 
-    def term(tau: float) -> float:
-        def f(y: np.ndarray) -> np.ndarray:
-            g = np.asarray(kernel.func(tau, x - y), dtype=float)
-            return (g ** 2 + np.abs(g) ** p) * profile(t - tau, y)
-        return _space_quad(f, y_lo, y_hi, x, bps)
+    def f(tau: np.ndarray, y: np.ndarray) -> np.ndarray:
+        g = np.asarray(kernel.func(tau, x - y), dtype=float)
+        return (g ** 2 + np.abs(g) ** p) * profile(t - tau, y)
 
+    term = lambda taus: _space_quad(f, taus, y_lo, y_hi, x, bps)
     value, delta = _refine_time_quadrature(term, t, "bound integral")
     return value, delta, se_phi
 

@@ -31,6 +31,11 @@ class InfinitePMomentError(MeasureError):
     """A required p-th absolute moment is not finite."""
 
 
+class MarkSetError(MeasureError):
+    """A cell's mark set names no jumps of the model: an atom index past its
+    atoms, or atom indices on a density or a jump-size interval on atoms."""
+
+
 class QuadratureError(LevyNoiseError):
     """Numerical quadrature failed to converge."""
 

@@ -91,43 +91,79 @@ _GL_WEIGHTS = np.array([
     0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
     0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
     0.1494513491505804, 0.06667134430868814])
+_GL_WEIGHTS_2 = np.concatenate([_GL_WEIGHTS, _GL_WEIGHTS])  # both halves of a panel
 QUAD_RTOL = 1e-12
 QUAD_MAX_PANELS = 200
 
 
-def _gauss_panel(g, a: float, b: float) -> tuple[float, float, float, float, float]:
-    """``(error, a, b, estimate, estimate for |g|)`` on ``(a, b)``: the rule on
-    both halves, with its distance from the rule on the whole panel as the error."""
+def _gauss_panels(g, nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[tuple]:
+    """``(error, a, b, estimate, estimate for |g|)`` on each panel ``(a[j], b[j])``:
+    the rule on both halves, with its distance from the rule on the whole panel as
+    the error.  The panels are those of ``nodes`` in turn, the same number each, and
+    one call ``g(nodes[:, None], x)`` evaluates them all, row ``i`` of ``x`` holding
+    the points of node ``i``'s panels."""
     m, r = 0.5 * (a + b), 0.5 * (b - a)
-    t = 0.5 * r * _GL_NODES
-    y = g(np.concatenate([m + r * _GL_NODES, 0.5 * (a + m) + t, 0.5 * (m + b) + t])).reshape(3, -1)
-    whole, left, right = (y * _GL_WEIGHTS).sum(axis=1) * (r, 0.5 * r, 0.5 * r)
-    size = 0.5 * abs(r) * float((np.abs(y[1:]) * _GL_WEIGHTS).sum())
-    return float(abs(whole - left - right)), a, b, float(left + right), size
+    half = 0.5 * r
+    t = half[:, None] * _GL_NODES
+    x = np.concatenate([m[:, None] + r[:, None] * _GL_NODES, (0.5 * (a + m))[:, None] + t,
+                        (0.5 * (m + b))[:, None] + t], axis=1)
+    y = g(nodes[:, None], x.reshape(len(nodes), -1)).reshape(len(a), -1)
+    sums = (y.reshape(len(a), 3, -1) * _GL_WEIGHTS).sum(axis=2)
+    whole, left, right = sums[:, 0] * r, sums[:, 1] * half, sums[:, 2] * half
+    size = 0.5 * np.abs(r) * (np.abs(y[:, len(_GL_NODES):]) * _GL_WEIGHTS_2).sum(axis=1)
+    return list(zip(np.abs(whole - left - right).tolist(), a.tolist(), b.tolist(),
+                    (left + right).tolist(), size.tolist()))
+
+
+def _adaptive_gauss_nodes(g, nodes, a: float, b: float) -> list[float]:
+    """Integral over ``(a, b)`` of ``g(tau, .)`` for each ``tau`` in ``nodes``: for
+    each node, bisect its panel of largest error until the summed error is within
+    QUAD_RTOL of the integral of ``|g|``.  This is the package's one integration rule.
+
+    ``g(tau, x)`` takes a column of nodes and a matrix of points, one row per node,
+    and is vectorized in both.  Each bisection round evaluates the two new panels of
+    every node that has not stopped in one call of ``g``; a node's own panels, and
+    so its bisections and its value, are those of the rule run on that node alone.
+
+    An estimate past the float range stops that node's bisection at once and is
+    returned as it is, non-finite, for the caller to report."""
+    nodes = np.asarray(nodes, dtype=float)
+    panels: list[list[tuple]] = [[] for _ in nodes]
+    values: list[float] = [math.nan] * len(nodes)
+    todo = list(range(len(nodes)))
+    lo, hi = [float(a)] * len(nodes), [float(b)] * len(nodes)  # the panels to evaluate
+    while todo:
+        new = _gauss_panels(g, nodes[todo], np.array(lo), np.array(hi))
+        per = len(new) // len(todo)
+        split, lo, hi = [], [], []
+        for k, i in enumerate(todo):
+            fresh = new[per * k:per * (k + 1)]
+            own = panels[i]
+            own += fresh
+            nonfinite = [p[3] for p in fresh if not math.isfinite(p[3])]
+            if nonfinite:
+                values[i] = nonfinite[0]
+                continue
+            err = math.fsum(p[0] for p in own)
+            if err <= QUAD_RTOL * math.fsum(p[4] for p in own):
+                values[i] = math.fsum(p[3] for p in own)
+                continue
+            if len(own) >= QUAD_MAX_PANELS:
+                raise QuadratureError(f"quadrature on ({a}, {b}) did not converge (err={err})")
+            worst = max(own)  # panels compare by error first
+            own.remove(worst)
+            _, p_lo, p_hi, _, _ = worst
+            mid = 0.5 * (p_lo + p_hi)
+            split.append(i)
+            lo += [p_lo, mid]
+            hi += [mid, p_hi]
+        todo = split
+    return values
 
 
 def _adaptive_gauss(g, a: float, b: float) -> float:
-    """Integral of the vectorized ``g`` over ``(a, b)``: bisect the panel of
-    largest error until the summed error is within QUAD_RTOL of the integral
-    of ``|g|``.  This is the package's one integration rule.
-
-    An estimate past the float range stops the bisection at once and is
-    returned as it is, non-finite, for the caller to report."""
-    panels = [_gauss_panel(g, a, b)]
-    while True:
-        for p in panels[-2:]:  # the newest panels; the others were seen before
-            if not math.isfinite(p[3]):
-                return p[3]
-        err = math.fsum(p[0] for p in panels)
-        if err <= QUAD_RTOL * math.fsum(p[4] for p in panels):
-            return math.fsum(p[3] for p in panels)
-        if len(panels) >= QUAD_MAX_PANELS:
-            raise QuadratureError(f"quadrature on ({a}, {b}) did not converge (err={err})")
-        worst = max(panels)  # panels compare by error first
-        panels.remove(worst)
-        _, lo, hi, _, _ = worst
-        mid = 0.5 * (lo + hi)
-        panels += [_gauss_panel(g, lo, mid), _gauss_panel(g, mid, hi)]
+    """:func:`_adaptive_gauss_nodes` at one node, for a ``g`` of the points alone."""
+    return _adaptive_gauss_nodes(lambda _, x: g(x.ravel()), [0.0], a, b)[0]
 
 
 def _quad(f: Callable[[float], float], a: float, b: float) -> float:
@@ -315,19 +351,6 @@ def finite_moment(value: Fraction | float, p: int, name: str) -> float:
     if not abs(value) <= sys.float_info.max:
         raise InfinitePMomentError(f"{name} at p = {p} is past the float range")
     return float(value)
-
-
-def drift_of_centered_representation(model: LevyMeasureModel) -> Fraction | float:
-    """Drift ``b = -integral_{|z|>1} z`` that centers the big-jump part.
-
-    Reported for reference only; the centered construction used by the
-    sampler compensates every jump and never consumes ``b``.
-    """
-    if model.is_atomic:
-        return -sum(Fraction(lam) * Fraction(z) for z, lam in model.atoms if abs(z) > 1)
-    f = lambda z: z
-    return -(_density_integral(model.density, f, hi=-1.0)
-             + _density_integral(model.density, f, lo=1.0))
 
 
 def small_jump_variance_bias(model: LevyMeasureModel) -> float:

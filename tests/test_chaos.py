@@ -27,12 +27,17 @@ from levynoise import (
     ClampedNoise,
     catalog_process,
     eval_I_K,
+    atomic_measure,
+    power_law_measure,
 )
 from levynoise.chaos import (
     CATALOG_FUNCTIONAL_NAMES,
     compensated_cell_count,
     kernel_sq_norm,
+    mark_first_moment,
+    mark_mass,
 )
+from levynoise.errors import MarkSetError, MeasureError
 from levynoise.rng import derive_rng
 
 from conftest import make_realization
@@ -61,6 +66,44 @@ def test_compensated_count_example(unit_atom):
     real = make_realization(unit_atom, 2.0, [(0.5, 1.0)])
     assert compensated_cell_count(real, Cell(0.0, 1.0, M0)) == 0     # 1 - 1
     assert compensated_cell_count(real, Cell(1.0, 2.0, M0)) == -1    # 0 - 1
+
+
+TWO_ATOMS = [(2.0, 1.0), (-1.0, 3.0)]
+
+
+@pytest.mark.parametrize("marks", [frozenset({-1}), frozenset({2}), frozenset({0, 5}),
+                                   frozenset({0.5}), (-1.5, 2.5)],
+                         ids=["negative", "past", "one_past", "not_index", "interval"])
+def test_marks_checked_against_atomic_model(marks):
+    # frozenset({-1}) once took the last atom's mass through Python indexing, so the
+    # compensated count over (0, 1] had mean -3 instead of 0; an index past the atoms
+    # raised a bare IndexError, and interval marks an AttributeError
+    model = atomic_measure(TWO_ATOMS)
+    batch = sample_prm_batch(model, 1.0, 100, derive_rng(5))
+    for read in (lambda: mark_mass(model, marks), lambda: mark_first_moment(model, marks),
+                 lambda: compensated_cell_count(batch, Cell(0.0, 1.0, marks))):
+        with pytest.raises(MarkSetError):
+            read()
+    assert issubclass(MarkSetError, MeasureError)  # the CLI's exit 2
+
+
+@pytest.mark.parametrize("marks", [frozenset({0}), (0.5,), [0.5, 1.0]],
+                         ids=["atom_index", "one_end", "list"])
+def test_marks_checked_against_density(marks):
+    model = power_law_measure(1.5, 0.25, 4.0)
+    with pytest.raises(MarkSetError):
+        mark_mass(model, marks)
+    with pytest.raises(MarkSetError):
+        mark_first_moment(model, marks)
+
+
+def test_valid_marks_keep_their_values():
+    model = atomic_measure(TWO_ATOMS)
+    assert mark_mass(model, frozenset({1})) == 3
+    assert mark_mass(model, frozenset({0, 1})) == 4
+    assert mark_first_moment(model, frozenset({0, 1})) == -1
+    real = make_realization(model, 2.0, [(0.5, -1.0), (0.7, 2.0)])
+    assert compensated_cell_count(real, Cell(0.0, 1.0, frozenset({1}))) == -2  # 1 - 3
 
 
 def test_multiple_integral_example(unit_atom):

@@ -213,6 +213,18 @@ def test_malliavin_kinds_on_density_exit_code(tmp_path, monkeypatch, capsys, kin
     assert kind in capsys.readouterr().err
 
 
+def test_kernel_marks_past_the_atoms_exit_code(tmp_path, monkeypatch, capsys):
+    # a kernel whose cell names atom 1 of a one-atom measure stops the run with exit 2
+    from levynoise import Cell, make_kernel
+    bad = make_kernel(1, (Cell(0.0, 1.0, frozenset({1})),), [1.0])
+    monkeypatch.setattr(levynoise.harness, "catalog_kernel", lambda name: bad)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"measure": {"atoms": [[1.0, 1.0]]}, "samples": 2000,
+                                "seed": 4, "checks": [{"kind": "chaos_isometry"}]}))
+    assert run_cli("report", "--config", str(path)) == 2
+    assert "name no atom" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("phi", [{"breakpoints": [1, 0], "values": [1]},
                                  {"breakpoints": [0, 1], "values": [1, 2]},
                                  {"breakpoints": [0, 1]},

@@ -50,7 +50,18 @@ def test_heat_kernel_diverges_for_p4():
 @pytest.mark.parametrize("origin", [0.0, 2.0], ids=["graded", "plain"])
 def test_space_quad_raises_on_nonintegrable(origin):
     with pytest.raises(QuadratureError):
-        _space_quad(lambda x: 1.0 / x, 0.0, 1.0, origin)
+        _space_quad(lambda tau, x: 1.0 / x, np.array([0.5]), 0.0, 1.0, origin)
+
+
+@pytest.mark.parametrize("origin", [0.0, 2.0], ids=["graded", "plain"])
+def test_space_quad_raises_on_one_nonintegrable_node(origin):
+    # x^tau on (0, 1) is integrable for tau > -1, in x and in the graded variable;
+    # the one node at -1 among integrable ones stops the whole refinement
+    taus = np.array([0.0, -0.5, -1.0, 1.0])
+    with pytest.raises(QuadratureError):
+        _space_quad(lambda tau, x: x ** tau, taus, 0.0, 1.0, origin)
+    values = _space_quad(lambda tau, x: x ** tau, taus[[0, 1, 3]], 0.0, 1.0, origin)
+    assert values == pytest.approx([1.0, 2.0, 0.5], rel=1e-11, abs=0)
 
 
 def test_convolution_process_is_indicator(unit_atom):

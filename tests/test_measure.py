@@ -23,10 +23,9 @@ from levynoise.errors import (
     QuadratureError,
 )
 from levynoise.measure import (
-    TruncatedDensity,
     _adaptive_gauss,
+    _adaptive_gauss_nodes,
     _power_law_model,
-    drift_of_centered_representation,
     small_jump_variance_bias,
 )
 
@@ -164,19 +163,35 @@ def test_symmetrized_odd_moments_vanish(pos_atoms, n):
 
 def test_quadrature_raises_on_nonintegrable():
     # 1/x on (0, 1): bisecting toward 0 never shrinks the error, so the rule
-    # runs out of panels and says so
+    # runs out of panels and says so, at one node and at several
     with pytest.raises(QuadratureError):
         _adaptive_gauss(lambda x: 1.0 / x, 0.0, 1.0)
+    with pytest.raises(QuadratureError):
+        _adaptive_gauss_nodes(lambda tau, x: tau / x, [1.0, 2.0], 0.0, 1.0)
     root = _adaptive_gauss(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
     assert root == pytest.approx(2.0, rel=1e-11, abs=0)  # integrable: converges
+    roots = _adaptive_gauss_nodes(lambda tau, x: tau / np.sqrt(x), [1.0, 2.0], 0.0, 1.0)
+    assert roots == pytest.approx([2.0, 4.0], rel=1e-11, abs=0)
 
 
-def test_drift_reporting():
-    m = atomic_measure([(2.0, 1.0), (0.5, 3.0)])
-    assert drift_of_centered_representation(m) == -2
-    # unit density on [0.5, 2]: the drift integrates z over (1, 2] only
-    den = TruncatedDensity(lambda z: 1.0 if 0.5 <= z <= 2.0 else 0.0, 0.5, 2.0)
-    assert drift_of_centered_representation(validate_measure(den)) == pytest.approx(-1.5)
+def test_quadrature_raises_on_one_nonintegrable_node():
+    # x^tau on (0, 1) is integrable for tau > -1: the node at -1 alone runs out of panels
+    with pytest.raises(QuadratureError):
+        _adaptive_gauss_nodes(lambda tau, x: x ** tau, [0.0, -0.5, -1.0, 1.0], 0.0, 1.0)
+
+
+def test_quadrature_nonfinite_node_stops_alone():
+    # exp(1000 x) overflows on (0, 1); the other nodes converge, each to the bits
+    # of the rule run on that node alone
+    taus = [1.0, 1000.0, -2.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _adaptive_gauss_nodes(lambda tau, x: np.exp(tau * x), taus, 0.0, 1.0)
+    assert values[1] == math.inf
+    assert values[0] == pytest.approx(math.e - 1.0, rel=1e-13, abs=0)
+    assert values[2] == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, rel=1e-13, abs=0)
+    for tau, value in zip(taus, values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _adaptive_gauss(lambda x: np.exp(tau * x), 0.0, 1.0) == value
 
 
 def _power_law_integral(alpha, q, lo, hi):
