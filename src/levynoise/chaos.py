@@ -73,21 +73,18 @@ class Cell:
 
 
 def _check_marks(model: LevyMeasureModel, marks) -> None:
-    """MarkSetError unless ``marks`` are atom indices in ``range(len(atoms))`` on an
+    """MarkSetError unless ``marks`` are indices of the model's atoms (a frozenset) on an
     atomic model, or a ``(z_lo, z_hi)`` pair of numbers on a density."""
     if model.is_atomic:
-        if not isinstance(marks, frozenset):
-            raise MarkSetError(f"marks {marks!r} on an atomic measure; it takes a frozenset "
-                               "of atom indices")
-        bad = [j for j in marks if not isinstance(j, numbers.Integral)
-               or not 0 <= j < len(model.atoms)]
-        if bad:
-            raise MarkSetError(f"marks {sorted(map(repr, bad))} name no atom of "
-                               f"{len(model.atoms)}; indices run from 0")
-    elif not (isinstance(marks, tuple) and len(marks) == 2
-              and all(isinstance(z, numbers.Real) for z in marks)):
-        raise MarkSetError(f"marks {marks!r} on a density measure; it takes a "
-                           "(z_lo, z_hi) interval of jump sizes")
+        ok = isinstance(marks, frozenset) and all(
+            isinstance(j, numbers.Integral) and 0 <= j < len(model.atoms) for j in marks)
+        kind = f"a frozenset of atom indices from 0 to {len(model.atoms) - 1}"
+    else:
+        ok = isinstance(marks, tuple) and len(marks) == 2 and all(
+            isinstance(z, numbers.Real) for z in marks)
+        kind = "a (z_lo, z_hi) interval of jump sizes"
+    if not ok:
+        raise MarkSetError(f"marks {marks!r} name no jumps of the measure, which takes {kind}")
 
 
 def mark_mass(model: LevyMeasureModel, marks) -> Fraction | float:

@@ -222,7 +222,7 @@ def test_kernel_marks_past_the_atoms_exit_code(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps({"measure": {"atoms": [[1.0, 1.0]]}, "samples": 2000,
                                 "seed": 4, "checks": [{"kind": "chaos_isometry"}]}))
     assert run_cli("report", "--config", str(path)) == 2
-    assert "name no atom" in capsys.readouterr().err
+    assert "name no jumps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("phi", [{"breakpoints": [1, 0], "values": [1]},
