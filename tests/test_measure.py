@@ -174,12 +174,6 @@ def test_quadrature_raises_on_nonintegrable():
     assert roots == pytest.approx([2.0, 4.0], rel=1e-11, abs=0)
 
 
-def test_quadrature_raises_on_one_nonintegrable_node():
-    # x^tau on (0, 1) is integrable for tau > -1: the node at -1 alone runs out of panels
-    with pytest.raises(QuadratureError):
-        _adaptive_gauss_nodes(lambda tau, x: x ** tau, [0.0, -0.5, -1.0, 1.0], 0.0, 1.0)
-
-
 def test_quadrature_nonfinite_node_stops_alone():
     # exp(1000 x) overflows on (0, 1); the other nodes converge, each to the bits
     # of the rule run on that node alone
