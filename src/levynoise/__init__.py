@@ -83,7 +83,6 @@ from .chaos import (
     make_kernel,
     malliavin_derivative,
     project_kernel,
-    skorohod_integral,
 )
 from .harness import (
     ExperimentConfig,

@@ -17,9 +17,10 @@ count.  This class is dense enough to exercise:
 * the annihilation (Malliavin) derivative, via kernel slicing, equal on
   this class to the add-one-point difference operator, which serves as
   its independent oracle;
-* the adjoint (Hitsuda-Skorohod) integral on predictable integrands of
-  the form ``Phi(x) z``, where it coincides with the pathwise
-  stochastic integral of ``Phi``.
+* the duality of the derivative with the adjoint (Hitsuda-Skorohod)
+  integral, on predictable integrands of the form ``Phi(x) z``, where the
+  adjoint is evaluated as the pathwise stochastic integral of ``Phi``
+  (:func:`duality_gap`).
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MarkSetError
-from .gate import Gate, Gated, mean_gate
+from .gate import Gate, Gated
 from .measure import LevyMeasureModel, _density_integral
-from .prm import PointRealization, RealizationBatch, _check_window, sample_prm_batch
+from .prm import Draw, MeanTest, PointRealization, RealizationBatch, _check_window, simulate
 from .processes import SimpleProcess, eval_I_K
-from .rng import DUALITY_STREAM, derive_rng
+from .rng import DUALITY_STREAM
 
 MAX_CHAOS_ORDER = 4
 
@@ -308,15 +309,6 @@ def add_one_cost(F: ChaosFunctional, real: PointRealization, x: float,
     return eval_chaos(bumped, F) - eval_chaos(real, F)
 
 
-def skorohod_integral(real: PointRealization, proc: SimpleProcess) -> Fraction:
-    """Adjoint integral of the predictable integrand ``(x, z) -> Phi(x) z``.
-
-    On the predictable catalog the adjoint coincides with the pathwise
-    stochastic integral of ``Phi``, which is how it is evaluated.
-    """
-    return eval_I_K(real, proc)
-
-
 @dataclass(frozen=True)
 class DualityResult(Gated):
     mean_pairing: float       # E <DF, Phi(x) z>
@@ -324,40 +316,41 @@ class DualityResult(Gated):
     gate: Gate                # the mean gap E[<DF, V> - F delta(V)] against 0
 
 
+def duality_draw(F: ChaosFunctional, proc: SimpleProcess, n_samples: int, seed: int) -> Draw:
+    """The pairing ``<DF, V>``, the adjoint side ``F delta(V)`` and their ``gap``.
+
+    The pairing is computed exactly per realization: the derivative is
+    constant on each kernel cell, so the double integral collapses to a
+    finite sum over cells weighted by ``integral_B z nu(dz)`` and the
+    overlap of the cell with ``Phi``'s cells.
+    """
+    cells = {(c.a, c.b, c.marks): c for kern in F.kernels for c in kern.cells}
+
+    def arrays(batch: RealizationBatch) -> dict[str, np.ndarray]:
+        model = batch.model
+        pairing = np.zeros(batch.n)
+        for cell in cells.values():
+            if not cell.marks:
+                continue
+            zmass = float(mark_first_moment(model, cell.marks))
+            if zmass == 0.0:
+                continue
+            dF = malliavin_derivative(F, *_probe_in_cell(model, cell), model)
+            pairing += eval_chaos(batch, dF) * _phi_overlap(batch, proc, cell) * zmass
+        adjoint = eval_chaos(batch, F) * eval_I_K(batch, proc)
+        return {"gap": pairing - adjoint, "pairing": pairing, "adjoint": adjoint}
+    return Draw(DUALITY_STREAM, seed, n_samples, arrays,
+                max(F.read_window(), proc.read_window()))
+
+
 def duality_gap(model: LevyMeasureModel, F: ChaosFunctional, proc: SimpleProcess,
                 n_samples: int = 20_000, seed: int = 0,
-                se_multiplier: float = 3.0) -> DualityResult:
-    """Paired Monte Carlo test of ``E <DF, V> = E[F delta(V)]`` for ``V = Phi(x) z``.
-
-    The pairing ``<DF, V>`` is computed exactly per realization: the
-    derivative is constant on each kernel cell, so the double integral
-    collapses to a finite sum over cells weighted by
-    ``integral_B z nu(dz)`` and the overlap of the cell with ``Phi``'s
-    cells.
-    """
-    cells: dict[tuple, Cell] = {}
-    for kern in F.kernels:
-        for c in kern.cells:
-            cells[(c.a, c.b, c.marks)] = c
-    window = max(F.read_window(), proc.read_window())
-    rng = derive_rng(seed, DUALITY_STREAM)
-    batch = sample_prm_batch(model, window, n_samples, rng)
-
-    pairing = np.zeros(n_samples)
-    for cell in cells.values():
-        if not cell.marks:
-            continue
-        zmass = float(mark_first_moment(model, cell.marks))
-        if zmass == 0.0:
-            continue
-        probe = _probe_in_cell(model, cell)
-        dF = malliavin_derivative(F, *probe, model)
-        dvals = eval_chaos(batch, dF)
-        overlap = _phi_overlap(batch, proc, cell)
-        pairing += dvals * overlap * zmass
-    adjoint = eval_chaos(batch, F) * eval_I_K(batch, proc)
-    gate = mean_gate("E[<DF, V> - F delta(V)]", pairing - adjoint, 0.0, se_multiplier)
-    return DualityResult(float(pairing.mean()), float(adjoint.mean()), gate)
+                se_multiplier: float | None = 3.0) -> DualityResult:
+    """Paired Monte Carlo test of ``E <DF, V> = E[F delta(V)]`` for ``V = Phi(x) z``;
+    ``se_multiplier=None`` gates at the heavy-tail multiplier."""
+    test = MeanTest("E[<DF, V> - F delta(V)]", "gap", 0.0, heavy=True)
+    est = simulate(model, duality_draw(F, proc, n_samples, seed), (test,), se_multiplier)
+    return DualityResult(est.stats["pairing"][0], est.stats["adjoint"][0], est.gates[0])
 
 
 def _probe_in_cell(model: LevyMeasureModel, cell: Cell) -> tuple[float, float]:

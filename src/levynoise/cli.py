@@ -33,6 +33,7 @@ from pathlib import Path
 from .errors import ConfigError, LevyNoiseError
 from .harness import (
     ExperimentConfig,
+    check_config,
     check_spec,
     default_verification_config,
     parse_config,
@@ -92,13 +93,14 @@ def _base_config(args) -> ExperimentConfig:
 
 
 def _load_config(args, family: str | None) -> ExperimentConfig:
-    """The config with the CLI overrides; ``family`` keeps that family's checks."""
+    """The config with the CLI overrides, checked again with them; ``family`` keeps
+    that family's checks."""
     cfg = _base_config(args)
     checks = cfg.checks if family is None else tuple(
         c for c in cfg.checks if check_spec(c).family == family)
-    return replace(cfg, checks=checks,
-                   samples=cfg.samples if args.samples is None else args.samples,
-                   seed=cfg.seed if args.seed is None else args.seed)
+    return check_config(replace(cfg, checks=checks,
+                                samples=cfg.samples if args.samples is None else args.samples,
+                                seed=cfg.seed if args.seed is None else args.seed))
 
 
 def _unwritable(flag: str, path: str, reason: str) -> ConfigError:

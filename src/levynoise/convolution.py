@@ -41,12 +41,12 @@ import numpy as np
 
 from .coefficients import Coefficient, Const, Product
 from .errors import InfiniteNuTError
-from .gate import Gate, Gated, mean_se
+from .gate import Gate, Gated
 from .integral import integral_bound_constant
 from .measure import LevyMeasureModel, _adaptive_gauss_nodes
-from .prm import sample_prm_batch
+from .prm import Draw, simulate
 from .processes import SimpleProcess, eval_I_K, validate_simple
-from .rng import CONVOLUTION_STREAM, FIELD_MOMENT_STREAM, derive_rng
+from .rng import CONVOLUTION_STREAM, FIELD_MOMENT_STREAM
 
 REFINE_REL_TOL = 1e-3
 MAX_REFINES = 7
@@ -105,6 +105,9 @@ class DeterministicField:
 
         return profile, 0.0
 
+    def moment_draws(self, p, n_samples, seed) -> dict[int, Draw]:
+        return {}
+
     def breakpoints(self) -> tuple[float, ...]:
         return ()
 
@@ -128,12 +131,20 @@ class SeparableField:
     space: SimpleProcess
     name: str = "separable"
 
+    def moment_draws(self, p, n_samples, seed) -> dict[int, Draw]:
+        """The draw of ``E|C_j|^p`` for each random cell factor ``C_j``; a constant's is exact."""
+        return {j: Draw(FIELD_MOMENT_STREAM, seed + j, n_samples,
+                        lambda batch, coef=coef: {"abs_pow": np.abs(coef.eval(batch)) ** p},
+                        self.space.read_window())
+                for j, coef in enumerate(self.space.coefficients) if not isinstance(coef, Const)}
+
     def pth_moment_profile(self, p, model, n_samples, seed):
+        draws = self.moment_draws(p, n_samples, seed)
         moments = []
         se_max = 0.0
         for j, coef in enumerate(self.space.coefficients):
-            m, se = _coefficient_pth_moment(model, coef, p, n_samples, seed + j,
-                                            self.space.read_window())
+            m, se = (simulate(model, draws[j]).stats["abs_pow"] if j in draws
+                     else (abs(coef.value) ** p, 0.0))
             moments.append(m)
             se_max = max(se_max, se)
         cells = self.space.cells
@@ -160,16 +171,6 @@ class SeparableField:
 
     def time_values_on_cell(self, s: np.ndarray, y_mid: float) -> np.ndarray:
         return np.asarray(self.time_func(np.asarray(s, dtype=float)), dtype=float)
-
-
-def _coefficient_pth_moment(model: LevyMeasureModel, coef: Coefficient, p: int,
-                            n_samples: int, seed: int, window: float):
-    """Monte Carlo ``E|C|^p`` for one catalog coefficient (exact for constants)."""
-    if isinstance(coef, Const):
-        return abs(coef.value) ** p, 0.0
-    rng = derive_rng(seed, FIELD_MOMENT_STREAM)
-    batch = sample_prm_batch(model, window, n_samples, rng)
-    return mean_se(np.abs(coef.eval(batch)) ** p)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +289,12 @@ def build_convolution_process(kernel: ConvolutionKernel, field, t: float, x: flo
     return validate_simple(bps, tuple(coefs))
 
 
+def convolution_draw(proc: SimpleProcess, p: int, n_samples: int, seed: int) -> Draw:
+    """``|U(t, x)|^p`` per realization, ``proc`` the frozen convolution process."""
+    return Draw(CONVOLUTION_STREAM, seed, n_samples,
+                lambda batch: {"abs_pow": np.abs(eval_I_K(batch, proc)) ** p}, proc.read_window())
+
+
 @dataclass(frozen=True)
 class ConvolutionBoundResult(Gated):
     nu_t: float
@@ -315,9 +322,7 @@ def check_convolution_moment_bound(model: LevyMeasureModel, kernel: ConvolutionK
                                                 n_samples, seed)
     rhs_pow = b_pow * (integral_val + delta)
     proc = build_convolution_process(kernel, field, t, x, n_space)
-    rng = derive_rng(seed, CONVOLUTION_STREAM)
-    batch = sample_prm_batch(model, proc.read_window(), n_samples, rng)
-    lhs_pow, se_lhs = mean_se(np.abs(eval_I_K(batch, proc)) ** p)
+    lhs_pow, se_lhs = simulate(model, convolution_draw(proc, p, n_samples, seed)).stats["abs_pow"]
     gate = Gate(f"E|U|^{p}", lhs_pow, rhs_pow, "upper",
                 math.hypot(se_lhs, b_pow * se_phi), se_multiplier)
     return ConvolutionBoundResult(nu_t, b_pow, lhs_pow, rhs_pow, se_lhs, delta, gate)

@@ -11,10 +11,13 @@ Each check kind is declared once, as a :class:`CheckSpec`; :func:`parse_config`
 resolves every check against its declaration before any check runs.
 
 A check's verdict is the conjunction of its :class:`~levynoise.gate.Gate`
-records.  Monte Carlo gates allow a multiple of the sample standard
-error (default 3, and 4 for heavy-tailed statistics, whose standard
-error is itself noisy); exact gates compare ``Fraction`` values with no
-margin, or floats at a relative tolerance of 1e-12.
+records; exact gates compare ``Fraction`` values with no margin, or
+floats at a relative tolerance of 1e-12.  A Monte Carlo check declares
+its draws (:class:`~levynoise.prm.Draw`: stream, seed, window, named
+per-realization arrays), which :func:`parse_config` checks against the
+sampler's point cap before any check runs, and each draw runs through
+the one loop :func:`~levynoise.prm.simulate`: sample, evaluate, reduce
+each array to its mean and standard error, and gate the means it names.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from .chaos import (
     catalog_functional,
     catalog_kernel,
     chaos_variance,
+    duality_draw,
     duality_gap,
     eval_chaos,
     eval_multiple_integral,
@@ -48,7 +53,9 @@ from .coefficients import ClampedNoise
 from .convolution import (
     DeterministicField,
     SeparableField,
+    build_convolution_process,
     check_convolution_moment_bound,
+    convolution_draw,
     heat_kernel,
     indicator_kernel,
 )
@@ -57,7 +64,9 @@ from .gate import Gate, mean_gate
 from .integral import (
     check_integral_moment_bound,
     check_linear_moment_bound,
+    integral_bound_draw,
     tail_convergence,
+    tail_draw,
 )
 from .measure import (
     LevyMeasureModel,
@@ -73,13 +82,7 @@ from .partitions import (
     count_no_singleton_partitions,
     moment_of_step_functional,
 )
-from .prm import (
-    char_function_gap,
-    eval_L_set,
-    sample_L_interval,
-    sample_prm,
-    sample_prm_batch,
-)
+from .prm import Draw, MeanTest, char_function_gap, char_gap_draw, eval_L_set, simulate
 from .processes import catalog_process, eval_I_K, process_from_config, square_integral
 from .rng import (
     CHAOS_ISOMETRY_STREAM,
@@ -90,14 +93,12 @@ from .rng import (
     MEAN_ZERO_STREAM,
     MOMENT_MC_STREAM,
     PROJECTION_STREAM,
-    derive_rng,
     derive_seed,
 )
 from .schema import integer, number
 from .stepfun import StepFunction
 
 MIN_SAMPLES = 1_000
-HEAVY_TAIL_SE_MULTIPLIER = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +183,17 @@ def parse_config(source) -> ExperimentConfig:
             values[key] = parse(raw.get(key, default), -math.inf)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    cfg = ExperimentConfig(raw["measure"], checks=tuple(raw.get("checks", [])), **values)
-    model = cfg.model()
-    for check in cfg.checks:
-        check_spec(check).resolve(check, cfg, model)
-    return cfg
+    return check_config(ExperimentConfig(raw["measure"], checks=tuple(raw.get("checks", [])),
+                                         **values))
+
+
+def check_config(config: ExperimentConfig) -> ExperimentConfig:
+    """Resolve every check of a config, and check every draw of a sampling check
+    against the sampler's point cap, before any check runs."""
+    model = config.model()
+    for check in config.checks:
+        check_spec(check).check_draws(check, config, model)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +215,6 @@ def mc_mean_test(samples: np.ndarray, target: float,
         raise DegenerateVarianceError(f"all samples equal {gate.statistic} but target is {target}")
     z = (gate.statistic - target) / gate.se if gate.se else 0.0
     return gate.statistic, gate.se, z, gate.passed
-
-
-def _se_mult(config: ExperimentConfig, se_multiplier: float | None, heavy: bool = False) -> float:
-    """SE multiplier of a check: its own, else 4 for squares/products of chaos
-    variables (kurtosis makes the SE estimate itself noisy), else the config's."""
-    if se_multiplier is not None:
-        return se_multiplier
-    return HEAVY_TAIL_SE_MULTIPLIER if heavy else config.se_multiplier
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +327,10 @@ class CheckSpec:
     """
 
     def __init__(self, runner, family: str | None = None, atomic_only: bool = False,
-                 validate=None, **parsers):
+                 validate=None, draws=None, **parsers):
         self.kind = runner.__name__.removeprefix("_run_")
         self.runner, self.family = runner, family
-        self.atomic_only, self.validate = atomic_only, validate
+        self.atomic_only, self.validate, self.draws = atomic_only, validate, draws
         self.params = {name: (arg.default, parsers.get(name, _PARSERS[name]))
                        for name, arg in inspect.signature(runner).parameters.items()
                        if arg.kind is arg.KEYWORD_ONLY}
@@ -359,10 +358,24 @@ class CheckSpec:
             self.validate(**values)
         return check.get("name"), values
 
+    def check_draws(self, check: dict, config: ExperimentConfig, model: LevyMeasureModel) -> None:
+        """Resolve a raw check, and check each draw it declares against the point cap."""
+        _, params = self.resolve(check, config, model)
+        if self.draws:
+            draws = self.draws(0, **params)
+        else:  # a kind that samples and declares no ``draws`` returns a MeanCheck
+            draws = (self.runner(model, config, 0, **params).draw,) if "samples" in params else ()
+        for draw in draws:
+            draw.check_points(model, f"{self.kind}: a draw")
+
     def __call__(self, model: LevyMeasureModel, config: ExperimentConfig, check: dict,
                  seed: int) -> CheckResult:
         name, params = self.resolve(check, config, model)
         res = self.runner(model, config, seed, **params)
+        if isinstance(res, MeanCheck):
+            est = simulate(model, res.draw, res.tests, res.se_multiplier, config.se_multiplier,
+                           res.keep)
+            res = CheckResult(res.name, self.kind, est.gates, res.details(est.stats), est.samples)
         return res if name is None else replace(res, name=name)
 
 
@@ -377,8 +390,20 @@ def check_spec(check) -> CheckSpec:
 
 
 # ---------------------------------------------------------------------------
-# check runners: each consumes (model, config, seed, *, parameters) -> CheckResult
+# check runners: each consumes (model, config, seed, *, parameters) and returns a
+# CheckResult, or the MeanCheck that CheckSpec runs
 # ---------------------------------------------------------------------------
+
+class MeanCheck(NamedTuple):
+    """A check whose gates are means of the arrays of one declared draw; ``details``
+    maps the reduced ``(mean, SE)`` of each array to the report's details."""
+    name: str
+    draw: Draw
+    tests: tuple[MeanTest, ...]
+    se_multiplier: float | None = None
+    keep: str | None = None  # the array the report keeps as its samples
+    details: Callable[[dict], dict] = lambda stats: {}
+
 
 def _run_partition_count(model, config, seed, *, p_values=(2, 3, 4, 5, 6, 7, 8)):
     counts = {str(p): count_no_singleton_partitions(p) for p in p_values}
@@ -392,10 +417,11 @@ def _run_moment_mc(model, config, seed, *, p, set=(0.0, 1.0), samples=None,
     a, b = set
     target = finite_moment(moment_of_step_functional(model, StepFunction.indicator(a, b), p),
                            p, "E[L^p]")
-    values = sample_L_interval(model, b - a, samples, derive_rng(seed, MOMENT_MC_STREAM)) ** p
-    gate = mean_gate(f"E[L^{p}]", values, target, _se_mult(config, se_multiplier, p >= 4))
-    return CheckResult(f"moment_mc_p{p}", "moment_mc", (gate,),
-                       {"p": p, "set": [a, b], "samples_used": samples}, values)
+    draw = Draw(MOMENT_MC_STREAM, seed, samples, lambda values: {"L^p": values ** p},
+                length=b - a)
+    test = MeanTest(f"E[L^{p}]", "L^p", target, heavy=p >= 4)
+    return MeanCheck(f"moment_mc_p{p}", draw, (test,), se_multiplier, "L^p",
+                     lambda _: {"p": p, "set": [a, b], "samples_used": samples})
 
 
 def _run_char_gap(model, config, seed, *, set=(0.0, 1.0), samples=None, n_theta=41,
@@ -409,42 +435,39 @@ def _run_char_gap(model, config, seed, *, set=(0.0, 1.0), samples=None, n_theta=
 
 def _run_mean_zero(model, config, seed, *, process="det_step", samples=None):
     proc = process.value
-    batch = sample_prm_batch(model, proc.read_window(), samples,
-                             derive_rng(seed, MEAN_ZERO_STREAM))
-    values = eval_I_K(batch, proc)
-    return CheckResult("mean_zero", "mean_zero",
-                       (mean_gate("E[I]", values, 0.0, config.se_multiplier),),
-                       {"process": process.label}, values)
+    draw = Draw(MEAN_ZERO_STREAM, seed, samples, lambda batch: {"I": eval_I_K(batch, proc)},
+                proc.read_window())
+    return MeanCheck("mean_zero", draw, (MeanTest("E[I]", "I", 0.0),), keep="I",
+                     details=lambda _: {"process": process.label})
 
 
 def _run_isometry(model, config, seed, *, process="det_step", samples=None,
                   se_multiplier=None):
-    proc = process.value
-    batch = sample_prm_batch(model, proc.read_window(), samples,
-                             derive_rng(seed, ISOMETRY_STREAM))
-    ivals = eval_I_K(batch, proc)
-    q2 = square_integral(proc, batch)
-    m2 = float(abs_moment(model, 2))
-    paired = ivals ** 2 - m2 * q2
-    gate = mean_gate("E[I^2 - m2 int X^2]", paired, 0.0,
-                     _se_mult(config, se_multiplier, heavy=True))
-    return CheckResult("isometry", "isometry", (gate,),
-                       {"process": process.label, "mean_square": float((ivals ** 2).mean()),
-                        "mean_compensator": float(m2 * q2.mean())}, paired)
+    proc, m2 = process.value, float(abs_moment(model, 2))
+
+    def arrays(batch):
+        square, q2 = eval_I_K(batch, proc) ** 2, square_integral(proc, batch)
+        return {"paired": square - m2 * q2, "square": square, "q2": q2}
+    return MeanCheck("isometry", Draw(ISOMETRY_STREAM, seed, samples, arrays, proc.read_window()),
+                     (MeanTest("E[I^2 - m2 int X^2]", "paired", 0.0, heavy=True),),
+                     se_multiplier, "paired", lambda stats: {
+                         "process": process.label, "mean_square": stats["square"][0],
+                         "mean_compensator": m2 * stats["q2"][0]})
 
 
 def _run_martingale(model, config, seed, *, process="two_block", samples=None,
                     probe_width=1.0, se_multiplier=None):
     proc = process.value
-    mult = _se_mult(config, se_multiplier, heavy=True)
     window = max(proc.read_window(), *(abs(bp - probe_width) for bp in proc.breakpoints))
-    batch = sample_prm_batch(model, window, samples, derive_rng(seed, MARTINGALE_STREAM))
-    gates = []
-    for (a, b), coef in zip(proc.cells, proc.coefficients):
-        probe = ClampedNoise(a - probe_width, a, 10.0)
-        increment = coef.eval(batch) * eval_L_set(batch, [(a, b)])
-        gates.append(mean_gate(f"cell ({a}, {b}]", increment * probe.eval(batch), 0.0, mult))
-    return CheckResult("martingale", "martingale", tuple(gates))
+    cells = {f"cell ({a}, {b}]": (a, b, coef)
+             for (a, b), coef in zip(proc.cells, proc.coefficients)}
+    arrays = lambda batch: {  # the increment on each cell times a probe of its past
+        label: coef.eval(batch) * eval_L_set(batch, [(a, b)])
+        * ClampedNoise(a - probe_width, a, 10.0).eval(batch)
+        for label, (a, b, coef) in cells.items()}
+    return MeanCheck("martingale", Draw(MARTINGALE_STREAM, seed, samples, arrays, window),
+                     tuple(MeanTest(label, label, 0.0, heavy=True) for label in cells),
+                     se_multiplier)
 
 
 def _run_linear_moment_bound(model, config, seed, *, p,
@@ -483,10 +506,16 @@ def _run_convolution_bound(model, config, seed, *, kernel="indicator", field="un
                         "kernel": kernel.name, "field": field.name})
 
 
+def _convolution_draws(seed, *, kernel, field, p, t, x, samples, **_):
+    """The draws of ``check_convolution_moment_bound``: the field's, then the frozen process's."""
+    proc = build_convolution_process(kernel, field, t, x)
+    return (*field.moment_draws(p, samples, seed).values(),
+            convolution_draw(proc, p, samples, seed))
+
+
 def _run_tail(model, config, seed, *, profile="gaussian", schedule=(1.0, 2.0, 3.0),
               k_outer=8.0, samples=None, se_multiplier=None):
-    rows = tail_convergence(model, profile, schedule, k_outer, samples, seed,
-                            _se_mult(config, se_multiplier, heavy=True))
+    rows = tail_convergence(model, profile, schedule, k_outer, samples, seed, se_multiplier)
     return CheckResult("tail", "tail", tuple(r.gate for r in rows),
                        {"rows": [{"k": r.k_inner} for r in rows]})
 
@@ -498,8 +527,8 @@ def _run_derivative_probes(model, config, seed, *, functional="mixed", n_realiza
     probes_x = np.linspace(-window + 0.25, window - 0.25, n_probes_x)
     z = float(model.atoms[0][0])
     agree = 0
-    for i in range(n_realizations):
-        real = sample_prm(model, window, derive_seed(seed, DERIVATIVE_PROBES_STREAM, i))
+    draw = Draw(DERIVATIVE_PROBES_STREAM, seed, n_realizations, window=window)
+    for real in draw.realizations(model):
         for x in probes_x:
             d = malliavin_derivative(F, float(x), z, model)
             agree += eval_chaos(real, d) == add_one_cost(F, real, float(x), z)
@@ -513,15 +542,17 @@ def _run_projection(model, config, seed, *, kernel="k2", y=0.0, samples=None,
     kern = kernel.value
     proj = project_kernel(kern, y)
     probe = ClampedNoise(y - 1.0, y, 10.0)
+
+    def arrays(batch):
+        ik, iky = eval_multiple_integral(batch, kern), eval_multiple_integral(batch, proj)
+        return {"orthogonality": (ik - iky) * probe.eval(batch),
+                "contraction": ik ** 2 - iky ** 2}
     window = max(abs(y - 1.0), abs(y), kern.read_window())
-    batch = sample_prm_batch(model, window, samples, derive_rng(seed, PROJECTION_STREAM))
-    ik = eval_multiple_integral(batch, kern)
-    iky = eval_multiple_integral(batch, proj)
-    mult = _se_mult(config, se_multiplier, heavy=True)
     # projecting cannot increase the second moment
-    gates = (mean_gate("orthogonality", (ik - iky) * probe.eval(batch), 0.0, mult),
-             mean_gate("contraction", ik ** 2 - iky ** 2, 0.0, mult, "lower"))
-    return CheckResult("projection", "projection", gates, {"kernel": kernel.label, "y": y})
+    tests = (MeanTest("orthogonality", "orthogonality", 0.0, heavy=True),
+             MeanTest("contraction", "contraction", 0.0, "lower", True))
+    return MeanCheck("projection", Draw(PROJECTION_STREAM, seed, samples, arrays, window), tests,
+                     se_multiplier, details=lambda _: {"kernel": kernel.label, "y": y})
 
 
 def _run_left_zero(model, config, seed, *, functional="second_chaos_left", y=0.0,
@@ -537,8 +568,7 @@ def _run_left_zero(model, config, seed, *, functional="second_chaos_left", y=0.0
 
 def _run_duality(model, config, seed, *, functional="first_chaos", process="det_step",
                  samples=None, se_multiplier=None):
-    res = duality_gap(model, functional.value, process.value, samples, seed,
-                      _se_mult(config, se_multiplier, heavy=True))
+    res = duality_gap(model, functional.value, process.value, samples, seed, se_multiplier)
     return CheckResult("duality", "duality", (res.gate,),
                        {"functional": functional.label, "process": process.label,
                         "mean_pairing": res.mean_pairing, "mean_adjoint": res.mean_adjoint})
@@ -547,47 +577,54 @@ def _run_duality(model, config, seed, *, functional="first_chaos", process="det_
 def _run_chaos_isometry(model, config, seed, *, kernel="k2", samples=None,
                         se_multiplier=None):
     kern = kernel.value
-    target = float(chaos_variance(model, kern))
-    window = kern.read_window()
-    batch = sample_prm_batch(model, window, samples, derive_rng(seed, CHAOS_ISOMETRY_STREAM))
-    vals = eval_multiple_integral(batch, kern)
-    gate = mean_gate(f"E[I_{kern.order}^2]", vals ** 2, target,
-                     _se_mult(config, se_multiplier, heavy=kern.order >= 2))
-    return CheckResult(f"chaos_isometry_{kernel.label}", "chaos_isometry", (gate,),
-                       {"kernel": kernel.label, "order": kern.order})
+    draw = Draw(CHAOS_ISOMETRY_STREAM, seed, samples,
+                lambda batch: {"I^2": eval_multiple_integral(batch, kern) ** 2},
+                kern.read_window())
+    test = MeanTest(f"E[I_{kern.order}^2]", "I^2", float(chaos_variance(model, kern)),
+                    heavy=kern.order >= 2)
+    return MeanCheck(f"chaos_isometry_{kernel.label}", draw, (test,), se_multiplier,
+                     details=lambda _: {"kernel": kernel.label, "order": kern.order})
 
 
 def _run_chaos_orthogonality(model, config, seed, *, kernel_a="k1", kernel_b="k2",
                              samples=None, se_multiplier=None):
     k1, k2 = kernel_a.value, kernel_b.value
-    window = max(k1.read_window(), k2.read_window())
-    batch = sample_prm_batch(model, window, samples,
-                             derive_rng(seed, CHAOS_ORTHOGONALITY_STREAM))
-    prod = eval_multiple_integral(batch, k1) * eval_multiple_integral(batch, k2)
-    gate = mean_gate(f"E[I_{k1.order} I_{k2.order}]", prod, 0.0,
-                     _se_mult(config, se_multiplier, heavy=k1.order + k2.order >= 3))
-    return CheckResult("chaos_orthogonality", "chaos_orthogonality", (gate,),
-                       {"kernel_a": kernel_a.label, "kernel_b": kernel_b.label})
+    draw = Draw(CHAOS_ORTHOGONALITY_STREAM, seed, samples, lambda batch: {
+        "product": eval_multiple_integral(batch, k1) * eval_multiple_integral(batch, k2)},
+        max(k1.read_window(), k2.read_window()))
+    test = MeanTest(f"E[I_{k1.order} I_{k2.order}]", "product", 0.0,
+                    heavy=k1.order + k2.order >= 3)
+    return MeanCheck("chaos_orthogonality", draw, (test,), se_multiplier, details=lambda _: {
+        "kernel_a": kernel_a.label, "kernel_b": kernel_b.label})
 
 
-# family: the CLI subcommand that runs the kind besides ``report``
+# family: the CLI subcommand that runs the kind besides ``report``; ``draws``: what a
+# check that samples through a library function draws, for the point-cap check
 CHECK_RUNNERS = {spec.kind: spec for spec in (
     CheckSpec(_run_partition_count),
     CheckSpec(_run_moment_mc),
-    CheckSpec(_run_char_gap),
+    CheckSpec(_run_char_gap,
+              draws=lambda seed, *, set, samples, **_: (char_gap_draw(set, samples, seed),)),
     CheckSpec(_run_mean_zero),
     CheckSpec(_run_isometry),
     CheckSpec(_run_martingale),
     CheckSpec(_run_linear_moment_bound, "verify-bounds", p=_EVEN_P),
     CheckSpec(_run_interpolation, "verify-bounds", p=_EVEN_P),
-    CheckSpec(_run_integral_moment_bound, "verify-bounds", p=_EVEN_P),
-    CheckSpec(_run_tail, "verify-bounds", validate=_schedule_inside_window),
+    CheckSpec(_run_integral_moment_bound, "verify-bounds", p=_EVEN_P,
+              draws=lambda seed, *, process, p, samples, **_: (  # the seminorm's: the same
+                  integral_bound_draw(process.value, p, samples, seed),)),
+    CheckSpec(_run_tail, "verify-bounds", validate=_schedule_inside_window,
+              draws=lambda seed, *, profile, schedule, k_outer, samples, **_: (
+                  tail_draw(profile, schedule, k_outer, samples, seed),)),
     CheckSpec(_run_convolution_bound, "convolution", validate=_field_meets_kernel, p=_EVEN_P,
-              kernel=_choice({"indicator": indicator_kernel(), "heat": heat_kernel()})),
+              kernel=_choice({"indicator": indicator_kernel(), "heat": heat_kernel()}),
+              draws=_convolution_draws),
     CheckSpec(_run_derivative_probes, "malliavin-check", atomic_only=True),
     CheckSpec(_run_projection, "malliavin-check", atomic_only=True),
     CheckSpec(_run_left_zero, "malliavin-check", atomic_only=True),
-    CheckSpec(_run_duality, "malliavin-check", atomic_only=True),
+    CheckSpec(_run_duality, "malliavin-check", atomic_only=True,
+              draws=lambda seed, *, functional, process, samples, **_: (
+                  duality_draw(functional.value, process.value, samples, seed),)),
     CheckSpec(_run_chaos_isometry, "malliavin-check", atomic_only=True),
     CheckSpec(_run_chaos_orthogonality, "malliavin-check", atomic_only=True,
               validate=_orders_differ),

@@ -29,12 +29,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gate import REL_TOL, Gate, Gated, mean_gate, mean_se
+from .gate import REL_TOL, Gate, Gated
 from .measure import LevyMeasureModel, _adaptive_gauss, abs_moment, finite_moment
 from .partitions import count_no_singleton_partitions, moment_of_step_functional
-from .prm import batch_L_weighted, sample_prm_batch
+from .prm import Draw, MeanTest, batch_L_weighted, simulate
 from .processes import SimpleProcess, abs_power_integral, eval_I_K, square_integral
-from .rng import INTEGRAL_BOUND_STREAM, SEMINORM_STREAM, TAIL_STREAM, derive_rng
+from .rng import INTEGRAL_BOUND_STREAM, SEMINORM_STREAM, TAIL_STREAM
 from .stepfun import StepFunction
 
 
@@ -78,12 +78,11 @@ def estimate_seminorm(model: LevyMeasureModel, proc: SimpleProcess, p: int,
         qp = float(phi.abs_power_integral(p))
         return SeminormEstimate(math.sqrt(q2), qp ** (1.0 / p), q2 ** (p / 2), qp,
                                 0.0, 0.0, True)
-    rng = derive_rng(seed, SEMINORM_STREAM)
-    batch = sample_prm_batch(model, proc.read_window(), n_samples, rng)
-    q2 = square_integral(proc, batch) ** (p / 2)
-    qp = abs_power_integral(proc, batch, p)
-    m2p, s2p = mean_se(q2)
-    mpp, spp = mean_se(qp)
+    draw = Draw(SEMINORM_STREAM, seed, n_samples, lambda batch: {
+        "sq_pow": square_integral(proc, batch) ** (p / 2),
+        "abs_pow": abs_power_integral(proc, batch, p)}, proc.read_window())
+    stats = simulate(model, draw).stats
+    (m2p, s2p), (mpp, spp) = stats["sq_pow"], stats["abs_pow"]
     return SeminormEstimate(m2p ** (1.0 / p), mpp ** (1.0 / p), m2p, mpp, s2p, spp, False)
 
 
@@ -150,6 +149,12 @@ def integral_bound_constant(model: LevyMeasureModel, p: int, rosenthal_b: float,
     return (2.0 * b_factor * cstar * max(m2 ** (p / 2), mp)) ** (1.0 / p)
 
 
+def integral_bound_draw(proc: SimpleProcess, p: int, n_samples: int, seed: int) -> Draw:
+    """``|I(X)|^p`` per realization; the seminorm's draw has the same window and count."""
+    return Draw(INTEGRAL_BOUND_STREAM, seed, n_samples,
+                lambda batch: {"abs_pow": np.abs(eval_I_K(batch, proc)) ** p}, proc.read_window())
+
+
 @dataclass(frozen=True)
 class IntegralMomentBound(Gated):
     constant: float           # C_p at the configured Rosenthal constant
@@ -174,10 +179,8 @@ def check_integral_moment_bound(model: LevyMeasureModel, proc: SimpleProcess,
     if p < 2 or p % 2:
         raise ValueError("p must be an even integer >= 2")
     const = integral_bound_constant(model, p, rosenthal_b, convention)
-    rng = derive_rng(seed, INTEGRAL_BOUND_STREAM)
-    batch = sample_prm_batch(model, proc.read_window(), n_samples, rng)
-    ivals = eval_I_K(batch, proc)
-    lhs_pow, se_lhs_pow = mean_se(np.abs(ivals) ** p)
+    draw = integral_bound_draw(proc, p, n_samples, seed)
+    lhs_pow, se_lhs_pow = simulate(model, draw).stats["abs_pow"]
     semi = estimate_seminorm(model, proc, p, n_samples, seed)
     rhs = const * semi.value
     # d(rhs^p)/d(mean parts) via the chain rule through the 1/p roots
@@ -203,28 +206,36 @@ class TailRow(Gated):
     gate: Gate                # Var(I_K' - I_K) against m_2 int_tail phi^2
 
 
+def tail_draw(func, schedule, k_outer: float, n_samples: int, seed: int) -> Draw:
+    """``(I_{K'}(phi) - I_K(phi))^2`` per realization, one array ``K=k`` per ``k``."""
+    def arrays(batch) -> dict[str, np.ndarray]:
+        out = {}
+        for k in map(float, schedule):
+            tail_f = lambda x: np.where(np.abs(x) > k, func(x), 0.0)
+            f_int = _two_sided_quad(func, k, k_outer, power=1)
+            out[f"K={k}"] = batch_L_weighted(batch, tail_f, f_int) ** 2
+        return out
+    return Draw(TAIL_STREAM, seed, n_samples, arrays, float(k_outer))
+
+
 def tail_convergence(model: LevyMeasureModel, func, schedule, k_outer: float,
                      n_samples: int = 20_000, seed: int = 0,
-                     se_multiplier: float = 3.0) -> list[TailRow]:
+                     se_multiplier: float | None = 3.0) -> list[TailRow]:
     """Variance of ``I_{K'}(phi) - I_K(phi)`` against ``m_2 int_tail phi^2``.
 
     ``func`` is a deterministic square-integrable profile (vectorized
     callable).  For each ``K`` in the schedule the difference integral
     reads only the tail region ``K < |x| <= K'``, so its samples are the
-    tail-restricted compensated sums.
+    tail-restricted compensated sums.  ``se_multiplier=None`` gates at
+    the heavy-tail multiplier.
     """
-    rng = derive_rng(seed, TAIL_STREAM)
-    batch = sample_prm_batch(model, float(k_outer), n_samples, rng)
     m2 = float(abs_moment(model, 2))
-    rows = []
-    for k in schedule:
-        k = float(k)
-        tail_f = lambda x: np.where(np.abs(x) > k, func(x), 0.0)
-        f_int = _two_sided_quad(func, k, k_outer, power=1)
-        diff = batch_L_weighted(batch, tail_f, f_int)
-        theory = m2 * _two_sided_quad(func, k, k_outer, power=2)
-        rows.append(TailRow(k, mean_gate(f"K={k}", diff ** 2, theory, se_multiplier)))
-    return rows
+    ks = [float(k) for k in schedule]
+    tests = [MeanTest(f"K={k}", f"K={k}", m2 * _two_sided_quad(func, k, k_outer, power=2),
+                      heavy=True) for k in ks]
+    gates = simulate(model, tail_draw(func, ks, k_outer, n_samples, seed), tests,
+                     se_multiplier).gates
+    return [TailRow(k, gate) for k, gate in zip(ks, gates)]
 
 
 def _two_sided_quad(func, k_inner: float, k_outer: float, power: int) -> float:

@@ -29,21 +29,33 @@ one-realization batch.  Marks invert one tabulated CDF per model, bit for
 bit ``np.interp``; an atom is a zero-slope piece.  Sorted-table lookups,
 the marks' pieces and the cell of each point, go through one
 ``GuideTable``, which answers ``np.searchsorted`` with a few compares.
+
+Every Monte Carlo statistic of the package runs through one loop,
+:func:`simulate`.  A check declares its draw as a :class:`Draw`: the
+stream id and the seed of its key path, the read window (or the set
+length, for draws of ``L(A)``), the realization count, and a function
+from the draw to named per-realization arrays.  The loop derives the
+stream, samples, evaluates the arrays, drops the draw, reduces each
+array to its mean and standard error, and gates the means that the
+check names (:class:`MeanTest`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import PointCountError, WindowExceededError
+from .gate import Gate, mean_se
 from .measure import LevyMeasureModel, _density_integral, signed_moment
-from .rng import CHAR_GAP_STREAM, derive_rng
+from .rng import CHAR_GAP_STREAM, derive_rng, derive_seed
 
 Interval = tuple[float, float]
 
@@ -257,9 +269,9 @@ _PART_SIZE = 1 << 18
 MAX_EXPECTED_POINTS = 1 << 28
 
 
-def _check_point_count(expected: float) -> None:
+def _check_point_count(expected: float, what: str = "a sampling call") -> None:
     if not expected <= MAX_EXPECTED_POINTS:
-        raise PointCountError(f"a sampling call expecting {expected:.3g} points is past "
+        raise PointCountError(f"{what} expecting {expected:.3g} points is past "
                               f"the cap of {MAX_EXPECTED_POINTS} points")
 
 
@@ -566,6 +578,13 @@ class CharFunctionReport:
     n_samples: int
 
 
+def char_gap_draw(interval: Interval, n_samples: int, seed: int) -> Draw:
+    """``n_samples`` draws of ``L(A)``, ``|A|`` the length of ``interval``."""
+    a, b = interval
+    return Draw(CHAR_GAP_STREAM, seed, n_samples, lambda values: {"L": values},
+                length=float(b) - float(a))
+
+
 def char_function_gap(model: LevyMeasureModel, interval: Interval, thetas,
                       n_samples: int, seed: int) -> CharFunctionReport:
     """Sup over a theta grid of |empirical - theoretical| characteristic function.
@@ -575,16 +594,85 @@ def char_function_gap(model: LevyMeasureModel, interval: Interval, thetas,
     a million draws take a few dozen values and each theta costs a few
     dozen exponentials instead of one per draw.
     """
-    a, b = interval
-    length = float(b) - float(a)
-    rng = derive_rng(seed, CHAR_GAP_STREAM)
-    samples = sample_L_interval(model, length, n_samples, rng)
+    draw = char_gap_draw(interval, n_samples, seed)
+    samples = simulate(model, draw, keep="L").samples
     vals, counts = np.unique(samples, return_counts=True)
     emp = []
     theo = []
     for theta in thetas:
         emp.append(complex((np.exp(1j * float(theta) * vals) * counts).sum() / n_samples))
-        theo.append(theoretical_char(model, length, float(theta)))
+        theo.append(theoretical_char(model, draw.length, float(theta)))
     gaps = [abs(e - t) for e, t in zip(emp, theo)]
     return CharFunctionReport(max(gaps), tuple(float(t) for t in thetas),
                               tuple(emp), tuple(theo), n_samples)
+
+
+# ---------------------------------------------------------------------------
+# the Monte Carlo loop: draw, evaluate, reduce, gate
+# ---------------------------------------------------------------------------
+
+HEAVY_TAIL_SE_MULTIPLIER = 4.0
+
+# A gate on the mean of one named array; ``heavy`` marks a heavy-tailed statistic
+# (squares and products of noise), whose standard error is itself noisy.
+MeanTest = namedtuple("MeanTest", "label array target side heavy", defaults=("two", False))
+
+
+@dataclass(frozen=True)
+class Draw:
+    """The Monte Carlo part of a check, declared: what it draws and what it reads.
+
+    ``n`` realizations come from the stream keyed ``(seed, stream)``,
+    ``stream`` an id of :mod:`levynoise.rng`: point configurations on
+    ``[-window, window]``, or, with ``length`` set, values of ``L(A)`` for
+    a set of that length.  ``arrays`` maps the draw to named arrays with
+    one value per realization.
+    """
+
+    stream: int
+    seed: int
+    n: int
+    arrays: Callable[[object], dict[str, np.ndarray]] | None = None
+    window: float | None = None
+    length: float | None = None
+
+    def check_points(self, model: LevyMeasureModel, what: str = "a draw") -> None:
+        """PointCountError if the draw expects more points than the sampler's cap."""
+        mean = model.total_mass * (2.0 * self.window if self.length is None else self.length)
+        _check_point_count(mean * self.n, what)
+
+    def realizations(self, model: LevyMeasureModel):
+        """The draw as ``n`` exact configurations, the ``i``-th keyed ``(seed, stream, i)``."""
+        for i in range(self.n):
+            yield sample_prm(model, self.window, derive_seed(self.seed, self.stream, i))
+
+
+class Estimates(NamedTuple):
+    stats: dict[str, tuple[float, float]]  # the mean and its standard error, per array
+    gates: tuple[Gate, ...]
+    samples: np.ndarray | None             # the kept array
+
+
+def simulate(model: LevyMeasureModel, draw: Draw, tests=(), se_multiplier: float | None = None,
+             default_multiplier: float = 3.0, keep: str | None = None) -> Estimates:
+    """Run a declared draw and gate the means its tests name.
+
+    The draw is dropped once its arrays are evaluated.  A test's SE multiplier
+    is ``se_multiplier`` when given, else ``HEAVY_TAIL_SE_MULTIPLIER`` for a
+    heavy-tailed statistic, else ``default_multiplier``; ``keep`` names the
+    array returned as ``samples``.
+    """
+    rng = derive_rng(draw.seed, draw.stream)
+    if draw.length is None:
+        arrays = draw.arrays(sample_prm_batch(model, draw.window, draw.n, rng))
+    else:
+        arrays = draw.arrays(sample_L_interval(model, draw.length, draw.n, rng))
+    stats = {name: mean_se(values) for name, values in arrays.items()}
+
+    def gate(test: MeanTest) -> Gate:
+        mult = (se_multiplier if se_multiplier is not None
+                else HEAVY_TAIL_SE_MULTIPLIER if test.heavy else default_multiplier)
+        return Gate(test.label, stats[test.array][0], test.target, test.side,
+                    stats[test.array][1], mult)
+
+    return Estimates(stats, tuple(gate(t) for t in tests), arrays.get(keep))

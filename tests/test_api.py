@@ -54,10 +54,35 @@ def test_benchmark_names_resolve():
     assert not missing, missing
 
 
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def test_stream_ids_unique():
     streams = {name: value for name, value in vars(rng).items() if name.endswith("_STREAM")}
     assert len(streams) >= 16
     assert len(set(streams.values())) == len(streams), streams
+    # each id has one owner: the one Draw declaration that names it, or the CLI's
+    # simulate for its own stream; the check modules draw only through the loop
+    owners = {name: [] for name in streams}
+    for path in sorted((ROOT / "src" / "levynoise").glob("*.py")):
+        if path.name == "rng.py":
+            continue
+        tree = ast.parse(path.read_text())
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        declared = {id(name) for call in calls if _callee(call) == "Draw"
+                    for name in ast.walk(call) if isinstance(name, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in owners:
+                owners[node.id].append((path.name, id(node) in declared))
+        if path.name in ("harness.py", "integral.py", "chaos.py", "convolution.py"):
+            direct = [_callee(c) for c in calls
+                      if _callee(c) in ("sample_prm_batch", "derive_rng")]
+            assert not direct, (path.name, direct)
+    assert owners.pop("SIMULATE_STREAM") == [("cli.py", False)]
+    for name, uses in owners.items():
+        assert len(uses) == 1 and uses[0][1], (name, uses)
 
 
 def _loads(code: str, module: str = "scipy") -> bool:

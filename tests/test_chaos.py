@@ -22,7 +22,6 @@ from levynoise import (
     project_kernel,
     sample_prm,
     sample_prm_batch,
-    skorohod_integral,
     validate_simple,
     ClampedNoise,
     catalog_process,
@@ -226,23 +225,14 @@ def test_left_supported_derivative_vanishes_right(unit_atom):
         assert d.constant == 0.0 and not d.kernels
 
 
-def test_skorohod_equals_integral_pathwise(unit_atom):
-    # deterministic integrand and the random-coefficient catalog entry
-    for name in ("det_step", "clamped_left"):
-        proc = catalog_process(name)
-        for seed in range(8):
-            real = sample_prm(unit_atom, 2.0, seed)
-            assert skorohod_integral(real, proc) == eval_I_K(real, proc)
-
-
 def test_skorohod_single_block_form(unit_atom):
-    # delta(Y 1_{(0,1]} z) = Y * L((0,1]) when Y reads noise left of 0
+    # the integral of Y 1_{(0,1]} is Y * L((0,1]) when Y reads noise left of 0
     proc = validate_simple((0.0, 1.0), (ClampedNoise(-1.0, 0.0, 10.0),))
     from levynoise import eval_L_set
     for seed in range(8):
         real = sample_prm(unit_atom, 2.0, seed)
         y = proc.coefficients[0].eval(real)
-        assert skorohod_integral(real, proc) == y * eval_L_set(real, (0.0, 1.0))
+        assert eval_I_K(real, proc) == y * eval_L_set(real, (0.0, 1.0))
 
 
 def test_duality_closed_form_pair(unit_atom):

@@ -10,6 +10,7 @@ import pytest
 
 import levynoise.cli
 import levynoise.harness
+import levynoise.prm
 from levynoise.cli import main
 from levynoise.harness import parse_config
 
@@ -180,7 +181,8 @@ def test_rejects_before_the_first_check_runs(tmp_path, monkeypatch, capsys):
     # a bad check late in the config stops the run before the first check samples
     def no_sampling(*args, **kwargs):
         raise AssertionError("a check ran")
-    monkeypatch.setattr(levynoise.harness, "sample_L_interval", no_sampling)
+    for sampler in ("sample_L_interval", "sample_prm_batch"):
+        monkeypatch.setattr(levynoise.prm, sampler, no_sampling)
     cfg = {"measure": {"atoms": [[1.0, 1.0]]}, "samples": 2000,
            "checks": [{"kind": "moment_mc", "p": 2}, {"kind": "tail", "profile": "cauchy"}]}
     path = tmp_path / "cfg.json"
@@ -195,7 +197,8 @@ def test_interpolation_past_order_cap_rejected_before_sampling(tmp_path, monkeyp
     # p is capped as the other moment orders are: its cost grows about as p^4
     def no_work(*args, **kwargs):
         raise AssertionError("a check ran")
-    monkeypatch.setattr(levynoise.harness, "sample_L_interval", no_work)
+    for sampler in ("sample_L_interval", "sample_prm_batch"):
+        monkeypatch.setattr(levynoise.prm, sampler, no_work)
     monkeypatch.setattr(levynoise.harness, "interpolation_check", no_work)
     cfg = {"measure": {"atoms": [[1.0, 1.0]]}, "samples": 2000,
            "checks": [{"kind": "moment_mc", "p": 2}, {"kind": "interpolation", "p": 66}]}
@@ -204,6 +207,32 @@ def test_interpolation_past_order_cap_rejected_before_sampling(tmp_path, monkeyp
     assert run_cli("report", "--config", str(path)) == 2
     err = capsys.readouterr().err
     assert "interpolation: p" in err and "64" in err, err
+
+
+@pytest.mark.parametrize("late", [
+    {"kind": "mean_zero"}, {"kind": "moment_mc", "p": 2}, {"kind": "char_gap"},
+    {"kind": "isometry"}, {"kind": "martingale"}, {"kind": "integral_moment_bound"},
+    {"kind": "tail"}, {"kind": "convolution_bound"}, {"kind": "projection"},
+    {"kind": "duality"}, {"kind": "chaos_isometry"}, {"kind": "chaos_orthogonality"}],
+    ids=lambda check: check["kind"])
+def test_oversized_draw_rejected_before_any_check_runs(tmp_path, monkeypatch, capsys, late):
+    # each draw of every check is held against the point cap while the config is read
+    def no_run(*args, **kwargs):
+        raise AssertionError("a check ran")
+    for sampler in ("sample_L_interval", "sample_prm_batch", "sample_prm"):
+        monkeypatch.setattr(levynoise.prm, sampler, no_run)
+    monkeypatch.setattr(levynoise.cli, "run", no_run)
+    cfg = {"measure": {"atoms": [[1.0, 1.0]]}, "samples": 200_000,
+           "checks": [{"kind": "tail"}, {"kind": "duality"},
+                      {**late, "samples": 1_000_000_000}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("report", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert f"{late['kind']}: a draw expecting" in err and "past the cap" in err, err
+    # a sample count from the command line is held against the cap too
+    assert run_cli("report", "--samples", "1000000000") == 2
+    assert "past the cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["derivative_probes", "projection", "left_zero", "duality",
