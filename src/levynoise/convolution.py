@@ -289,10 +289,15 @@ def build_convolution_process(kernel: ConvolutionKernel, field, t: float, x: flo
     return validate_simple(bps, tuple(coefs))
 
 
-def convolution_draw(proc: SimpleProcess, p: int, n_samples: int, seed: int) -> Draw:
-    """``|U(t, x)|^p`` per realization, ``proc`` the frozen convolution process."""
-    return Draw(CONVOLUTION_STREAM, seed, n_samples,
-                lambda batch: {"abs_pow": np.abs(eval_I_K(batch, proc)) ** p}, proc.read_window())
+def convolution_draws(kernel: ConvolutionKernel, field, p: int, t: float, x: float,
+                      n_samples: int, seed: int, n_space: int = 64) -> tuple[Draw, ...]:
+    """The draws of :func:`check_convolution_moment_bound`: the field's cell factors,
+    then ``|U(t, x)|^p`` per realization on the frozen convolution process."""
+    proc = build_convolution_process(kernel, field, t, x, n_space)
+    return (*field.moment_draws(p, n_samples, seed).values(),
+            Draw(CONVOLUTION_STREAM, seed, n_samples,
+                 lambda batch: {"abs_pow": np.abs(eval_I_K(batch, proc)) ** p},
+                 proc.read_window()))
 
 
 @dataclass(frozen=True)
@@ -321,8 +326,8 @@ def check_convolution_moment_bound(model: LevyMeasureModel, kernel: ConvolutionK
     integral_val, delta, se_phi = _rhs_integral(kernel, field, p, t, x, model,
                                                 n_samples, seed)
     rhs_pow = b_pow * (integral_val + delta)
-    proc = build_convolution_process(kernel, field, t, x, n_space)
-    lhs_pow, se_lhs = simulate(model, convolution_draw(proc, p, n_samples, seed)).stats["abs_pow"]
+    *_, draw = convolution_draws(kernel, field, p, t, x, n_samples, seed, n_space)
+    lhs_pow, se_lhs = simulate(model, draw).stats["abs_pow"]
     gate = Gate(f"E|U|^{p}", lhs_pow, rhs_pow, "upper",
                 math.hypot(se_lhs, b_pow * se_phi), se_multiplier)
     return ConvolutionBoundResult(nu_t, b_pow, lhs_pow, rhs_pow, se_lhs, delta, gate)

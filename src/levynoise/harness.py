@@ -53,9 +53,8 @@ from .coefficients import ClampedNoise
 from .convolution import (
     DeterministicField,
     SeparableField,
-    build_convolution_process,
     check_convolution_moment_bound,
-    convolution_draw,
+    convolution_draws,
     heat_kernel,
     indicator_kernel,
 )
@@ -323,7 +322,10 @@ class CheckSpec:
 
     The runner's keyword-only arguments are the parameters, with defaults
     spelled as in a config (``samples=None``: the config's count);
-    ``parsers`` overrides a name's shared parser for this kind.
+    ``parsers`` overrides a name's shared parser for this kind.  A kind that
+    samples through a library function names that function's draws in
+    ``draws(seed, **parameters)``; any other kind that samples returns a
+    :class:`MeanCheck`, whose draw is declared in it.
     """
 
     def __init__(self, runner, family: str | None = None, atomic_only: bool = False,
@@ -506,13 +508,6 @@ def _run_convolution_bound(model, config, seed, *, kernel="indicator", field="un
                         "kernel": kernel.name, "field": field.name})
 
 
-def _convolution_draws(seed, *, kernel, field, p, t, x, samples, **_):
-    """The draws of ``check_convolution_moment_bound``: the field's, then the frozen process's."""
-    proc = build_convolution_process(kernel, field, t, x)
-    return (*field.moment_draws(p, samples, seed).values(),
-            convolution_draw(proc, p, samples, seed))
-
-
 def _run_tail(model, config, seed, *, profile="gaussian", schedule=(1.0, 2.0, 3.0),
               k_outer=8.0, samples=None, se_multiplier=None):
     rows = tail_convergence(model, profile, schedule, k_outer, samples, seed, se_multiplier)
@@ -598,8 +593,7 @@ def _run_chaos_orthogonality(model, config, seed, *, kernel_a="k1", kernel_b="k2
         "kernel_a": kernel_a.label, "kernel_b": kernel_b.label})
 
 
-# family: the CLI subcommand that runs the kind besides ``report``; ``draws``: what a
-# check that samples through a library function draws, for the point-cap check
+# family: the CLI subcommand that runs the kind besides ``report``
 CHECK_RUNNERS = {spec.kind: spec for spec in (
     CheckSpec(_run_partition_count),
     CheckSpec(_run_moment_mc),
@@ -611,14 +605,15 @@ CHECK_RUNNERS = {spec.kind: spec for spec in (
     CheckSpec(_run_linear_moment_bound, "verify-bounds", p=_EVEN_P),
     CheckSpec(_run_interpolation, "verify-bounds", p=_EVEN_P),
     CheckSpec(_run_integral_moment_bound, "verify-bounds", p=_EVEN_P,
-              draws=lambda seed, *, process, p, samples, **_: (  # the seminorm's: the same
+              draws=lambda seed, *, process, p, samples, **_: (
                   integral_bound_draw(process.value, p, samples, seed),)),
     CheckSpec(_run_tail, "verify-bounds", validate=_schedule_inside_window,
               draws=lambda seed, *, profile, schedule, k_outer, samples, **_: (
                   tail_draw(profile, schedule, k_outer, samples, seed),)),
     CheckSpec(_run_convolution_bound, "convolution", validate=_field_meets_kernel, p=_EVEN_P,
               kernel=_choice({"indicator": indicator_kernel(), "heat": heat_kernel()}),
-              draws=_convolution_draws),
+              draws=lambda seed, *, kernel, field, p, t, x, samples, **_: convolution_draws(
+                  kernel, field, p, t, x, samples, seed)),
     CheckSpec(_run_derivative_probes, "malliavin-check", atomic_only=True),
     CheckSpec(_run_projection, "malliavin-check", atomic_only=True),
     CheckSpec(_run_left_zero, "malliavin-check", atomic_only=True),

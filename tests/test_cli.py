@@ -191,6 +191,9 @@ def test_rejects_before_the_first_check_runs(tmp_path, monkeypatch, capsys):
     assert "tail: profile" in capsys.readouterr().err
     assert run_cli("report", "--samples", "500") == 2
     assert "sample count must be >= 1000" in capsys.readouterr().err
+    # a sample count from the command line is held against the point cap too
+    assert run_cli("report", "--samples", "1000000000") == 2
+    assert "moment_mc: a draw expecting 1e+09 points is past the cap" in capsys.readouterr().err
 
 
 def test_interpolation_past_order_cap_rejected_before_sampling(tmp_path, monkeypatch, capsys):
@@ -230,9 +233,6 @@ def test_oversized_draw_rejected_before_any_check_runs(tmp_path, monkeypatch, ca
     assert run_cli("report", "--config", str(path)) == 2
     err = capsys.readouterr().err
     assert f"{late['kind']}: a draw expecting" in err and "past the cap" in err, err
-    # a sample count from the command line is held against the cap too
-    assert run_cli("report", "--samples", "1000000000") == 2
-    assert "past the cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["derivative_probes", "projection", "left_zero", "duality",
