@@ -30,14 +30,8 @@ bit ``np.interp``; an atom is a zero-slope piece.  Sorted-table lookups,
 the marks' pieces and the cell of each point, go through one
 ``GuideTable``, which answers ``np.searchsorted`` with a few compares.
 
-Every Monte Carlo statistic of the package runs through one loop,
-:func:`simulate`.  A check declares its draw as a :class:`Draw`: the
-stream id and the seed of its key path, the read window (or the set
-length, for draws of ``L(A)``), the realization count, and a function
-from the draw to named per-realization arrays.  The loop derives the
-stream, samples, evaluates the arrays, drops the draw, reduces each
-array to its mean and standard error, and gates the means that the
-check names (:class:`MeanTest`).
+Every Monte Carlo statistic of the package is a declared :class:`Draw`
+run through one loop, :func:`simulate`.
 """
 
 from __future__ import annotations
