@@ -37,7 +37,7 @@ import numpy as np
 from .errors import MarkSetError
 from .gate import Gate, Gated
 from .measure import LevyMeasureModel, _density_integral
-from .prm import Draw, MeanTest, PointRealization, RealizationBatch, _check_window, simulate
+from .prm import Draw, MeanTest, Plan, PointRealization, RealizationBatch, _check_window
 from .processes import SimpleProcess, eval_I_K
 from .rng import DUALITY_STREAM
 
@@ -316,8 +316,11 @@ class DualityResult(Gated):
     gate: Gate                # the mean gap E[<DF, V> - F delta(V)] against 0
 
 
-def duality_draw(F: ChaosFunctional, proc: SimpleProcess, n_samples: int, seed: int) -> Draw:
-    """The pairing ``<DF, V>``, the adjoint side ``F delta(V)`` and their ``gap``.
+def duality_plan(model: LevyMeasureModel, F: ChaosFunctional, proc: SimpleProcess,
+                 n_samples: int = 20_000, seed: int = 0,
+                 se_multiplier: float | None = 3.0) -> Plan:
+    """The plan of :func:`duality_gap`: the pairing ``<DF, V>``, the adjoint side
+    ``F delta(V)`` and their ``gap``, per realization.
 
     The pairing is computed exactly per realization: the derivative is
     constant on each kernel cell, so the double integral collapses to a
@@ -327,7 +330,6 @@ def duality_draw(F: ChaosFunctional, proc: SimpleProcess, n_samples: int, seed: 
     cells = {(c.a, c.b, c.marks): c for kern in F.kernels for c in kern.cells}
 
     def arrays(batch: RealizationBatch) -> dict[str, np.ndarray]:
-        model = batch.model
         pairing = np.zeros(batch.n)
         for cell in cells.values():
             if not cell.marks:
@@ -339,8 +341,12 @@ def duality_draw(F: ChaosFunctional, proc: SimpleProcess, n_samples: int, seed: 
             pairing += eval_chaos(batch, dF) * _phi_overlap(batch, proc, cell) * zmass
         adjoint = eval_chaos(batch, F) * eval_I_K(batch, proc)
         return {"gap": pairing - adjoint, "pairing": pairing, "adjoint": adjoint}
-    return Draw(DUALITY_STREAM, seed, n_samples, arrays,
-                max(F.read_window(), proc.read_window()))
+
+    test = MeanTest("E[<DF, V> - F delta(V)]", "gap", 0.0, heavy=True)
+    return Plan((Draw(DUALITY_STREAM, seed, n_samples, arrays,
+                      max(F.read_window(), proc.read_window())),),
+                lambda est: DualityResult(est.stats["pairing"][0], est.stats["adjoint"][0],
+                                          *est.gates((test,), se_multiplier)))
 
 
 def duality_gap(model: LevyMeasureModel, F: ChaosFunctional, proc: SimpleProcess,
@@ -348,9 +354,7 @@ def duality_gap(model: LevyMeasureModel, F: ChaosFunctional, proc: SimpleProcess
                 se_multiplier: float | None = 3.0) -> DualityResult:
     """Paired Monte Carlo test of ``E <DF, V> = E[F delta(V)]`` for ``V = Phi(x) z``;
     ``se_multiplier=None`` gates at the heavy-tail multiplier."""
-    test = MeanTest("E[<DF, V> - F delta(V)]", "gap", 0.0, heavy=True)
-    est = simulate(model, duality_draw(F, proc, n_samples, seed), (test,), se_multiplier)
-    return DualityResult(est.stats["pairing"][0], est.stats["adjoint"][0], est.gates[0])
+    return duality_plan(model, F, proc, n_samples, seed, se_multiplier).run(model)
 
 
 def _probe_in_cell(model: LevyMeasureModel, cell: Cell) -> tuple[float, float]:

@@ -44,7 +44,7 @@ from .errors import InfiniteNuTError
 from .gate import Gate, Gated
 from .integral import integral_bound_constant
 from .measure import LevyMeasureModel, _adaptive_gauss_nodes
-from .prm import Draw, simulate
+from .prm import Draw, Plan
 from .processes import SimpleProcess, eval_I_K, validate_simple
 from .rng import CONVOLUTION_STREAM, FIELD_MOMENT_STREAM
 
@@ -97,7 +97,7 @@ class DeterministicField:
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = "field"
 
-    def pth_moment_profile(self, p, model, n_samples, seed):
+    def pth_moment_profile(self, p, moments):
         fn = self.func
 
         def profile(s: float, y: np.ndarray) -> np.ndarray:
@@ -138,27 +138,22 @@ class SeparableField:
                         self.space.read_window())
                 for j, coef in enumerate(self.space.coefficients) if not isinstance(coef, Const)}
 
-    def pth_moment_profile(self, p, model, n_samples, seed):
-        draws = self.moment_draws(p, n_samples, seed)
-        moments = []
-        se_max = 0.0
-        for j, coef in enumerate(self.space.coefficients):
-            m, se = (simulate(model, draws[j]).stats["abs_pow"] if j in draws
-                     else (abs(coef.value) ** p, 0.0))
-            moments.append(m)
-            se_max = max(se_max, se)
+    def pth_moment_profile(self, p, moments):
+        """The profile of ``E|Phi|^p`` and its largest SE, from the draws' reduced moments."""
+        stats = [moments[j] if j in moments else (abs(coef.value) ** p, 0.0)
+                 for j, coef in enumerate(self.space.coefficients)]
         cells = self.space.cells
         tf = self.time_func
 
         def profile(s: np.ndarray, y: np.ndarray) -> np.ndarray:
             out = np.zeros_like(np.asarray(y, dtype=float))
-            for (a, b), m in zip(cells, moments):
+            for (a, b), (m, _) in zip(cells, stats):
                 out = np.where((y > a) & (y <= b), m, out)
             # the time factor one float at a time, as a scalar s would give it
             scale = [abs(float(tf(np.asarray([v]))[0])) ** p for v in np.ravel(s)]
             return np.reshape(scale, np.shape(s)) * out
 
-        return profile, se_max
+        return profile, max([0.0, *(se for _, se in stats)])
 
     def breakpoints(self) -> tuple[float, ...]:
         return self.space.breakpoints
@@ -245,10 +240,10 @@ def kernel_power_integral(kernel: ConvolutionKernel, p: int, t: float) -> float:
 
 
 def _rhs_integral(kernel: ConvolutionKernel, field, p: int, t: float, x: float,
-                  model: LevyMeasureModel, n_samples: int,
-                  seed: int) -> tuple[float, float, float]:
-    """``integral (G^2 + G^p) E|Phi|^p``; returns (value, quad delta, field SE)."""
-    profile, se_phi = field.pth_moment_profile(p, model, n_samples, seed)
+                  moments: dict) -> tuple[float, float, float]:
+    """``integral (G^2 + G^p) E|Phi|^p``, the field's cell moments reduced from its
+    draws; returns (value, quad delta, field SE)."""
+    profile, se_phi = field.pth_moment_profile(p, moments)
     y_lo, y_hi = x - kernel.x_hi, x - kernel.x_lo
     bps = field.breakpoints()
 
@@ -289,17 +284,6 @@ def build_convolution_process(kernel: ConvolutionKernel, field, t: float, x: flo
     return validate_simple(bps, tuple(coefs))
 
 
-def convolution_draws(kernel: ConvolutionKernel, field, p: int, t: float, x: float,
-                      n_samples: int, seed: int, n_space: int = 64) -> tuple[Draw, ...]:
-    """The draws of :func:`check_convolution_moment_bound`: the field's cell factors,
-    then ``|U(t, x)|^p`` per realization on the frozen convolution process."""
-    proc = build_convolution_process(kernel, field, t, x, n_space)
-    return (*field.moment_draws(p, n_samples, seed).values(),
-            Draw(CONVOLUTION_STREAM, seed, n_samples,
-                 lambda batch: {"abs_pow": np.abs(eval_I_K(batch, proc)) ** p},
-                 proc.read_window()))
-
-
 @dataclass(frozen=True)
 class ConvolutionBoundResult(Gated):
     nu_t: float
@@ -311,6 +295,33 @@ class ConvolutionBoundResult(Gated):
     gate: Gate                # lhs_pow against rhs_pow
 
 
+def convolution_bound_plan(model: LevyMeasureModel, kernel: ConvolutionKernel, field, p: int,
+                           t: float, x: float, rosenthal_b: float = 1.0,
+                           n_samples: int = 20_000, seed: int = 0, convention: str = "linear",
+                           se_multiplier: float = 3.0, n_space: int = 64) -> Plan:
+    """The plan of :func:`check_convolution_moment_bound`: the draws of the field's cell
+    factors, then ``|U(t, x)|^p`` per realization on the frozen convolution process."""
+    if p < 2 or p % 2:
+        raise ValueError("p must be an even integer >= 2")
+    field_draws = field.moment_draws(p, n_samples, seed)
+    proc = build_convolution_process(kernel, field, t, x, n_space)
+    const_pow = integral_bound_constant(model, p, rosenthal_b, convention) ** p
+
+    def finish(*est) -> ConvolutionBoundResult:
+        nu_t = kernel_power_integral(kernel, p, t)
+        b_pow = 2.0 ** (p - 1) * const_pow * (t ** (p / 2) * nu_t ** (p / 2 - 1) + t ** (p - 1))
+        moments = {j: e.stats["abs_pow"] for j, e in zip(field_draws, est)}
+        integral_val, delta, se_phi = _rhs_integral(kernel, field, p, t, x, moments)
+        rhs_pow = b_pow * (integral_val + delta)
+        lhs_pow, se_lhs = est[-1].stats["abs_pow"]
+        gate = Gate(f"E|U|^{p}", lhs_pow, rhs_pow, "upper",
+                    math.hypot(se_lhs, b_pow * se_phi), se_multiplier)
+        return ConvolutionBoundResult(nu_t, b_pow, lhs_pow, rhs_pow, se_lhs, delta, gate)
+    draw = Draw(CONVOLUTION_STREAM, seed, n_samples,
+                lambda batch: {"abs_pow": np.abs(eval_I_K(batch, proc)) ** p}, proc.read_window())
+    return Plan((*field_draws.values(), draw), finish)
+
+
 def check_convolution_moment_bound(model: LevyMeasureModel, kernel: ConvolutionKernel,
                                    field, p: int, t: float, x: float,
                                    rosenthal_b: float = 1.0, n_samples: int = 20_000,
@@ -318,16 +329,5 @@ def check_convolution_moment_bound(model: LevyMeasureModel, kernel: ConvolutionK
                                    se_multiplier: float = 3.0,
                                    n_space: int = 64) -> ConvolutionBoundResult:
     """Monte Carlo gate for the convolution moment bound at the configured constant."""
-    if p < 2 or p % 2:
-        raise ValueError("p must be an even integer >= 2")
-    nu_t = kernel_power_integral(kernel, p, t)
-    const_pow = integral_bound_constant(model, p, rosenthal_b, convention) ** p
-    b_pow = 2.0 ** (p - 1) * const_pow * (t ** (p / 2) * nu_t ** (p / 2 - 1) + t ** (p - 1))
-    integral_val, delta, se_phi = _rhs_integral(kernel, field, p, t, x, model,
-                                                n_samples, seed)
-    rhs_pow = b_pow * (integral_val + delta)
-    *_, draw = convolution_draws(kernel, field, p, t, x, n_samples, seed, n_space)
-    lhs_pow, se_lhs = simulate(model, draw).stats["abs_pow"]
-    gate = Gate(f"E|U|^{p}", lhs_pow, rhs_pow, "upper",
-                math.hypot(se_lhs, b_pow * se_phi), se_multiplier)
-    return ConvolutionBoundResult(nu_t, b_pow, lhs_pow, rhs_pow, se_lhs, delta, gate)
+    return convolution_bound_plan(model, kernel, field, p, t, x, rosenthal_b, n_samples, seed,
+                                  convention, se_multiplier, n_space).run(model)

@@ -53,8 +53,9 @@ class Gated:
 
 
 def mean_se(samples: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error."""
-    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(len(samples)))
+    """Sample mean and its standard error, NaN for one sample."""
+    n = len(samples)
+    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n) if n > 1 else math.nan)
 
 
 def mean_gate(label: str, samples: np.ndarray, target: float, multiplier: float,

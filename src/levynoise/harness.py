@@ -12,12 +12,11 @@ resolves every check against its declaration before any check runs.
 
 A check's verdict is the conjunction of its :class:`~levynoise.gate.Gate`
 records; exact gates compare ``Fraction`` values with no margin, or
-floats at a relative tolerance of 1e-12.  A Monte Carlo check declares
-its draws (:class:`~levynoise.prm.Draw`: stream, seed, window, named
-per-realization arrays), which :func:`parse_config` checks against the
-sampler's point cap before any check runs, and each draw runs through
-the one loop :func:`~levynoise.prm.simulate`: sample, evaluate, reduce
-each array to its mean and standard error, and gate the means it names.
+floats at a relative tolerance of 1e-12.  A Monte Carlo check is its
+:class:`~levynoise.prm.Plan`: declared draws (:class:`~levynoise.prm.Draw`:
+stream, seed, window, named per-realization arrays), which
+:func:`parse_config` checks against the sampler's point cap before any
+check runs, and a function of their reduced means and standard errors.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,8 +40,7 @@ from .chaos import (
     catalog_functional,
     catalog_kernel,
     chaos_variance,
-    duality_draw,
-    duality_gap,
+    duality_plan,
     eval_chaos,
     eval_multiple_integral,
     malliavin_derivative,
@@ -53,20 +50,13 @@ from .coefficients import ClampedNoise
 from .convolution import (
     DeterministicField,
     SeparableField,
-    check_convolution_moment_bound,
-    convolution_draws,
+    convolution_bound_plan,
     heat_kernel,
     indicator_kernel,
 )
 from .errors import ConfigError, DegenerateVarianceError, UnknownCheckError
 from .gate import Gate, mean_gate
-from .integral import (
-    check_integral_moment_bound,
-    check_linear_moment_bound,
-    integral_bound_draw,
-    tail_convergence,
-    tail_draw,
-)
+from .integral import check_linear_moment_bound, integral_bound_plan, tail_plan
 from .measure import (
     LevyMeasureModel,
     abs_moment,
@@ -81,7 +71,7 @@ from .partitions import (
     count_no_singleton_partitions,
     moment_of_step_functional,
 )
-from .prm import Draw, MeanTest, char_function_gap, char_gap_draw, eval_L_set, simulate
+from .prm import Draw, MeanTest, Plan, char_gap_plan, eval_L_set
 from .processes import catalog_process, eval_I_K, process_from_config, square_integral
 from .rng import (
     CHAOS_ISOMETRY_STREAM,
@@ -187,11 +177,14 @@ def parse_config(source) -> ExperimentConfig:
 
 
 def check_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Resolve every check of a config, and check every draw of a sampling check
-    against the sampler's point cap, before any check runs."""
+    """Resolve every check of a config, and hold each draw of a sampling check's
+    plan against the sampler's point cap, before any check runs."""
     model = config.model()
     for check in config.checks:
-        check_spec(check).check_draws(check, config, model)
+        spec = check_spec(check)
+        _, params = spec.resolve(check, config, model)
+        for draw in spec.runner(model, config, 0, **params).draws if spec.plans else ():
+            draw.check_points(model, f"{spec.kind}: a draw")
     return config
 
 
@@ -322,20 +315,20 @@ class CheckSpec:
 
     The runner's keyword-only arguments are the parameters, with defaults
     spelled as in a config (``samples=None``: the config's count);
-    ``parsers`` overrides a name's shared parser for this kind.  A kind that
-    samples through a library function names that function's draws in
-    ``draws(seed, **parameters)``; any other kind that samples returns a
-    :class:`MeanCheck`, whose draw is declared in it.
+    ``parsers`` overrides a name's shared parser for this kind.  A runner
+    that takes a ``seed`` samples, and returns its check as a
+    :class:`~levynoise.prm.Plan`; any other returns its :class:`CheckResult`.
     """
 
     def __init__(self, runner, family: str | None = None, atomic_only: bool = False,
-                 validate=None, draws=None, **parsers):
+                 validate=None, **parsers):
         self.kind = runner.__name__.removeprefix("_run_")
         self.runner, self.family = runner, family
-        self.atomic_only, self.validate, self.draws = atomic_only, validate, draws
+        self.atomic_only, self.validate = atomic_only, validate
+        args = inspect.signature(runner).parameters
+        self.plans = "seed" in args
         self.params = {name: (arg.default, parsers.get(name, _PARSERS[name]))
-                       for name, arg in inspect.signature(runner).parameters.items()
-                       if arg.kind is arg.KEYWORD_ONLY}
+                       for name, arg in args.items() if arg.kind is arg.KEYWORD_ONLY}
 
     def resolve(self, check: dict, config: ExperimentConfig,
                 model: LevyMeasureModel) -> tuple[str | None, dict]:
@@ -360,24 +353,11 @@ class CheckSpec:
             self.validate(**values)
         return check.get("name"), values
 
-    def check_draws(self, check: dict, config: ExperimentConfig, model: LevyMeasureModel) -> None:
-        """Resolve a raw check, and check each draw it declares against the point cap."""
-        _, params = self.resolve(check, config, model)
-        if self.draws:
-            draws = self.draws(0, **params)
-        else:  # a kind that samples and declares no ``draws`` returns a MeanCheck
-            draws = (self.runner(model, config, 0, **params).draw,) if "samples" in params else ()
-        for draw in draws:
-            draw.check_points(model, f"{self.kind}: a draw")
-
     def __call__(self, model: LevyMeasureModel, config: ExperimentConfig, check: dict,
                  seed: int) -> CheckResult:
         name, params = self.resolve(check, config, model)
-        res = self.runner(model, config, seed, **params)
-        if isinstance(res, MeanCheck):
-            est = simulate(model, res.draw, res.tests, res.se_multiplier, config.se_multiplier,
-                           res.keep)
-            res = CheckResult(res.name, self.kind, est.gates, res.details(est.stats), est.samples)
+        res = (self.runner(model, config, seed, **params).run(model) if self.plans
+               else self.runner(model, config, **params))
         return res if name is None else replace(res, name=name)
 
 
@@ -392,22 +372,11 @@ def check_spec(check) -> CheckSpec:
 
 
 # ---------------------------------------------------------------------------
-# check runners: each consumes (model, config, seed, *, parameters) and returns a
-# CheckResult, or the MeanCheck that CheckSpec runs
+# check runners: each consumes (model, config, seed, *, parameters) and returns its
+# Plan, or, drawing nothing, (model, config, *, parameters) and its CheckResult
 # ---------------------------------------------------------------------------
 
-class MeanCheck(NamedTuple):
-    """A check whose gates are means of the arrays of one declared draw; ``details``
-    maps the reduced ``(mean, SE)`` of each array to the report's details."""
-    name: str
-    draw: Draw
-    tests: tuple[MeanTest, ...]
-    se_multiplier: float | None = None
-    keep: str | None = None  # the array the report keeps as its samples
-    details: Callable[[dict], dict] = lambda stats: {}
-
-
-def _run_partition_count(model, config, seed, *, p_values=(2, 3, 4, 5, 6, 7, 8)):
+def _run_partition_count(model, config, *, p_values=(2, 3, 4, 5, 6, 7, 8)):
     counts = {str(p): count_no_singleton_partitions(p) for p in p_values}
     gates = tuple(Gate(f"p={p}", counts[str(p)], sum(1 for _ in _partitions(p, 2)))
                   for p in p_values)
@@ -420,27 +389,30 @@ def _run_moment_mc(model, config, seed, *, p, set=(0.0, 1.0), samples=None,
     target = finite_moment(moment_of_step_functional(model, StepFunction.indicator(a, b), p),
                            p, "E[L^p]")
     draw = Draw(MOMENT_MC_STREAM, seed, samples, lambda values: {"L^p": values ** p},
-                length=b - a)
+                length=b - a, keep="L^p")
     test = MeanTest(f"E[L^{p}]", "L^p", target, heavy=p >= 4)
-    return MeanCheck(f"moment_mc_p{p}", draw, (test,), se_multiplier, "L^p",
-                     lambda _: {"p": p, "set": [a, b], "samples_used": samples})
+    return Plan((draw,), lambda est: CheckResult(
+        f"moment_mc_p{p}", "moment_mc", est.gates((test,), se_multiplier, config.se_multiplier),
+        {"p": p, "set": [a, b], "samples_used": samples}, est.samples))
 
 
 def _run_char_gap(model, config, seed, *, set=(0.0, 1.0), samples=None, n_theta=41,
                   theta_max=math.pi, threshold_scale=5.0):
     thetas = np.linspace(-theta_max, theta_max, n_theta)
-    gap = char_function_gap(model, set, thetas, samples, seed).sup_gap
-    gate = Gate("sup gap", gap, threshold_scale / math.sqrt(samples), "upper")
-    return CheckResult("char_gap", "char_gap", (gate,),
-                       {"n_theta": n_theta, "theta_max": theta_max, "samples_used": samples})
+    return char_gap_plan(model, set, thetas, samples, seed).then(lambda res: CheckResult(
+        "char_gap", "char_gap",
+        (Gate("sup gap", res.sup_gap, threshold_scale / math.sqrt(samples), "upper"),),
+        {"n_theta": n_theta, "theta_max": theta_max, "samples_used": samples}))
 
 
 def _run_mean_zero(model, config, seed, *, process="det_step", samples=None):
     proc = process.value
     draw = Draw(MEAN_ZERO_STREAM, seed, samples, lambda batch: {"I": eval_I_K(batch, proc)},
-                proc.read_window())
-    return MeanCheck("mean_zero", draw, (MeanTest("E[I]", "I", 0.0),), keep="I",
-                     details=lambda _: {"process": process.label})
+                proc.read_window(), keep="I")
+    test = MeanTest("E[I]", "I", 0.0)
+    return Plan((draw,), lambda est: CheckResult(
+        "mean_zero", "mean_zero", est.gates((test,), None, config.se_multiplier),
+        {"process": process.label}, est.samples))
 
 
 def _run_isometry(model, config, seed, *, process="det_step", samples=None,
@@ -450,11 +422,12 @@ def _run_isometry(model, config, seed, *, process="det_step", samples=None,
     def arrays(batch):
         square, q2 = eval_I_K(batch, proc) ** 2, square_integral(proc, batch)
         return {"paired": square - m2 * q2, "square": square, "q2": q2}
-    return MeanCheck("isometry", Draw(ISOMETRY_STREAM, seed, samples, arrays, proc.read_window()),
-                     (MeanTest("E[I^2 - m2 int X^2]", "paired", 0.0, heavy=True),),
-                     se_multiplier, "paired", lambda stats: {
-                         "process": process.label, "mean_square": stats["square"][0],
-                         "mean_compensator": m2 * stats["q2"][0]})
+    draw = Draw(ISOMETRY_STREAM, seed, samples, arrays, proc.read_window(), keep="paired")
+    test = MeanTest("E[I^2 - m2 int X^2]", "paired", 0.0, heavy=True)
+    return Plan((draw,), lambda est: CheckResult(
+        "isometry", "isometry", est.gates((test,), se_multiplier, config.se_multiplier),
+        {"process": process.label, "mean_square": est.stats["square"][0],
+         "mean_compensator": m2 * est.stats["q2"][0]}, est.samples))
 
 
 def _run_martingale(model, config, seed, *, process="two_block", samples=None,
@@ -467,19 +440,19 @@ def _run_martingale(model, config, seed, *, process="two_block", samples=None,
         label: coef.eval(batch) * eval_L_set(batch, [(a, b)])
         * ClampedNoise(a - probe_width, a, 10.0).eval(batch)
         for label, (a, b, coef) in cells.items()}
-    return MeanCheck("martingale", Draw(MARTINGALE_STREAM, seed, samples, arrays, window),
-                     tuple(MeanTest(label, label, 0.0, heavy=True) for label in cells),
-                     se_multiplier)
+    tests = tuple(MeanTest(label, label, 0.0, heavy=True) for label in cells)
+    return Plan((Draw(MARTINGALE_STREAM, seed, samples, arrays, window),), lambda est: CheckResult(
+        "martingale", "martingale", est.gates(tests, se_multiplier, config.se_multiplier)))
 
 
-def _run_linear_moment_bound(model, config, seed, *, p,
+def _run_linear_moment_bound(model, config, *, p,
                              phi={"breakpoints": [0.0, 1.0], "values": [1.0]}):
     res = check_linear_moment_bound(model, phi, p)
     return CheckResult(f"linear_moment_bound_p{p}", "linear_moment_bound", (res.gate,),
                        {"p": p, "partition_count": res.partition_count, "ratio": res.ratio})
 
 
-def _run_interpolation(model, config, seed, *, p=6):
+def _run_interpolation(model, config, *, p=6):
     rows = interpolation_check(model, p)
     return CheckResult(f"interpolation_p{p}", "interpolation", tuple(r.gate for r in rows),
                        {"rows": [{"r": r.r, "value": r.value, "bound": r.bound,
@@ -488,48 +461,46 @@ def _run_interpolation(model, config, seed, *, p=6):
 
 def _run_integral_moment_bound(model, config, seed, *, process="det_step", p=4,
                                rosenthal_b=1.0, samples=None, convention="linear"):
-    res = check_integral_moment_bound(
-        model, process.value, p, rosenthal_b=rosenthal_b, n_samples=samples, seed=seed,
-        convention=convention, se_multiplier=config.se_multiplier)
-    return CheckResult(f"integral_bound_p{p}", "integral_moment_bound", (res.gate,),
-                       {"p": p, "constant": res.constant, "convention": res.convention,
-                        "process": process.label, "p_norm": res.lhs, "p_norm_bound": res.rhs})
+    return integral_bound_plan(model, process.value, p, rosenthal_b, samples, seed, convention,
+                               config.se_multiplier).then(lambda res: CheckResult(
+        f"integral_bound_p{p}", "integral_moment_bound", (res.gate,),
+        {"p": p, "constant": res.constant, "convention": res.convention,
+         "process": process.label, "p_norm": res.lhs, "p_norm_bound": res.rhs}))
 
 
 def _run_convolution_bound(model, config, seed, *, kernel="indicator", field="unit", p=2,
                            t=1.0, x=0.0, rosenthal_b=1.0, samples=None,
                            convention="linear"):
-    res = check_convolution_moment_bound(
-        model, kernel, field, p, t=t, x=x, rosenthal_b=rosenthal_b, n_samples=samples,
-        seed=seed, convention=convention, se_multiplier=config.se_multiplier)
-    return CheckResult(f"convolution_bound_p{p}", "convolution_bound", (res.gate,),
-                       {"p": p, "nu_t": res.nu_t, "b_const_pow": res.b_const_pow,
-                        "quad_delta": res.quad_delta,
-                        "kernel": kernel.name, "field": field.name})
+    return convolution_bound_plan(model, kernel, field, p, t, x, rosenthal_b, samples, seed,
+                                  convention, config.se_multiplier).then(lambda res: CheckResult(
+        f"convolution_bound_p{p}", "convolution_bound", (res.gate,),
+        {"p": p, "nu_t": res.nu_t, "b_const_pow": res.b_const_pow,
+         "quad_delta": res.quad_delta, "kernel": kernel.name, "field": field.name}))
 
 
 def _run_tail(model, config, seed, *, profile="gaussian", schedule=(1.0, 2.0, 3.0),
               k_outer=8.0, samples=None, se_multiplier=None):
-    rows = tail_convergence(model, profile, schedule, k_outer, samples, seed, se_multiplier)
-    return CheckResult("tail", "tail", tuple(r.gate for r in rows),
-                       {"rows": [{"k": r.k_inner} for r in rows]})
+    return tail_plan(model, profile, schedule, k_outer, samples, seed,
+                     se_multiplier).then(lambda rows: CheckResult(
+        "tail", "tail", tuple(r.gate for r in rows), {"rows": [{"k": r.k_inner} for r in rows]}))
 
 
 def _run_derivative_probes(model, config, seed, *, functional="mixed", n_realizations=20,
                            n_probes_x=5):
     F = functional.value
     window = F.read_window() + 1.0
-    probes_x = np.linspace(-window + 0.25, window - 0.25, n_probes_x)
     z = float(model.atoms[0][0])
-    agree = 0
-    draw = Draw(DERIVATIVE_PROBES_STREAM, seed, n_realizations, window=window)
-    for real in draw.realizations(model):
-        for x in probes_x:
-            d = malliavin_derivative(F, float(x), z, model)
-            agree += eval_chaos(real, d) == add_one_cost(F, real, float(x), z)
-    gate = Gate("probes agreeing with the add-one cost", agree, n_realizations * n_probes_x)
-    return CheckResult("derivative_probes", "derivative_probes", (gate,),
-                       {"functional": functional.label})
+
+    def arrays(batch):  # per exact realization, the probes agreeing with the add-one cost
+        probes = [(float(x), malliavin_derivative(F, float(x), z, model))
+                  for x in np.linspace(-window + 0.25, window - 0.25, n_probes_x)]
+        agree = [sum(eval_chaos(r, d) == add_one_cost(F, r, x, z) for x, d in probes)
+                 for r in map(batch.realization, range(batch.n))]
+        return {"agree": np.array(agree)}
+    draw = Draw(DERIVATIVE_PROBES_STREAM, seed, n_realizations, arrays, window, keep="agree")
+    return Plan((draw,), lambda est: CheckResult("derivative_probes", "derivative_probes", (
+        Gate("probes agreeing with the add-one cost", int(est.samples.sum()),
+             n_realizations * n_probes_x),), {"functional": functional.label}))
 
 
 def _run_projection(model, config, seed, *, kernel="k2", y=0.0, samples=None,
@@ -546,12 +517,12 @@ def _run_projection(model, config, seed, *, kernel="k2", y=0.0, samples=None,
     # projecting cannot increase the second moment
     tests = (MeanTest("orthogonality", "orthogonality", 0.0, heavy=True),
              MeanTest("contraction", "contraction", 0.0, "lower", True))
-    return MeanCheck("projection", Draw(PROJECTION_STREAM, seed, samples, arrays, window), tests,
-                     se_multiplier, details=lambda _: {"kernel": kernel.label, "y": y})
+    return Plan((Draw(PROJECTION_STREAM, seed, samples, arrays, window),), lambda est: CheckResult(
+        "projection", "projection", est.gates(tests, se_multiplier, config.se_multiplier),
+        {"kernel": kernel.label, "y": y}))
 
 
-def _run_left_zero(model, config, seed, *, functional="second_chaos_left", y=0.0,
-                   n_probes=8):
+def _run_left_zero(model, config, *, functional="second_chaos_left", y=0.0, n_probes=8):
     probes_x = np.linspace(y + 0.1, y + 2.0, n_probes)
     z = float(model.atoms[0][0])
     derivatives = [malliavin_derivative(functional.value, float(x), z, model) for x in probes_x]
@@ -563,10 +534,11 @@ def _run_left_zero(model, config, seed, *, functional="second_chaos_left", y=0.0
 
 def _run_duality(model, config, seed, *, functional="first_chaos", process="det_step",
                  samples=None, se_multiplier=None):
-    res = duality_gap(model, functional.value, process.value, samples, seed, se_multiplier)
-    return CheckResult("duality", "duality", (res.gate,),
-                       {"functional": functional.label, "process": process.label,
-                        "mean_pairing": res.mean_pairing, "mean_adjoint": res.mean_adjoint})
+    return duality_plan(model, functional.value, process.value, samples, seed,
+                        se_multiplier).then(lambda res: CheckResult(
+        "duality", "duality", (res.gate,),
+        {"functional": functional.label, "process": process.label,
+         "mean_pairing": res.mean_pairing, "mean_adjoint": res.mean_adjoint}))
 
 
 def _run_chaos_isometry(model, config, seed, *, kernel="k2", samples=None,
@@ -577,8 +549,10 @@ def _run_chaos_isometry(model, config, seed, *, kernel="k2", samples=None,
                 kern.read_window())
     test = MeanTest(f"E[I_{kern.order}^2]", "I^2", float(chaos_variance(model, kern)),
                     heavy=kern.order >= 2)
-    return MeanCheck(f"chaos_isometry_{kernel.label}", draw, (test,), se_multiplier,
-                     details=lambda _: {"kernel": kernel.label, "order": kern.order})
+    return Plan((draw,), lambda est: CheckResult(
+        f"chaos_isometry_{kernel.label}", "chaos_isometry",
+        est.gates((test,), se_multiplier, config.se_multiplier),
+        {"kernel": kernel.label, "order": kern.order}))
 
 
 def _run_chaos_orthogonality(model, config, seed, *, kernel_a="k1", kernel_b="k2",
@@ -589,37 +563,30 @@ def _run_chaos_orthogonality(model, config, seed, *, kernel_a="k1", kernel_b="k2
         max(k1.read_window(), k2.read_window()))
     test = MeanTest(f"E[I_{k1.order} I_{k2.order}]", "product", 0.0,
                     heavy=k1.order + k2.order >= 3)
-    return MeanCheck("chaos_orthogonality", draw, (test,), se_multiplier, details=lambda _: {
-        "kernel_a": kernel_a.label, "kernel_b": kernel_b.label})
+    return Plan((draw,), lambda est: CheckResult(
+        "chaos_orthogonality", "chaos_orthogonality",
+        est.gates((test,), se_multiplier, config.se_multiplier),
+        {"kernel_a": kernel_a.label, "kernel_b": kernel_b.label}))
 
 
 # family: the CLI subcommand that runs the kind besides ``report``
 CHECK_RUNNERS = {spec.kind: spec for spec in (
     CheckSpec(_run_partition_count),
     CheckSpec(_run_moment_mc),
-    CheckSpec(_run_char_gap,
-              draws=lambda seed, *, set, samples, **_: (char_gap_draw(set, samples, seed),)),
+    CheckSpec(_run_char_gap),
     CheckSpec(_run_mean_zero),
     CheckSpec(_run_isometry),
     CheckSpec(_run_martingale),
     CheckSpec(_run_linear_moment_bound, "verify-bounds", p=_EVEN_P),
     CheckSpec(_run_interpolation, "verify-bounds", p=_EVEN_P),
-    CheckSpec(_run_integral_moment_bound, "verify-bounds", p=_EVEN_P,
-              draws=lambda seed, *, process, p, samples, **_: (
-                  integral_bound_draw(process.value, p, samples, seed),)),
-    CheckSpec(_run_tail, "verify-bounds", validate=_schedule_inside_window,
-              draws=lambda seed, *, profile, schedule, k_outer, samples, **_: (
-                  tail_draw(profile, schedule, k_outer, samples, seed),)),
+    CheckSpec(_run_integral_moment_bound, "verify-bounds", p=_EVEN_P),
+    CheckSpec(_run_tail, "verify-bounds", validate=_schedule_inside_window),
     CheckSpec(_run_convolution_bound, "convolution", validate=_field_meets_kernel, p=_EVEN_P,
-              kernel=_choice({"indicator": indicator_kernel(), "heat": heat_kernel()}),
-              draws=lambda seed, *, kernel, field, p, t, x, samples, **_: convolution_draws(
-                  kernel, field, p, t, x, samples, seed)),
+              kernel=_choice({"indicator": indicator_kernel(), "heat": heat_kernel()})),
     CheckSpec(_run_derivative_probes, "malliavin-check", atomic_only=True),
     CheckSpec(_run_projection, "malliavin-check", atomic_only=True),
     CheckSpec(_run_left_zero, "malliavin-check", atomic_only=True),
-    CheckSpec(_run_duality, "malliavin-check", atomic_only=True,
-              draws=lambda seed, *, functional, process, samples, **_: (
-                  duality_draw(functional.value, process.value, samples, seed),)),
+    CheckSpec(_run_duality, "malliavin-check", atomic_only=True),
     CheckSpec(_run_chaos_isometry, "malliavin-check", atomic_only=True),
     CheckSpec(_run_chaos_orthogonality, "malliavin-check", atomic_only=True,
               validate=_orders_differ),

@@ -32,7 +32,7 @@ import numpy as np
 from .gate import REL_TOL, Gate, Gated
 from .measure import LevyMeasureModel, _adaptive_gauss, abs_moment, finite_moment
 from .partitions import count_no_singleton_partitions, moment_of_step_functional
-from .prm import Draw, MeanTest, batch_L_weighted, simulate
+from .prm import Draw, MeanTest, Plan, batch_L_weighted
 from .processes import SimpleProcess, abs_power_integral, eval_I_K, square_integral
 from .rng import INTEGRAL_BOUND_STREAM, SEMINORM_STREAM, TAIL_STREAM
 from .stepfun import StepFunction
@@ -61,6 +61,24 @@ class SeminormEstimate:
             raise ValueError("seminorm parts must be nonnegative")
 
 
+def seminorm_plan(model: LevyMeasureModel, proc: SimpleProcess, p: int,
+                  n_samples: int = 10_000, seed: int = 0) -> Plan:
+    """The plan of :func:`estimate_seminorm`, which draws nothing for a deterministic process."""
+    if p < 2 or p % 2:
+        raise ValueError("p must be an even integer >= 2")
+    if proc.is_deterministic():
+        q2, qp = (float(proc.as_step().abs_power_integral(k)) for k in (2, p))
+        exact = SeminormEstimate(math.sqrt(q2), qp ** (1.0 / p), q2 ** (p / 2), qp, 0.0, 0.0, True)
+        return Plan((), lambda: exact)
+
+    def finish(est) -> SeminormEstimate:
+        (m2p, s2p), (mpp, spp) = est.stats["sq_pow"], est.stats["abs_pow"]
+        return SeminormEstimate(m2p ** (1.0 / p), mpp ** (1.0 / p), m2p, mpp, s2p, spp, False)
+    return Plan((Draw(SEMINORM_STREAM, seed, n_samples, lambda batch: {
+        "sq_pow": square_integral(proc, batch) ** (p / 2),
+        "abs_pow": abs_power_integral(proc, batch, p)}, proc.read_window()),), finish)
+
+
 def estimate_seminorm(model: LevyMeasureModel, proc: SimpleProcess, p: int,
                       n_samples: int = 10_000, seed: int = 0) -> SeminormEstimate:
     """Estimate ``[X]_{K,p}`` (exact for deterministic processes).
@@ -70,20 +88,7 @@ def estimate_seminorm(model: LevyMeasureModel, proc: SimpleProcess, p: int,
     space integrals are exact per realization from the step structure;
     only the expectation is Monte Carlo.
     """
-    if p < 2 or p % 2:
-        raise ValueError("p must be an even integer >= 2")
-    if proc.is_deterministic():
-        phi = proc.as_step()
-        q2 = float(phi.abs_power_integral(2))
-        qp = float(phi.abs_power_integral(p))
-        return SeminormEstimate(math.sqrt(q2), qp ** (1.0 / p), q2 ** (p / 2), qp,
-                                0.0, 0.0, True)
-    draw = Draw(SEMINORM_STREAM, seed, n_samples, lambda batch: {
-        "sq_pow": square_integral(proc, batch) ** (p / 2),
-        "abs_pow": abs_power_integral(proc, batch, p)}, proc.read_window())
-    stats = simulate(model, draw).stats
-    (m2p, s2p), (mpp, spp) = stats["sq_pow"], stats["abs_pow"]
-    return SeminormEstimate(m2p ** (1.0 / p), mpp ** (1.0 / p), m2p, mpp, s2p, spp, False)
+    return seminorm_plan(model, proc, p, n_samples, seed).run(model)
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +154,6 @@ def integral_bound_constant(model: LevyMeasureModel, p: int, rosenthal_b: float,
     return (2.0 * b_factor * cstar * max(m2 ** (p / 2), mp)) ** (1.0 / p)
 
 
-def integral_bound_draw(proc: SimpleProcess, p: int, n_samples: int, seed: int) -> Draw:
-    """``|I(X)|^p`` per realization; the seminorm's draw has the same window and count."""
-    return Draw(INTEGRAL_BOUND_STREAM, seed, n_samples,
-                lambda batch: {"abs_pow": np.abs(eval_I_K(batch, proc)) ** p}, proc.read_window())
-
-
 @dataclass(frozen=True)
 class IntegralMomentBound(Gated):
     constant: float           # C_p at the configured Rosenthal constant
@@ -163,6 +162,34 @@ class IntegralMomentBound(Gated):
     rhs: float                # C_p [X]_p
     se_lhs_pow: float         # SE of the p-th moment estimate
     gate: Gate                # E|I(X)|^p against (C_p [X]_p)^p
+
+
+def integral_bound_plan(model: LevyMeasureModel, proc: SimpleProcess, p: int,
+                        rosenthal_b: float = 1.0, n_samples: int = 50_000, seed: int = 0,
+                        convention: str = "linear", se_multiplier: float = 3.0) -> Plan:
+    """The plan of :func:`check_integral_moment_bound`: ``|I(X)|^p`` per realization,
+    then the seminorm's draw."""
+    semi_plan = seminorm_plan(model, proc, p, n_samples, seed)
+    const = integral_bound_constant(model, p, rosenthal_b, convention)
+
+    def finish(est, *semi_est) -> IntegralMomentBound:
+        lhs_pow, se_lhs_pow = est.stats["abs_pow"]
+        semi = semi_plan.finish(*semi_est)
+        rhs = const * semi.value
+        # d(rhs^p)/d(mean parts) via the chain rule through the 1/p roots
+        if semi.exact:
+            se_rhs_pow = 0.0
+        else:
+            outer = const ** p * p * semi.value ** (p - 1)
+            d_l2 = semi.l2_part / (p * semi.mean_sq_pow) if semi.mean_sq_pow else 0.0
+            d_lp = semi.lp_part / (p * semi.mean_abs_pow) if semi.mean_abs_pow else 0.0
+            se_rhs_pow = outer * math.hypot(d_l2 * semi.se_sq_pow, d_lp * semi.se_abs_pow)
+        gate = Gate(f"E|I|^{p}", lhs_pow, rhs ** p, "upper",
+                    math.hypot(se_lhs_pow, se_rhs_pow), se_multiplier)
+        return IntegralMomentBound(const, convention, lhs_pow ** (1.0 / p), rhs, se_lhs_pow, gate)
+    draw = Draw(INTEGRAL_BOUND_STREAM, seed, n_samples,
+                lambda batch: {"abs_pow": np.abs(eval_I_K(batch, proc)) ** p}, proc.read_window())
+    return Plan((draw, *semi_plan.draws), finish)
 
 
 def check_integral_moment_bound(model: LevyMeasureModel, proc: SimpleProcess,
@@ -176,24 +203,8 @@ def check_integral_moment_bound(model: LevyMeasureModel, proc: SimpleProcess,
     independent one; the comparison runs on the p-th power scale with
     both standard errors combined.
     """
-    if p < 2 or p % 2:
-        raise ValueError("p must be an even integer >= 2")
-    const = integral_bound_constant(model, p, rosenthal_b, convention)
-    draw = integral_bound_draw(proc, p, n_samples, seed)
-    lhs_pow, se_lhs_pow = simulate(model, draw).stats["abs_pow"]
-    semi = estimate_seminorm(model, proc, p, n_samples, seed)
-    rhs = const * semi.value
-    # d(rhs^p)/d(mean parts) via the chain rule through the 1/p roots
-    if semi.exact:
-        se_rhs_pow = 0.0
-    else:
-        outer = const ** p * p * semi.value ** (p - 1)
-        d_l2 = semi.l2_part / (p * semi.mean_sq_pow) if semi.mean_sq_pow else 0.0
-        d_lp = semi.lp_part / (p * semi.mean_abs_pow) if semi.mean_abs_pow else 0.0
-        se_rhs_pow = outer * math.hypot(d_l2 * semi.se_sq_pow, d_lp * semi.se_abs_pow)
-    gate = Gate(f"E|I|^{p}", lhs_pow, rhs ** p, "upper",
-                math.hypot(se_lhs_pow, se_rhs_pow), se_multiplier)
-    return IntegralMomentBound(const, convention, lhs_pow ** (1.0 / p), rhs, se_lhs_pow, gate)
+    return integral_bound_plan(model, proc, p, rosenthal_b, n_samples, seed, convention,
+                               se_multiplier).run(model)
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +217,23 @@ class TailRow(Gated):
     gate: Gate                # Var(I_K' - I_K) against m_2 int_tail phi^2
 
 
-def tail_draw(func, schedule, k_outer: float, n_samples: int, seed: int) -> Draw:
-    """``(I_{K'}(phi) - I_K(phi))^2`` per realization, one array ``K=k`` per ``k``."""
-    def arrays(batch) -> dict[str, np.ndarray]:
-        out = {}
-        for k in map(float, schedule):
-            tail_f = lambda x: np.where(np.abs(x) > k, func(x), 0.0)
-            f_int = _two_sided_quad(func, k, k_outer, power=1)
-            out[f"K={k}"] = batch_L_weighted(batch, tail_f, f_int) ** 2
-        return out
-    return Draw(TAIL_STREAM, seed, n_samples, arrays, float(k_outer))
+def tail_plan(model: LevyMeasureModel, func, schedule, k_outer: float,
+              n_samples: int = 20_000, seed: int = 0,
+              se_multiplier: float | None = 3.0) -> Plan:
+    """The plan of :func:`tail_convergence`: ``(I_{K'}(phi) - I_K(phi))^2`` per
+    realization, one array ``K=k`` per ``k`` of the schedule."""
+    ks = [float(k) for k in schedule]
+    # per K, the squared compensated sum over the tail region K < |x| <= K'
+    arrays = lambda batch: {f"K={k}": batch_L_weighted(
+        batch, lambda x, k=k: np.where(np.abs(x) > k, func(x), 0.0),
+        _two_sided_quad(func, k, k_outer, power=1)) ** 2 for k in ks}
+
+    def finish(est) -> list[TailRow]:
+        m2 = float(abs_moment(model, 2))
+        tests = [MeanTest(f"K={k}", f"K={k}", m2 * _two_sided_quad(func, k, k_outer, power=2),
+                          heavy=True) for k in ks]
+        return [TailRow(k, gate) for k, gate in zip(ks, est.gates(tests, se_multiplier))]
+    return Plan((Draw(TAIL_STREAM, seed, n_samples, arrays, float(k_outer)),), finish)
 
 
 def tail_convergence(model: LevyMeasureModel, func, schedule, k_outer: float,
@@ -229,13 +247,7 @@ def tail_convergence(model: LevyMeasureModel, func, schedule, k_outer: float,
     tail-restricted compensated sums.  ``se_multiplier=None`` gates at
     the heavy-tail multiplier.
     """
-    m2 = float(abs_moment(model, 2))
-    ks = [float(k) for k in schedule]
-    tests = [MeanTest(f"K={k}", f"K={k}", m2 * _two_sided_quad(func, k, k_outer, power=2),
-                      heavy=True) for k in ks]
-    gates = simulate(model, tail_draw(func, ks, k_outer, n_samples, seed), tests,
-                     se_multiplier).gates
-    return [TailRow(k, gate) for k, gate in zip(ks, gates)]
+    return tail_plan(model, func, schedule, k_outer, n_samples, seed, se_multiplier).run(model)
 
 
 def _two_sided_quad(func, k_inner: float, k_outer: float, power: int) -> float:

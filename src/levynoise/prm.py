@@ -30,8 +30,9 @@ bit ``np.interp``; an atom is a zero-slope piece.  Sorted-table lookups,
 the marks' pieces and the cell of each point, go through one
 ``GuideTable``, which answers ``np.searchsorted`` with a few compares.
 
-Every Monte Carlo statistic of the package is a declared :class:`Draw`
-run through one loop, :func:`simulate`.
+Every Monte Carlo computation of the package is a :class:`Plan`: its
+declared :class:`Draw` records, each run through one loop, :func:`simulate`,
+and a function of their reduced :class:`Estimates`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 from .errors import PointCountError, WindowExceededError
 from .gate import Gate, mean_se
 from .measure import LevyMeasureModel, _density_integral, signed_moment
-from .rng import CHAR_GAP_STREAM, derive_rng, derive_seed
+from .rng import CHAR_GAP_STREAM, derive_rng
 
 Interval = tuple[float, float]
 
@@ -572,11 +573,24 @@ class CharFunctionReport:
     n_samples: int
 
 
-def char_gap_draw(interval: Interval, n_samples: int, seed: int) -> Draw:
-    """``n_samples`` draws of ``L(A)``, ``|A|`` the length of ``interval``."""
+def char_gap_plan(model: LevyMeasureModel, interval: Interval, thetas, n_samples: int,
+                  seed: int) -> Plan:
+    """The plan of :func:`char_function_gap`: ``n_samples`` draws of ``L(A)``, ``|A|``
+    the length of ``interval``, kept for the empirical mean."""
     a, b = interval
-    return Draw(CHAR_GAP_STREAM, seed, n_samples, lambda values: {"L": values},
-                length=float(b) - float(a))
+    length = float(b) - float(a)
+
+    def finish(est: Estimates) -> CharFunctionReport:
+        vals, counts = np.unique(est.samples, return_counts=True)
+        emp, theo = [], []
+        for theta in thetas:
+            emp.append(complex((np.exp(1j * float(theta) * vals) * counts).sum() / n_samples))
+            theo.append(theoretical_char(model, length, float(theta)))
+        gaps = [abs(e - t) for e, t in zip(emp, theo)]
+        return CharFunctionReport(max(gaps), tuple(float(t) for t in thetas),
+                                  tuple(emp), tuple(theo), n_samples)
+    return Plan((Draw(CHAR_GAP_STREAM, seed, n_samples, lambda values: {"L": values},
+                      length=length, keep="L"),), finish)
 
 
 def char_function_gap(model: LevyMeasureModel, interval: Interval, thetas,
@@ -588,17 +602,7 @@ def char_function_gap(model: LevyMeasureModel, interval: Interval, thetas,
     a million draws take a few dozen values and each theta costs a few
     dozen exponentials instead of one per draw.
     """
-    draw = char_gap_draw(interval, n_samples, seed)
-    samples = simulate(model, draw, keep="L").samples
-    vals, counts = np.unique(samples, return_counts=True)
-    emp = []
-    theo = []
-    for theta in thetas:
-        emp.append(complex((np.exp(1j * float(theta) * vals) * counts).sum() / n_samples))
-        theo.append(theoretical_char(model, draw.length, float(theta)))
-    gaps = [abs(e - t) for e, t in zip(emp, theo)]
-    return CharFunctionReport(max(gaps), tuple(float(t) for t in thetas),
-                              tuple(emp), tuple(theo), n_samples)
+    return char_gap_plan(model, interval, thetas, n_samples, seed).run(model)
 
 
 # ---------------------------------------------------------------------------
@@ -620,53 +624,59 @@ class Draw:
     ``stream`` an id of :mod:`levynoise.rng`: point configurations on
     ``[-window, window]``, or, with ``length`` set, values of ``L(A)`` for
     a set of that length.  ``arrays`` maps the draw to named arrays with
-    one value per realization.
+    one value per realization; ``keep`` names the one kept whole.
     """
 
     stream: int
     seed: int
     n: int
-    arrays: Callable[[object], dict[str, np.ndarray]] | None = None
+    arrays: Callable[[object], dict[str, np.ndarray]]
     window: float | None = None
     length: float | None = None
+    keep: str | None = None
 
     def check_points(self, model: LevyMeasureModel, what: str = "a draw") -> None:
         """PointCountError if the draw expects more points than the sampler's cap."""
         mean = model.total_mass * (2.0 * self.window if self.length is None else self.length)
         _check_point_count(mean * self.n, what)
 
-    def realizations(self, model: LevyMeasureModel):
-        """The draw as ``n`` exact configurations, the ``i``-th keyed ``(seed, stream, i)``."""
-        for i in range(self.n):
-            yield sample_prm(model, self.window, derive_seed(self.seed, self.stream, i))
-
 
 class Estimates(NamedTuple):
     stats: dict[str, tuple[float, float]]  # the mean and its standard error, per array
-    gates: tuple[Gate, ...]
     samples: np.ndarray | None             # the kept array
 
+    def gates(self, tests, se_multiplier: float | None = None,
+              default_multiplier: float = 3.0) -> tuple[Gate, ...]:
+        """Gates on the means the tests name, at ``se_multiplier`` SEs when given, else at
+        ``HEAVY_TAIL_SE_MULTIPLIER`` for a heavy-tailed statistic, else ``default_multiplier``."""
+        mult = lambda t: (se_multiplier if se_multiplier is not None
+                          else HEAVY_TAIL_SE_MULTIPLIER if t.heavy else default_multiplier)
+        return tuple(Gate(t.label, self.stats[t.array][0], t.target, t.side,
+                          self.stats[t.array][1], mult(t)) for t in tests)
 
-def simulate(model: LevyMeasureModel, draw: Draw, tests=(), se_multiplier: float | None = None,
-             default_multiplier: float = 3.0, keep: str | None = None) -> Estimates:
-    """Run a declared draw and gate the means its tests name.
 
-    The draw is dropped once its arrays are evaluated.  A test's SE multiplier
-    is ``se_multiplier`` when given, else ``HEAVY_TAIL_SE_MULTIPLIER`` for a
-    heavy-tailed statistic, else ``default_multiplier``; ``keep`` names the
-    array returned as ``samples``.
-    """
+def simulate(model: LevyMeasureModel, draw: Draw) -> Estimates:
+    """Sample a declared draw, evaluate its arrays, drop the draw, and reduce each
+    array to its mean and standard error."""
     rng = derive_rng(draw.seed, draw.stream)
     if draw.length is None:
         arrays = draw.arrays(sample_prm_batch(model, draw.window, draw.n, rng))
     else:
         arrays = draw.arrays(sample_L_interval(model, draw.length, draw.n, rng))
-    stats = {name: mean_se(values) for name, values in arrays.items()}
+    return Estimates({name: mean_se(values) for name, values in arrays.items()},
+                     arrays.get(draw.keep))
 
-    def gate(test: MeanTest) -> Gate:
-        mult = (se_multiplier if se_multiplier is not None
-                else HEAVY_TAIL_SE_MULTIPLIER if test.heavy else default_multiplier)
-        return Gate(test.label, stats[test.array][0], test.target, test.side,
-                    stats[test.array][1], mult)
 
-    return Estimates(stats, tuple(gate(t) for t in tests), arrays.get(keep))
+class Plan(NamedTuple):
+    """A sampling computation, declared: its draws, and ``finish``, which maps one
+    :class:`Estimates` per draw, in order, to the result."""
+    draws: tuple[Draw, ...]
+    finish: Callable
+
+    def run(self, model: LevyMeasureModel):
+        """Run each draw through :func:`simulate`, and ``finish`` their estimates."""
+        return self.finish(*(simulate(model, draw) for draw in self.draws))
+
+    def then(self, f: Callable) -> Plan:
+        """The plan whose result is ``f`` of this one's."""
+        return Plan(self.draws, lambda *est: f(self.finish(*est)))

@@ -19,7 +19,7 @@ MOMENT_MC_STREAM = 1            # harness: moment_mc
 MEAN_ZERO_STREAM = 2            # harness: mean_zero
 ISOMETRY_STREAM = 3             # harness: isometry
 MARTINGALE_STREAM = 4           # harness: martingale
-DERIVATIVE_PROBES_STREAM = 5    # harness: derivative_probes (one seed per realization)
+DERIVATIVE_PROBES_STREAM = 5    # harness: derivative_probes
 PROJECTION_STREAM = 6           # harness: projection
 CHAOS_ISOMETRY_STREAM = 7       # harness: chaos_isometry
 CHAOS_ORTHOGONALITY_STREAM = 8  # harness: chaos_orthogonality

@@ -85,6 +85,34 @@ def test_stream_ids_unique():
         assert len(uses) == 1 and uses[0][1], (name, uses)
 
 
+def _scopes(tree: ast.Module):
+    """Each top-level function, and each method as ``Class.method``, with its node."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield f"{node.name}.{getattr(item, 'name', '')}", item
+        else:
+            yield getattr(node, "name", ""), node
+
+
+def test_samplers_have_one_path():
+    # a check samples only the draws of its plan, which check_config held against the
+    # point cap: simulate runs them, and only simulate, the one-realization sample_prm
+    # and the CLI's simulate command call a sampler
+    callers = {name: set() for name in
+               ("simulate", "sample_prm_batch", "sample_L_interval", "sample_prm")}
+    for path in sorted((ROOT / "src" / "levynoise").glob("*.py")):
+        for scope, node in _scopes(ast.parse(path.read_text())):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and _callee(call) in callers:
+                    callers[_callee(call)].add(f"{path.stem}.{scope}")
+    assert callers == {
+        "simulate": {"prm.Plan.run"},
+        "sample_prm_batch": {"prm.simulate", "prm.sample_prm", "cli._cmd_simulate"},
+        "sample_L_interval": {"prm.simulate"},
+        "sample_prm": set()}, callers
+
+
 def _loads(code: str, module: str = "scipy") -> bool:
     """Whether running ``code`` in a fresh interpreter imports ``module``."""
     code = textwrap.dedent(code) + f"import sys; print({module!r} in sys.modules)\n"

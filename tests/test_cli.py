@@ -216,7 +216,8 @@ def test_interpolation_past_order_cap_rejected_before_sampling(tmp_path, monkeyp
     {"kind": "mean_zero"}, {"kind": "moment_mc", "p": 2}, {"kind": "char_gap"},
     {"kind": "isometry"}, {"kind": "martingale"}, {"kind": "integral_moment_bound"},
     {"kind": "tail"}, {"kind": "convolution_bound"}, {"kind": "projection"},
-    {"kind": "duality"}, {"kind": "chaos_isometry"}, {"kind": "chaos_orthogonality"}],
+    {"kind": "duality"}, {"kind": "chaos_isometry"}, {"kind": "chaos_orthogonality"},
+    {"kind": "derivative_probes"}],
     ids=lambda check: check["kind"])
 def test_oversized_draw_rejected_before_any_check_runs(tmp_path, monkeypatch, capsys, late):
     # each draw of every check is held against the point cap while the config is read
@@ -225,14 +226,41 @@ def test_oversized_draw_rejected_before_any_check_runs(tmp_path, monkeypatch, ca
     for sampler in ("sample_L_interval", "sample_prm_batch", "sample_prm"):
         monkeypatch.setattr(levynoise.prm, sampler, no_run)
     monkeypatch.setattr(levynoise.cli, "run", no_run)
+    # derivative_probes sizes its one draw by its realizations, every other kind by samples
+    size = "n_realizations" if late["kind"] == "derivative_probes" else "samples"
     cfg = {"measure": {"atoms": [[1.0, 1.0]]}, "samples": 200_000,
-           "checks": [{"kind": "tail"}, {"kind": "duality"},
-                      {**late, "samples": 1_000_000_000}]}
+           "checks": [{"kind": "tail"}, {"kind": "duality"}, {**late, size: 1_000_000_000}]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert run_cli("report", "--config", str(path)) == 2
     err = capsys.readouterr().err
     assert f"{late['kind']}: a draw expecting" in err and "past the cap" in err, err
+
+
+def test_derivative_probes_draw_rejected_before_an_exact_check_runs(tmp_path, monkeypatch,
+                                                                    capsys):
+    # at the default 20 realizations on a window of 2, one atom of mass 1e8 expects 8e9
+    # points; the exact check before it must not run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(levynoise.harness, "count_no_singleton_partitions", no_run)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"measure": {"atoms": [[1.0, 1e8]]}, "checks": [
+        {"kind": "partition_count"}, {"kind": "derivative_probes"}]}))
+    assert run_cli("report", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "derivative_probes: a draw expecting 8e+09 points" in err, err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_derivative_probes_on_one_realization(tmp_path, capsys):
+    # a one-realization draw reduces to a NaN standard error, with no warning
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"measure": {"atoms": [[1.0, 1.0]]}, "checks": [
+        {"kind": "derivative_probes", "n_realizations": 1}]}))
+    assert run_cli("report", "--strict", "--config", str(path)) == 0
+    (gate,) = json.loads(capsys.readouterr().out)["checks"][0]["gates"]
+    assert (gate["statistic"], gate["target"]) == (5, 5)
 
 
 @pytest.mark.parametrize("kind", ["derivative_probes", "projection", "left_zero", "duality",

@@ -26,7 +26,7 @@ from levynoise.convolution import (
 )
 from levynoise.integral import _two_sided_quad
 from levynoise.measure import _adaptive_gauss, abs_moment, signed_moment
-from levynoise.prm import char_exponent
+from levynoise.prm import char_exponent, simulate
 
 QUADRATURE_SNAPSHOT_COUNT = 146
 QUADRATURE_SNAPSHOT_SHA256 = "f2e4a70fbc353ee796227ec7f0b72d27770001db5199d08b1e2b9959ee9880f7"
@@ -68,8 +68,9 @@ def _quadrature_values():
             for p in powers:
                 for t in TIMES:
                     for x in POSITIONS:
-                        value, delta, _ = _rhs_integral(kernel, field, p, t, x, model,
-                                                        2000, 10 * fi + p)
+                        moments = {j: simulate(model, draw).stats["abs_pow"] for j, draw
+                                   in field.moment_draws(p, 2000, 10 * fi + p).items()}
+                        value, delta, _ = _rhs_integral(kernel, field, p, t, x, moments)
                         out += [value, delta]
     for g, a, b in INTEGRANDS:
         out.append(_adaptive_gauss(g, a, b))
