@@ -2,7 +2,8 @@
 
 Subcommands::
 
-    simulate        sample noise values of configured sets, emit CSV
+    simulate        sample noise values of configured sets, emit CSV,
+                    one chunk of realizations at a time
     moments         exact moments of the smoothed noise via the
                     cumulant/partition engine
     verify-bounds   run the bound checks of a config
@@ -44,7 +45,7 @@ from .harness import (
 )
 from .measure import finite_moment, validate_measure
 from .partitions import moment_of_step_functional, step_functional_cumulants
-from .prm import eval_L_set, sample_prm_batch
+from .prm import eval_L_set, sample_chunks
 from .rng import SIMULATE_STREAM, derive_rng
 
 
@@ -178,14 +179,14 @@ def _cmd_simulate(args) -> int:
         model = _base_config(args).model()
     n = 1000 if args.samples is None else args.samples
     rng = derive_rng(args.seed if args.seed is not None else 0, SIMULATE_STREAM)
-    batch = sample_prm_batch(model, args.window, n, rng)
-    columns = [eval_L_set(batch, [s]) for s in sets]
-    rows = zip(*columns) if columns else []
+    chunks = sample_chunks(model, n, rng, window=args.window)  # checked before --out opens
     with _output(args) as out:
         writer = csv.writer(out)
         writer.writerow(["sample"] + [f"L({a},{b}]" for a, b in sets])
-        for i, row in enumerate(rows):
-            writer.writerow([i] + [repr(float(v)) for v in row])
+        for r0, batch in chunks:
+            columns = [eval_L_set(batch, [s]) for s in sets]
+            for i, row in enumerate(zip(*columns), r0):
+                writer.writerow([i] + [repr(float(v)) for v in row])
     return 0
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -256,13 +257,15 @@ def _rhs_integral(kernel: ConvolutionKernel, field, p: int, t: float, x: float,
     return value, delta, se_phi
 
 
+@lru_cache(maxsize=32)
 def build_convolution_process(kernel: ConvolutionKernel, field, t: float, x: float,
                               n_space: int = 64) -> SimpleProcess:
     """Freeze ``Psi(y) = integral_0^t G_{t-s}(x-y) Phi(s, y) ds`` on a y-grid.
 
     The grid refines the field's own breakpoints, so each frozen
     coefficient is (deterministic quadrature weight) x (cell factor) and
-    predictability survives the freeze.
+    predictability survives the freeze.  Built once per argument tuple and
+    kept: a config check plans its checks, and the run plans them again.
     """
     y_lo, y_hi = x - kernel.x_hi, x - kernel.x_lo
     pts = set(np.linspace(y_lo, y_hi, n_space + 1))

@@ -223,10 +223,11 @@ def tail_plan(model: LevyMeasureModel, func, schedule, k_outer: float,
     """The plan of :func:`tail_convergence`: ``(I_{K'}(phi) - I_K(phi))^2`` per
     realization, one array ``K=k`` per ``k`` of the schedule."""
     ks = [float(k) for k in schedule]
+    integrals = {k: _two_sided_quad(func, k, k_outer, power=1) for k in ks}
     # per K, the squared compensated sum over the tail region K < |x| <= K'
     arrays = lambda batch: {f"K={k}": batch_L_weighted(
-        batch, lambda x, k=k: np.where(np.abs(x) > k, func(x), 0.0),
-        _two_sided_quad(func, k, k_outer, power=1)) ** 2 for k in ks}
+        batch, lambda x, k=k: np.where(np.abs(x) > k, func(x), 0.0), integrals[k]) ** 2
+        for k in ks}
 
     def finish(est) -> list[TailRow]:
         m2 = float(abs_moment(model, 2))

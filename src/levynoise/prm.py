@@ -24,26 +24,33 @@ its slice of one output, so temporaries stay the size of a part.  A
 batch also gives the masses of many adjacent cells at once
 (``cell_masses``).
 
-One sampler, ``sample_prm_batch``, draws points; ``sample_prm`` is its
-one-realization batch.  Marks invert one tabulated CDF per model, bit for
-bit ``np.interp``; an atom is a zero-slope piece.  Sorted-table lookups,
-the marks' pieces and the cell of each point, go through one
-``GuideTable``, which answers ``np.searchsorted`` with a few compares.
+One sampler, ``sample_chunks``, draws points, in chunks of whole
+realizations; ``sample_prm_batch`` and ``sample_L_interval`` are its
+one-chunk case, and ``sample_prm`` is the one-realization batch.  The
+chunk size changes no value: every chunk reads the numbers a one-chunk
+draw would give its realizations.  Marks invert one tabulated CDF per
+model, bit for bit ``np.interp``; an atom is a zero-slope piece.
+Sorted-table lookups, the marks' pieces and the cell of each point, go
+through one ``GuideTable``, which answers ``np.searchsorted`` with a few
+compares.
 
 Every Monte Carlo computation of the package is a :class:`Plan`: its
 declared :class:`Draw` records, each run through one loop, :func:`simulate`,
-and a function of their reduced :class:`Estimates`.
+and a function of their reduced :class:`Estimates`.  The loop evaluates
+one chunk at a time, so a draw holds one chunk of points however many
+realizations it has.
 """
 
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -256,12 +263,23 @@ class RealizationBatch:
 _SEARCH_CHUNK = 1 << 16
 # Points plus cell-table entries of one part of RealizationBatch.parts, on which
 # every per-realization reduction of a batch runs: its masks, indices, gathers
-# and weights stay this size, however many realizations the batch holds.
+# and weights stay this size, however many realizations the batch holds.  The
+# chunks of sample_chunks hold about this many points too.
 _PART_SIZE = 1 << 18
-# Expected points of one sampling call: about 5.6 GB of batch arrays at 21 bytes
-# per point.  Past it a call is refused before any draw, not left to fail in
+# Expected points of one sampling call.  A one-chunk call (sample_prm_batch,
+# sample_L_interval) holds them all, about 5.6 GB at 21 bytes per point; a
+# chunked draw holds one chunk, so there the cap bounds the sampling work, not
+# the memory.  Past it a call is refused before any draw, not left to fail in
 # numpy's Poisson draw or in an allocation of the whole batch.
 MAX_EXPECTED_POINTS = 1 << 28
+
+
+def expected_points(model: LevyMeasureModel, n: int, window: float | None = None,
+                    length: float | None = None) -> float:
+    """``total_mass * (2 window | length) * n``: the expected points of ``n`` point
+    configurations on ``[-window, window]``, or of ``n`` draws of ``L(A)`` with
+    ``|A| = length``."""
+    return model.total_mass * (2.0 * window if length is None else length) * n
 
 
 def _check_point_count(expected: float, what: str = "a sampling call") -> None:
@@ -270,8 +288,11 @@ def _check_point_count(expected: float, what: str = "a sampling call") -> None:
                               f"the cap of {MAX_EXPECTED_POINTS} points")
 
 
-def _owner_dtype(n: int):
-    return np.int32 if n <= np.iinfo(np.int32).max else np.intp
+def _owners(counts: np.ndarray) -> np.ndarray:
+    """The realization index of each point, for realizations of ``counts`` points."""
+    n = len(counts)
+    return np.repeat(np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.intp),
+                     counts)
 
 
 class GuideTable:
@@ -397,6 +418,70 @@ def _mark_table(model: LevyMeasureModel) -> _InverseCDF:
     return _InverseCDF(grid_z, grid_cdf, slope, GuideTable(grid_cdf), None)
 
 
+def sample_chunks(model: LevyMeasureModel, n: int, rng: np.random.Generator,
+                  window: float | None = None, length: float | None = None,
+                  whole: bool = False) -> Iterator[tuple[int, RealizationBatch | np.ndarray]]:
+    """The one sampler: ``n`` independent realizations as ``(first realization, chunk)``
+    pairs in realization order, each chunk about ``_PART_SIZE`` points of whole
+    realizations, or, with ``whole``, the one chunk of all ``n``.
+
+    With ``window`` a chunk is a :class:`RealizationBatch` of point configurations
+    on ``[-window, window]``; with ``length`` it is the array of ``L(A)`` for a set
+    of that length.  The stream holds all ``n`` Poisson counts, then the locations
+    of all points in realization order, then their marks (``L(A)``: the marks right
+    after the counts).  A chunked draw takes its locations from ``rng`` and its
+    marks from a copy of ``rng`` skipped past every location.  Each ``uniform`` or
+    ``random`` value takes one 64-bit word, so every chunk reads the very words a
+    one-chunk draw gives its realizations, and the chunking changes no value.  The
+    argument checks and the counts run before this returns; each chunk is drawn
+    when it is asked for.
+    """
+    if length is None and window < 0:
+        raise ValueError("window must be >= 0")
+    if length is not None and length < 0:
+        raise ValueError("length must be >= 0")
+    _check_point_count(expected_points(model, n, window, length))
+    counts = rng.poisson(expected_points(model, 1, window, length), n)
+    total = int(counts.sum())
+    per = max(1, n if whole else _PART_SIZE * n // max(1, total))
+    marks = rng if length is not None or per >= n else _skipped(rng, total)
+
+    def chunks():
+        for r0 in range(0, max(n, 1), per):
+            part = counts[r0:r0 + per]
+            # L(A) allocates its marks before its owners: owners first, glibc's heap layout
+            # after a 1e6-value draw made a later 1e6-realization batch peak 6 MB higher
+            if length is None:
+                owner = _owners(part)
+                x = rng.uniform(-window, window, len(owner))
+                z, atom = _sample_marks(model, len(owner), marks)
+                yield r0, RealizationBatch(float(window), len(part), x, z, owner, atom, model)
+            else:
+                z, _ = _sample_marks(model, int(part.sum()), marks)
+                sums = np.bincount(_owners(part), weights=z, minlength=len(part))
+                yield r0, sums - length * float(_mt1(model))
+    return chunks()
+
+
+def _skipped(rng: np.random.Generator, words: int) -> np.random.Generator:
+    """A copy of a Philox ``rng`` that starts ``words`` 64-bit words further on; ``rng``
+    itself does not move.
+
+    Philox makes its words four at a time and buffers the rest of a block.  The
+    copy takes the buffered words, skips whole blocks with ``advance`` (which
+    empties the buffer), and takes the last ``words % 4`` words one by one.
+    """
+    ahead = copy.deepcopy(rng)
+    bits = ahead.bit_generator
+    buffered = min(words, 4 - bits.state["buffer_pos"])
+    bits.random_raw(buffered)
+    words -= buffered
+    if words:  # the buffer is empty, so advance drops no word
+        bits.advance(words // 4)
+        bits.random_raw(words % 4)
+    return ahead
+
+
 def sample_prm(model: LevyMeasureModel, window: float, seed: int) -> PointRealization:
     """Sample one point configuration on ``[-K, K] x R0``; deterministic in ``seed``.
 
@@ -408,17 +493,9 @@ def sample_prm(model: LevyMeasureModel, window: float, seed: int) -> PointRealiz
 
 def sample_prm_batch(model: LevyMeasureModel, window: float, n: int,
                      rng: np.random.Generator) -> RealizationBatch:
-    """Sample ``n`` independent configurations as one flat batch."""
-    if window < 0:
-        raise ValueError("window must be >= 0")
-    mean = 2.0 * window * model.total_mass  # points per realization
-    _check_point_count(mean * n)
-    counts = rng.poisson(mean, n) if window > 0 else np.zeros(n, dtype=int)
-    total = int(counts.sum())
-    owner = np.repeat(np.arange(n, dtype=_owner_dtype(n)), counts)
-    x = rng.uniform(-window, window, total)
-    z, atom = _sample_marks(model, total, rng)
-    return RealizationBatch(float(window), n, x, z, owner, atom, model)
+    """Sample ``n`` independent configurations as one flat batch: the one-chunk draw."""
+    ((_, batch),) = sample_chunks(model, n, rng, window=window, whole=True)
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -536,17 +613,10 @@ def sample_L_interval(model: LevyMeasureModel, length: float, n: int,
     Uses the compound-Poisson representation of the restriction of the
     point configuration to ``A``, which has the same law as evaluating a
     windowed realization on ``A``; far cheaper for marginal statistics.
+    The one-chunk draw.
     """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    mean = length * model.total_mass
-    _check_point_count(mean * n)
-    counts = rng.poisson(mean, n)
-    total = int(counts.sum())
-    z, _ = _sample_marks(model, total, rng)
-    owner = np.repeat(np.arange(n, dtype=_owner_dtype(n)), counts)
-    sums = np.bincount(owner, weights=z, minlength=n)
-    return sums - length * float(_mt1(model))
+    ((_, values),) = sample_chunks(model, n, rng, length=length, whole=True)
+    return values
 
 
 def char_exponent(model: LevyMeasureModel, theta: float) -> complex:
@@ -637,8 +707,7 @@ class Draw:
 
     def check_points(self, model: LevyMeasureModel, what: str = "a draw") -> None:
         """PointCountError if the draw expects more points than the sampler's cap."""
-        mean = model.total_mass * (2.0 * self.window if self.length is None else self.length)
-        _check_point_count(mean * self.n, what)
+        _check_point_count(expected_points(model, self.n, self.window, self.length), what)
 
 
 class Estimates(NamedTuple):
@@ -656,15 +725,18 @@ class Estimates(NamedTuple):
 
 
 def simulate(model: LevyMeasureModel, draw: Draw) -> Estimates:
-    """Sample a declared draw, evaluate its arrays, drop the draw, and reduce each
-    array to its mean and standard error."""
-    rng = derive_rng(draw.seed, draw.stream)
-    if draw.length is None:
-        arrays = draw.arrays(sample_prm_batch(model, draw.window, draw.n, rng))
-    else:
-        arrays = draw.arrays(sample_L_interval(model, draw.length, draw.n, rng))
-    return Estimates({name: mean_se(values) for name, values in arrays.items()},
-                     arrays.get(draw.keep))
+    """Sample a declared draw chunk by chunk, evaluate its arrays on each chunk and
+    drop it, and reduce each array, whole, to its mean and standard error."""
+    out: dict[str, np.ndarray] = {}
+    chunks = sample_chunks(model, draw.n, derive_rng(draw.seed, draw.stream), draw.window,
+                           draw.length)
+    for r0, chunk in chunks:
+        for name, values in draw.arrays(chunk).items():
+            if name not in out:
+                out[name] = np.empty(draw.n, values.dtype)
+            out[name][r0:r0 + len(values)] = values
+    return Estimates({name: mean_se(values) for name, values in out.items()},
+                     out.get(draw.keep))
 
 
 class Plan(NamedTuple):

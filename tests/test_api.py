@@ -78,7 +78,7 @@ def test_stream_ids_unique():
                 owners[node.id].append((path.name, id(node) in declared))
         if path.name in ("harness.py", "integral.py", "chaos.py", "convolution.py"):
             direct = [_callee(c) for c in calls
-                      if _callee(c) in ("sample_prm_batch", "derive_rng")]
+                      if _callee(c) in ("sample_chunks", "sample_prm_batch", "derive_rng")]
             assert not direct, (path.name, direct)
     assert owners.pop("SIMULATE_STREAM") == [("cli.py", False)]
     for name, uses in owners.items():
@@ -97,10 +97,11 @@ def _scopes(tree: ast.Module):
 
 def test_samplers_have_one_path():
     # a check samples only the draws of its plan, which check_config held against the
-    # point cap: simulate runs them, and only simulate, the one-realization sample_prm
-    # and the CLI's simulate command call a sampler
-    callers = {name: set() for name in
-               ("simulate", "sample_prm_batch", "sample_L_interval", "sample_prm")}
+    # point cap: simulate runs them.  There is one sampler, sample_chunks: simulate and
+    # the CLI's simulate command read it chunk by chunk, and the one-chunk samplers,
+    # with the one-realization sample_prm on top, are its only other callers
+    callers = {name: set() for name in ("simulate", "sample_chunks", "sample_prm_batch",
+                                        "sample_L_interval", "sample_prm")}
     for path in sorted((ROOT / "src" / "levynoise").glob("*.py")):
         for scope, node in _scopes(ast.parse(path.read_text())):
             for call in ast.walk(node):
@@ -108,8 +109,10 @@ def test_samplers_have_one_path():
                     callers[_callee(call)].add(f"{path.stem}.{scope}")
     assert callers == {
         "simulate": {"prm.Plan.run"},
-        "sample_prm_batch": {"prm.simulate", "prm.sample_prm", "cli._cmd_simulate"},
-        "sample_L_interval": {"prm.simulate"},
+        "sample_chunks": {"prm.simulate", "prm.sample_prm_batch", "prm.sample_L_interval",
+                          "cli._cmd_simulate"},
+        "sample_prm_batch": {"prm.sample_prm"},
+        "sample_L_interval": set(),
         "sample_prm": set()}, callers
 
 

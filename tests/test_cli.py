@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import re
 import subprocess
@@ -41,6 +42,22 @@ def test_simulate_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["sample", "L(0.0,1.0]", "L(-1.0,0.0]"]
     assert len(rows) == 1 + 1200
+
+
+# SHA-256 of the command below, taken while simulate still drew all rows as one batch
+SIMULATE_SHA256 = "269e42d871ca77b4e7073f8da01a9568e8190dd47212f820682f4019385cc7d1"
+
+
+@pytest.mark.parametrize("part_size", [4096, None], ids=["small_chunks", "default_chunks"])
+def test_simulate_csv_digest(tmp_path, monkeypatch, part_size):
+    # 40 000 realizations of about 24 points: several chunks even at the default size
+    if part_size is not None:
+        monkeypatch.setattr(levynoise.prm, "_PART_SIZE", part_size)
+    out = tmp_path / "sim.csv"
+    assert run_cli("simulate", "--measure", '{"atoms": [[1.0, 1.0], [-0.5, 2.0]]}',
+                   "--window", "4", "--samples", "40000", "--seed", "7",
+                   "--sets", "0,1;-4,-1;-4,4", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256
 
 
 def test_simulate_zero_samples(tmp_path):
@@ -181,7 +198,7 @@ def test_rejects_before_the_first_check_runs(tmp_path, monkeypatch, capsys):
     # a bad check late in the config stops the run before the first check samples
     def no_sampling(*args, **kwargs):
         raise AssertionError("a check ran")
-    for sampler in ("sample_L_interval", "sample_prm_batch"):
+    for sampler in ("sample_chunks", "sample_L_interval", "sample_prm_batch"):
         monkeypatch.setattr(levynoise.prm, sampler, no_sampling)
     cfg = {"measure": {"atoms": [[1.0, 1.0]]}, "samples": 2000,
            "checks": [{"kind": "moment_mc", "p": 2}, {"kind": "tail", "profile": "cauchy"}]}
@@ -200,7 +217,7 @@ def test_interpolation_past_order_cap_rejected_before_sampling(tmp_path, monkeyp
     # p is capped as the other moment orders are: its cost grows about as p^4
     def no_work(*args, **kwargs):
         raise AssertionError("a check ran")
-    for sampler in ("sample_L_interval", "sample_prm_batch"):
+    for sampler in ("sample_chunks", "sample_L_interval", "sample_prm_batch"):
         monkeypatch.setattr(levynoise.prm, sampler, no_work)
     monkeypatch.setattr(levynoise.harness, "interpolation_check", no_work)
     cfg = {"measure": {"atoms": [[1.0, 1.0]]}, "samples": 2000,
@@ -223,7 +240,8 @@ def test_oversized_draw_rejected_before_any_check_runs(tmp_path, monkeypatch, ca
     # each draw of every check is held against the point cap while the config is read
     def no_run(*args, **kwargs):
         raise AssertionError("a check ran")
-    for sampler in ("sample_L_interval", "sample_prm_batch", "sample_prm"):
+    for sampler in ("sample_chunks", "sample_L_interval", "sample_prm_batch",
+                    "sample_prm"):
         monkeypatch.setattr(levynoise.prm, sampler, no_run)
     monkeypatch.setattr(levynoise.cli, "run", no_run)
     # derivative_probes sizes its one draw by its realizations, every other kind by samples
@@ -300,7 +318,7 @@ def test_bad_phi_exit_code(tmp_path, monkeypatch, capsys, phi):
 def _no_sampling(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the input was accepted and sampled")
-    monkeypatch.setattr(levynoise.cli, "sample_prm_batch", fail)
+    monkeypatch.setattr(levynoise.cli, "sample_chunks", fail)
 
 
 @pytest.mark.parametrize("argv", [
@@ -569,7 +587,7 @@ def test_dump_samples_flag(tmp_path):
 def _no_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("work ran before the output path was checked")
-    for name in ("run", "sample_prm_batch", "step_functional_cumulants"):
+    for name in ("run", "sample_chunks", "step_functional_cumulants"):
         monkeypatch.setattr(levynoise.cli, name, fail)
 
 

@@ -14,6 +14,7 @@ from levynoise import (
 )
 from levynoise.convolution import _space_quad, build_convolution_process
 from levynoise.errors import InfiniteNuTError, QuadratureError
+from levynoise.harness import parse_config, run
 
 
 def unit_field():
@@ -70,6 +71,20 @@ def test_convolution_process_is_indicator(unit_atom):
     step = proc.as_step()
     assert step.support == (-1.0, 0.0)
     assert step.abs_power_integral(2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_convolution_process_built_once_per_key():
+    # the config check plans each check and the run plans it again: the frozen
+    # process is built once per (kernel, field, t, x, n_space), here twice
+    build_convolution_process.cache_clear()
+    config = parse_config({"measure": {"atoms": [[1.0, 1.0]]}, "samples": 1000, "checks": [
+        {"kind": "convolution_bound", "kernel": "indicator", "field": "unit", "p": 2},
+        {"kind": "convolution_bound", "kernel": "indicator", "field": "unit", "p": 4},
+        {"kind": "convolution_bound", "kernel": "indicator", "field": "unit", "x": 0.5}]})
+    assert build_convolution_process.cache_info().misses == 2
+    assert run(config).passed
+    info = build_convolution_process.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
 
 
 def test_worked_example_closed_form(unit_atom):
