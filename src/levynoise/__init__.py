@@ -12,8 +12,6 @@ Monte Carlo hypothesis tests.
 __version__ = "0.3.0"
 
 from .measure import (
-    LevyMeasureModel,
-    TruncatedDensity,
     abs_moment,
     atomic_measure,
     interpolation_check,
@@ -30,8 +28,6 @@ from .partitions import (
     step_functional_cumulants,
 )
 from .prm import (
-    PointRealization,
-    RealizationBatch,
     char_function_gap,
     eval_L_set,
     eval_path,
@@ -43,10 +39,8 @@ from .prm import (
 from .stepfun import StepFunction
 from .coefficients import ClampedNoise, Const, Poly, Product, Sum
 from .processes import (
-    SimpleProcess,
     catalog_process,
     eval_I_K,
-    eval_L_step,
     batch_I_K,
     from_step,
     linear_combination,
@@ -71,7 +65,6 @@ from .convolution import (
 from .chaos import (
     Cell,
     ChaosFunctional,
-    StepKernel,
     add_one_cost,
     batch_multiple_integral,
     catalog_functional,
@@ -85,8 +78,6 @@ from .chaos import (
     project_kernel,
 )
 from .harness import (
-    ExperimentConfig,
-    ExperimentReport,
     default_verification_config,
     mc_mean_test,
     parse_config,
@@ -94,4 +85,4 @@ from .harness import (
     run,
     write_report,
 )
-from .rng import derive_rng, derive_seed
+from .rng import derive_seed

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import MarkSetError
 from .gate import Gate, Gated
 from .measure import LevyMeasureModel, _density_integral
-from .prm import Draw, MeanTest, Plan, PointRealization, RealizationBatch, _check_window
+from .prm import Draw, MeanTest, Plan, PointRealization, RealizationBatch, _check_window, run_of
 from .processes import SimpleProcess, eval_I_K
 from .rng import DUALITY_STREAM
 
@@ -319,8 +319,9 @@ class DualityResult(Gated):
 def duality_plan(model: LevyMeasureModel, F: ChaosFunctional, proc: SimpleProcess,
                  n_samples: int = 20_000, seed: int = 0,
                  se_multiplier: float | None = 3.0) -> Plan:
-    """The plan of :func:`duality_gap`: the pairing ``<DF, V>``, the adjoint side
-    ``F delta(V)`` and their ``gap``, per realization.
+    """Paired Monte Carlo test of ``E <DF, V> = E[F delta(V)]`` for ``V = Phi(x) z``: the
+    pairing ``<DF, V>``, the adjoint side ``F delta(V)`` and their ``gap``, per
+    realization.  ``se_multiplier=None`` gates at the heavy-tail multiplier.
 
     The pairing is computed exactly per realization: the derivative is
     constant on each kernel cell, so the double integral collapses to a
@@ -349,12 +350,7 @@ def duality_plan(model: LevyMeasureModel, F: ChaosFunctional, proc: SimpleProces
                                           *est.gates((test,), se_multiplier)))
 
 
-def duality_gap(model: LevyMeasureModel, F: ChaosFunctional, proc: SimpleProcess,
-                n_samples: int = 20_000, seed: int = 0,
-                se_multiplier: float | None = 3.0) -> DualityResult:
-    """Paired Monte Carlo test of ``E <DF, V> = E[F delta(V)]`` for ``V = Phi(x) z``;
-    ``se_multiplier=None`` gates at the heavy-tail multiplier."""
-    return duality_plan(model, F, proc, n_samples, seed, se_multiplier).run(model)
+duality_gap = run_of(duality_plan)
 
 
 def _probe_in_cell(model: LevyMeasureModel, cell: Cell) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 """Closed catalog of coefficient functionals for simple processes.
 
 A coefficient is a bounded functional of the noise configuration to the
-left of a horizon.  The catalog is deliberately small and serializable:
+left of a horizon.  The catalog is deliberately small, and a config spells it:
 
 * ``Const(c)``                       -- reads nothing, bound |c|
 * ``ClampedNoise(a, b, clip)``       -- clamp(L((a, b]), clip), reads (a, b]
@@ -153,23 +153,8 @@ def scaled(coef: Coefficient, c: float) -> Coefficient:
 
 
 # ---------------------------------------------------------------------------
-# serialization (config files)
+# parsing (config files)
 # ---------------------------------------------------------------------------
-
-def coefficient_to_config(coef: Coefficient) -> dict:
-    if isinstance(coef, Const):
-        return {"type": "const", "value": coef.value}
-    if isinstance(coef, ClampedNoise):
-        return {"type": "clamped_noise", "interval": [coef.a, coef.b], "clip": coef.clip}
-    if isinstance(coef, Poly):
-        return {"type": "poly", "arg": coefficient_to_config(coef.arg),
-                "coeffs": list(coef.coeffs)}
-    if isinstance(coef, Product):
-        return {"type": "product", "factors": [coefficient_to_config(f) for f in coef.factors]}
-    if isinstance(coef, Sum):
-        return {"type": "sum", "terms": [coefficient_to_config(t) for t in coef.terms]}
-    raise TypeError(f"not a catalog coefficient: {coef!r}")
-
 
 def coefficient_from_config(cfg: dict) -> Coefficient:
     kind = cfg.get("type")

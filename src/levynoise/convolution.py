@@ -45,7 +45,7 @@ from .errors import InfiniteNuTError
 from .gate import Gate, Gated
 from .integral import integral_bound_constant
 from .measure import LevyMeasureModel, _adaptive_gauss_nodes
-from .prm import Draw, Plan
+from .prm import Draw, Plan, run_of
 from .processes import SimpleProcess, eval_I_K, validate_simple
 from .rng import CONVOLUTION_STREAM, FIELD_MOMENT_STREAM
 
@@ -302,8 +302,9 @@ def convolution_bound_plan(model: LevyMeasureModel, kernel: ConvolutionKernel, f
                            t: float, x: float, rosenthal_b: float = 1.0,
                            n_samples: int = 20_000, seed: int = 0, convention: str = "linear",
                            se_multiplier: float = 3.0, n_space: int = 64) -> Plan:
-    """The plan of :func:`check_convolution_moment_bound`: the draws of the field's cell
-    factors, then ``|U(t, x)|^p`` per realization on the frozen convolution process."""
+    """Monte Carlo gate for the convolution moment bound at the configured constant: the
+    draws of the field's cell factors, then ``|U(t, x)|^p`` per realization on the frozen
+    convolution process."""
     if p < 2 or p % 2:
         raise ValueError("p must be an even integer >= 2")
     field_draws = field.moment_draws(p, n_samples, seed)
@@ -325,12 +326,4 @@ def convolution_bound_plan(model: LevyMeasureModel, kernel: ConvolutionKernel, f
     return Plan((*field_draws.values(), draw), finish)
 
 
-def check_convolution_moment_bound(model: LevyMeasureModel, kernel: ConvolutionKernel,
-                                   field, p: int, t: float, x: float,
-                                   rosenthal_b: float = 1.0, n_samples: int = 20_000,
-                                   seed: int = 0, convention: str = "linear",
-                                   se_multiplier: float = 3.0,
-                                   n_space: int = 64) -> ConvolutionBoundResult:
-    """Monte Carlo gate for the convolution moment bound at the configured constant."""
-    return convolution_bound_plan(model, kernel, field, p, t, x, rosenthal_b, n_samples, seed,
-                                  convention, se_multiplier, n_space).run(model)
+check_convolution_moment_bound = run_of(convolution_bound_plan)

@@ -56,10 +56,3 @@ def mean_se(samples: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error, NaN for one sample."""
     n = len(samples)
     return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n) if n > 1 else math.nan)
-
-
-def mean_gate(label: str, samples: np.ndarray, target: float, multiplier: float,
-              side: str = "two") -> Gate:
-    """Gate of a Monte Carlo mean against its target at ``multiplier`` SEs."""
-    est, se = mean_se(samples)
-    return Gate(label, est, target, side, se, multiplier)

@@ -55,7 +55,7 @@ from .convolution import (
     indicator_kernel,
 )
 from .errors import ConfigError, DegenerateVarianceError, UnknownCheckError
-from .gate import Gate, mean_gate
+from .gate import Gate, mean_se
 from .integral import check_linear_moment_bound, integral_bound_plan, tail_plan
 from .measure import (
     LevyMeasureModel,
@@ -71,7 +71,7 @@ from .partitions import (
     count_no_singleton_partitions,
     moment_of_step_functional,
 )
-from .prm import Draw, MeanTest, Plan, char_gap_plan, eval_L_set
+from .prm import Draw, Estimates, MeanTest, Plan, char_gap_plan, eval_L_set
 from .processes import catalog_process, eval_I_K, process_from_config, square_integral
 from .rng import (
     CHAOS_ISOMETRY_STREAM,
@@ -202,7 +202,8 @@ def mc_mean_test(samples: np.ndarray, target: float,
     samples = np.asarray(samples, dtype=float)
     if len(samples) < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    gate = mean_gate("mean", samples, target, se_multiplier)
+    (gate,) = Estimates({"mean": mean_se(samples)}, None).gates(
+        (MeanTest("mean", "mean", target),), se_multiplier)
     if not gate.se and not gate.passed:
         raise DegenerateVarianceError(f"all samples equal {gate.statistic} but target is {target}")
     z = (gate.statistic - target) / gate.se if gate.se else 0.0

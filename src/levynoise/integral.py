@@ -32,7 +32,7 @@ import numpy as np
 from .gate import REL_TOL, Gate, Gated
 from .measure import LevyMeasureModel, _adaptive_gauss, abs_moment, finite_moment
 from .partitions import count_no_singleton_partitions, moment_of_step_functional
-from .prm import Draw, MeanTest, Plan, batch_L_weighted
+from .prm import Draw, MeanTest, Plan, batch_L_weighted, run_of
 from .processes import SimpleProcess, abs_power_integral, eval_I_K, square_integral
 from .rng import INTEGRAL_BOUND_STREAM, SEMINORM_STREAM, TAIL_STREAM
 from .stepfun import StepFunction
@@ -63,7 +63,13 @@ class SeminormEstimate:
 
 def seminorm_plan(model: LevyMeasureModel, proc: SimpleProcess, p: int,
                   n_samples: int = 10_000, seed: int = 0) -> Plan:
-    """The plan of :func:`estimate_seminorm`, which draws nothing for a deterministic process."""
+    """Estimate ``[X]_{K,p}``, exact for a deterministic process, whose plan draws nothing.
+
+    ``K`` is the process's read window, which covers its support, so this
+    is the whole-line seminorm: simple processes vanish outside it.  The
+    space integrals are exact per realization from the step structure;
+    only the expectation is Monte Carlo.
+    """
     if p < 2 or p % 2:
         raise ValueError("p must be an even integer >= 2")
     if proc.is_deterministic():
@@ -79,16 +85,7 @@ def seminorm_plan(model: LevyMeasureModel, proc: SimpleProcess, p: int,
         "abs_pow": abs_power_integral(proc, batch, p)}, proc.read_window()),), finish)
 
 
-def estimate_seminorm(model: LevyMeasureModel, proc: SimpleProcess, p: int,
-                      n_samples: int = 10_000, seed: int = 0) -> SeminormEstimate:
-    """Estimate ``[X]_{K,p}`` (exact for deterministic processes).
-
-    ``K`` is the process's read window, which covers its support, so this
-    is the whole-line seminorm: simple processes vanish outside it.  The
-    space integrals are exact per realization from the step structure;
-    only the expectation is Monte Carlo.
-    """
-    return seminorm_plan(model, proc, p, n_samples, seed).run(model)
+estimate_seminorm = run_of(seminorm_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +164,12 @@ class IntegralMomentBound(Gated):
 def integral_bound_plan(model: LevyMeasureModel, proc: SimpleProcess, p: int,
                         rosenthal_b: float = 1.0, n_samples: int = 50_000, seed: int = 0,
                         convention: str = "linear", se_multiplier: float = 3.0) -> Plan:
-    """The plan of :func:`check_integral_moment_bound`: ``|I(X)|^p`` per realization,
-    then the seminorm's draw."""
+    """Monte Carlo gate ``||I(X)||_p <= C_p [X]_p`` at the configured constant.
+
+    The left side, ``|I(X)|^p`` per realization, is estimated on one derived
+    stream, the seminorm on an independent one, the draw of its own plan; the
+    comparison runs on the p-th power scale with both standard errors combined.
+    """
     semi_plan = seminorm_plan(model, proc, p, n_samples, seed)
     const = integral_bound_constant(model, p, rosenthal_b, convention)
 
@@ -192,19 +193,7 @@ def integral_bound_plan(model: LevyMeasureModel, proc: SimpleProcess, p: int,
     return Plan((draw, *semi_plan.draws), finish)
 
 
-def check_integral_moment_bound(model: LevyMeasureModel, proc: SimpleProcess,
-                                p: int, rosenthal_b: float = 1.0,
-                                n_samples: int = 50_000, seed: int = 0,
-                                convention: str = "linear",
-                                se_multiplier: float = 3.0) -> IntegralMomentBound:
-    """Monte Carlo gate ``||I(X)||_p <= C_p [X]_p`` at the configured constant.
-
-    The left side is estimated on one derived stream, the seminorm on an
-    independent one; the comparison runs on the p-th power scale with
-    both standard errors combined.
-    """
-    return integral_bound_plan(model, proc, p, rosenthal_b, n_samples, seed, convention,
-                               se_multiplier).run(model)
+check_integral_moment_bound = run_of(integral_bound_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +209,14 @@ class TailRow(Gated):
 def tail_plan(model: LevyMeasureModel, func, schedule, k_outer: float,
               n_samples: int = 20_000, seed: int = 0,
               se_multiplier: float | None = 3.0) -> Plan:
-    """The plan of :func:`tail_convergence`: ``(I_{K'}(phi) - I_K(phi))^2`` per
-    realization, one array ``K=k`` per ``k`` of the schedule."""
+    """Variance of ``I_{K'}(phi) - I_K(phi)`` against ``m_2 int_tail phi^2``.
+
+    ``func`` is a deterministic square-integrable profile (vectorized
+    callable).  For each ``K`` in the schedule the difference integral
+    reads only the tail region ``K < |x| <= K'``, so its samples, the
+    array ``K=k``, are the squared tail-restricted compensated sums.
+    ``se_multiplier=None`` gates at the heavy-tail multiplier.
+    """
     ks = [float(k) for k in schedule]
     integrals = {k: _two_sided_quad(func, k, k_outer, power=1) for k in ks}
     # per K, the squared compensated sum over the tail region K < |x| <= K'
@@ -237,18 +232,7 @@ def tail_plan(model: LevyMeasureModel, func, schedule, k_outer: float,
     return Plan((Draw(TAIL_STREAM, seed, n_samples, arrays, float(k_outer)),), finish)
 
 
-def tail_convergence(model: LevyMeasureModel, func, schedule, k_outer: float,
-                     n_samples: int = 20_000, seed: int = 0,
-                     se_multiplier: float | None = 3.0) -> list[TailRow]:
-    """Variance of ``I_{K'}(phi) - I_K(phi)`` against ``m_2 int_tail phi^2``.
-
-    ``func`` is a deterministic square-integrable profile (vectorized
-    callable).  For each ``K`` in the schedule the difference integral
-    reads only the tail region ``K < |x| <= K'``, so its samples are the
-    tail-restricted compensated sums.  ``se_multiplier=None`` gates at
-    the heavy-tail multiplier.
-    """
-    return tail_plan(model, func, schedule, k_outer, n_samples, seed, se_multiplier).run(model)
+tail_convergence = run_of(tail_plan)
 
 
 def _two_sided_quad(func, k_inner: float, k_outer: float, power: int) -> float:

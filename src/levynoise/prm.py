@@ -49,7 +49,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -266,11 +266,12 @@ _SEARCH_CHUNK = 1 << 16
 # and weights stay this size, however many realizations the batch holds.  The
 # chunks of sample_chunks hold about this many points too.
 _PART_SIZE = 1 << 18
-# Expected points of one sampling call.  A one-chunk call (sample_prm_batch,
-# sample_L_interval) holds them all, about 5.6 GB at 21 bytes per point; a
-# chunked draw holds one chunk, so there the cap bounds the sampling work, not
-# the memory.  Past it a call is refused before any draw, not left to fail in
-# numpy's Poisson draw or in an allocation of the whole batch.
+# Expected points, and realizations, of one sampling call.  A one-chunk call
+# (sample_prm_batch, sample_L_interval) holds all its points, about 5.6 GB at 21
+# bytes per point; a chunked draw holds one chunk, so there the cap bounds the
+# sampling work.  Every draw holds 8 bytes per realization for its counts and for
+# each named array.  Past either cap a call is refused before any draw, not left
+# to fail in numpy's Poisson draw or in an allocation of the whole draw.
 MAX_EXPECTED_POINTS = 1 << 28
 
 
@@ -282,10 +283,13 @@ def expected_points(model: LevyMeasureModel, n: int, window: float | None = None
     return model.total_mass * (2.0 * window if length is None else length) * n
 
 
-def _check_point_count(expected: float, what: str = "a sampling call") -> None:
+def _check_point_count(expected: float, n: int, what: str = "a sampling call") -> None:
     if not expected <= MAX_EXPECTED_POINTS:
         raise PointCountError(f"{what} expecting {expected:.3g} points is past "
                               f"the cap of {MAX_EXPECTED_POINTS} points")
+    if not n <= MAX_EXPECTED_POINTS:
+        raise PointCountError(f"{what} of {n:.3g} realizations is past "
+                              f"the cap of {MAX_EXPECTED_POINTS} realizations")
 
 
 def _owners(counts: np.ndarray) -> np.ndarray:
@@ -440,7 +444,7 @@ def sample_chunks(model: LevyMeasureModel, n: int, rng: np.random.Generator,
         raise ValueError("window must be >= 0")
     if length is not None and length < 0:
         raise ValueError("length must be >= 0")
-    _check_point_count(expected_points(model, n, window, length))
+    _check_point_count(expected_points(model, n, window, length), n)
     counts = rng.poisson(expected_points(model, 1, window, length), n)
     total = int(counts.sum())
     per = max(1, n if whole else _PART_SIZE * n // max(1, total))
@@ -645,8 +649,14 @@ class CharFunctionReport:
 
 def char_gap_plan(model: LevyMeasureModel, interval: Interval, thetas, n_samples: int,
                   seed: int) -> Plan:
-    """The plan of :func:`char_function_gap`: ``n_samples`` draws of ``L(A)``, ``|A|``
-    the length of ``interval``, kept for the empirical mean."""
+    """Sup over a theta grid of |empirical - theoretical| characteristic function of
+    ``L(A)``, ``|A|`` the length of ``interval``, from ``n_samples`` kept draws.
+
+    The empirical mean runs over the distinct sample values weighted by
+    their counts.  Under an atomic measure ``L(A)`` lives on a lattice, so
+    a million draws take a few dozen values and each theta costs a few
+    dozen exponentials instead of one per draw.
+    """
     a, b = interval
     length = float(b) - float(a)
 
@@ -661,18 +671,6 @@ def char_gap_plan(model: LevyMeasureModel, interval: Interval, thetas, n_samples
                                   tuple(emp), tuple(theo), n_samples)
     return Plan((Draw(CHAR_GAP_STREAM, seed, n_samples, lambda values: {"L": values},
                       length=length, keep="L"),), finish)
-
-
-def char_function_gap(model: LevyMeasureModel, interval: Interval, thetas,
-                      n_samples: int, seed: int) -> CharFunctionReport:
-    """Sup over a theta grid of |empirical - theoretical| characteristic function.
-
-    The empirical mean runs over the distinct sample values weighted by
-    their counts.  Under an atomic measure ``L(A)`` lives on a lattice, so
-    a million draws take a few dozen values and each theta costs a few
-    dozen exponentials instead of one per draw.
-    """
-    return char_gap_plan(model, interval, thetas, n_samples, seed).run(model)
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +704,8 @@ class Draw:
     keep: str | None = None
 
     def check_points(self, model: LevyMeasureModel, what: str = "a draw") -> None:
-        """PointCountError if the draw expects more points than the sampler's cap."""
-        _check_point_count(expected_points(model, self.n, self.window, self.length), what)
+        """PointCountError if the draw is past the sampler's cap of points or realizations."""
+        _check_point_count(expected_points(model, self.n, self.window, self.length), self.n, what)
 
 
 class Estimates(NamedTuple):
@@ -752,3 +750,14 @@ class Plan(NamedTuple):
     def then(self, f: Callable) -> Plan:
         """The plan whose result is ``f`` of this one's."""
         return Plan(self.draws, lambda *est: f(self.finish(*est)))
+
+
+def run_of(build: Callable[..., Plan]) -> Callable:
+    """``build(model, ...).run(model)``, with ``build``'s parameters and docstring."""
+    @wraps(build)
+    def run(model: LevyMeasureModel, *args, **kwargs):
+        return build(model, *args, **kwargs).run(model)
+    return run
+
+
+char_function_gap = run_of(char_gap_plan)

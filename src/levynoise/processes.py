@@ -35,7 +35,6 @@ from .coefficients import (
     Product,
     Sum,
     coefficient_from_config,
-    coefficient_to_config,
     scaled,
 )
 from .errors import (
@@ -44,12 +43,11 @@ from .errors import (
     UnboundedCoefficientError,
 )
 from .gate import mean_se
-from .measure import signed_moment
+from .measure import _adaptive_gauss, signed_moment
 from .prm import GuideTable, PointRealization, RealizationBatch, _check_window
 from .schema import number
 from .stepfun import StepFunction
 
-FREEZE_QUAD_NODES = 20001  # grid of freeze_error_sq_deterministic
 # Clipped cells, and points per realization, from which a batch integral
 # runs on parts: below either, the per-cell loop is as fast and holds less.
 PARTITION_MIN_CELLS = 8
@@ -111,11 +109,6 @@ def validate_simple(breakpoints, coefficients) -> SimpleProcess:
 def from_step(phi: StepFunction) -> SimpleProcess:
     """Deterministic simple process with the cells and values of ``phi``."""
     return validate_simple(phi.breakpoints, tuple(Const(v) for v in phi.values))
-
-
-def process_to_config(proc: SimpleProcess) -> dict:
-    return {"breakpoints": list(proc.breakpoints),
-            "coefficients": [coefficient_to_config(c) for c in proc.coefficients]}
 
 
 def process_from_config(cfg: dict) -> SimpleProcess:
@@ -184,12 +177,6 @@ def square_integral(proc: SimpleProcess,
                     src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
     """Pathwise ``integral |X(x)|^2 dx`` over the window of ``src``."""
     return abs_power_integral(proc, src, 2)
-
-
-def eval_L_step(real: PointRealization, phi: StepFunction) -> Fraction:
-    """Noise smoothed by a step function: ``sum phi(x_i) z_i - mt_1 integral phi``."""
-    _check_window([phi.support], real.window)
-    return eval_I_K(real, from_step(phi))
 
 
 # older batch names, kept because perfbench/workloads.py imports them
@@ -305,14 +292,13 @@ def freeze_error_sq_deterministic(profile: DeterministicProfile, proc: SimplePro
                                   window: float) -> float:
     """``integral (X - X_m)^2`` over the window for a deterministic profile.
 
-    Composite midpoint evaluation on a fine grid refined by the process
-    breakpoints; adequate for monitoring mesh convergence.
+    One adaptive Gauss quadrature per piece between the window ends and the
+    process breakpoints, on each of which the frozen process is constant.
     """
     step = proc.as_step()
-    grid = np.linspace(-window, window, FREEZE_QUAD_NODES)
-    mids = 0.5 * (grid[1:] + grid[:-1])
-    diff = np.asarray(profile.func(mids), dtype=float) - step(mids)
-    return float(np.sum(diff ** 2 * np.diff(grid)))
+    diff_sq = lambda x: (np.asarray(profile.func(x), dtype=float) - step(x)) ** 2
+    ends = sorted({-window, window} | {b for b in proc.breakpoints if -window < b < window})
+    return math.fsum(_adaptive_gauss(diff_sq, lo, hi) for lo, hi in zip(ends, ends[1:]))
 
 
 def freeze_error_sq_sliding(profile: SlidingWindowProfile, proc: SimpleProcess,

@@ -60,9 +60,6 @@ class StepFunction:
         out = np.where(inside, vals[np.clip(idx - 1, 0, len(vals) - 1)], 0.0)
         return float(out) if np.isscalar(x) else out
 
-    def value_at(self, x: float) -> float:
-        return float(self(float(x)))
-
     # -- integrals ---------------------------------------------------
 
     def power_integral(self, q: int) -> Fraction:

@@ -43,7 +43,7 @@ def refined(phi, extra):
     # new cells never straddle an original breakpoint, so the value at
     # the right end is the cell value (0 outside the original support);
     # a midpoint can round onto the open left end of a subnormal cell
-    return StepFunction(tuple(pts), tuple(phi.value_at(hi) for hi in pts[1:]))
+    return StepFunction(tuple(pts), tuple(float(phi(hi)) for hi in pts[1:]))
 
 
 def masked_mass(batch, intervals):

@@ -4,6 +4,7 @@ what a cold process loads."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -114,6 +115,51 @@ def test_samplers_have_one_path():
         "sample_prm_batch": {"prm.sample_prm"},
         "sample_L_interval": set(),
         "sample_prm": set()}, callers
+
+
+# Public definitions whose only reader is a test, each with the reason it stays
+TEST_ONLY_READERS = {
+    "partitions.all_partitions": "the enumeration oracle that the recurrence is checked against",
+    "processes.freeze_error_sq_deterministic": "ROADMAP item 4 decides the freeze helpers",
+}
+
+
+def _definitions(tree: ast.Module):
+    """Each public top-level function, class and assigned name, and each public
+    method as ``Class.method``, with its node."""
+    for node in tree.body:
+        names = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+        for name in names or [getattr(node, "name", "_")]:
+            if not name.startswith("_"):
+                yield name, node
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                yield f"{node.name}.{item.name}", item
+
+
+def _reads(node: ast.AST, name: str) -> int:
+    return sum(isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id == name
+               or isinstance(sub, ast.Attribute) and sub.attr == name for sub in ast.walk(node))
+
+
+def test_every_public_definition_has_a_reader():
+    """A public definition in ``src/levynoise`` is read elsewhere in ``src/`` (its own
+    body and the exports of ``__init__`` do not count), or by the demos, the benchmark
+    or the README.  One read by tests alone is listed in TEST_ONLY_READERS."""
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "levynoise").glob("*.py"))
+               if path.name != "__init__.py"}
+    outside = "\n".join(path.read_text() for path in (
+        *sorted(ROOT.glob("demos/*.py")), *sorted(ROOT.glob("perfbench/*.py")),
+        ROOT / "README.md"))
+    unread = []
+    for module, tree in modules.items():
+        for qualname, node in _definitions(tree):
+            name = qualname.rpartition(".")[2]
+            in_src = sum(_reads(other, name) for other in modules.values()) - _reads(node, name)
+            if not in_src and not re.search(rf"\b{re.escape(name)}\b", outside):
+                unread.append(f"{module}.{qualname}")
+    assert sorted(unread) == sorted(TEST_ONLY_READERS), unread
 
 
 def _loads(code: str, module: str = "scipy") -> bool:

@@ -15,7 +15,8 @@ from levynoise import (
     run,
     write_report,
 )
-from levynoise.errors import ConfigError, DegenerateVarianceError, UnknownCheckError
+from levynoise.errors import (ConfigError, DegenerateVarianceError, PointCountError,
+                              UnknownCheckError)
 from levynoise.harness import CHECK_RUNNERS, write_samples_csv
 from levynoise.prm import _mark_table
 from levynoise.rng import derive_seed
@@ -49,6 +50,13 @@ def test_parse_rejects_small_sample_count():
 def test_parse_rejects_small_multiplier():
     with pytest.raises(ConfigError):
         cfg(se_multiplier=0.5)
+
+
+def test_parse_rejects_realizations_past_the_cap():
+    # one expected point, but 8 TB of Poisson counts: refused with nothing drawn
+    with pytest.raises(PointCountError, match="1e\\+12 realizations is past the cap"):
+        parse_config({"measure": {"atoms": [[1.0, 1e-12]]}, "samples": 1e12,
+                      "checks": [{"kind": "moment_mc", "p": 2}]})
 
 
 def test_parse_rejects_unknown_check():

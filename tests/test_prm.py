@@ -10,7 +10,6 @@ from levynoise import (
     atomic_measure,
     char_function_gap,
     eval_L_set,
-    eval_L_step,
     eval_path,
     power_law_measure,
     sample_L_interval,
@@ -18,7 +17,6 @@ from levynoise import (
     sample_prm_batch,
     signed_moment,
     theoretical_char,
-    StepFunction,
 )
 from levynoise.errors import PointCountError, WindowExceededError
 import levynoise.prm
@@ -109,19 +107,25 @@ def test_point_count_cap_refuses_before_drawing():
     assert rng.random() == derive_rng(5).random()  # refused before any draw
 
 
+def test_realization_cap_refuses_before_drawing(monkeypatch):
+    # a draw holds 8 bytes per realization for its Poisson counts however few points
+    # it expects; the cap on points caps the realizations too
+    monkeypatch.setattr(levynoise.prm, "MAX_EXPECTED_POINTS", 100)
+    tiny = atomic_measure([(1.0, 1e-12)])
+    rng = derive_rng(5)
+    for where in ({"window": 1.0}, {"length": 1.0}):
+        with pytest.raises(PointCountError, match="101 realizations is past the cap of 100"):
+            levynoise.prm.sample_chunks(tiny, 101, rng, **where)
+        with pytest.raises(PointCountError, match="101 realizations"):
+            levynoise.prm.Draw(0, 0, 101, dict, **where).check_points(tiny)
+        levynoise.prm.Draw(0, 0, 100, dict, **where).check_points(tiny)
+    assert rng.random() == derive_rng(5).random()  # refused before any draw
+
+
 def test_window_guard(unit_atom):
     real = sample_prm(unit_atom, 1.0, 4)
     with pytest.raises(WindowExceededError):
         eval_L_set(real, (0.0, 2.0))
-
-
-def test_eval_L_step_examples(unit_atom):
-    real = make_realization(unit_atom, 1.0, [(0.25, 1.0), (0.75, 1.0)])
-    phi = StepFunction.constant_on(0.0, 0.5, 2.0)
-    assert eval_L_step(real, phi) == 1                    # 2 - 1
-    assert eval_L_step(real, StepFunction.indicator(0.0, 1.0)) == eval_L_set(real, (0.0, 1.0))
-    zero = StepFunction((0.0, 1.0), (0.0,))
-    assert eval_L_step(real, zero) == 0
 
 
 def test_eval_path(unit_atom):

@@ -47,7 +47,6 @@ from levynoise.processes import (
     freeze_error_sq_deterministic,
     freeze_error_sq_sliding,
     process_from_config,
-    process_to_config,
     square_integral,
 )
 from levynoise.rng import derive_rng
@@ -216,11 +215,19 @@ def test_batch_matches_single_process_eval(request, measure, name):
                                            rel=1e-12, abs=1e-12)
 
 
-def test_config_round_trip():
-    for name in CATALOG_PROCESS_NAMES:
-        proc = catalog_process(name)
-        again = process_from_config(process_to_config(proc))
-        assert again == proc
+def test_process_from_config_every_coefficient_type():
+    noise = {"type": "clamped_noise", "interval": [-1, 0]}  # the default clip
+    cfg = {"breakpoints": [0, 1, 2, 3, 4, 5], "coefficients": [
+        {"type": "const", "value": 1.5},
+        {"type": "clamped_noise", "interval": [-2, -1], "clip": 5},
+        {"type": "poly", "arg": noise, "coeffs": [-1, 0, 1]},
+        {"type": "product", "factors": [{"type": "const", "value": 2}, noise]},
+        {"type": "sum", "terms": [noise, {"type": "clamped_noise", "interval": [1, 2],
+                                          "clip": 3}]}]}
+    clamped = ClampedNoise(-1.0, 0.0)
+    assert process_from_config(cfg) == validate_simple((0.0, 1.0, 2.0, 3.0, 4.0, 5.0), (
+        Const(1.5), ClampedNoise(-2.0, -1.0, 5.0), Poly(clamped, (-1.0, 0.0, 1.0)),
+        Product((Const(2.0), clamped)), Sum((clamped, ClampedNoise(1.0, 2.0, 3.0)))))
 
 
 def test_deterministic_freeze_error_decreases():
