@@ -167,14 +167,22 @@ def _parse_sets(text: str, window: float) -> list[tuple[float, float]]:
     return sets
 
 
+def _json_arg(flag: str, text: str):
+    """The JSON value of a flag; ConfigError if it does not parse."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # bad JSON, or an int of 4300+ digits
+        raise ConfigError(f"{flag}: cannot parse JSON: {exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
     if args.samples is not None and args.samples < 0:
         raise ConfigError(f"--samples must be >= 0, got {args.samples}")
-    if not 0.0 <= args.window < math.inf:
-        raise ConfigError(f"--window must be finite and >= 0, got {args.window}")
+    if not 0.0 < args.window < math.inf:  # a zero window holds no interval of --sets
+        raise ConfigError(f"--window must be finite and > 0, got {args.window}")
     sets = _parse_sets(args.sets, args.window)
     if args.measure:
-        model = validate_measure(json.loads(args.measure))
+        model = validate_measure(_json_arg("--measure", args.measure))
     else:
         model = _base_config(args).model()
     n = 1000 if args.samples is None else args.samples
@@ -193,8 +201,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_moments(args) -> int:
     if args.p < 2:
         raise ConfigError(f"--p must be >= 2, got {args.p}")
-    model = validate_measure(json.loads(args.measure))
-    phi = step_function_from_config(json.loads(args.phi))
+    model = validate_measure(_json_arg("--measure", args.measure))
+    phi = step_function_from_config(_json_arg("--phi", args.phi))
     kappas = step_functional_cumulants(model, phi, args.p)
     payload = {
         "p": args.p,
@@ -220,7 +228,7 @@ def main(argv=None) -> int:
         config = _load_config(args, None if args.command == "report" else args.command)
         report = run(config, keep_samples=bool(args.dump_samples))
         return _emit_report(report, args)
-    except (LevyNoiseError, json.JSONDecodeError, KeyError) as exc:
+    except (LevyNoiseError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -88,6 +88,9 @@ from .schema import integer, number
 from .stepfun import StepFunction
 
 MIN_SAMPLES = 1_000
+# Probes of one check (n_theta, n_probes, n_probes_x): each is an array entry and
+# at least one evaluation, and the theta grid is built when the config is checked.
+MAX_PROBES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +157,7 @@ def parse_config(source) -> ExperimentConfig:
                 raw = json.loads(source)
             else:
                 raw = json.loads(Path(source).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an int of 4300+ digits
             raise ConfigError(f"cannot parse config: {exc}") from exc
     if not isinstance(raw, dict) or "measure" not in raw:
         raise ConfigError("a config must be an object with a measure")
@@ -281,8 +284,8 @@ _PARSERS = {
     **dict.fromkeys(("t", "probe_width", "k_outer", "rosenthal_b"),
                     lambda v, _: number(v, 0.0, strict=True)),
     **dict.fromkeys(("theta_max", "threshold_scale"), lambda v, _: number(v, 0.0)),
-    **dict.fromkeys(("n_theta", "n_probes", "n_probes_x", "n_realizations"),
-                    lambda v, _: integer(v, 1)),
+    **dict.fromkeys(("n_theta", "n_probes", "n_probes_x"), lambda v, _: integer(v, 1, MAX_PROBES)),
+    "n_realizations": lambda v, _: integer(v, 1),
 }
 # p of the moment bounds: even, and at most the moment engine's order cap
 _EVEN_P = lambda v, _: integer(v, 2, MAX_MOMENT_ORDER, even=True)
@@ -292,6 +295,11 @@ def _schedule_inside_window(schedule, k_outer, **_) -> None:
     if max(schedule) >= k_outer:
         raise ConfigError(f"tail: schedule entries must be < k_outer = {k_outer}, "
                           f"got {max(schedule)}")
+
+
+def _probe_left_of_y(y, **_) -> None:
+    if not y - 1.0 < y:  # past 2**53 the probe's interval (y - 1, y] is empty in floats
+        raise ConfigError(f"projection: y = {y} leaves its probe (y - 1, y] empty")
 
 
 def _orders_differ(kernel_a, kernel_b, **_) -> None:
@@ -585,7 +593,7 @@ CHECK_RUNNERS = {spec.kind: spec for spec in (
     CheckSpec(_run_convolution_bound, "convolution", validate=_field_meets_kernel, p=_EVEN_P,
               kernel=_choice({"indicator": indicator_kernel(), "heat": heat_kernel()})),
     CheckSpec(_run_derivative_probes, "malliavin-check", atomic_only=True),
-    CheckSpec(_run_projection, "malliavin-check", atomic_only=True),
+    CheckSpec(_run_projection, "malliavin-check", atomic_only=True, validate=_probe_left_of_y),
     CheckSpec(_run_left_zero, "malliavin-check", atomic_only=True),
     CheckSpec(_run_duality, "malliavin-check", atomic_only=True),
     CheckSpec(_run_chaos_isometry, "malliavin-check", atomic_only=True),

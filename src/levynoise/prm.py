@@ -29,7 +29,9 @@ realizations; ``sample_prm_batch`` and ``sample_L_interval`` are its
 one-chunk case, and ``sample_prm`` is the one-realization batch.  The
 chunk size changes no value: every chunk reads the numbers a one-chunk
 draw would give its realizations.  Marks invert one tabulated CDF per
-model, bit for bit ``np.interp``; an atom is a zero-slope piece.
+model, bit for bit ``np.interp``; an atom is a zero-slope piece.  A
+one-atom law (the compensated Poisson process) draws no marks: its ``z``
+and ``atom`` are read-only zero-stride views of the one value.
 Sorted-table lookups, the marks' pieces and the cell of each point, go
 through one ``GuideTable``, which answers ``np.searchsorted`` with a few
 compares.
@@ -259,7 +261,8 @@ class RealizationBatch:
 
 # Values per step of a guided search: its temporaries stay in cache.  Marks
 # are drawn in these chunks too, so a batch keeps 21 bytes per point (x, z, a
-# 4-byte owner, a 1-byte atom index) and no whole-batch 8-byte index array.
+# 4-byte owner, a 1-byte atom index) and no whole-batch 8-byte index array; 12
+# bytes for one atom, whose z and atom are zero-stride views.
 _SEARCH_CHUNK = 1 << 16
 # Points plus cell-table entries of one part of RealizationBatch.parts, on which
 # every per-realization reduction of a batch runs: its masks, indices, gathers
@@ -349,6 +352,9 @@ class GuideTable:
 def _sample_marks(model: LevyMeasureModel, count: int, rng: np.random.Generator):
     """``count`` i.i.d. jump sizes from the normalized measure, and their atom indices."""
     table = _mark_table(model)
+    if table.one_point:  # every mark is z[0]: no word is read, and nothing is stored
+        return (np.broadcast_to(table.z[0], (count,)),
+                np.broadcast_to(table.atom_dtype(0), (count,)))
     z = rng.random(count)
     z *= table.cdf[-1]
     atom = None if table.atom_dtype is None else np.empty(count, table.atom_dtype)
@@ -369,6 +375,11 @@ class _InverseCDF:
     slope: np.ndarray   # slope of each table piece; 0.0 past the last entry
     guide: GuideTable   # over ``cdf``
     atom_dtype: type | None  # of the pieces, which are atom indices; None in density mode
+
+    @property
+    def one_point(self) -> bool:
+        """One piece: the law of one atom, whose inverse is ``z[0]`` for every ``u``."""
+        return len(self.cdf) == 2
 
     def invert(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out[:] = np.interp(u, cdf, z)`` for ``cdf[0] <= u <= cdf[-1]``; returns
@@ -436,7 +447,9 @@ def sample_chunks(model: LevyMeasureModel, n: int, rng: np.random.Generator,
     after the counts).  A chunked draw takes its locations from ``rng`` and its
     marks from a copy of ``rng`` skipped past every location.  Each ``uniform`` or
     ``random`` value takes one 64-bit word, so every chunk reads the very words a
-    one-chunk draw gives its realizations, and the chunking changes no value.  The
+    one-chunk draw gives its realizations, and the chunking changes no value.  A
+    one-atom law reads no mark words, so it makes no copy, and ``rng`` stops after
+    the locations (``L(A)``: after the counts); every value is the same.  The
     argument checks and the counts run before this returns; each chunk is drawn
     when it is asked for.
     """
@@ -448,7 +461,8 @@ def sample_chunks(model: LevyMeasureModel, n: int, rng: np.random.Generator,
     counts = rng.poisson(expected_points(model, 1, window, length), n)
     total = int(counts.sum())
     per = max(1, n if whole else _PART_SIZE * n // max(1, total))
-    marks = rng if length is not None or per >= n else _skipped(rng, total)
+    one_point = _mark_table(model).one_point
+    marks = rng if length is not None or per >= n or one_point else _skipped(rng, total)
 
     def chunks():
         for r0 in range(0, max(n, 1), per):

@@ -27,6 +27,8 @@ def integer(raw, lo: int, hi: float = math.inf, even: bool = False) -> int:
     if isinstance(raw, bool) or not (isinstance(raw, int)
                                      or isinstance(raw, float) and raw.is_integer()):
         raise TypeError(f"must be an integer, got {raw!r}")
+    if not abs(raw) <= sys.float_info.max:  # every count meets floats: 2 K nu(R0) n
+        raise ValueError(f"must be finite, got {raw!r}")
     if not lo <= raw <= hi or even and raw % 2:
         domain = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
         raise ValueError(f"must be an {'even ' * even}integer {domain}, got {raw!r}")

@@ -23,6 +23,7 @@ from levynoise.prm import (
     _skipped,
     sample_chunks,
     sample_L_interval,
+    sample_prm,
     sample_prm_batch,
     simulate,
 )
@@ -173,3 +174,73 @@ def test_tail_memory_grows_by_its_arrays_alone():
     arrays = 2
     small, large = _tail_peak(100_000), _tail_peak(400_000)
     assert large - small <= 8 * 400_000 * (arrays + 2), (small, large)
+
+
+# one jump size: 0.3 and -1.7 are not dyadic, so a sum taken as count * z0 would show
+ONE_ATOM = {"unit": [(1.0, 1.0)], "0.3": [(0.3, 2.0)], "-1.7": [(-1.7, 0.5)]}
+
+
+def _one_atom_draws(model):
+    """Every sampler's arrays for one model: the one-chunk and chunked batches,
+    L(A), and one realization."""
+    real = sample_prm(model, 3.0, 7)
+    return {"batch": _whole(model, 400, 3.0, None, 7),
+            "chunks": _concatenated(sample_chunks(model, 400, derive_rng(7), 3.0)),
+            "L": _whole(model, 400, None, 1.5, 7),
+            "L_chunks": _concatenated(sample_chunks(model, 400, derive_rng(7), None, 1.5)),
+            "real": {"x": real.x, "z": real.z, "atom": real.atom}}
+
+
+@pytest.mark.parametrize("atoms", ONE_ATOM.values(), ids=ONE_ATOM)
+def test_one_atom_draws_equal_the_inverse_cdf_draws(monkeypatch, atoms):
+    # a one-atom law reads no mark words; its values are the table's, bit for bit
+    model = atomic_measure(atoms)
+    monkeypatch.setattr(prm, "_PART_SIZE", 64)
+    fast = _one_atom_draws(model)
+    monkeypatch.setattr(prm._InverseCDF, "one_point", property(lambda self: False))
+    general = _one_atom_draws(model)
+    assert fast["batch"]["z"].strides == (0,) != general["batch"]["z"].strides
+    assert fast.keys() == general.keys()
+    for draw in fast:
+        assert fast[draw].keys() == general[draw].keys(), draw
+        for name in fast[draw]:
+            a, b = fast[draw][name], general[draw][name]
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (draw, name)
+
+
+@pytest.mark.parametrize("part_size", [64, ONE_CHUNK], ids=["chunked", "one_chunk"])
+def test_one_atom_generator_stops_after_the_locations(monkeypatch, part_size):
+    model = atomic_measure(ONE_ATOM["0.3"])
+    monkeypatch.setattr(prm, "_PART_SIZE", part_size)
+    rng = derive_rng(7)
+    plain = copy.deepcopy(rng)
+    list(sample_chunks(model, 400, rng, 3.0))
+    counts = plain.poisson(prm.expected_points(model, 1, 3.0), 400)
+    plain.uniform(-3.0, 3.0, int(counts.sum()))
+    assert rng.bit_generator.random_raw() == plain.bit_generator.random_raw()
+    # L(A): the counts alone
+    rng = derive_rng(7)
+    plain = copy.deepcopy(rng)
+    list(sample_chunks(model, 400, rng, None, 1.5))
+    plain.poisson(prm.expected_points(model, 1, None, 1.5), 400)
+    assert rng.bit_generator.random_raw() == plain.bit_generator.random_raw()
+
+
+def test_one_atom_marks_are_read_only_views():
+    batch = sample_prm_batch(atomic_measure(ONE_ATOM["-1.7"]), 3.0, 100, derive_rng(7))
+    for marks in (batch.z, batch.atom):
+        assert marks.strides == (0,) and not marks.flags.writeable
+    assert len(batch.z) == len(batch.atom) == len(batch.x) > 0
+
+
+def test_one_atom_batch_stores_twelve_bytes_per_point():
+    # x (8 bytes) and owner (4 bytes) per point, the Poisson counts (8 bytes) per
+    # realization; z and atom store one value each
+    n = 200_000
+    tracemalloc.start()
+    try:
+        batch = sample_prm_batch(UNIT, 4.0, n, derive_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * len(batch.x) + 8 * n, (peak, len(batch.x))

@@ -1,19 +1,28 @@
 import argparse
 import csv
 import hashlib
+import io
 import json
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import levynoise.cli
 import levynoise.harness
 import levynoise.prm
 from levynoise.cli import main
-from levynoise.harness import parse_config
+from levynoise.harness import (
+    CHECK_RUNNERS,
+    ExperimentReport,
+    default_verification_config,
+    parse_config,
+)
 
 MEASURE = '{"atoms": [[1.0, 1.0]]}'
 DENSITY = {"family": "symmetric_power_law", "alpha": 1.5, "eps": 0.25, "z_max": 4.0}
@@ -330,9 +339,11 @@ def _no_sampling(monkeypatch):
     ("--sets", "0,5"),
     ("--samples", "-1"),
     ("--window", "-1"),
+    ("--window", "0"),
     ("--window", "inf"),
 ], ids=["reversed", "empty", "one_end", "not_numbers", "trailing_separator",
-        "outside_window", "negative_samples", "negative_window", "infinite_window"])
+        "outside_window", "negative_samples", "negative_window", "zero_window",
+        "infinite_window"])
 def test_simulate_bad_input_exit_code(monkeypatch, capsys, argv):
     _no_sampling(monkeypatch)
     assert run_cli("simulate", "--measure", MEASURE, *argv) == 2
@@ -357,6 +368,66 @@ def test_moments_bad_input_exit_code(capsys, argv):
     assert run_cli("moments", *(x for kv in args.items() for x in kv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _bundled_raw() -> dict:
+    cfg = default_verification_config()
+    return {"measure": cfg.measure, "samples": cfg.samples, "seed": cfg.seed,
+            "se_multiplier": cfg.se_multiplier, "checks": [dict(c) for c in cfg.checks]}
+
+
+# (None, a top-level key) or (a check kind, one of its declared parameters); the
+# bundled config has a check of every kind
+CONFIG_SLOTS = [(None, key) for key in ("measure", "samples", "seed", "se_multiplier", "checks",
+                                        "window")]
+CONFIG_SLOTS += [(kind, name) for kind, spec in CHECK_RUNNERS.items() for name in spec.params]
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6), st.integers(-10 ** 6, 10 ** 6),
+    st.sampled_from([10 ** 400, 10 ** 30, 2 ** 63, -2 ** 63, -1, 0]), st.floats())
+JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
+                        st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(slot=st.sampled_from(CONFIG_SLOTS), value=JSON_VALUES)
+@example(slot=(None, "samples"), value=10 ** 400)      # OverflowError at the point cap
+@example(slot=("char_gap", "n_theta"), value=10 ** 30)  # ValueError from np.linspace
+@example(slot=("char_gap", "n_theta"), value=2 ** 63)   # IndexError: an empty theta grid
+@example(slot=("projection", "y"), value=1e16)          # ValueError: (y - 1, y] empty
+def test_report_config_fuzz_exit_code(slot, value):
+    # one value of the bundled config replaced: the config is run, or refused with
+    # exit 2 and an error line, never a traceback; nothing samples
+    kind, key = slot
+    raw = _bundled_raw()
+    target = raw if kind is None else next(c for c in raw["checks"] if c["kind"] == kind)
+    target[key] = value
+    accepted = []
+
+    def no_sampling(config, keep_samples=False):
+        accepted.append(config)
+        return ExperimentReport((), config.seed, "0", 0.0)
+    err = io.StringIO()
+    with mock.patch.object(levynoise.cli, "run", no_sampling), redirect_stderr(err), \
+            redirect_stdout(io.StringIO()):
+        code = main(["report", "--config", json.dumps(raw)])
+    assert code == (0 if accepted else 2), err.getvalue()
+    if not accepted:
+        assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+HUGE_INT = "1" * 5000  # past Python's 4300-digit limit on int parsing
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--config", '{"measure": {"atoms": [[1, 1.0]]}, "seed": %s}' % HUGE_INT),
+    ("simulate", "--measure", '{"atoms": [[1, %s]]}' % HUGE_INT),
+    ("moments", "--measure", MEASURE, "--p", "4",
+     "--phi", '{"breakpoints": [0, 1], "values": [%s]}' % HUGE_INT),
+], ids=["config", "measure", "phi"])
+def test_unparseable_json_int_exit_code(capsys, argv):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "4300" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("overrides", [
