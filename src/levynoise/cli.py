@@ -56,6 +56,17 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _samples(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not abs(n) <= sys.float_info.max:  # as in a config: every count meets floats
+        raise argparse.ArgumentTypeError(
+            f"sample count past the float range: an int of {len(str(abs(n)))} digits")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="levynoise",
                                      description="Levy white-noise simulation and verification")
@@ -78,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (sim, *checks):
         p.add_argument("--config", help="path to a JSON experiment config")
         p.add_argument("--seed", type=_seed, help="master seed override (>= 0)")
-        p.add_argument("--samples", type=int, help="sample count override")
+        p.add_argument("--samples", type=_samples, help="sample count override")
     for p in (sim, mom, *checks):
         p.add_argument("--out", help="output path (default: stdout)")
     for p in checks:

@@ -242,6 +242,12 @@ def _choice(options: dict):
     return parse
 
 
+def _gaussian(x):
+    """``exp(-x**2)``; past ``|x| = 1.3e154`` the square overflows to inf, whose exp is 0.0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-np.asarray(x) ** 2)
+
+
 def _process(raw, config) -> Labeled:
     try:
         return Labeled(str(raw), catalog_process(raw) if isinstance(raw, str)
@@ -278,7 +284,7 @@ _PARSERS = {
                                             "separable_clamped")}),
     "phi": lambda v, _: step_function_from_config(v),
     "convention": _choice({"linear": "linear", "power": "power"}),
-    "profile": _choice({"gaussian": lambda x: np.exp(-np.asarray(x) ** 2)}),
+    "profile": _choice({"gaussian": _gaussian}),
     "schedule": lambda v, _: _nonempty(tuple(number(k, 0.0) for k in v)),
     **dict.fromkeys(("x", "y"), lambda v, _: number(v)),
     **dict.fromkeys(("t", "probe_width", "k_outer", "rosenthal_b"),

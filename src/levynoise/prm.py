@@ -16,9 +16,11 @@ product cell), ``clip``, ``num`` (a scalar) and ``full`` (a constant
 value).  Every evaluator in the package is written once against them,
 and the type of its argument picks the backend.  A ``PointRealization``
 computes in exact rational arithmetic, so pathwise identities
-(additivity, restriction, linearity of the integral) hold exactly; a
-``RealizationBatch`` computes one float per realization for Monte Carlo
-work.  Every reduction of a batch runs on its realization-aligned parts
+(additivity, restriction, linearity of the integral) hold exactly.  It
+answers each ``mass`` and ``count`` once, from a memo of its own over
+read-only arrays, and each float it reads becomes a ``Fraction`` once,
+through one bounded cache.  A ``RealizationBatch`` computes one float
+per realization for Monte Carlo work.  Every reduction of a batch runs on its realization-aligned parts
 (``parts``): a part selects its points by index and bincounts them into
 its slice of one output, so temporaries stay the size of a part.  A
 batch also gives the masses of many adjacent cells at once
@@ -49,7 +51,7 @@ import cmath
 import copy
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from typing import Callable, Iterator, NamedTuple
@@ -71,6 +73,13 @@ class PointRealization:
     ``x`` is sorted ascending, so the part of the configuration left of
     any horizon is a prefix.  ``atom`` carries the atom index of each
     jump for atomic models (None in density mode).
+
+    A realization answers each exact question once: ``mass`` of a
+    normalized interval tuple and ``count`` of an ``(a, b, marks)`` cell
+    are stored in a per-instance memo, bounded by the distinct questions
+    asked and freed with the realization.  ``x``, ``z`` and ``atom`` are
+    read-only copies of the arrays given, so no stored answer goes stale;
+    ``with_point`` builds a realization with an empty memo.
     """
 
     window: float
@@ -78,6 +87,15 @@ class PointRealization:
     z: np.ndarray
     atom: np.ndarray | None
     model: LevyMeasureModel
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("x", "z", "atom"):
+            arr = getattr(self, name)
+            if arr is not None:
+                arr = np.array(arr)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.x)
@@ -95,10 +113,24 @@ class PointRealization:
     # -- exact backend: masses and counts are Fractions and ints ----------
 
     def mass(self, sets) -> Fraction:
+        key = tuple(normalize_intervals(sets))  # pairs; a count key starts with a number
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = self._mass(key)
+        return out
+
+    def count(self, a: float, b: float, marks) -> int:
+        """Number of points in ``(a, b] x B``; ``marks`` as for ``RealizationBatch.count``."""
+        key = (a, b, marks)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = self._count(a, b, marks)
+        return out
+
+    def _mass(self, intervals) -> Fraction:
         # Every float is a dyadic rational n / 2**k: the jumps and the interval
         # lengths are summed exactly as integers over the largest 2**k present,
         # and the one Fraction is built at the end.
-        intervals = normalize_intervals(sets)
         _check_window(intervals, self.window)
         jumps: list[float] = []
         ends: list[float] = []
@@ -112,8 +144,7 @@ class PointRealization:
         return Fraction(z_num * len_den * mt1.denominator - len_num * z_den * mt1.numerator,
                         z_den * len_den * mt1.denominator)
 
-    def count(self, a: float, b: float, marks) -> int:
-        """Number of points in ``(a, b] x B``; ``marks`` as for ``RealizationBatch.count``."""
+    def _count(self, a: float, b: float, marks) -> int:
         lo = int(np.searchsorted(self.x, a, side="right"))
         hi = int(np.searchsorted(self.x, b, side="right"))
         if isinstance(marks, frozenset):
@@ -130,7 +161,7 @@ class PointRealization:
 
     @staticmethod
     def num(x) -> Fraction:
-        return x if isinstance(x, Fraction) else Fraction(x)
+        return x if isinstance(x, Fraction) else _fraction(x)
 
     full = num
 
@@ -546,6 +577,11 @@ def _check_window(intervals: list[Interval], window: float) -> None:
         if a < -window - 1e-15 or b > window + 1e-15:
             where = f"point {a}" if a == b else f"set ({a}, {b}]"
             raise WindowExceededError(f"{where} outside sampled window [-{window}, {window}]")
+
+
+# The exact backend reads a few dozen distinct floats (cell ends, kernel
+# coefficients, constants), each converted once.
+_fraction = lru_cache(maxsize=4096)(Fraction)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from levynoise import (ClampedNoise, Const, Poly, Product, StepFunction, Sum, atomic_measure,
-                       signed_moment)
+                       power_law_measure, signed_moment)
 from levynoise.prm import PointRealization, RealizationBatch
 
 
@@ -31,6 +32,29 @@ def make_realization(model, window, points):
         lookup = {z: j for j, (z, _) in enumerate(model.atoms)}
         atom = np.array([lookup[z] for z in zs], dtype=int) if len(zs) else np.empty(0, dtype=int)
     return PointRealization(float(window), xs, zs, atom, model)
+
+
+# one atom, two atoms and a density: every kind of mark the exact backend reads
+EXACT_MODELS = (atomic_measure([(1.0, 1.0)]), atomic_measure([(1.0, 0.5), (-0.5, 2.0)]),
+                power_law_measure(1.5, 0.25, 4.0))
+
+
+@st.composite
+def hand_realizations(draw, window):
+    """``make_realization`` of up to 10 drawn points on ``[-window, window]`` under one of
+    ``EXACT_MODELS``; integer locations, the catalog's cell ends, are drawn often."""
+    model = draw(st.sampled_from(EXACT_MODELS))
+    jumps = (st.sampled_from([z for z, _ in model.atoms]) if model.is_atomic
+             else st.floats(-4.0, 4.0))
+    ends = [float(k) for k in range(-int(window), int(window) + 1)]
+    xs = st.one_of(st.sampled_from(ends), st.floats(-window, window))
+    return make_realization(model, window, draw(st.lists(st.tuples(xs, jumps), max_size=10)))
+
+
+def fresh_copy(real):
+    """A realization built from copies of ``real``'s arrays, which has answered nothing."""
+    return PointRealization(real.window, real.x.copy(), real.z.copy(),
+                            None if real.atom is None else real.atom.copy(), real.model)
 
 
 def refined(phi, extra):

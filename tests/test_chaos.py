@@ -1,10 +1,12 @@
 import gc
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levynoise import (
     Cell,
@@ -37,9 +39,10 @@ from levynoise.chaos import (
     mark_mass,
 )
 from levynoise.errors import MarkSetError, MeasureError
+from levynoise.prm import PointRealization
 from levynoise.rng import derive_rng
 
-from conftest import make_realization
+from conftest import fresh_copy, hand_realizations, make_realization
 
 M0 = frozenset({0})
 
@@ -216,6 +219,52 @@ def test_derivative_matches_add_one_cost(unit_atom, name):
         for x in probes:
             d = eval_chaos(real, malliavin_derivative(F, float(x), 1.0, unit_atom))
             assert d == add_one_cost(F, real, float(x), 1.0)
+
+
+def _functionals(model):
+    """The catalog on an atomic model; on a density, a first and second chaos on two
+    bands of jump sizes, with the same cells in both orders."""
+    if model.is_atomic:
+        return [catalog_functional(name) for name in CATALOG_FUNCTIONAL_NAMES]
+    cells = (Cell(-1.0, 0.0, (0.25, 4.0)), Cell(0.0, 1.0, (-4.0, -0.25)))
+    return [ChaosFunctional(0.5, (make_kernel(1, cells, [1.0, 0.5]),
+                                  make_kernel(2, cells, [[0.0, 0.5], [0.5, 0.0]])))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(real=hand_realizations(3.0), data=st.data())
+def test_probes_get_a_fresh_realizations_answers(real, data):
+    # add-one costs and chaos values of a realization probed again and again are
+    # those of one built from copies that has answered nothing
+    model = real.model
+    zs = (st.sampled_from([z for z, _ in model.atoms]) if model.is_atomic
+          else st.floats(-4.0, 4.0))
+    xs = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.floats(-3.0, 3.0))
+    probes = data.draw(st.lists(st.tuples(xs, zs), min_size=1, max_size=9))
+    for F in _functionals(model):
+        for x, z in probes + probes:
+            got = add_one_cost(F, real, x, z)
+            assert type(got) is Fraction and got == add_one_cost(F, fresh_copy(real), x, z)
+            assert eval_chaos(real, F) == eval_chaos(fresh_copy(real), F)
+
+
+@pytest.mark.parametrize("name", CATALOG_FUNCTIONAL_NAMES)
+def test_probes_of_one_realization_count_each_cell_once(monkeypatch, unit_atom, name):
+    F = catalog_functional(name)
+    window = F.read_window() + 1.0
+    real = sample_prm(unit_atom, window, 7)
+    counted = Counter()
+    count = PointRealization._count
+
+    def counting(self, a, b, marks):
+        if self is real:
+            counted[a, b, marks] += 1
+        return count(self, a, b, marks)
+    monkeypatch.setattr(PointRealization, "_count", counting)
+    for x in np.linspace(-window + 0.1, window - 0.1, 9):  # nine probes, as the benchmark's
+        add_one_cost(F, real, float(x), 1.0)
+    cells = {(c.a, c.b, c.marks) for kern in F.kernels for c in kern.cells}
+    assert counted == Counter(dict.fromkeys(cells, 1))
 
 
 def test_left_supported_derivative_vanishes_right(unit_atom):

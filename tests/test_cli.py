@@ -111,6 +111,15 @@ def test_subcommand_filters(tmp_path):
     assert [c["kind"] for c in payload2["checks"]] == ["duality"]
 
 
+def test_samples_past_the_float_range_exit_code(capsys):
+    # every count meets floats at the point cap, so --samples takes the config's rule
+    for argv in (("report",), ("simulate", "--measure", MEASURE)):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--samples", str(10 ** 400))
+        assert exc.value.code == 2
+        assert "--samples: sample count past the float range" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -388,15 +397,18 @@ JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
                         st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=2))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @given(slot=st.sampled_from(CONFIG_SLOTS), value=JSON_VALUES)
 @example(slot=(None, "samples"), value=10 ** 400)      # OverflowError at the point cap
 @example(slot=("char_gap", "n_theta"), value=10 ** 30)  # ValueError from np.linspace
 @example(slot=("char_gap", "n_theta"), value=2 ** 63)   # IndexError: an empty theta grid
 @example(slot=("projection", "y"), value=1e16)          # ValueError: (y - 1, y] empty
+@example(slot=("tail", "k_outer"), value=1e308)         # overflow in the gaussian profile
 def test_report_config_fuzz_exit_code(slot, value):
     # one value of the bundled config replaced: the config is run, or refused with
-    # exit 2 and an error line, never a traceback; nothing samples
+    # exit 2 and an error line, never a traceback or a RuntimeWarning (CI runs the
+    # report under -W error::RuntimeWarning); nothing samples
     kind, key = slot
     raw = _bundled_raw()
     target = raw if kind is None else next(c for c in raw["checks"] if c["kind"] == kind)
@@ -412,6 +424,50 @@ def test_report_config_fuzz_exit_code(slot, value):
         code = main(["report", "--config", json.dumps(raw)])
     assert code == (0 if accepted else 2), err.getvalue()
     if not accepted:
+        assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+# the README's command lines, flag by flag (--out left out: a drawn path would be written)
+README_FLAGS = {
+    "simulate": {"--measure": '{"atoms": [[1, 1.0]]}', "--window": "2", "--samples": "10000",
+                 "--seed": "7", "--sets": "0,1;-1,0"},
+    "moments": {"--measure": '{"atoms": [[1, 1.0]]}',
+                "--phi": '{"breakpoints": [0, 1], "values": [1]}', "--p": "6"},
+}
+FLAG_SLOTS = [(command, flag) for command, flags in README_FLAGS.items() for flag in flags]
+FLAG_VALUES = st.one_of(
+    st.text(max_size=8),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from([10 ** 400, 10 ** 30, 2 ** 63, -2 ** 63, -1, 0, 1, 65]).map(str),
+    st.floats().map(repr),
+    JSON_VALUES.map(json.dumps))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(slot=st.sampled_from(FLAG_SLOTS), value=FLAG_VALUES)
+@example(slot=("simulate", "--samples"), value=str(10 ** 400))  # OverflowError at the point cap
+def test_simulate_and_moments_flag_fuzz_exit_code(slot, value):
+    # one flag value of a README command line replaced: the command runs, or is
+    # refused with exit 2 and an error line, never a traceback; simulate draws at
+    # most 4 realizations behind the real point cap
+    command, flag = slot
+    argv = [command] + [f"{f}={value if f == flag else v}"
+                        for f, v in README_FLAGS[command].items()]
+    real = levynoise.prm.sample_chunks
+
+    def tiny(model, n, rng, window):
+        levynoise.prm._check_point_count(levynoise.prm.expected_points(model, n, window), n)
+        return real(model, min(n, 4), rng, window=window)
+    err = io.StringIO()
+    with mock.patch.object(levynoise.cli, "sample_chunks", tiny), redirect_stderr(err), \
+            redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a value its type does not take
+            code = exc.code
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
         assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
 
 

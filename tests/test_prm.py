@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from levynoise import (
     atomic_measure,
+    catalog_process,
     char_function_gap,
+    eval_I_K,
     eval_L_set,
     eval_path,
     power_law_measure,
@@ -28,9 +30,12 @@ from levynoise.prm import (
     batch_L_weighted,
     normalize_intervals,
 )
+from levynoise.processes import CATALOG_PROCESS_NAMES, square_integral
 from levynoise.rng import CHAR_GAP_STREAM, derive_rng
 
 from conftest import (
+    fresh_copy,
+    hand_realizations,
     make_realization,
     masked_count,
     masked_mass,
@@ -186,6 +191,67 @@ def test_exact_num_passes_fractions_through():
     v = Fraction(1, 3)
     assert PointRealization.num(v) is v and PointRealization.full(v) is v
     assert type(PointRealization.num(0.5)) is Fraction and PointRealization.num(0.5) == 0.5
+
+
+@pytest.mark.parametrize("v", [-0.0, 0.0, 3, -7, np.int64(5), np.float64(0.1), np.float64(-2.5),
+                               0.1, 1e300, 5e-324, -5e-324, 2.2250738585072014e-308])
+def test_exact_num_is_the_fraction_of_the_value(v):
+    for _ in range(2):  # converted, then read back from the conversion cache
+        got = PointRealization.num(v)
+        assert type(got) is Fraction and got == Fraction(v)
+        assert PointRealization.full(v) == got
+
+
+@pytest.mark.parametrize("v, error", [(math.inf, OverflowError), (-math.inf, OverflowError),
+                                      (math.nan, ValueError), (np.float64("nan"), ValueError)])
+def test_exact_num_refuses_what_fraction_refuses(v, error):
+    for _ in range(2):  # a refusal is not cached as an answer
+        with pytest.raises(error):
+            PointRealization.num(v)
+
+
+CUTS = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]),
+                 st.floats(-2.0, 2.0))
+PAIRS = st.lists(CUTS, min_size=2, max_size=2).map(sorted).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(real=hand_realizations(2.0), data=st.data())
+def test_repeated_questions_get_a_fresh_realizations_answers(real, data):
+    # every answer of a realization that has answered before, repeated and overlapping
+    # questions included, is the answer of one built from copies that has answered nothing
+    if real.model.is_atomic:  # an index past the model's atoms selects no point
+        marks = st.frozensets(st.integers(0, len(real.model.atoms)), max_size=3)
+    else:
+        marks = st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2).map(sorted).map(tuple)
+    questions = data.draw(st.lists(st.one_of(
+        st.lists(PAIRS, min_size=1, max_size=3).map(lambda sets: ("mass", sets)),
+        st.tuples(PAIRS, marks).map(lambda q: ("count", *q[0], q[1]))), min_size=1, max_size=8))
+    for name, *args in questions + questions[::-1]:
+        got, want = getattr(real, name)(*args), getattr(fresh_copy(real), name)(*args)
+        assert type(got) is type(want) and got == want
+    for proc in map(catalog_process, CATALOG_PROCESS_NAMES):
+        for _ in range(2):
+            assert eval_I_K(real, proc) == eval_I_K(fresh_copy(real), proc)
+            assert square_integral(proc, real) == square_integral(proc, fresh_copy(real))
+
+
+def test_realization_arrays_are_read_only_copies():
+    model = atomic_measure([(1.0, 0.5), (-0.5, 2.0)])
+    xs, zs, atoms = np.array([-1.0, 0.5]), np.array([1.0, -0.5]), np.array([0, 1])
+    real = PointRealization(2.0, xs, zs, atoms, model)
+    bumped = real.with_point(0.75, 1.0, 0)
+    for src in (real, bumped):
+        for arr in (src.x, src.z, src.atom):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+    answers = (real.mass((0.0, 1.0)), real.count(0.0, 1.0, frozenset({1})))
+    xs[1], zs[1], atoms[1] = -0.5, 1.0, 0  # the arrays given stay the caller's
+    assert real.x.tolist() == [-1.0, 0.5] and real.atom.tolist() == [0, 1]
+    assert (real.mass((0.0, 1.0)), real.count(0.0, 1.0, frozenset({1}))) == answers
+    # the realization with one more point starts with no answers
+    assert bumped.mass((0.0, 1.0)) == answers[0] + 1
+    assert bumped.count(0.0, 1.0, frozenset({0})) == 1
 
 
 @given(st.lists(st.floats(-4.0, 4.0), max_size=8), st.floats(-4.0, 4.0),
