@@ -7,10 +7,8 @@ restriction are identities, not approximations, and predictability is a
 syntactic check that rejects look-ahead coefficients outright.
 """
 
-import numpy as np
-
 import levynoise as ln
-from levynoise.coefficients import ClampedNoise, Const
+from levynoise.coefficients import ClampedNoise, Const, Product, Sum
 from levynoise.errors import HorizonViolationError
 from levynoise.processes import square_integral
 from levynoise.rng import derive_rng
@@ -32,7 +30,10 @@ print(f"\npathwise integral on one realization: I(X) = {float(ln.eval_I_K(real, 
 
 X = ln.catalog_process("clamped_left")
 Y = ln.catalog_process("two_block")
-combo = ln.linear_combination(2.0, X, -3.0, Y)
+# 2X - 3Y cell by cell: on (0,1] X reads L((-1,0]) and Y is 1.5; on (1,2] only Y is there
+combo = ln.validate_simple((0.0, 1.0, 2.0),
+                           (Sum((Product((Const(2.0), ClampedNoise(-1.0, 0.0))), Const(-4.5))),
+                            Product((Const(-3.0), ClampedNoise(0.0, 1.0)))))
 lhs = ln.eval_I_K(real, combo)
 rhs = 2 * ln.eval_I_K(real, X) - 3 * ln.eval_I_K(real, Y)
 print(f"exact linearity: I(2X - 3Y) = {float(lhs):+.4f} = 2 I(X) - 3 I(Y) = {float(rhs):+.4f}")
@@ -45,12 +46,3 @@ ivals = ln.eval_I_K(batch, Y)
 paired = ivals ** 2 - float(ln.abs_moment(unit, 2)) * square_integral(Y, batch)
 est, se, z, ok = ln.mc_mean_test(paired, 0.0, 3.0)
 print(f"\nisometry gap over {n} samples: {est:+.5f} (z = {z:+.2f}, {'ok' if ok else 'OFF'})")
-
-# freezing a left-looking profile on dyadic meshes converges in L^2
-prof = ln.processes.SlidingWindowProfile(width=1.0, clip=50.0)
-reals = [ln.sample_prm(unit, 3.5, s) for s in range(200)]
-print("\nmesh refinement of the piecewise-frozen approximation:")
-for cells in (4, 8, 16, 32):
-    frozen = prof.freeze(np.linspace(-2.0, 2.0, cells + 1))
-    err, err_se = ln.processes.freeze_error_sq_sliding(prof, frozen, 2.0, reals)
-    print(f"  {cells:3d} cells: E int (X - X_m)^2 = {err:.4f} +- {err_se:.4f}")

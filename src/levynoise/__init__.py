@@ -11,18 +11,11 @@ Monte Carlo hypothesis tests.
 
 __version__ = "0.3.0"
 
-from .measure import (
-    abs_moment,
-    atomic_measure,
-    interpolation_check,
-    power_law_measure,
-    signed_moment,
-    validate_measure,
-)
+# the names the demos and the benchmark read through the package; everything
+# else is imported from its module
+from .measure import abs_moment, atomic_measure, interpolation_check, signed_moment
 from .partitions import (
-    all_partitions,
     count_no_singleton_partitions,
-    moment_from_cumulants,
     moment_of_step_functional,
     partitions_no_singletons,
     step_functional_cumulants,
@@ -34,24 +27,13 @@ from .prm import (
     sample_L_interval,
     sample_prm,
     sample_prm_batch,
-    theoretical_char,
 )
 from .stepfun import StepFunction
-from .coefficients import ClampedNoise, Const, Poly, Product, Sum
-from .processes import (
-    catalog_process,
-    eval_I_K,
-    batch_I_K,
-    from_step,
-    linear_combination,
-    restrict_process,
-    validate_simple,
-)
+from .processes import batch_I_K, catalog_process, eval_I_K, validate_simple
 from .integral import (
     check_integral_moment_bound,
     check_linear_moment_bound,
     estimate_seminorm,
-    integral_bound_constant,
     tail_convergence,
 )
 from .convolution import (
@@ -63,8 +45,6 @@ from .convolution import (
     kernel_power_integral,
 )
 from .chaos import (
-    Cell,
-    ChaosFunctional,
     add_one_cost,
     batch_multiple_integral,
     catalog_functional,
@@ -73,16 +53,7 @@ from .chaos import (
     duality_gap,
     eval_chaos,
     eval_multiple_integral,
-    make_kernel,
     malliavin_derivative,
     project_kernel,
 )
-from .harness import (
-    default_verification_config,
-    mc_mean_test,
-    parse_config,
-    report_to_json,
-    run,
-    write_report,
-)
-from .rng import derive_seed
+from .harness import mc_mean_test

@@ -49,22 +49,23 @@ from .prm import eval_L_set, sample_chunks
 from .rng import SIMULATE_STREAM, derive_rng
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _samples(text: str) -> int:
+def _samples(text: str, what: str = "sample count") -> int:
+    """The int of an integer flag, refused past the float range as in a config."""
     try:
         n = int(text)
     except ValueError:  # argparse would name this function in its message
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if not abs(n) <= sys.float_info.max:  # as in a config: every count meets floats
         raise argparse.ArgumentTypeError(
-            f"sample count past the float range: an int of {len(str(abs(n)))} digits")
+            f"{what} past the float range: an int of {len(str(abs(n)))} digits")
     return n
+
+
+def _seed(text: str) -> int:
+    seed = _samples(text, "seed")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -146,12 +146,6 @@ class Sum(Coefficient):
         return [iv for t in self.terms for iv in t.read_intervals()]
 
 
-def scaled(coef: Coefficient, c: float) -> Coefficient:
-    if isinstance(coef, Const):
-        return Const(coef.value * c)
-    return Product((Const(float(c)), coef))
-
-
 # ---------------------------------------------------------------------------
 # parsing (config files)
 # ---------------------------------------------------------------------------

@@ -42,16 +42,12 @@ class TruncatedDensity:
     """Density mode description.
 
     ``density`` is a scalar callable (one float in, one float out) and
-    must already vanish for ``|z| < eps`` and ``|z| > z_max``;
-    ``untruncated``, a scalar callable too, optionally gives the full
-    (pre-truncation) density so the small-jump variance that truncation
-    discards can be reported.
+    must already vanish for ``|z| < eps`` and ``|z| > z_max``.
     """
 
     density: Callable[[float], float]
     eps: float
     z_max: float
-    untruncated: Callable[[float], float] | None = None
 
 
 @dataclass(frozen=True)
@@ -254,10 +250,7 @@ def _power_law_model(alpha: float, eps: float, z_max: float, scale: float) -> Le
         az = abs(z)
         return scale * az ** (-alpha) if eps <= az <= z_max else 0.0
 
-    def full_density(z: float) -> float:
-        return scale * abs(z) ** (-alpha) if z != 0 else 0.0
-
-    return _validate_density(TruncatedDensity(tail_density, eps, z_max, full_density))
+    return _validate_density(TruncatedDensity(tail_density, eps, z_max))
 
 
 def _validate_atoms(pairs) -> LevyMeasureModel:
@@ -351,22 +344,6 @@ def finite_moment(value: Fraction | float, p: int, name: str) -> float:
     if not abs(value) <= sys.float_info.max:
         raise InfinitePMomentError(f"{name} at p = {p} is past the float range")
     return float(value)
-
-
-def small_jump_variance_bias(model: LevyMeasureModel) -> float:
-    """Variance ``integral_{0<|z|<eps} z^2`` discarded by truncation.
-
-    Zero for atomic models; for density mode it quantifies the bias of
-    simulating the truncated measure instead of the full one.  Requires
-    the untruncated density to be attached.
-    """
-    if model.is_atomic:
-        return 0.0
-    den = model.density
-    if den.untruncated is None:
-        raise QuadratureError("no untruncated density attached; bias unknown")
-    g = lambda z: z * z * den.untruncated(z)
-    return _quad(g, -den.eps, 0.0) + _quad(g, 0.0, den.eps)
 
 
 # ---------------------------------------------------------------------------

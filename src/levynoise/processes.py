@@ -33,18 +33,14 @@ from .coefficients import (
     Const,
     Poly,
     Product,
-    Sum,
     coefficient_from_config,
-    scaled,
 )
 from .errors import (
     BreakpointOrderError,
     HorizonViolationError,
     UnboundedCoefficientError,
 )
-from .gate import mean_se
-from .measure import _adaptive_gauss, signed_moment
-from .prm import GuideTable, PointRealization, RealizationBatch, _check_window
+from .prm import GuideTable, PointRealization, RealizationBatch
 from .schema import number
 from .stepfun import StepFunction
 
@@ -185,48 +181,6 @@ batch_square_integral = square_integral
 
 
 # ---------------------------------------------------------------------------
-# algebra
-# ---------------------------------------------------------------------------
-
-def restrict_process(proc: SimpleProcess, window: float) -> SimpleProcess:
-    """Pointwise product ``X * 1_{[-K, K]}`` as a simple process."""
-    cells = list(_clipped_cells(proc, float(window)))
-    if not cells:
-        return validate_simple((0.0, 1.0), (Const(0.0),))
-    bps: list[float] = []
-    coefs: list[Coefficient] = []
-    for (lo, hi), coef in cells:
-        if bps and lo > bps[-1]:
-            coefs.append(Const(0.0))
-            bps.append(lo)
-        elif not bps:
-            bps.append(lo)
-        coefs.append(coef)
-        bps.append(hi)
-    return validate_simple(tuple(bps), tuple(coefs))
-
-
-def linear_combination(a: float, X: SimpleProcess, b: float, Y: SimpleProcess) -> SimpleProcess:
-    """``a X + b Y`` on the merged breakpoint grid."""
-    pts = sorted(set(X.breakpoints) | set(Y.breakpoints))
-    coefs: list[Coefficient] = []
-    for lo, hi in zip(pts, pts[1:]):
-        terms: list[Coefficient] = []
-        for c, proc in ((a, X), (b, Y)):
-            for (pa, pb), coef in zip(proc.cells, proc.coefficients):
-                if pa <= lo and hi <= pb:
-                    terms.append(scaled(coef, c))
-                    break
-        if not terms:
-            coefs.append(Const(0.0))
-        elif len(terms) == 1:
-            coefs.append(terms[0])
-        else:
-            coefs.append(Sum(tuple(terms)))
-    return validate_simple(tuple(pts), tuple(coefs))
-
-
-# ---------------------------------------------------------------------------
 # named catalog (used by configs, demos and the verification suite)
 # ---------------------------------------------------------------------------
 
@@ -253,86 +207,3 @@ def catalog_process(name: str, clip: float = DEFAULT_CLIP) -> SimpleProcess:
 
 CATALOG_PROCESS_NAMES = ("det_step", "det_two_cell", "clamped_left",
                          "two_block", "poly_block", "product_block")
-
-
-# ---------------------------------------------------------------------------
-# approximation of grid-declared predictable processes by simple ones
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DeterministicProfile:
-    """Deterministic process ``X(x) = func(x)`` on a bounded support."""
-
-    func: object  # vectorized callable
-
-    def freeze(self, breakpoints) -> SimpleProcess:
-        bps = tuple(float(b) for b in breakpoints)
-        return validate_simple(bps, tuple(Const(float(self.func(b))) for b in bps[:-1]))
-
-
-@dataclass(frozen=True)
-class SlidingWindowProfile:
-    """Left-looking process ``X(x) = clamp(L((x - width, x]), clip)``.
-
-    At every grid point the coefficient reads noise up to the point
-    itself, so freezing at left endpoints is predictable by
-    construction.
-    """
-
-    width: float
-    clip: float = DEFAULT_CLIP
-
-    def freeze(self, breakpoints) -> SimpleProcess:
-        bps = tuple(float(b) for b in breakpoints)
-        coefs = tuple(ClampedNoise(b - self.width, b, self.clip) for b in bps[:-1])
-        return validate_simple(bps, coefs)
-
-
-def freeze_error_sq_deterministic(profile: DeterministicProfile, proc: SimpleProcess,
-                                  window: float) -> float:
-    """``integral (X - X_m)^2`` over the window for a deterministic profile.
-
-    One adaptive Gauss quadrature per piece between the window ends and the
-    process breakpoints, on each of which the frozen process is constant.
-    """
-    step = proc.as_step()
-    diff_sq = lambda x: (np.asarray(profile.func(x), dtype=float) - step(x)) ** 2
-    ends = sorted({-window, window} | {b for b in proc.breakpoints if -window < b < window})
-    return math.fsum(_adaptive_gauss(diff_sq, lo, hi) for lo, hi in zip(ends, ends[1:]))
-
-
-def freeze_error_sq_sliding(profile: SlidingWindowProfile, proc: SimpleProcess,
-                            window: float, realizations) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of ``integral (X - X_m)^2``.
-
-    Per realization the integrand is piecewise constant between the
-    points, their right-shifts by ``width`` and the mesh breakpoints, so
-    each integral is an exact finite sum.
-    """
-    vals = []
-    for real in realizations:
-        _check_window([(-window - profile.width, window)], real.window)  # what the profile reads
-        xs = real.x
-        ends = xs + profile.width  # nondecreasing, since xs is sorted
-        zs = [Fraction(float(z)) for z in real.z]
-        comp = Fraction(profile.width) * Fraction(signed_moment(real.model, 1))
-        crit = {-window, window}
-        crit.update(b for b in proc.breakpoints if -window <= b <= window)
-        crit.update(float(c) for c in np.concatenate([xs, ends]) if -window < c < window)
-        pts = sorted(crit)
-        total = Fraction(0)
-        for lo, hi in zip(pts, pts[1:]):
-            # the profile is constant on [lo, hi), where the window
-            # (x - width, x] holds the points with x_i <= lo < ends_i; the
-            # mesh is constant on (lo, hi]
-            first = int(np.searchsorted(ends, lo, side="right"))
-            last = int(np.searchsorted(xs, lo, side="right"))
-            xv = real.clip(sum(zs[first:last], Fraction(0)) - comp, profile.clip)
-            mv = Fraction(0)
-            for (a, b), coef in zip(proc.cells, proc.coefficients):
-                if a < hi <= b:
-                    mv = coef.eval(real)
-                    break
-            total += (xv - mv) ** 2 * (Fraction(hi) - Fraction(lo))
-        vals.append(float(total))
-    return mean_se(np.asarray(vals))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from levynoise import (ClampedNoise, Const, Poly, Product, StepFunction, Sum, atomic_measure,
-                       power_law_measure, signed_moment)
+from levynoise import StepFunction, atomic_measure, signed_moment
+from levynoise.coefficients import ClampedNoise, Const, Poly, Product, Sum
+from levynoise.measure import power_law_measure
 from levynoise.prm import PointRealization, RealizationBatch
 
 

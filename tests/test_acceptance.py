@@ -17,9 +17,9 @@ import levynoise as ln
 from levynoise.chaos import CATALOG_FUNCTIONAL_NAMES
 from levynoise.coefficients import ClampedNoise, Const, Product
 from levynoise.errors import HorizonViolationError
-from levynoise.harness import report_to_dict
+from levynoise.harness import default_verification_config, report_to_dict, run
 from levynoise.processes import CATALOG_PROCESS_NAMES, square_integral
-from levynoise.rng import derive_rng
+from levynoise.rng import derive_rng, derive_seed
 
 MASTER_SEED = 20_260_809
 
@@ -137,7 +137,7 @@ def test_04_characteristic_function():
     gaps = []
     for i, atoms in enumerate(([(1.0, 1.0)], [(1.0, 0.5), (-1.0, 0.5)])):
         rep = ln.char_function_gap(ln.atomic_measure(atoms), (0.0, 1.0), thetas, n,
-                                   ln.derive_seed(MASTER_SEED, 4, i))
+                                   derive_seed(MASTER_SEED, 4, i))
         gaps.append(rep.sup_gap)
         ok &= rep.sup_gap < threshold
     announce(4, "characteristic function sup gap < 5/sqrt(n)", ok,
@@ -242,7 +242,7 @@ def test_09_tail_convergence():
     model = ln.atomic_measure([(1.0, 1.0)])
     func = lambda x: np.exp(-np.asarray(x) ** 2)
     rows = ln.tail_convergence(model, func, [1.0, 2.0, 3.0, 4.0], 8.0,
-                               n_samples=100_000, seed=ln.derive_seed(MASTER_SEED, 9))
+                               n_samples=100_000, seed=derive_seed(MASTER_SEED, 9))
     ok = all(r.passed for r in rows)
     # cross-check the implementation's tail targets against the closed form
     for r in rows:
@@ -261,21 +261,21 @@ def test_10_integral_and_convolution_bounds():
     # deterministic worked example: C_4 = (2 * 1 * 4 * 1)^{1/4}, seminorm 2
     res = ln.check_integral_moment_bound(model, ln.catalog_process("det_step"), 4,
                                          rosenthal_b=1.0, n_samples=100_000,
-                                         seed=ln.derive_seed(MASTER_SEED, 10, 0))
+                                         seed=derive_seed(MASTER_SEED, 10, 0))
     ok &= abs(res.rhs - 8.0 ** 0.25 * 2.0) <= 1e-10
     ok &= res.passed
     # full process catalog at p = 4 in monotone-check mode
     for i, name in enumerate(CATALOG_PROCESS_NAMES):
         r = ln.check_integral_moment_bound(model, ln.catalog_process(name), 4,
                                            n_samples=50_000,
-                                           seed=ln.derive_seed(MASTER_SEED, 10, 1 + i))
+                                           seed=derive_seed(MASTER_SEED, 10, 1 + i))
         ok &= r.passed
     # convolution worked example: nu_1 = 1, B^2 = 8, rhs = 16
     unit_field = ln.DeterministicField(lambda s, y: np.ones(np.broadcast(s, y).shape))
     conv = ln.check_convolution_moment_bound(model, ln.indicator_kernel(), unit_field,
                                              2, t=1.0, x=0.0, rosenthal_b=1.0,
                                              n_samples=50_000,
-                                             seed=ln.derive_seed(MASTER_SEED, 10, 50))
+                                             seed=derive_seed(MASTER_SEED, 10, 50))
     ok &= abs(conv.rhs_pow - 16.0) <= 1e-10
     ok &= abs(conv.nu_t - 1.0) <= 1e-10
     ok &= conv.passed
@@ -292,7 +292,7 @@ def test_10_integral_and_convolution_bounds():
     for i, (kern, fld, p, x) in enumerate(cases):
         r = ln.check_convolution_moment_bound(model, kern, fld, p, t=1.0, x=x,
                                               n_samples=20_000,
-                                              seed=ln.derive_seed(MASTER_SEED, 10, 60 + i))
+                                              seed=derive_seed(MASTER_SEED, 10, 60 + i))
         ok &= r.passed
     announce(10, "integral/convolution bounds: closed forms to 1e-10, MC gates", ok,
              f"rhs {res.rhs:.12f} and {conv.rhs_pow:.12f}")
@@ -309,7 +309,7 @@ def test_11_malliavin_suite():
         window = F.read_window() + 1.0
         xs = np.linspace(-window + 0.1, window - 0.1, 9)
         for si in range(5):
-            real = ln.sample_prm(model, window, ln.derive_seed(MASTER_SEED, 11, fi, si))
+            real = ln.sample_prm(model, window, derive_seed(MASTER_SEED, 11, fi, si))
             for x in xs:
                 d = ln.eval_chaos(real, ln.malliavin_derivative(F, float(x), 1.0, model))
                 c = ln.add_one_cost(F, real, float(x), 1.0)
@@ -333,7 +333,7 @@ def test_11_malliavin_suite():
     # duality across 6 pairs, including the closed-form pair at value 1
     closed = ln.duality_gap(model, ln.catalog_functional("first_chaos"),
                             ln.validate_simple((0.0, 2.0), (Const(1.0),)),
-                            100_000, ln.derive_seed(MASTER_SEED, 11, 101))
+                            100_000, derive_seed(MASTER_SEED, 11, 101))
     ok &= closed.passed
     ok &= abs(closed.mean_pairing - 1.0) <= 1e-12
     ok &= abs(closed.mean_adjoint - 1.0) <= 4 * closed.gate.se
@@ -343,7 +343,7 @@ def test_11_malliavin_suite():
     for i, (fname, pname) in enumerate(pairs):
         r = ln.duality_gap(model, ln.catalog_functional(fname),
                            ln.catalog_process(pname), 50_000,
-                           ln.derive_seed(MASTER_SEED, 11, 102 + i))
+                           derive_seed(MASTER_SEED, 11, 102 + i))
         ok &= r.passed
     # multiple-integral isometry and cross-order orthogonality, orders <= 3
     batch = ln.sample_prm_batch(model, 2.0, 100_000, derive_rng(MASTER_SEED, 11, 200))
@@ -365,9 +365,9 @@ def test_11_malliavin_suite():
 
 def test_12_reproducibility_and_runtime():
     t0 = time.perf_counter()
-    config = ln.default_verification_config(seed=MASTER_SEED, samples=20_000)
-    r1 = ln.run(config)
-    r2 = ln.run(config)
+    config = default_verification_config(seed=MASTER_SEED, samples=20_000)
+    r1 = run(config)
+    r2 = run(config)
     d1, d2 = report_to_dict(r1), report_to_dict(r2)
     d1["environment"]["wall_time_s"] = 0.0
     d2["environment"]["wall_time_s"] = 0.0

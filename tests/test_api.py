@@ -120,7 +120,6 @@ def test_samplers_have_one_path():
 # Public definitions whose only reader is a test, each with the reason it stays
 TEST_ONLY_READERS = {
     "partitions.all_partitions": "the enumeration oracle that the recurrence is checked against",
-    "processes.freeze_error_sq_deterministic": "ROADMAP item 4 decides the freeze helpers",
 }
 
 
@@ -144,14 +143,14 @@ def _reads(node: ast.AST, name: str) -> int:
 
 def test_every_public_definition_has_a_reader():
     """A public definition in ``src/levynoise`` is read elsewhere in ``src/`` (its own
-    body and the exports of ``__init__`` do not count), or by the demos, the benchmark
-    or the README.  One read by tests alone is listed in TEST_ONLY_READERS."""
+    body and the exports of ``__init__`` do not count), or by the demos or the
+    benchmark; prose that names it is not a reader.  One read by tests alone is
+    listed in TEST_ONLY_READERS."""
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted((ROOT / "src" / "levynoise").glob("*.py"))
                if path.name != "__init__.py"}
     outside = "\n".join(path.read_text() for path in (
-        *sorted(ROOT.glob("demos/*.py")), *sorted(ROOT.glob("perfbench/*.py")),
-        ROOT / "README.md"))
+        *sorted(ROOT.glob("demos/*.py")), *sorted(ROOT.glob("perfbench/*.py"))))
     unread = []
     for module, tree in modules.items():
         for qualname, node in _definitions(tree):
@@ -160,6 +159,32 @@ def test_every_public_definition_has_a_reader():
             if not in_src and not re.search(rf"\b{re.escape(name)}\b", outside):
                 unread.append(f"{module}.{qualname}")
     assert sorted(unread) == sorted(TEST_ONLY_READERS), unread
+
+
+def _package_reads(path: Path) -> set[str]:
+    """The names a file reads through the package: ``from levynoise import name``,
+    or ``ln.name`` after ``import levynoise as ln``."""
+    tree = ast.parse(path.read_text())
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "levynoise")
+        elif isinstance(node, ast.ImportFrom) and node.module == "levynoise" and not node.level:
+            names.update(a.name for a in node.names)
+    names.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id in aliases)
+    return names
+
+
+def test_every_package_export_has_a_reader():
+    """``levynoise`` exports only names that a demo or a benchmark file reads through
+    the package; tests import everything else from its module."""
+    init = ast.parse((ROOT / "src" / "levynoise" / "__init__.py").read_text())
+    exports = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
+               for a in node.names}
+    readers = (*sorted(ROOT.glob("demos/*.py")), *sorted(ROOT.glob("perfbench/*.py")))
+    read = set().union(*map(_package_reads, readers))
+    assert not exports - read, sorted(exports - read)
 
 
 def _loads(code: str, module: str = "scipy") -> bool:
@@ -189,7 +214,7 @@ def test_no_path_loads_scipy():
             assert main(["simulate", "--measure", atoms, "--samples", "50"]) == 0
     """)
     assert not _loads("""
-        from levynoise import validate_measure
+        from levynoise.measure import validate_measure
         from levynoise.prm import char_exponent
         model = validate_measure({"family": "symmetric_power_law", "alpha": 1.5,
                                   "eps": 0.25, "z_max": 4.0})

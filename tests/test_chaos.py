@@ -9,9 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levynoise import (
-    Cell,
-    ChaosFunctional,
-    Const,
     add_one_cost,
     catalog_functional,
     catalog_kernel,
@@ -19,26 +16,28 @@ from levynoise import (
     duality_gap,
     eval_chaos,
     eval_multiple_integral,
-    make_kernel,
     malliavin_derivative,
     project_kernel,
     sample_prm,
     sample_prm_batch,
     validate_simple,
-    ClampedNoise,
     catalog_process,
     eval_I_K,
     atomic_measure,
-    power_law_measure,
 )
 from levynoise.chaos import (
     CATALOG_FUNCTIONAL_NAMES,
+    Cell,
+    ChaosFunctional,
     compensated_cell_count,
     kernel_sq_norm,
+    make_kernel,
     mark_first_moment,
     mark_mass,
 )
+from levynoise.coefficients import ClampedNoise, Const
 from levynoise.errors import MarkSetError, MeasureError
+from levynoise.measure import power_law_measure
 from levynoise.prm import PointRealization
 from levynoise.rng import derive_rng
 

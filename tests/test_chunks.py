@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import levynoise.prm as prm
-from levynoise import atomic_measure, power_law_measure
+from levynoise import atomic_measure
 from levynoise.harness import default_verification_config, parse_config, run
 from levynoise.integral import tail_plan
+from levynoise.measure import power_law_measure
 from levynoise.prm import (
     Draw,
     _skipped,

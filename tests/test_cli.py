@@ -120,6 +120,18 @@ def test_samples_past_the_float_range_exit_code(capsys):
         assert "--samples: sample count past the float range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "1" * 5000], ids=["text", "5000_digits"])
+def test_bad_int_flag_names_no_function(capsys, value):
+    # argparse names the type function of a flag whose type raises ValueError
+    for flag in ("--seed", "--samples"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("report", flag, value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid int value" in err
+        assert "_seed" not in err and "_samples" not in err
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -308,7 +320,7 @@ def test_malliavin_kinds_on_density_exit_code(tmp_path, monkeypatch, capsys, kin
 
 def test_kernel_marks_past_the_atoms_exit_code(tmp_path, monkeypatch, capsys):
     # a kernel whose cell names atom 1 of a one-atom measure stops the run with exit 2
-    from levynoise import Cell, make_kernel
+    from levynoise.chaos import Cell, make_kernel
     bad = make_kernel(1, (Cell(0.0, 1.0, frozenset({1})),), [1.0])
     monkeypatch.setattr(levynoise.harness, "catalog_kernel", lambda name: bad)
     path = tmp_path / "cfg.json"
@@ -443,24 +455,22 @@ FLAG_VALUES = st.one_of(
     JSON_VALUES.map(json.dumps))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=80, deadline=None)
-@given(slot=st.sampled_from(FLAG_SLOTS), value=FLAG_VALUES)
-@example(slot=("simulate", "--samples"), value=str(10 ** 400))  # OverflowError at the point cap
-def test_simulate_and_moments_flag_fuzz_exit_code(slot, value):
-    # one flag value of a README command line replaced: the command runs, or is
-    # refused with exit 2 and an error line, never a traceback; simulate draws at
-    # most 4 realizations behind the real point cap
-    command, flag = slot
-    argv = [command] + [f"{f}={value if f == flag else v}"
-                        for f, v in README_FLAGS[command].items()]
+def _flags_exit_code(command, flags):
+    """Run ``command`` with ``flags``: exit 0, or exit 2 with an error line, never a
+    traceback.  simulate draws at most 4 realizations behind the real point cap, and
+    a check command runs no check, so check_config alone decides its exit code."""
+    argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
     real = levynoise.prm.sample_chunks
 
     def tiny(model, n, rng, window):
         levynoise.prm._check_point_count(levynoise.prm.expected_points(model, n, window), n)
         return real(model, min(n, 4), rng, window=window)
+
+    def no_checks(config, keep_samples=False):
+        return ExperimentReport((), config.seed, "0", 0.0)
     err = io.StringIO()
-    with mock.patch.object(levynoise.cli, "sample_chunks", tiny), redirect_stderr(err), \
+    with mock.patch.object(levynoise.cli, "sample_chunks", tiny), \
+            mock.patch.object(levynoise.cli, "run", no_checks), redirect_stderr(err), \
             redirect_stdout(io.StringIO()):
         try:
             code = main(argv)
@@ -469,6 +479,30 @@ def test_simulate_and_moments_flag_fuzz_exit_code(slot, value):
     assert code in (0, 2), err.getvalue()
     if code == 2:
         assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(slot=st.sampled_from(FLAG_SLOTS), value=FLAG_VALUES)
+@example(slot=("simulate", "--samples"), value=str(10 ** 400))  # OverflowError at the point cap
+def test_simulate_and_moments_flag_fuzz_exit_code(slot, value):
+    # one flag value of a README command line replaced
+    command, flag = slot
+    _flags_exit_code(command, {**README_FLAGS[command], flag: value})
+
+
+# the check commands' flags (--out and --dump-samples left out: a drawn path would be written)
+CHECK_FLAGS = {"--config": json.dumps(_bundled_raw()), "--seed": "7", "--samples": "2000",
+               "--format": "json"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(["verify-bounds", "convolution", "malliavin-check"]),
+       flag=st.sampled_from(sorted(CHECK_FLAGS)), value=FLAG_VALUES)
+def test_check_command_flag_fuzz_exit_code(command, flag, value):
+    # one flag value of a check command replaced
+    _flags_exit_code(command, {**CHECK_FLAGS, flag: value})
 
 
 HUGE_INT = "1" * 5000  # past Python's 4300-digit limit on int parsing

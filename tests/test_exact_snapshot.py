@@ -14,11 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from levynoise import (
-    ClampedNoise,
-    Const,
-    Poly,
-    Product,
-    Sum,
     add_one_cost,
     atomic_measure,
     catalog_functional,
@@ -27,10 +22,11 @@ from levynoise import (
     eval_I_K,
     eval_L_set,
     malliavin_derivative,
-    power_law_measure,
     sample_prm,
 )
 from levynoise.chaos import CATALOG_FUNCTIONAL_NAMES
+from levynoise.coefficients import ClampedNoise, Const, Poly, Product, Sum
+from levynoise.measure import power_law_measure
 from levynoise.processes import CATALOG_PROCESS_NAMES, square_integral
 
 EXACT_SNAPSHOT_COUNT = 2316

@@ -14,18 +14,14 @@ import hashlib
 import numpy as np
 
 from levynoise import (
-    ClampedNoise,
-    Const,
-    Sum,
     atomic_measure,
     catalog_process,
     eval_I_K,
-    linear_combination,
-    power_law_measure,
     sample_L_interval,
     sample_prm_batch,
     validate_simple,
 )
+from levynoise.coefficients import ClampedNoise, Const, Poly, Product, Sum
 from levynoise.convolution import (
     DeterministicField,
     SeparableField,
@@ -33,6 +29,7 @@ from levynoise.convolution import (
     heat_kernel,
     indicator_kernel,
 )
+from levynoise.measure import power_law_measure
 from levynoise.processes import CATALOG_PROCESS_NAMES
 from levynoise.rng import derive_rng
 
@@ -52,8 +49,11 @@ def _processes():
     64-cell convolution processes; ``True`` marks those whose coefficients
     read no noise, so that they can also run on a window that clips cells."""
     procs = [(catalog_process(name), name.startswith("det_")) for name in CATALOG_PROCESS_NAMES]
-    procs.append((linear_combination(0.5, catalog_process("two_block"),
-                                     -1.5, catalog_process("poly_block")), False))
+    # 0.5 two_block - 1.5 poly_block on their merged grid
+    procs.append((validate_simple((0.0, 1.0, 2.0), (
+        Sum((Const(0.75), Product((Const(-1.5), Poly(ClampedNoise(-1.0, 0.0, 5.0),
+                                                     (-1.0, 0.0, 1.0)))))),
+        Product((Const(0.5), ClampedNoise(0.0, 1.0))))), False))
     procs.append((validate_simple((-1.0, 0.0, 0.5, 1.0),
                                   (Const(0.25), Sum((Const(0.1), ClampedNoise(-1.0, 0.0, 0.3))),
                                    Sum((Const(-2.0), ClampedNoise(-0.5, 0.5))))), False))

@@ -7,17 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levynoise import (
+from levynoise import mc_mean_test
+from levynoise.errors import (ConfigError, DegenerateVarianceError, PointCountError,
+                              UnknownCheckError)
+from levynoise.harness import (
+    CHECK_RUNNERS,
     default_verification_config,
-    mc_mean_test,
     parse_config,
     report_to_json,
     run,
     write_report,
+    write_samples_csv,
 )
-from levynoise.errors import (ConfigError, DegenerateVarianceError, PointCountError,
-                              UnknownCheckError)
-from levynoise.harness import CHECK_RUNNERS, write_samples_csv
 from levynoise.prm import _mark_table
 from levynoise.rng import derive_seed
 

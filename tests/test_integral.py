@@ -10,10 +10,10 @@ from levynoise import (
     check_integral_moment_bound,
     check_linear_moment_bound,
     estimate_seminorm,
-    integral_bound_constant,
     tail_convergence,
     StepFunction,
 )
+from levynoise.integral import integral_bound_constant
 
 
 def test_seminorm_deterministic_indicator(unit_atom):
@@ -169,7 +169,7 @@ def test_tail_zero_for_supported_process(unit_atom):
 def test_density_float_paths_match_recorded_values():
     # the float results of a density measure, recorded before these functions
     # lost their separate float branches: a Fraction times a float is that float
-    from levynoise import power_law_measure
+    from levynoise.measure import power_law_measure
     from levynoise.chaos import Cell, cell_intensity, kernel_sq_norm, make_kernel
     from levynoise.partitions import step_functional_cumulants
     m = power_law_measure(1.5, 0.25, 4.0)

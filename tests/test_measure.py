@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from levynoise import (
-    abs_moment,
-    atomic_measure,
-    interpolation_check,
-    power_law_measure,
-    signed_moment,
-    validate_measure,
-)
+from levynoise import abs_moment, atomic_measure, interpolation_check, signed_moment
 from levynoise.chaos import mark_first_moment, mark_mass
 from levynoise.errors import (
     AtomAtZeroError,
@@ -26,7 +19,8 @@ from levynoise.measure import (
     _adaptive_gauss,
     _adaptive_gauss_nodes,
     _power_law_model,
-    small_jump_variance_bias,
+    power_law_measure,
+    validate_measure,
 )
 
 
@@ -205,9 +199,6 @@ def test_power_law_density_mode(alpha, eps, z_max):
     assert m.total_mass == pytest.approx(2 * closed(0, eps, z_max), rel=1e-11, abs=0)
     assert m.m2 == pytest.approx(2 * closed(2, eps, z_max), rel=1e-11, abs=0)
     assert abs_moment(m, 2) == pytest.approx(m.m2)
-    # truncation bias: variance carried by jumps below eps, on both sides
-    bias = small_jump_variance_bias(m)
-    assert bias == pytest.approx(2 * closed(2, 0, eps), rel=1e-11, abs=0)
     # a mark set that straddles the gap (-eps, eps) and ends inside each piece
     marks = (-2 * eps, 3 * eps)
     assert mark_mass(m, marks) == pytest.approx(

@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levynoise import (
-    all_partitions,
     count_no_singleton_partitions,
-    moment_from_cumulants,
     moment_of_step_functional,
     partitions_no_singletons,
     step_functional_cumulants,
 )
 from levynoise.errors import MissingCumulantError, SizeLimitError
 from levynoise import StepFunction
+from levynoise.partitions import all_partitions, moment_from_cumulants
 
 from conftest import refined
 

@@ -13,15 +13,14 @@ from levynoise import (
     eval_I_K,
     eval_L_set,
     eval_path,
-    power_law_measure,
     sample_L_interval,
     sample_prm,
     sample_prm_batch,
     signed_moment,
-    theoretical_char,
 )
 from levynoise.errors import PointCountError, WindowExceededError
 import levynoise.prm
+from levynoise.measure import power_law_measure
 from levynoise.prm import (
     GuideTable,
     PointRealization,
@@ -29,6 +28,7 @@ from levynoise.prm import (
     _sample_marks,
     batch_L_weighted,
     normalize_intervals,
+    theoretical_char,
 )
 from levynoise.processes import CATALOG_PROCESS_NAMES, square_integral
 from levynoise.rng import CHAR_GAP_STREAM, derive_rng

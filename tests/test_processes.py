@@ -8,28 +8,19 @@ import pytest
 import levynoise.prm
 import levynoise.processes
 from levynoise import (
-    ClampedNoise,
-    Const,
-    Poly,
-    Product,
-    Sum,
     catalog_process,
     eval_I_K,
     eval_L_set,
-    from_step,
-    linear_combination,
-    power_law_measure,
-    restrict_process,
     sample_prm,
     sample_prm_batch,
     validate_simple,
     StepFunction,
 )
+from levynoise.coefficients import ClampedNoise, Const, Poly, Product, Sum
 from levynoise.errors import (
     BreakpointOrderError,
     HorizonViolationError,
     UnboundedCoefficientError,
-    WindowExceededError,
 )
 from levynoise.convolution import (
     DeterministicField,
@@ -38,14 +29,12 @@ from levynoise.convolution import (
     heat_kernel,
     indicator_kernel,
 )
+from levynoise.measure import power_law_measure
 from levynoise.processes import (
     CATALOG_PROCESS_NAMES,
     PARTITION_MIN_CELLS,
-    DeterministicProfile,
-    SlidingWindowProfile,
     abs_power_integral,
-    freeze_error_sq_deterministic,
-    freeze_error_sq_sliding,
+    from_step,
     process_from_config,
     square_integral,
 )
@@ -149,7 +138,10 @@ def test_cell_split_invariance(unit_atom):
 def test_exact_linearity(unit_atom):
     X = catalog_process("clamped_left")
     Y = catalog_process("two_block")
-    combo = linear_combination(2.5, X, -1.5, Y)
+    # 2.5 X - 1.5 Y cell by cell: X is on (0, 1] alone, Y on (0, 2]
+    combo = validate_simple((0.0, 1.0, 2.0),
+                            (Sum((Product((Const(2.5), ClampedNoise(-1.0, 0.0))), Const(-2.25))),
+                             Product((Const(-1.5), ClampedNoise(0.0, 1.0)))))
     for seed in range(10):
         real = sample_prm(unit_atom, 2.0, seed)
         lhs = eval_I_K(real, combo)
@@ -161,7 +153,7 @@ def test_exact_restriction(unit_atom):
     # I_K(X) = I(X 1_[-K, K]): X on the points in (-1, 1] with window 1,
     # against the restricted process on the whole window-3 sample
     X = catalog_process("two_block")   # supported on (0, 2]
-    cut = restrict_process(X, 1.0)
+    cut = validate_simple((0.0, 1.0), (Const(1.5),))  # X 1_[-1, 1]
     for seed in range(10):
         real = sample_prm(unit_atom, 3.0, seed)
         inner = make_realization(unit_atom, 1.0, [(x, z) for x, z in zip(real.x, real.z)
@@ -230,58 +222,11 @@ def test_process_from_config_every_coefficient_type():
         Product((Const(2.0), clamped)), Sum((clamped, ClampedNoise(1.0, 2.0, 3.0)))))
 
 
-def test_deterministic_freeze_error_decreases():
-    prof = DeterministicProfile(lambda x: np.exp(-np.asarray(x) ** 2))
-    errors = []
-    for ncells in (4, 8, 16, 32):
-        grid = np.linspace(-2.0, 2.0, ncells + 1)
-        proc = prof.freeze(grid)
-        errors.append(freeze_error_sq_deterministic(prof, proc, 2.0))
-    assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
-    assert errors[-1] < errors[0] / 10
-
-
-def test_aligned_simple_process_freezes_exactly():
-    phi = StepFunction((0.0, 1.0, 2.0), (2.0, -1.0))
-    prof = DeterministicProfile(lambda x: phi(np.asarray(x) + 1e-9))  # right limit at grid pts
-    proc = prof.freeze((0.0, 1.0, 2.0))
-    assert proc.as_step().values == (2.0, -1.0)
-
-
 def test_as_step_rounds_the_exact_value_once():
     # float addition gives 0.6000000000000001; the exact sum of the three
     # doubles rounds to 0.6, as eval_I_K sees it
     proc = validate_simple((0.0, 1.0), (Sum((Const(0.1), Const(0.2), Const(0.3))),))
     assert proc.as_step().values == (0.6,)
-
-
-def test_sliding_freeze_error_decreases(unit_atom):
-    prof = SlidingWindowProfile(width=1.0, clip=100.0)
-    reals = [sample_prm(unit_atom, 3.5, s) for s in range(80)]
-    means = []
-    for ncells in (4, 16):
-        grid = np.linspace(-2.0, 2.0, ncells + 1)
-        proc = prof.freeze(grid)
-        mean, se = freeze_error_sq_sliding(prof, proc, 2.0, reals)
-        means.append((mean, se))
-    assert means[1][0] < means[0][0]
-
-
-@pytest.mark.parametrize("width", [1.0, 0.7])
-def test_sliding_freeze_error_hand_computed(unit_atom, width):
-    # one jump at 0.2: the profile is 1 - width on [0.2, 0.2 + width) and
-    # -width elsewhere, the frozen mesh is -width on (-2, 2], so the error
-    # is the length of [0.2, 0.2 + width); for both widths
-    # fl(0.2 + width) - width < 0.2, so reading the window back from the
-    # left end of the next piece would count the jump there too
-    real = make_realization(unit_atom, 3.0, [(0.2, 1.0)])
-    prof = SlidingWindowProfile(width=width)
-    proc = prof.freeze((-2.0, 0.0, 2.0))
-    mean, se = freeze_error_sq_sliding(prof, proc, 2.0, [real, real])
-    assert mean == pytest.approx(width, abs=1e-12)
-    assert se == 0.0
-    with pytest.raises(WindowExceededError):  # reads (-2.5 - width, ...] off the sample
-        freeze_error_sq_sliding(prof, proc, 2.5, [real, real])
 
 
 UNIT_FIELD = DeterministicField(lambda s, y: np.ones(np.broadcast(s, y).shape), "unit")

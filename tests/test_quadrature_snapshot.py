@@ -15,7 +15,7 @@ import hashlib
 
 import numpy as np
 
-from levynoise import atomic_measure, catalog_process, power_law_measure
+from levynoise import atomic_measure, catalog_process
 from levynoise.convolution import (
     DeterministicField,
     SeparableField,
@@ -25,7 +25,7 @@ from levynoise.convolution import (
     kernel_power_integral,
 )
 from levynoise.integral import _two_sided_quad
-from levynoise.measure import _adaptive_gauss, abs_moment, signed_moment
+from levynoise.measure import _adaptive_gauss, abs_moment, power_law_measure, signed_moment
 from levynoise.prm import char_exponent, simulate
 
 QUADRATURE_SNAPSHOT_COUNT = 146

@@ -15,16 +15,14 @@ import hashlib
 import numpy as np
 
 from levynoise import (
-    Cell,
-    ClampedNoise,
     catalog_kernel,
     eval_L_set,
     eval_multiple_integral,
-    make_kernel,
     sample_prm_batch,
     tail_convergence,
 )
-from levynoise.chaos import compensated_cell_count
+from levynoise.chaos import Cell, compensated_cell_count, make_kernel
+from levynoise.coefficients import ClampedNoise
 from levynoise.prm import batch_L_weighted
 from levynoise.rng import derive_rng
 
