@@ -192,8 +192,9 @@ def chaos_variance(model: LevyMeasureModel, kernel: StepKernel) -> Fraction | fl
 # ---------------------------------------------------------------------------
 
 def compensated_cell_count(src: PointRealization | RealizationBatch,
-                           cell: Cell) -> Fraction | np.ndarray:
-    """``hatN(F) = #points in F - |A| nu(B)``, exact or one float per realization."""
+                           cell: Cell):
+    """``hatN(F) = #points in F - |A| nu(B)``, one float per realization or the exact
+    backend's value (``exact`` makes it a Fraction): the body that kernels call."""
     _check_window([(cell.a, cell.b)], src.window)
     intensity = cell_intensity(src.model, cell)  # checks the marks before any count
     return src.count(cell.a, cell.b, cell.marks) - src.num(intensity)
@@ -202,6 +203,10 @@ def compensated_cell_count(src: PointRealization | RealizationBatch,
 def eval_multiple_integral(src: PointRealization | RealizationBatch,
                            kernel: StepKernel) -> Fraction | np.ndarray:
     """Pathwise value of ``I_k(h)``, exact or one float per realization."""
+    return src.exact(_multiple_integral(src, kernel))
+
+
+def _multiple_integral(src: PointRealization | RealizationBatch, kernel: StepKernel):
     nhat = [compensated_cell_count(src, c) for c in kernel.cells]
     total = src.full(0.0)
     for idx, b in kernel.entries:
@@ -267,9 +272,13 @@ class ChaosFunctional:
 
 def eval_chaos(src: PointRealization | RealizationBatch,
                F: ChaosFunctional) -> Fraction | np.ndarray:
+    return src.exact(_chaos(src, F))
+
+
+def _chaos(src: PointRealization | RealizationBatch, F: ChaosFunctional):
     out = src.full(F.constant)
     for k in F.kernels:
-        out += eval_multiple_integral(src, k)
+        out += _multiple_integral(src, k)
     return out
 
 
@@ -306,7 +315,7 @@ def add_one_cost(F: ChaosFunctional, real: PointRealization, x: float,
     """Independent oracle for the derivative: ``F(omega + delta_(x,z)) - F(omega)``."""
     atom = atom_index_of(real.model, z) if real.model.is_atomic else None
     bumped = real.with_point(float(x), float(z), atom)
-    return eval_chaos(bumped, F) - eval_chaos(real, F)
+    return real.exact(_chaos(bumped, F) - _chaos(real, F))
 
 
 @dataclass(frozen=True)

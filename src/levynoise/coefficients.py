@@ -32,17 +32,19 @@ DEFAULT_CLIP = 1e6
 
 
 class Coefficient:
-    """Base of the catalog.  ``eval`` returns an exact Fraction on a
-    PointRealization and one float per realization on a RealizationBatch."""
+    """Base of the catalog.  ``eval`` returns an exact Fraction on a PointRealization and
+    one float per realization on a RealizationBatch.  Each entry's one body is ``_eval``,
+    on the backend's values; a nested entry calls ``_eval``, and ``eval`` converts once."""
+
+    def eval(self, src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
+        return src.exact(self._eval(src))
+
+    eval_batch = eval  # the older batch name, which perfbench still calls
 
     @property
     def horizon(self) -> float:
         """Right end of the noise intervals read; -inf when none is read."""
         return max((b for _, b in self.read_intervals()), default=-math.inf)
-
-    def eval_batch(self, src: RealizationBatch) -> np.ndarray:
-        """``eval`` under its older batch name, which perfbench still calls."""
-        return self.eval(src)
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class Const(Coefficient):
     def bound(self) -> float:
         return abs(self.value)
 
-    def eval(self, src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
+    def _eval(self, src: PointRealization | RealizationBatch):
         return src.full(self.value)
 
     def read_intervals(self) -> list[tuple[float, float]]:
@@ -78,7 +80,7 @@ class ClampedNoise(Coefficient):
     def bound(self) -> float:
         return self.clip
 
-    def eval(self, src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
+    def _eval(self, src: PointRealization | RealizationBatch):
         return src.clip(src.mass((self.a, self.b)), self.clip)
 
     def read_intervals(self) -> list[tuple[float, float]]:
@@ -97,9 +99,9 @@ class Poly(Coefficient):
         b = self.arg.bound
         return float(sum(abs(c) * b ** k for k, c in enumerate(self.coeffs)))
 
-    def eval(self, src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
+    def _eval(self, src: PointRealization | RealizationBatch):
         # Horner in the order of numpy.polynomial.polynomial.polyval
-        y = self.arg.eval(src)
+        y = self.arg._eval(src)
         coeffs = self.coeffs or (0.0,)
         out = src.num(coeffs[-1]) + y * 0
         for c in coeffs[-2::-1]:
@@ -118,10 +120,10 @@ class Product(Coefficient):
     def bound(self) -> float:
         return float(math.prod(f.bound for f in self.factors))
 
-    def eval(self, src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
+    def _eval(self, src: PointRealization | RealizationBatch):
         out = src.full(1.0)
         for f in self.factors:
-            out = out * f.eval(src)
+            out = out * f._eval(src)
         return out
 
     def read_intervals(self) -> list[tuple[float, float]]:
@@ -136,10 +138,10 @@ class Sum(Coefficient):
     def bound(self) -> float:
         return float(sum(t.bound for t in self.terms))
 
-    def eval(self, src: PointRealization | RealizationBatch) -> Fraction | np.ndarray:
+    def _eval(self, src: PointRealization | RealizationBatch):
         out = src.full(0.0)
         for t in self.terms:
-            out = out + t.eval(src)
+            out = out + t._eval(src)
         return out
 
     def read_intervals(self) -> list[tuple[float, float]]:

@@ -98,11 +98,12 @@ def _gauss_panels(g, nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[tu
     the error.  The panels are those of ``nodes`` in turn, the same number each, and
     one call ``g(nodes[:, None], x)`` evaluates them all, row ``i`` of ``x`` holding
     the points of node ``i``'s panels."""
-    m, r = 0.5 * (a + b), 0.5 * (b - a)
+    # halves first: a sum of two ends near the float range would overflow
+    m, r = 0.5 * a + 0.5 * b, 0.5 * b - 0.5 * a
     half = 0.5 * r
     t = half[:, None] * _GL_NODES
-    x = np.concatenate([m[:, None] + r[:, None] * _GL_NODES, (0.5 * (a + m))[:, None] + t,
-                        (0.5 * (m + b))[:, None] + t], axis=1)
+    x = np.concatenate([m[:, None] + r[:, None] * _GL_NODES, (0.5 * a + 0.5 * m)[:, None] + t,
+                        (0.5 * m + 0.5 * b)[:, None] + t], axis=1)
     y = g(nodes[:, None], x.reshape(len(nodes), -1)).reshape(len(a), -1)
     sums = (y.reshape(len(a), 3, -1) * _GL_WEIGHTS).sum(axis=2)
     whole, left, right = sums[:, 0] * r, sums[:, 1] * half, sums[:, 2] * half
@@ -149,7 +150,7 @@ def _adaptive_gauss_nodes(g, nodes, a: float, b: float) -> list[float]:
             worst = max(own)  # panels compare by error first
             own.remove(worst)
             _, p_lo, p_hi, _, _ = worst
-            mid = 0.5 * (p_lo + p_hi)
+            mid = 0.5 * p_lo + 0.5 * p_hi
             split.append(i)
             lo += [p_lo, mid]
             hi += [mid, p_hi]

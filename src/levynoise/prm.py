@@ -10,21 +10,24 @@ Every set evaluation is fully compensated:
 
     L(A) = sum of jumps located in A  -  |A| * mt_1
 
-Both realization types expose the same five backend methods: ``mass``
+Both realization types expose the same backend methods: ``mass``
 (compensated mass of a union of intervals), ``count`` (points in a
-product cell), ``clip``, ``num`` (a scalar) and ``full`` (a constant
-value).  Every evaluator in the package is written once against them,
-and the type of its argument picks the backend.  A ``PointRealization``
-computes in exact rational arithmetic, so pathwise identities
+product cell), ``clip``, ``num`` (a scalar), ``full`` (a constant
+value) and ``exact``.  Every evaluator in the package is written once
+against them, the type of its argument picks the backend, and its
+outermost public call returns ``exact`` of its value.  A
+``PointRealization`` computes on dyadic rationals ``m * 2**e`` (every
+float is one) held as Python ints, with no gcd, so pathwise identities
 (additivity, restriction, linearity of the integral) hold exactly.  It
 answers each ``mass`` and ``count`` once, from a memo of its own over
-read-only arrays, and each float it reads becomes a ``Fraction`` once,
-through one bounded cache.  A ``RealizationBatch`` computes one float
-per realization for Monte Carlo work.  Every reduction of a batch runs on its realization-aligned parts
-(``parts``): a part selects its points by index and bincounts them into
-its slice of one output, so temporaries stay the size of a part.  A
-batch also gives the masses of many adjacent cells at once
-(``cell_masses``).
+read-only arrays; each float it reads becomes a dyadic once, through
+one bounded cache, and ``exact`` builds one ``Fraction``.  A
+``RealizationBatch`` computes one float per realization for Monte Carlo
+work; its ``exact`` is the identity.  Every reduction of a batch runs
+on its realization-aligned parts (``parts``): a part selects its points
+by index and bincounts them into its slice of one output, so
+temporaries stay the size of a part.  A batch also gives the masses of
+many adjacent cells at once (``cell_masses``).
 
 One sampler, ``sample_chunks``, draws points, in chunks of whole
 realizations; ``sample_prm_batch`` and ``sample_L_interval`` are its
@@ -50,6 +53,7 @@ from __future__ import annotations
 import cmath
 import copy
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,6 +68,94 @@ from .measure import LevyMeasureModel, _density_integral, signed_moment
 from .rng import CHAR_GAP_STREAM, derive_rng
 
 Interval = tuple[float, float]
+
+
+class _Dyadic:
+    """An exact dyadic rational ``m * 2**e`` on Python ints, the exact backend's value.
+    A sum aligns the exponents by a shift and a product adds them: no gcd.  An
+    int, float or dyadic ``Fraction`` operand converts exactly (``_dyadic``)."""
+
+    __slots__ = ("m", "e")
+
+    def __init__(self, m: int, e: int) -> None:
+        self.m, self.e = m, e
+
+    def __add__(self, other, sign: int = 1) -> _Dyadic:
+        if other.__class__ is not _Dyadic:
+            other = _dyadic(other)
+        d = self.e - other.e
+        if d >= 0:
+            return _Dyadic((self.m << d) + sign * other.m, other.e)
+        return _Dyadic(self.m + sign * (other.m << -d), self.e)
+
+    def __sub__(self, other) -> _Dyadic:
+        return self.__add__(other, -1)
+
+    def __rsub__(self, other) -> _Dyadic:
+        return _dyadic(other) - self
+
+    def __mul__(self, other) -> _Dyadic:
+        if other.__class__ is not _Dyadic:
+            other = _dyadic(other)
+        return _Dyadic(self.m * other.m, self.e + other.e)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, p: int) -> _Dyadic:
+        p = operator.index(p)  # a numpy int would wrap
+        if p < 0:
+            raise ValueError(f"a negative power of {self.fraction()!r} need not be dyadic")
+        return _Dyadic(self.m ** p, self.e * p)
+
+    def __neg__(self) -> _Dyadic:
+        return _Dyadic(-self.m, self.e)
+
+    def __abs__(self) -> _Dyadic:
+        return _Dyadic(abs(self.m), self.e)
+
+    def __bool__(self) -> bool:
+        return self.m != 0
+
+    def _comparison(op):
+        def compare(self, other) -> bool:
+            if other.__class__ is _Dyadic or isinstance(other, int):
+                return op((self - other).m, 0)
+            return op(self.fraction(), other)  # a float, or a Fraction that need not be dyadic
+        return compare
+
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(_comparison, (
+        operator.eq, operator.lt, operator.le, operator.gt, operator.ge))
+    del _comparison
+
+    def __float__(self) -> float:  # int true division rounds correctly, as Fraction's does
+        return float(self.m << self.e) if self.e >= 0 else self.m / (1 << -self.e)
+
+    def fraction(self) -> Fraction:  # Fraction(m, 2**-e): one gcd
+        return Fraction(self.m << self.e) if self.e >= 0 else Fraction(self.m, 1 << -self.e)
+
+
+def _ratio_dyadic(x) -> _Dyadic:
+    """A float, or a ``Fraction`` whose denominator is a power of two, as a dyadic."""
+    n, d = x.as_integer_ratio()  # refuses an infinity or a NaN as Fraction(x) does
+    if d & (d - 1):
+        raise ValueError(f"{x!r} is not a dyadic rational m * 2**e")
+    return _Dyadic(n, 1 - d.bit_length())
+
+
+# A few dozen distinct floats (cell ends, kernel coefficients, constants), each converted
+# once.  Only floats are keys: a Fraction key compares with floats through Fraction.__eq__.
+_float_dyadic = lru_cache(maxsize=4096)(_ratio_dyadic)
+
+
+def _dyadic(x) -> _Dyadic:
+    """``x`` as a dyadic; an integer, numpy's too, through ``operator.index``."""
+    if isinstance(x, float):
+        return _float_dyadic(x)
+    if x.__class__ is _Dyadic:
+        return x
+    if isinstance(x, Fraction):
+        return _ratio_dyadic(x)
+    return _Dyadic(operator.index(x), 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,19 +196,27 @@ class PointRealization:
         """Configuration with one extra point inserted (sorted order kept)."""
         _check_window([(x, x)], self.window)
         pos = int(np.searchsorted(self.x, x, side="right"))
-        new_atom = None
-        if self.atom is not None:
-            new_atom = _inserted(self.atom, pos, -1 if atom is None else atom)
-        return PointRealization(self.window, _inserted(self.x, pos, x),
-                                _inserted(self.z, pos, z), new_atom, self.model)
+        new_atom = None if self.atom is None else _inserted(
+            self.atom, pos, -1 if atom is None else atom)
+        out = object.__new__(PointRealization)  # new read-only arrays: no second copy
+        out.__dict__.update(window=self.window, x=_inserted(self.x, pos, x), model=self.model,
+                            z=_inserted(self.z, pos, z), atom=new_atom, _memo={})
+        return out
 
-    # -- exact backend: masses and counts are Fractions and ints ----------
+    # -- exact backend: masses are dyadics, counts ints -------------------
 
-    def mass(self, sets) -> Fraction:
-        key = tuple(normalize_intervals(sets))  # pairs; a count key starts with a number
-        out = self._memo.get(key)
+    def mass(self, sets) -> _Dyadic:
+        try:  # a question asked before in the same form skips the normalization
+            out, raw = self._memo.get(sets), sets
+        except TypeError:  # a list, or a tuple of lists, is no key
+            out = raw = None
         if out is None:
-            out = self._memo[key] = self._mass(key)
+            key = tuple(normalize_intervals(sets))  # pairs; a count key starts with a number
+            out = self._memo.get(key)
+            if out is None:
+                out = self._memo[key] = self._mass(key)
+            if raw is not None:
+                self._memo[raw] = out
         return out
 
     def count(self, a: float, b: float, marks) -> int:
@@ -127,10 +227,7 @@ class PointRealization:
             out = self._memo[key] = self._count(a, b, marks)
         return out
 
-    def _mass(self, intervals) -> Fraction:
-        # Every float is a dyadic rational n / 2**k: the jumps and the interval
-        # lengths are summed exactly as integers over the largest 2**k present,
-        # and the one Fraction is built at the end.
+    def _mass(self, intervals) -> _Dyadic:
         _check_window(intervals, self.window)
         jumps: list[float] = []
         ends: list[float] = []
@@ -138,11 +235,7 @@ class PointRealization:
             lo, hi = np.searchsorted(self.x, (a, b), side="right").tolist()
             jumps += self.z[lo:hi].tolist()
             ends += (b, -a)
-        z_num, z_den = _dyadic_sum(jumps)
-        len_num, len_den = _dyadic_sum(ends)
-        mt1 = _mt1(self.model)
-        return Fraction(z_num * len_den * mt1.denominator - len_num * z_den * mt1.numerator,
-                        z_den * len_den * mt1.denominator)
+        return _dyadic_sum(jumps) - _dyadic_sum(ends) * _mt1(self.model)
 
     def _count(self, a: float, b: float, marks) -> int:
         lo = int(np.searchsorted(self.x, a, side="right"))
@@ -153,17 +246,12 @@ class PointRealization:
         return sum(zlo < z <= zhi for z in self.z[lo:hi].tolist())
 
     @staticmethod
-    def clip(v: Fraction, c: float) -> Fraction:
-        n, d = c.as_integer_ratio()  # compared on ints: no Fraction unless v is clamped
-        if abs(v.numerator) * d <= n * v.denominator:
-            return v
-        return Fraction(n if v > 0 else -n, d)
+    def clip(v: _Dyadic, c: float) -> _Dyadic:
+        c = _dyadic(c)
+        return v if abs(v) <= c else c if v.m > 0 else -c
 
-    @staticmethod
-    def num(x) -> Fraction:
-        return x if isinstance(x, Fraction) else _fraction(x)
-
-    full = num
+    num = full = staticmethod(_dyadic)
+    exact = staticmethod(_Dyadic.fraction)  # a public call's result, as one Fraction
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,12 +370,14 @@ class RealizationBatch:
     def clip(v: np.ndarray, c: float) -> np.ndarray:
         return np.clip(v, -c, c)
 
-    @staticmethod
-    def num(x) -> float:
-        return float(x)
+    num = staticmethod(float)
 
     def full(self, x) -> np.ndarray:
         return np.full(self.n, float(x))
+
+    @staticmethod
+    def exact(v: np.ndarray) -> np.ndarray:
+        return v
 
 
 # Values per step of a guided search: its temporaries stay in cache.  Marks
@@ -579,29 +669,25 @@ def _check_window(intervals: list[Interval], window: float) -> None:
             raise WindowExceededError(f"{where} outside sampled window [-{window}, {window}]")
 
 
-# The exact backend reads a few dozen distinct floats (cell ends, kernel
-# coefficients, constants), each converted once.
-_fraction = lru_cache(maxsize=4096)(Fraction)
-
-
 @lru_cache(maxsize=None)
-def _mt1(model: LevyMeasureModel) -> Fraction:
-    return Fraction(signed_moment(model, 1))
+def _mt1(model: LevyMeasureModel) -> _Dyadic:
+    return _dyadic(signed_moment(model, 1))
 
 
-def _dyadic_sum(values: list[float]) -> tuple[int, int]:
-    """Exact sum of floats as ``(numerator, 2**k)``, ``2**k`` the largest denominator."""
+def _dyadic_sum(values: list[float]) -> _Dyadic:
+    """Exact sum of floats, as integers over the largest ``2**k`` among their denominators."""
     ratios = [v.as_integer_ratio() for v in values]
     den = max((d for _, d in ratios), default=1)
-    return sum(n * (den // d) for n, d in ratios), den
+    return _Dyadic(sum(n * (den // d) for n, d in ratios), 1 - den.bit_length())
 
 
 def _inserted(arr: np.ndarray, pos: int, value) -> np.ndarray:
-    """``np.insert(arr, pos, value)`` for a 1-d array, in one preallocated copy."""
+    """``np.insert(arr, pos, value)`` for a 1-d array, in one preallocated read-only copy."""
     out = np.empty(len(arr) + 1, dtype=arr.dtype)
     out[:pos] = arr[:pos]
     out[pos] = value
     out[pos + 1:] = arr[pos:]
+    out.setflags(write=False)
     return out
 
 
@@ -618,14 +704,12 @@ def eval_L_set(src: PointRealization | RealizationBatch, sets) -> Fraction | np.
     RealizationBatch it is one float per realization.  This is the public
     entry point; ``mass`` is the backend hook that the evaluators call.
     """
-    return src.mass(sets)
+    return src.exact(src.mass(sets))
 
 
 def eval_path(real: PointRealization, x: float) -> Fraction:
     """Two-sided path value: mass of ``(0, x]`` for x >= 0, minus mass of ``(x, 0]`` for x < 0."""
     _check_window([(x, x)], real.window)
-    if x == 0:
-        return Fraction(0)
     if x > 0:
         return eval_L_set(real, (0.0, float(x)))
     return -eval_L_set(real, (float(x), 0.0))

@@ -143,8 +143,8 @@ def eval_I_K(src: PointRealization | RealizationBatch,
         return _eval_I_K_by_parts(src, cells)
     total = src.full(0.0)
     for (lo, hi), coef in cells:
-        total += coef.eval(src) * src.mass((lo, hi))
-    return total
+        total += coef._eval(src) * src.mass((lo, hi))
+    return src.exact(total)
 
 
 def _eval_I_K_by_parts(batch: RealizationBatch, cells) -> np.ndarray:
@@ -156,7 +156,7 @@ def _eval_I_K_by_parts(batch: RealizationBatch, cells) -> np.ndarray:
         total = out[r0:r0 + part.n]
         total[:] = 0.0
         for (_, coef), mass in zip(cells, masses):
-            total += coef.eval(part) * mass
+            total += coef._eval(part) * mass
     return out
 
 
@@ -165,8 +165,8 @@ def abs_power_integral(proc: SimpleProcess, src: PointRealization | RealizationB
     """Pathwise ``integral |X(x)|^p dx`` over the window of ``src``."""
     total = src.full(0.0)
     for (lo, hi), coef in _clipped_cells(proc, src.window):
-        total += abs(coef.eval(src)) ** p * (src.num(hi) - src.num(lo))
-    return total
+        total += abs(coef._eval(src)) ** p * (src.num(hi) - src.num(lo))
+    return src.exact(total)
 
 
 def square_integral(proc: SimpleProcess,

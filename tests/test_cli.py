@@ -417,6 +417,7 @@ JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
 @example(slot=("char_gap", "n_theta"), value=2 ** 63)   # IndexError: an empty theta grid
 @example(slot=("projection", "y"), value=1e16)          # ValueError: (y - 1, y] empty
 @example(slot=("tail", "k_outer"), value=1e308)         # overflow in the gaussian profile
+@example(slot=("tail", "k_outer"), value=1.1984620899082105e308)  # overflow in a panel's midpoint
 def test_report_config_fuzz_exit_code(slot, value):
     # one value of the bundled config replaced: the config is run, or refused with
     # exit 2 and an error line, never a traceback or a RuntimeWarning (CI runs the

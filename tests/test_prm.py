@@ -177,29 +177,36 @@ def test_mass_is_its_definition(model, points, sets):
     assert type(got) is Fraction and got == want
 
 
-@given(st.fractions(), st.floats(min_value=5e-324, max_value=1e300))
+# the exact backend's values are dyadic rationals n / 2**k
+DYADIC_FRACTIONS = st.builds(lambda n, k: Fraction(n, 2 ** k), st.integers(), st.integers(0, 1100))
+
+
+@given(DYADIC_FRACTIONS, st.floats(min_value=5e-324, max_value=1e300))
 @example(v=Fraction(10), c=10.0)     # on the bound
 @example(v=Fraction(-10), c=10.0)
 @example(v=Fraction(7, 2), c=3)      # an int bound
 def test_exact_clip_is_the_clamp(v, c):
-    got = PointRealization.clip(v, c)
-    assert type(got) is Fraction and got == max(-Fraction(c), min(Fraction(c), v))
-    assert (got is v) == (abs(v) <= c)  # a value inside the bound passes through
+    value = PointRealization.num(v)
+    got = PointRealization.clip(value, c)
+    assert PointRealization.exact(got) == max(-Fraction(c), min(Fraction(c), v))
+    assert (got is value) == (abs(v) <= c)  # a value inside the bound passes through
 
 
 def test_exact_num_passes_fractions_through():
-    v = Fraction(1, 3)
+    v = PointRealization.num(Fraction(3, 8))  # a dyadic Fraction converts exactly
     assert PointRealization.num(v) is v and PointRealization.full(v) is v
-    assert type(PointRealization.num(0.5)) is Fraction and PointRealization.num(0.5) == 0.5
+    assert PointRealization.exact(v) == Fraction(3, 8)
+    half = PointRealization.exact(PointRealization.num(0.5))
+    assert type(half) is Fraction and half == 0.5
 
 
 @pytest.mark.parametrize("v", [-0.0, 0.0, 3, -7, np.int64(5), np.float64(0.1), np.float64(-2.5),
                                0.1, 1e300, 5e-324, -5e-324, 2.2250738585072014e-308])
 def test_exact_num_is_the_fraction_of_the_value(v):
     for _ in range(2):  # converted, then read back from the conversion cache
-        got = PointRealization.num(v)
+        got = PointRealization.exact(PointRealization.num(v))
         assert type(got) is Fraction and got == Fraction(v)
-        assert PointRealization.full(v) == got
+        assert PointRealization.exact(PointRealization.full(v)) == got
 
 
 @pytest.mark.parametrize("v, error", [(math.inf, OverflowError), (-math.inf, OverflowError),
@@ -208,6 +215,59 @@ def test_exact_num_refuses_what_fraction_refuses(v, error):
     for _ in range(2):  # a refusal is not cached as an answer
         with pytest.raises(error):
             PointRealization.num(v)
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+FINITE = st.floats(-1e300, 1e300)  # +-0.0 and subnormals down to 5e-324 included
+SCALARS = st.one_of(FINITE, st.integers(), FINITE.map(np.float64),
+                    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+
+
+@given(SCALARS, SCALARS, st.integers(0, 8), st.floats(5e-324, 1e300))
+@example(a=np.int64(5), b=0.5, p=2, c=1.0)          # an int64 has no as_integer_ratio
+@example(a=5e-324, b=-5e-324, p=8, c=5e-324)         # subnormal products underflow
+@example(a=1e300, b=-1e300, p=8, c=1e300)            # past the float range
+@example(a=-0.0, b=0.0, p=0, c=5e-324)
+def test_dyadic_arithmetic_is_fraction_arithmetic(a, b, p, c):
+    num, exact = PointRealization.num, PointRealization.exact
+    # Fraction keeps a numpy int as its numerator, where a power of it would wrap
+    fx, fy = (Fraction(int(v) if isinstance(v, np.integer) else v) for v in (a, b))
+    x, y = num(a), num(b)
+    pairs = [(x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy), (x ** p, fx ** p),
+             (abs(x), abs(fx)), (-x, -fx), (PointRealization.clip(x, c),
+                                             max(-Fraction(c), min(Fraction(c), fx))),
+             (x + b, fx + fy), (x - b, fx - fy), (x * b, fx * fy)]  # a scalar operand
+    if isinstance(b, int):  # a count on the left, as in a compensated count
+        pairs += [(b - x, fy - fx), (b + x, fy + fx), (b * x, fy * fx)]
+    for got, want in pairs:
+        assert type(exact(got)) is Fraction and exact(got) == want
+        assert _outcome(float, got) == _outcome(float, want)  # a value or OverflowError
+    for op in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+        want = getattr(fx, op)(fy)
+        assert getattr(x, op)(y) is want and getattr(x, op)(fy) is want
+    assert exact(x + y - y) == fx and exact(x * 0) == 0 and bool(x) == bool(fx)
+
+
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan, np.float64("inf")])
+def test_dyadic_operands_refuse_what_fraction_refuses(v):
+    x = PointRealization.num(0.5)
+    for op in (PointRealization.num, x.__add__, x.__sub__, x.__mul__, x.__rsub__):
+        assert _outcome(op, v) is _outcome(Fraction, v)
+
+
+def test_a_non_dyadic_value_is_refused_by_name():
+    x = PointRealization.num(0.5)
+    for op in (PointRealization.num, x.__add__, x.__mul__):
+        with pytest.raises(ValueError, match=r"Fraction\(1, 3\) is not a dyadic rational"):
+            op(Fraction(1, 3))
+    assert x != Fraction(1, 3) and x > Fraction(1, 3)  # comparisons are exact, not refused
 
 
 CUTS = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]),
