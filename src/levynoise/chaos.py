@@ -312,10 +312,14 @@ def malliavin_derivative(F: ChaosFunctional, x: float, z: float,
 
 def add_one_cost(F: ChaosFunctional, real: PointRealization, x: float,
                  z: float) -> Fraction | float:
-    """Independent oracle for the derivative: ``F(omega + delta_(x,z)) - F(omega)``."""
+    """Independent oracle for the derivative: ``F(omega + delta_(x,z)) - F(omega)``, two full
+    kernel products on cell counts; ``F(omega)`` is kept in ``real``'s memo under ``F``."""
     atom = atom_index_of(real.model, z) if real.model.is_atomic else None
     bumped = real.with_point(float(x), float(z), atom)
-    return real.exact(_chaos(bumped, F) - _chaos(real, F))
+    before = real._memo.get(F)
+    if before is None:
+        before = real._memo[F] = _chaos(real, F)
+    return real.exact(_chaos(bumped, F) - before)
 
 
 @dataclass(frozen=True)

@@ -170,8 +170,9 @@ class PointRealization:
     normalized interval tuple and ``count`` of an ``(a, b, marks)`` cell
     are stored in a per-instance memo, bounded by the distinct questions
     asked and freed with the realization.  ``x``, ``z`` and ``atom`` are
-    read-only copies of the arrays given, so no stored answer goes stale;
-    ``with_point`` builds a realization with an empty memo.
+    read-only copies of the arrays given, so no stored answer goes stale.  A
+    ``with_point`` realization answers from its base, the first of its chain
+    not so built, and the points added since (``_added``).
     """
 
     window: float
@@ -180,6 +181,7 @@ class PointRealization:
     atom: np.ndarray | None
     model: LevyMeasureModel
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _added: tuple | None = field(default=None, init=False, repr=False)  # (base, points)
 
     def __post_init__(self) -> None:
         for name in ("x", "z", "atom"):
@@ -189,18 +191,30 @@ class PointRealization:
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 
+    def __getattr__(self, name: str):  # the arrays of a with_point realization, first read
+        if name not in ("x", "z", "atom") or self._added is None:
+            raise AttributeError(name)
+        x, z, atom = (getattr(self._added[0], k) for k in ("x", "z", "atom"))
+        for px, pz, pa in self._added[1]:
+            pos = int(np.searchsorted(x, px, side="right"))
+            x, z = _inserted(x, pos, px), _inserted(z, pos, pz)
+            atom = None if atom is None else _inserted(atom, pos, pa)
+        self.__dict__.update(x=x, z=z, atom=atom)  # read-only, as __post_init__ leaves them
+        return self.__dict__[name]
+
     def __len__(self) -> int:
         return len(self.x)
 
     def with_point(self, x: float, z: float, atom: int | None = None) -> "PointRealization":
-        """Configuration with one extra point inserted (sorted order kept)."""
+        """Configuration with one extra point inserted (sorted order kept), atom -1 if None."""
         _check_window([(x, x)], self.window)
-        pos = int(np.searchsorted(self.x, x, side="right"))
-        new_atom = None if self.atom is None else _inserted(
-            self.atom, pos, -1 if atom is None else atom)
-        out = object.__new__(PointRealization)  # new read-only arrays: no second copy
-        out.__dict__.update(window=self.window, x=_inserted(self.x, pos, x), model=self.model,
-                            z=_inserted(self.z, pos, z), atom=new_atom, _memo={})
+        base, points = self._added or (self, ())
+        # the point as the arrays hold it, so it reads as in a rebuilt realization
+        point = (base.x.dtype.type(x).item(), base.z.dtype.type(z).item(), None if base.atom
+                 is None else base.atom.dtype.type(-1 if atom is None else atom).item())
+        out = object.__new__(PointRealization)
+        out.__dict__.update(window=self.window, model=self.model, _memo={},
+                            _added=(base, points + (point,)))
         return out
 
     # -- exact backend: masses are dyadics, counts ints -------------------
@@ -221,6 +235,8 @@ class PointRealization:
 
     def count(self, a: float, b: float, marks) -> int:
         """Number of points in ``(a, b] x B``; ``marks`` as for ``RealizationBatch.count``."""
+        if not isinstance(marks, frozenset):  # a band given as a list is keyed as a tuple
+            marks = tuple(marks)
         key = (a, b, marks)
         out = self._memo.get(key)
         if out is None:
@@ -228,6 +244,10 @@ class PointRealization:
         return out
 
     def _mass(self, intervals) -> _Dyadic:
+        if self._added is not None:  # the base's mass and the added jumps inside
+            base, points = self._added
+            return sum((z for x, z, _ in points if any(a < x <= b for a, b in intervals)),
+                       base.mass(intervals))
         _check_window(intervals, self.window)
         jumps: list[float] = []
         ends: list[float] = []
@@ -238,6 +258,12 @@ class PointRealization:
         return _dyadic_sum(jumps) - _dyadic_sum(ends) * _mt1(self.model)
 
     def _count(self, a: float, b: float, marks) -> int:
+        if self._added is not None:  # the base's count and the added points inside
+            base, points = self._added
+            band = not isinstance(marks, frozenset)  # j is None in density mode
+            return base.count(a, b, marks) + sum(
+                marks[0] < z <= marks[1] if band else j is not None and j in marks
+                for x, z, j in points if a < x <= b)
         lo = int(np.searchsorted(self.x, a, side="right"))
         hi = int(np.searchsorted(self.x, b, side="right"))
         if isinstance(marks, frozenset):

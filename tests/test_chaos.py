@@ -1,12 +1,13 @@
 import gc
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from levynoise import (
     add_one_cost,
@@ -29,6 +30,7 @@ from levynoise.chaos import (
     CATALOG_FUNCTIONAL_NAMES,
     Cell,
     ChaosFunctional,
+    atom_index_of,
     compensated_cell_count,
     kernel_sq_norm,
     make_kernel,
@@ -41,7 +43,7 @@ from levynoise.measure import power_law_measure
 from levynoise.prm import PointRealization
 from levynoise.rng import derive_rng
 
-from conftest import fresh_copy, hand_realizations, make_realization
+from conftest import EXACT_MODELS, fresh_copy, hand_realizations, make_realization
 
 M0 = frozenset({0})
 
@@ -245,6 +247,56 @@ def test_probes_get_a_fresh_realizations_answers(real, data):
             got = add_one_cost(F, real, x, z)
             assert type(got) is Fraction and got == add_one_cost(F, fresh_copy(real), x, z)
             assert eval_chaos(real, F) == eval_chaos(fresh_copy(real), F)
+
+
+# on a cell's ends, on the window's edges, and anywhere; a density's jumps on its band ends
+PROBES_X = st.one_of(st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]),
+                     st.floats(-3.0, 3.0))
+DENSITY_JUMPS = (-4.0, -0.25, 0.25, 4.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(real=hand_realizations(3.0), x=PROBES_X, k=st.integers(0, 7), u=st.floats(-4.0, 4.0))
+@example(real=make_realization(EXACT_MODELS[0], 3.0, [(0.5, 1.0)]), x=1.0, k=0, u=0.0)
+@example(real=make_realization(EXACT_MODELS[1], 3.0, [(-1.0, -0.5)]), x=3.0, k=1, u=0.0)
+@example(real=make_realization(EXACT_MODELS[2], 3.0, [(-0.5, 0.25)]), x=0.0, k=2, u=0.0)
+@example(real=make_realization(EXACT_MODELS[2], 3.0, [(0.5, -4.0)]), x=-1.0, k=3, u=0.0)
+def test_add_one_cost_is_the_rebuilt_difference(real, x, k, u):
+    # F(omega + delta) - F(omega), each evaluated on a realization rebuilt from arrays,
+    # for every functional; then again on the realization with the point added
+    model = real.model
+    if model.is_atomic:
+        z = model.atoms[k % len(model.atoms)][0]
+    else:
+        z = DENSITY_JUMPS[k] if k < len(DENSITY_JUMPS) else u
+    atom = atom_index_of(model, z) if model.is_atomic else None
+    for F in _functionals(model):
+        for omega in (real, real.with_point(x, z, atom)):
+            want = (eval_chaos(fresh_copy(omega.with_point(x, z, atom)), F)
+                    - eval_chaos(fresh_copy(omega), F))
+            got = add_one_cost(F, omega, x, z)
+            assert type(got) is Fraction and got == want
+
+
+def test_probes_keep_one_answer_per_question_and_no_realization(monkeypatch, unit_atom):
+    # 1000 probes of one realization: its memo holds each cell's count and each
+    # functional's value once, and every bumped realization is freed on return
+    functionals = [catalog_functional("mixed"), catalog_functional("third_chaos")]
+    real = sample_prm(unit_atom, 3.0, 5)
+    bumped = []
+    with_point = PointRealization.with_point
+
+    def recording(self, *args):
+        out = with_point(self, *args)
+        bumped.append(weakref.ref(out))
+        return out
+    monkeypatch.setattr(PointRealization, "with_point", recording)
+    for F in functionals:
+        for x in np.linspace(-2.9, 2.9, 500):
+            add_one_cost(F, real, float(x), 1.0)
+            assert bumped[-1]() is None
+    cells = {(c.a, c.b, c.marks) for F in functionals for kern in F.kernels for c in kern.cells}
+    assert len(bumped) == 1000 and set(real._memo) == cells | set(functionals)
 
 
 @pytest.mark.parametrize("name", CATALOG_FUNCTIONAL_NAMES)

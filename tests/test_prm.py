@@ -34,6 +34,7 @@ from levynoise.processes import CATALOG_PROCESS_NAMES, square_integral
 from levynoise.rng import CHAR_GAP_STREAM, derive_rng
 
 from conftest import (
+    EXACT_MODELS,
     fresh_copy,
     hand_realizations,
     make_realization,
@@ -334,6 +335,62 @@ def test_with_point_is_np_insert(xs, x, copy_index, atomic, atom):
         assert bumped.atom is None
     for got, want in pairs:  # bytes, so -0.0 and 0.0 differ
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# added points on cell ends and on the window's edges, jumps on band ends
+EXTENSIONS = st.tuples(CUTS,
+                       st.one_of(st.sampled_from([1.0, -0.5, 0.25, 4.0]), st.floats(-4.0, 4.0)),
+                       st.one_of(st.none(), st.integers(-1, 2)))
+MARKS = st.one_of(
+    st.frozensets(st.integers(-1, 3), max_size=3),  # empty, or holding the default atom -1
+    st.lists(st.one_of(st.sampled_from([-4.0, -0.5, 0.25, 1.0, 4.0]), st.floats(-4.0, 4.0)),
+             min_size=2, max_size=2).map(sorted).map(tuple))
+QUESTIONS = st.lists(st.one_of(
+    st.lists(PAIRS, min_size=1, max_size=3).map(lambda sets: ("mass", sets)),
+    st.tuples(PAIRS, MARKS).map(lambda q: ("count", *q[0], q[1]))), min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(real=hand_realizations(2.0), points=st.lists(EXTENSIONS, min_size=1, max_size=2),
+       questions=QUESTIONS, base_first=st.booleans())
+@example(real=make_realization(EXACT_MODELS[1], 2.0, [(0.5, -0.5)]),  # on a and b, atom -1
+         points=[(0.0, 1.0, None), (1.0, -0.5, 1)], base_first=False,
+         questions=[("count", 0.0, 1.0, frozenset({-1})), ("count", -1.0, 0.0, frozenset()),
+                    ("mass", [(0.0, 1.0)]), ("count", 0.0, 1.0, (-1.0, -0.5))])
+@example(real=make_realization(EXACT_MODELS[2], 2.0, [(-1.0, 0.25)]),  # the window's edges
+         points=[(2.0, 4.0, None), (-2.0, 0.25, None)], base_first=True,
+         questions=[("count", 1.0, 2.0, (0.25, 4.0)), ("mass", [(-2.0, -1.0), (1.0, 2.0)]),
+                    ("count", -2.0, 2.0, frozenset({-1}))])
+def test_one_point_extensions_answer_as_rebuilt(real, points, questions, base_first):
+    # a with_point realization, and one built from it in turn, answers every mass and
+    # count as a realization rebuilt from its own arrays, whether or not its base has
+    # answered; its arrays are those of one point added to a rebuilt parent
+    if base_first:
+        for name, *args in questions:
+            getattr(real, name)(*args)
+    child = real
+    for x, z, atom in points:
+        one_link = fresh_copy(child).with_point(x, z, atom)
+        child = child.with_point(x, z, atom)
+        for name in ("x", "z", "atom"):
+            got, arr = getattr(child, name), getattr(one_link, name)
+            assert (got is None and arr is None) or got.tobytes() == arr.tobytes()
+        rebuilt = fresh_copy(child)
+        assert len(child) == len(rebuilt) == len(real) + len(child._added[1])
+        for name, *args in questions + questions[::-1]:
+            got, want = getattr(child, name)(*args), getattr(rebuilt, name)(*args)
+            assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("model", MASS_MODELS, ids=["unit_atom", "three_atoms", "density"])
+def test_both_backends_take_a_band_as_a_list(model):
+    batch = sample_prm_batch(model, 2.0, 40, derive_rng(29))
+    want = batch.count(-2.0, 2.0, (0.0, 4.0))
+    assert want.sum() > 0
+    np.testing.assert_array_equal(batch.count(-2.0, 2.0, [0.0, 4.0]), want)
+    for i in (0, 7, 39):
+        real = batch.realization(i)
+        assert real.count(-2.0, 2.0, [0.0, 4.0]) == real.count(-2.0, 2.0, (0.0, 4.0)) == want[i]
 
 
 def test_batch_matches_single(unit_atom):
