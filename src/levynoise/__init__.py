@@ -28,8 +28,7 @@ from .prm import (
     sample_prm,
     sample_prm_batch,
 )
-from .stepfun import StepFunction
-from .processes import batch_I_K, catalog_process, eval_I_K, validate_simple
+from .processes import StepFunction, batch_I_K, catalog_process, eval_I_K, validate_simple
 from .integral import (
     check_integral_moment_bound,
     check_linear_moment_bound,

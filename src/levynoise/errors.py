@@ -50,10 +50,6 @@ class MissingCumulantError(LevyNoiseError, KeyError):
     """A cumulant needed by the moment formula was not supplied."""
 
 
-class UnboundedSupportError(LevyNoiseError, ValueError):
-    """A step function or kernel has non-finite support."""
-
-
 # --- simulation / evaluation ---
 
 class WindowExceededError(LevyNoiseError, ValueError):

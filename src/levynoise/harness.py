@@ -72,7 +72,13 @@ from .partitions import (
     moment_of_step_functional,
 )
 from .prm import Draw, Estimates, MeanTest, Plan, char_gap_plan, eval_L_set
-from .processes import catalog_process, eval_I_K, process_from_config, square_integral
+from .processes import (
+    StepFunction,
+    catalog_process,
+    eval_I_K,
+    process_from_config,
+    square_integral,
+)
 from .rng import (
     CHAOS_ISOMETRY_STREAM,
     CHAOS_ORTHOGONALITY_STREAM,
@@ -85,7 +91,6 @@ from .rng import (
     derive_seed,
 )
 from .schema import integer, number
-from .stepfun import StepFunction
 
 MIN_SAMPLES = 1_000
 # Probes of one check (n_theta, n_probes, n_probes_x): each is an array entry and

@@ -33,9 +33,14 @@ from .gate import REL_TOL, Gate, Gated
 from .measure import LevyMeasureModel, _adaptive_gauss, abs_moment, finite_moment
 from .partitions import count_no_singleton_partitions, moment_of_step_functional
 from .prm import Draw, MeanTest, Plan, batch_L_weighted, run_of
-from .processes import SimpleProcess, abs_power_integral, eval_I_K, square_integral
+from .processes import (
+    SimpleProcess,
+    StepFunction,
+    abs_power_integral,
+    eval_I_K,
+    square_integral,
+)
 from .rng import INTEGRAL_BOUND_STREAM, SEMINORM_STREAM, TAIL_STREAM
-from .stepfun import StepFunction
 
 
 # ---------------------------------------------------------------------------

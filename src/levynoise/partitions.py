@@ -31,7 +31,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import MissingCumulantError, SizeLimitError
 from .measure import LevyMeasureModel, finite_moment, signed_moment
-from .stepfun import StepFunction
+from .processes import StepFunction
 
 MAX_PARTITION_SIZE = 14
 MAX_MOMENT_ORDER = 64

@@ -134,28 +134,30 @@ class _Dyadic:
         return Fraction(self.m << self.e) if self.e >= 0 else Fraction(self.m, 1 << -self.e)
 
 
-def _ratio_dyadic(x) -> _Dyadic:
-    """A float, or a ``Fraction`` whose denominator is a power of two, as a dyadic."""
-    n, d = x.as_integer_ratio()  # refuses an infinity or a NaN as Fraction(x) does
-    if d & (d - 1):
-        raise ValueError(f"{x!r} is not a dyadic rational m * 2**e")
-    return _Dyadic(n, 1 - d.bit_length())
-
-
-# A few dozen distinct floats (cell ends, kernel coefficients, constants), each converted
-# once.  Only floats are keys: a Fraction key compares with floats through Fraction.__eq__.
-_float_dyadic = lru_cache(maxsize=4096)(_ratio_dyadic)
+# A few dozen distinct values (cell ends, kernel coefficients, constants, cell
+# intensities), each converted once.  A float is its own key, hashed in C; a Fraction
+# is keyed by its integer ratio, since its own hash and equality run in Python.
+@lru_cache(maxsize=4096)
+def _ratio_dyadic(key) -> _Dyadic | None:
+    """A float or an integer ratio ``(n, d)`` as a dyadic; None unless ``d`` is a power of 2."""
+    n, d = key if key.__class__ is tuple else key.as_integer_ratio()  # refuses inf and NaN
+    return None if d & (d - 1) else _Dyadic(n, 1 - d.bit_length())
 
 
 def _dyadic(x) -> _Dyadic:
-    """``x`` as a dyadic; an integer, numpy's too, through ``operator.index``."""
+    """``x`` as a dyadic: a float, a ``Fraction`` whose denominator is a power of two, or
+    an integer, numpy's too, through ``operator.index``."""
     if isinstance(x, float):
-        return _float_dyadic(x)
-    if x.__class__ is _Dyadic:
+        out = _ratio_dyadic(x)
+    elif x.__class__ is _Dyadic:
         return x
-    if isinstance(x, Fraction):
-        return _ratio_dyadic(x)
-    return _Dyadic(operator.index(x), 0)
+    elif isinstance(x, Fraction):
+        out = _ratio_dyadic(x.as_integer_ratio())
+    else:
+        return _Dyadic(operator.index(x), 0)
+    if out is None:
+        raise ValueError(f"{x!r} is not a dyadic rational m * 2**e")
+    return out
 
 
 @dataclass(frozen=True, eq=False)

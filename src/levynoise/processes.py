@@ -16,6 +16,12 @@ hold with no rounding, and on a batch it is one float per realization.
 A batch with many cells and many points per realization takes all the
 cell masses ``L(A_i)`` of a part of its realizations from one guided
 search and one bincount, with the same floats as one mass per cell.
+
+A step function is the deterministic simple process: its coefficients
+are constants, so it reads no noise, and its integral is the smoothed
+noise, ``I(phi) = L(phi) = integral phi dL``.  ``eval_I_K`` evaluates
+it like any other process; its power integrals are exact finite sums,
+which the moment engine and the linear moment bound read.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .errors import (
 )
 from .prm import GuideTable, PointRealization, RealizationBatch
 from .schema import number
-from .stepfun import StepFunction
 
 # Clipped cells, and points per realization, from which a batch integral
 # runs on parts: below either, the per-cell loop is as fast and holds less.
@@ -102,9 +107,54 @@ def validate_simple(breakpoints, coefficients) -> SimpleProcess:
     return SimpleProcess(bps, coefs)
 
 
-def from_step(phi: StepFunction) -> SimpleProcess:
-    """Deterministic simple process with the cells and values of ``phi``."""
-    return validate_simple(phi.breakpoints, tuple(Const(v) for v in phi.values))
+class StepFunction(SimpleProcess):
+    """The deterministic simple process equal to ``v_i`` on ``(b_{i-1}, b_i]``, 0 outside.
+
+    Built from its breakpoints and values through ``validate_simple``, with one
+    ``Const`` per value.  A float is a dyadic rational, so every power integral is
+    an exact ``Fraction``.
+    """
+
+    def __init__(self, breakpoints, values) -> None:
+        proc = validate_simple(breakpoints, tuple(Const(float(v)) for v in values))
+        super().__init__(proc.breakpoints, proc.coefficients)
+
+    @classmethod
+    def indicator(cls, a: float, b: float) -> StepFunction:
+        """Indicator of the interval ``(a, b]``."""
+        return cls((a, b), (1.0,))
+
+    @classmethod
+    def constant_on(cls, a: float, b: float, c: float) -> StepFunction:
+        return cls((a, b), (c,))
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(c.value for c in self.coefficients)
+
+    def __call__(self, x):
+        """Value at ``x`` (scalar or array)."""
+        bps = np.asarray(self.breakpoints)
+        vals = np.asarray(self.values)
+        xa = np.asarray(x, dtype=float)
+        idx = np.searchsorted(bps, xa, side="left")
+        inside = (idx >= 1) & (idx <= len(vals)) & (xa > bps[0])
+        out = np.where(inside, vals[np.clip(idx - 1, 0, len(vals) - 1)], 0.0)
+        return float(out) if np.isscalar(x) else out
+
+    def power_integral(self, q: int) -> Fraction:
+        """Exact ``integral of phi(x)^q dx`` (signed for odd q)."""
+        total = Fraction(0)
+        for (b1, b2), v in zip(self.cells, self.values):
+            total += Fraction(v) ** q * (Fraction(b2) - Fraction(b1))
+        return total
+
+    def abs_power_integral(self, q: int) -> Fraction:
+        """Exact ``integral of |phi(x)|^q dx``."""
+        total = Fraction(0)
+        for (b1, b2), v in zip(self.cells, self.values):
+            total += abs(Fraction(v)) ** q * (Fraction(b2) - Fraction(b1))
+        return total
 
 
 def process_from_config(cfg: dict) -> SimpleProcess:
@@ -187,9 +237,9 @@ batch_square_integral = square_integral
 def catalog_process(name: str, clip: float = DEFAULT_CLIP) -> SimpleProcess:
     """Named predictable processes exercised by the verification suite."""
     if name == "det_step":
-        return from_step(StepFunction.indicator(0.0, 1.0))
+        return StepFunction.indicator(0.0, 1.0)
     if name == "det_two_cell":
-        return from_step(StepFunction((0.0, 1.0, 2.0), (1.5, -0.5)))
+        return StepFunction((0.0, 1.0, 2.0), (1.5, -0.5))
     if name == "clamped_left":
         return validate_simple((0.0, 1.0), (ClampedNoise(-1.0, 0.0, clip),))
     if name == "two_block":

@@ -229,3 +229,13 @@ def test_no_path_loads_scipy():
     """)
     assert not _loads(lazy, "colorsys")
     assert _loads(lazy + "load()\n", "colorsys")
+
+
+def test_readme_layout_names_every_module():
+    """README's Layout table has one row per module of ``src/levynoise``, and no other."""
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `levynoise\.(\w+)` \|", table, flags=re.M)
+    modules = sorted(path.stem for path in (ROOT / "src" / "levynoise").glob("*.py")
+                     if path.name != "__init__.py")
+    assert sorted(rows) == modules, (rows, modules)

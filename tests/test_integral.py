@@ -26,17 +26,15 @@ def test_seminorm_deterministic_indicator(unit_atom):
 
 def test_seminorm_deterministic_closed_form(unit_atom):
     # c * 1_{(a, b]}: parts c sqrt(b-a) and c (b-a)^{1/p}
-    from levynoise.processes import from_step
     c, a, b, p = 2.0, 0.5, 3.0, 4
-    proc = from_step(StepFunction.constant_on(a, b, c))
+    proc = StepFunction.constant_on(a, b, c)
     est = estimate_seminorm(unit_atom, proc, p)
     assert est.l2_part == pytest.approx(c * math.sqrt(b - a), rel=1e-12)
     assert est.lp_part == pytest.approx(c * (b - a) ** 0.25, rel=1e-12)
 
 
 def test_seminorm_zero(unit_atom):
-    from levynoise.processes import from_step
-    proc = from_step(StepFunction((0.0, 1.0), (0.0,)))
+    proc = StepFunction((0.0, 1.0), (0.0,))
     assert estimate_seminorm(unit_atom, proc, 4).value == 0.0
 
 

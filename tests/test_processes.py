@@ -34,7 +34,6 @@ from levynoise.processes import (
     CATALOG_PROCESS_NAMES,
     PARTITION_MIN_CELLS,
     abs_power_integral,
-    from_step,
     process_from_config,
     square_integral,
 )
@@ -116,20 +115,20 @@ def test_clamping_binds(unit_atom):
 
 def test_eval_I_K_example(unit_atom):
     real = make_realization(unit_atom, 2.0, [(0.2, 1.0), (0.7, 1.0)])
-    proc = from_step(StepFunction.constant_on(0.0, 1.0, 3.0))
+    proc = StepFunction.constant_on(0.0, 1.0, 3.0)
     assert eval_I_K(real, proc) == 3  # 3 * (2 - 1)
 
 
 def test_zero_process(unit_atom):
     real = sample_prm(unit_atom, 2.0, 3)
-    proc = from_step(StepFunction((0.0, 1.0), (0.0,)))
+    proc = StepFunction((0.0, 1.0), (0.0,))
     assert eval_I_K(real, proc) == 0
 
 
 def test_cell_split_invariance(unit_atom):
     # 1 on (0,1] plus 1 on (1,2] equals 1 on (0,2] pathwise
-    split = from_step(StepFunction((0.0, 1.0, 2.0), (1.0, 1.0)))
-    merged = from_step(StepFunction((0.0, 2.0), (1.0,)))
+    split = StepFunction((0.0, 1.0, 2.0), (1.0, 1.0))
+    merged = StepFunction((0.0, 2.0), (1.0,))
     for seed in range(10):
         real = sample_prm(unit_atom, 2.0, seed)
         assert eval_I_K(real, split) == eval_I_K(real, merged)
