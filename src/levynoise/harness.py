@@ -308,6 +308,14 @@ def _schedule_inside_window(schedule, k_outer, **_) -> None:
                           f"got {max(schedule)}")
 
 
+def _theta_grid_finite(theta_max, model, **_) -> None:
+    # the grid's span 2 theta_max, and theta z at the largest |z|, in the float range
+    reach = max(abs(z) for z, _ in model.atoms) if model.is_atomic else model.density.z_max
+    if not (2.0 * theta_max < math.inf and theta_max * reach < math.inf):
+        raise ConfigError(f"char_gap: theta_max: {theta_max} puts the theta grid or theta * z "
+                          f"past the float range (largest |z| {reach})")
+
+
 def _probe_left_of_y(y, **_) -> None:
     if not y - 1.0 < y:  # past 2**53 the probe's interval (y - 1, y] is empty in floats
         raise ConfigError(f"projection: y = {y} leaves its probe (y - 1, y] empty")
@@ -370,7 +378,7 @@ class CheckSpec:
                 reason = exc.args[0] if isinstance(exc, KeyError) else exc
                 raise ConfigError(f"{self.kind}: {key}: {reason}") from exc
         if self.validate:
-            self.validate(**values)
+            self.validate(model=model, **values)
         return check.get("name"), values
 
     def __call__(self, model: LevyMeasureModel, config: ExperimentConfig, check: dict,
@@ -593,7 +601,7 @@ def _run_chaos_orthogonality(model, config, seed, *, kernel_a="k1", kernel_b="k2
 CHECK_RUNNERS = {spec.kind: spec for spec in (
     CheckSpec(_run_partition_count),
     CheckSpec(_run_moment_mc),
-    CheckSpec(_run_char_gap),
+    CheckSpec(_run_char_gap, validate=_theta_grid_finite),
     CheckSpec(_run_mean_zero),
     CheckSpec(_run_isometry),
     CheckSpec(_run_martingale),

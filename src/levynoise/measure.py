@@ -163,26 +163,32 @@ def _adaptive_gauss(g, a: float, b: float) -> float:
     return _adaptive_gauss_nodes(lambda _, x: g(x.ravel()), [0.0], a, b)[0]
 
 
-def _quad(f: Callable[[float], float], a: float, b: float) -> float:
-    """:func:`_adaptive_gauss` for a scalar ``f``, called once per node."""
-    return _adaptive_gauss(lambda x: np.array([f(v) for v in x]), a, b)
+def _density_integrals(den: TruncatedDensity, f: Callable[[float, float], float], nodes,
+                       lo: float = -math.inf, hi: float = math.inf) -> list[float]:
+    """``integral_(lo, hi] f(tau, z) den.density(z) dz`` for each ``tau`` in ``nodes``,
+    ``f`` scalar in both.
+
+    One node-batched quadrature per support piece ``[-z_max, -eps]``,
+    ``[eps, z_max]`` that the interval overlaps, so that no panel holds the
+    jump of the density at ``+-eps``.  The integrand is evaluated point by
+    point, on numpy scalars (a power past the float range is inf, not an
+    OverflowError), so each value is the one the rule gives its node alone.
+    """
+    def g(tau, x):  # one row of points per node, flattened
+        return np.array([f(t, z) * den.density(z)
+                         for t, row in zip(tau.ravel().tolist(), x) for z in row])
+    total = [0.0] * len(nodes)
+    for a, b in ((-den.z_max, -den.eps), (den.eps, den.z_max)):
+        a, b = max(a, lo), min(b, hi)
+        if a < b:
+            total = [t + v for t, v in zip(total, _adaptive_gauss_nodes(g, nodes, a, b))]
+    return total
 
 
 def _density_integral(den: TruncatedDensity, f: Callable[[float], float],
                       lo: float = -math.inf, hi: float = math.inf) -> float:
-    """``integral_(lo, hi] f(z) den.density(z) dz`` for a scalar ``f``.
-
-    One quadrature per support piece ``[-z_max, -eps]``, ``[eps, z_max]``
-    that the interval overlaps, so that no panel holds the jump of the
-    density at ``+-eps``.
-    """
-    g = lambda z: f(z) * den.density(z)
-    total = 0.0
-    for a, b in ((-den.z_max, -den.eps), (den.eps, den.z_max)):
-        a, b = max(a, lo), min(b, hi)
-        if a < b:
-            total += _quad(g, a, b)
-    return total
+    """:func:`_density_integrals` at one node, for an ``f`` of ``z`` alone."""
+    return _density_integrals(den, lambda _, z: f(z), [0.0], lo, hi)[0]
 
 
 def validate_measure(spec) -> LevyMeasureModel:

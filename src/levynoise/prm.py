@@ -34,12 +34,15 @@ realizations; ``sample_prm_batch`` and ``sample_L_interval`` are its
 one-chunk case, and ``sample_prm`` is the one-realization batch.  The
 chunk size changes no value: every chunk reads the numbers a one-chunk
 draw would give its realizations.  Marks invert one tabulated CDF per
-model, bit for bit ``np.interp``; an atom is a zero-slope piece.  A
+model, bit for bit ``np.interp``; an atom is a zero-slope piece, and a
+density's table keeps only the pieces a search can select.  A
 one-atom law (the compensated Poisson process) draws no marks: its ``z``
 and ``atom`` are read-only zero-stride views of the one value.
 Sorted-table lookups, the marks' pieces and the cell of each point, go
 through one ``GuideTable``, which answers ``np.searchsorted`` with a few
-compares.
+compares, and a crowded table by bisection.  The characteristic exponent
+of a theta grid is one batched quadrature, and the values at ``-theta``
+mirror those at ``theta``.
 
 Every Monte Carlo computation of the package is a :class:`Plan`: its
 declared :class:`Draw` records, each run through one loop, :func:`simulate`,
@@ -64,7 +67,8 @@ import numpy as np
 
 from .errors import PointCountError, WindowExceededError
 from .gate import Gate, mean_se
-from .measure import LevyMeasureModel, _density_integral, signed_moment
+from .measure import (LevyMeasureModel, TruncatedDensity, _density_integrals,
+                      signed_moment)
 from .rng import CHAR_GAP_STREAM, derive_rng
 
 Interval = tuple[float, float]
@@ -458,10 +462,13 @@ class GuideTable:
     The range of the sorted table is cut into equal slices, 8 per entry.
     Each slice stores how many entries fall in the slices left of it, a
     lower bound of every answer in the slice, and ``steps`` forward compares
-    finish each search.  Table entries and values get their slices from the
-    same float operations, which round monotonically, so both bounds are
-    exact and the result equals ``np.searchsorted`` on either side.  The
-    table must be finite and nonempty, and the values must not be NaN.
+    finish each search, ``steps`` the entry count of the fullest slice.
+    Table entries and values get their slices from the same float
+    operations, which round monotonically, so both bounds are exact and the
+    result equals ``np.searchsorted`` on either side.  A crowded table, whose
+    ``steps`` exceeds the ``ceil(log2(len + 1))`` passes of a bisection, is
+    searched by ``np.searchsorted`` itself.  The table must be finite and
+    nonempty, and the values must not be NaN.
     """
 
     def __init__(self, table) -> None:
@@ -476,6 +483,7 @@ class GuideTable:
         counts = np.bincount(self._slice(self.table))
         self._start = np.cumsum(counts) - counts  # entries in the slices left of each
         self.steps = int(counts.max())
+        self.bisects = self.steps > len(self.table).bit_length()  # ceil(log2(len + 1))
         # a NaN compares false on either side, so no search passes the last entry
         self._padded = np.append(self.table, np.nan)
 
@@ -487,6 +495,8 @@ class GuideTable:
 
     def search(self, v: np.ndarray, side: str) -> np.ndarray:
         """``np.searchsorted(self.table, v, side)``, ``side`` ``"left"`` or ``"right"``."""
+        if self.bisects:
+            return np.searchsorted(self.table, v, side)
         before = {"left": np.less, "right": np.less_equal}[side]
         out = np.empty(len(v), dtype=np.intp)
         for lo in range(0, len(v), _SEARCH_CHUNK):
@@ -517,7 +527,9 @@ def _sample_marks(model: LevyMeasureModel, count: int, rng: np.random.Generator)
 
 @dataclass(frozen=True, eq=False)
 class _InverseCDF:
-    """Linear interpolation of a tabulated CDF's inverse, bit for bit ``np.interp``."""
+    """Linear interpolation of a tabulated CDF's inverse, bit for bit ``np.interp`` on
+    the grid its pieces come from: piece ``j`` is its start ``(cdf[j], z[j])`` and
+    its slope."""
 
     z: np.ndarray
     cdf: np.ndarray
@@ -531,14 +543,14 @@ class _InverseCDF:
         return len(self.cdf) == 2
 
     def invert(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out[:] = np.interp(u, cdf, z)`` for ``cdf[0] <= u <= cdf[-1]``; returns
+        """``out[:]`` = the inverse at ``u`` for ``cdf[0] <= u <= cdf[-1]``; returns
         the pieces, and ``out`` may be ``u``.
 
         The piece of ``u`` is ``j = searchsorted(cdf, u, "right") - 1`` and
         the value np.interp's own ``slope[j] * (u - cdf[j]) + z[j]``; a
         ``u`` on a table entry gives ``z[j]`` and ``u == cdf[-1]`` gives
-        ``z[-1]``, as in np.interp.  A zero-width piece (a repeated CDF
-        value) is never selected, so its infinite slope is never read.
+        ``z[-1]``, as in np.interp.  A zero-width piece of the grid (a
+        repeated CDF value) is never selected, so the table need not hold it.
         """
         j = self.guide.search(u, "right")
         j -= 1
@@ -548,15 +560,34 @@ class _InverseCDF:
         return j
 
 
+def _density_grid(den: TruncatedDensity) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoid CDF of a density on 4096 points of each support piece:
+    ``(z, cdf)``, 8192 points whose inverse is ``np.interp(u, cdf, z)``.  The
+    step from ``-eps`` to ``eps`` has zero width."""
+    n_side = 4096
+    left = np.linspace(-den.z_max, -den.eps, n_side)
+    right = np.linspace(den.eps, den.z_max, n_side)
+    pl = np.array([den.density(z) for z in left])
+    pr = np.array([den.density(z) for z in right])
+    cum_left = np.concatenate([[0.0], np.cumsum((pl[1:] + pl[:-1]) * 0.5 * np.diff(left))])
+    cum_right = np.concatenate([[0.0], np.cumsum((pr[1:] + pr[:-1]) * 0.5 * np.diff(right))])
+    return np.concatenate([left, right]), np.concatenate([cum_left, cum_left[-1] + cum_right])
+
+
 @lru_cache(maxsize=None)
 def _mark_table(model: LevyMeasureModel) -> _InverseCDF:
     """Tabulated CDF of the normalized measure (inverse sampling), with its
     guide table and slopes built once per model.
 
     Atom ``j`` is the piece from the mass left of it, of slope 0, so its
-    value ``0.0 * (u - cdf[j]) + z[j]`` is ``z[j]`` bit for bit.  In density
-    mode, grid inversion is an approximation of the mark law; the
-    acceptance suite exercises atomic measures only, where sampling is exact.
+    value ``0.0 * (u - cdf[j]) + z[j]`` is ``z[j]`` bit for bit.  A density's
+    table holds the selectable pieces of :func:`_density_grid`: a piece of
+    zero width (a repeated CDF value, as at the step from ``-eps`` to ``eps``)
+    is never selected by a ``side="right"`` search, so it is dropped, and the
+    inverse is still ``np.interp`` on the full grid, while the repeated value no
+    longer fills a guide slice twice.  In density mode, grid inversion is
+    an approximation of the mark law; the acceptance suite exercises atomic
+    measures only, where sampling is exact.
     """
     if model.is_atomic:
         zs, lams = model.atom_arrays()
@@ -566,20 +597,13 @@ def _mark_table(model: LevyMeasureModel) -> _InverseCDF:
         atom_dtype = np.int8 if len(zs) <= np.iinfo(np.int8).max else np.intp
         return _InverseCDF(np.append(zs, zs[-1]), cdf, np.zeros(len(cdf)), GuideTable(cdf),
                            atom_dtype)
-    den = model.density
-    n_side = 4096
-    left = np.linspace(-den.z_max, -den.eps, n_side)
-    right = np.linspace(den.eps, den.z_max, n_side)
-    pl = np.array([den.density(z) for z in left])
-    pr = np.array([den.density(z) for z in right])
-    cum_left = np.concatenate([[0.0], np.cumsum((pl[1:] + pl[:-1]) * 0.5 * np.diff(left))])
-    cum_right = np.concatenate([[0.0], np.cumsum((pr[1:] + pr[:-1]) * 0.5 * np.diff(right))])
-    grid_z = np.concatenate([left, right])
-    grid_cdf = np.concatenate([cum_left, cum_left[-1] + cum_right])
+    grid_z, grid_cdf = _density_grid(model.density)
     dz, dcdf = np.diff(grid_z), np.diff(grid_cdf)
-    # the step between the two pieces has zero width: its infinite slope is never read
-    slope = np.append(np.divide(dz, dcdf, out=np.full_like(dz, np.inf), where=dcdf > 0), 0.0)
-    return _InverseCDF(grid_z, grid_cdf, slope, GuideTable(grid_cdf), None)
+    wide = dcdf > 0
+    keep = np.append(wide, True)  # the last entry, of slope 0, answers u == cdf[-1]
+    cdf = grid_cdf[keep]
+    return _InverseCDF(grid_z[keep], cdf, np.append(dz[wide] / dcdf[wide], 0.0),
+                       GuideTable(cdf), None)
 
 
 def sample_chunks(model: LevyMeasureModel, n: int, rng: np.random.Generator,
@@ -785,19 +809,32 @@ def sample_L_interval(model: LevyMeasureModel, length: float, n: int,
     return values
 
 
-def char_exponent(model: LevyMeasureModel, theta: float) -> complex:
-    """Integral of ``e^{i theta z} - 1 - i theta z`` against the jump measure."""
+def char_exponents(model: LevyMeasureModel, thetas) -> list[complex]:
+    """Integral of ``e^{i theta z} - 1 - i theta z`` against the jump measure, for each
+    ``theta`` of ``thetas``.  On a density the thetas are the nodes of one batched
+    quadrature per support piece and per real or imaginary part."""
+    thetas = [float(theta) for theta in thetas]
     if model.is_atomic:
-        return sum(lam * (cmath.exp(1j * theta * z) - 1.0 - 1j * theta * z)
-                   for z, lam in model.atoms)
-    re = _density_integral(model.density, lambda z: math.cos(theta * z) - 1.0)
-    im = _density_integral(model.density, lambda z: math.sin(theta * z) - theta * z)
-    return complex(re, im)
+        return [sum(lam * (cmath.exp(1j * theta * z) - 1.0 - 1j * theta * z)
+                    for z, lam in model.atoms) for theta in thetas]
+    re = _density_integrals(model.density, lambda t, z: math.cos(t * z) - 1.0, thetas)
+    im = _density_integrals(model.density, lambda t, z: math.sin(t * z) - t * z, thetas)
+    return [complex(r, i) for r, i in zip(re, im)]
+
+
+def char_exponent(model: LevyMeasureModel, theta: float) -> complex:
+    """:func:`char_exponents` at one ``theta``."""
+    return char_exponents(model, [theta])[0]
+
+
+def theoretical_chars(model: LevyMeasureModel, length: float, thetas) -> list[complex]:
+    """Characteristic function of ``L(A)`` with ``|A| = length``, at each of ``thetas``."""
+    return [cmath.exp(length * c) for c in char_exponents(model, thetas)]
 
 
 def theoretical_char(model: LevyMeasureModel, length: float, theta: float) -> complex:
-    """Characteristic function of ``L(A)`` with ``|A| = length``."""
-    return cmath.exp(length * char_exponent(model, theta))
+    """:func:`theoretical_chars` at one ``theta``."""
+    return theoretical_chars(model, length, [theta])[0]
 
 
 @dataclass(frozen=True)
@@ -817,20 +854,29 @@ def char_gap_plan(model: LevyMeasureModel, interval: Interval, thetas, n_samples
     The empirical mean runs over the distinct sample values weighted by
     their counts.  Under an atomic measure ``L(A)`` lives on a lattice, so
     a million draws take a few dozen values and each theta costs a few
-    dozen exponentials instead of one per draw.
+    dozen exponentials instead of one per draw.  Both values at a negative
+    theta whose negation the grid also holds (by float equality) are the
+    conjugates of those at the negation, as the per-theta rule gives them
+    to the bit; every other theta is computed, the theoretical values in
+    one :func:`theoretical_chars` call.
     """
     a, b = interval
     length = float(b) - float(a)
+    grid = [float(theta) for theta in thetas]
+    positive = {theta: k for k, theta in enumerate(grid) if theta > 0}
+    mirror = {k: positive[-theta] for k, theta in enumerate(grid) if -theta in positive}
+    own = [k for k in range(len(grid)) if k not in mirror]
 
     def finish(est: Estimates) -> CharFunctionReport:
         vals, counts = np.unique(est.samples, return_counts=True)
-        emp, theo = [], []
-        for theta in thetas:
-            emp.append(complex((np.exp(1j * float(theta) * vals) * counts).sum() / n_samples))
-            theo.append(theoretical_char(model, length, float(theta)))
+        emp, theo = [0j] * len(grid), [0j] * len(grid)
+        for k, t in zip(own, theoretical_chars(model, length, [grid[k] for k in own])):
+            emp[k] = complex((np.exp(1j * grid[k] * vals) * counts).sum() / n_samples)
+            theo[k] = t
+        for k, j in mirror.items():  # 0.0 - y: a zero stays +0.0, as a cancelling sum gives it
+            emp[k], theo[k] = (complex(c.real, 0.0 - c.imag) for c in (emp[j], theo[j]))
         gaps = [abs(e - t) for e, t in zip(emp, theo)]
-        return CharFunctionReport(max(gaps), tuple(float(t) for t in thetas),
-                                  tuple(emp), tuple(theo), n_samples)
+        return CharFunctionReport(max(gaps), tuple(grid), tuple(emp), tuple(theo), n_samples)
     return Plan((Draw(CHAR_GAP_STREAM, seed, n_samples, lambda values: {"L": values},
                       length=length, keep="L"),), finish)
 

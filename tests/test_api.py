@@ -120,6 +120,10 @@ def test_samplers_have_one_path():
 # Public definitions whose only reader is a test, each with the reason it stays
 TEST_ONLY_READERS = {
     "partitions.all_partitions": "the enumeration oracle that the recurrence is checked against",
+    "prm.char_exponent": "the per-theta rule, one node of char_exponents, that the batched "
+                         "grid and the quadrature snapshot are checked against",
+    "prm.theoretical_char": "the per-theta rule that char_gap's mirrored values are checked "
+                            "against",
 }
 
 

@@ -417,6 +417,7 @@ JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
 @example(slot=("char_gap", "n_theta"), value=2 ** 63)   # IndexError: an empty theta grid
 @example(slot=("projection", "y"), value=1e16)          # ValueError: (y - 1, y] empty
 @example(slot=("tail", "k_outer"), value=1e308)         # overflow in the gaussian profile
+@example(slot=("char_gap", "theta_max"), value=1e308)   # overflow in np.linspace
 @example(slot=("tail", "k_outer"), value=1.1984620899082105e308)  # overflow in a panel's midpoint
 def test_report_config_fuzz_exit_code(slot, value):
     # one value of the bundled config replaced: the config is run, or refused with
@@ -607,6 +608,23 @@ def test_density_moment_past_the_float_range_exit_code(capsys):
                    "--phi", '{"breakpoints": [0, 1], "values": [1]}', "--p", "4") == 2
     err = capsys.readouterr().err
     assert "p = 4 is past the float range" in err and "Traceback" not in err, err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("measure, theta_max", [
+    ({"atoms": [[1.0, 1.0]]}, 1e308),           # the grid's span 2 theta_max overflows
+    ({"atoms": [[1.0, 1.0], [-1e10, 2.0]]}, 1e300),  # theta z overflows at z = -1e10
+    (DENSITY, 1e308),
+    (DENSITY, 5e307),                           # theta z overflows at z_max = 4
+], ids=["atom_grid", "atom_theta_z", "density_grid", "density_theta_z"])
+def test_char_gap_theta_max_past_the_float_range_exit_code(capsys, measure, theta_max):
+    # refused while the config is checked: no draw, no math domain error, no NaN gate
+    config = {"measure": measure, "checks": [{"kind": "char_gap", "theta_max": theta_max}]}
+    with mock.patch.object(levynoise.prm, "simulate") as simulate:
+        assert run_cli("report", "--config", json.dumps(config)) == 2
+    err = capsys.readouterr().err
+    assert "char_gap: theta_max:" in err and "Traceback" not in err, err
+    assert not simulate.called
 
 
 def test_density_signed_moment_past_the_float_range_exit_code(capsys):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 from fractions import Fraction
@@ -20,13 +21,16 @@ from levynoise import (
 )
 from levynoise.errors import PointCountError, WindowExceededError
 import levynoise.prm
-from levynoise.measure import power_law_measure
+from levynoise.measure import _adaptive_gauss, power_law_measure
 from levynoise.prm import (
     GuideTable,
     PointRealization,
+    _density_grid,
     _mark_table,
     _sample_marks,
     batch_L_weighted,
+    char_exponent,
+    char_exponents,
     normalize_intervals,
     theoretical_char,
 )
@@ -601,6 +605,9 @@ SEARCH_VALUES = st.floats(allow_nan=False)  # infinities included
 @example(table=[-0.0, 0.0, 0.0, 1.0], values=[0.0, -0.0], picks=[2])        # signed zeros
 @example(table=[0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0],
          values=[1.0, 0.5, 1.5], picks=[5])                                  # long run of ties
+@example(table=[0.0, 1.0, 1.0, 1.0, 2.0], values=[1.0, 0.5], picks=[2])   # ties, guided
+@example(table=[0.0] + [1.0 + k * 2.0 ** -52 for k in range(30)] + [100.0],
+         values=[1.0, 1.5, 99.0], picks=[3, 30])                             # crowded: bisected
 def test_guided_search_is_searchsorted(table, values, picks):
     table = np.sort(np.array(table, dtype=float))
     on = [float(table[i % len(table)]) for i in picks]
@@ -623,43 +630,122 @@ def test_guided_search_across_chunks():
 
 DENSITY_MODELS = (power_law_measure(1.5, 0.25, 4.0), power_law_measure(0.5, 0.1, 2.0),
                   power_law_measure(1.9, 1.0, 1.5))
-STEP = 4095  # cdf[STEP] == cdf[STEP + 1]: the zero-width step between the two pieces
+# the full 8192-point trapezoid grid of each, whose np.interp the marks are
+GRIDS = {model: _density_grid(model.density) for model in DENSITY_MODELS}
+STEP = 4095  # cdf[STEP] == cdf[STEP + 1] on the grid: the zero-width step between the pieces
+STEEP = power_law_measure(2.9, 0.01, 3.0)  # 1602 table entries in one guide slice
 
 
 def test_density_table_builds_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for model in DENSITY_MODELS:
+        for model in (*DENSITY_MODELS, STEEP):
+            z, cdf = _density_grid(model.density)
+            assert len(cdf) == 8192 and cdf[STEP] == cdf[STEP + 1]
             table = _mark_table.__wrapped__(model)  # a fresh build, not the cached one
-            assert table.cdf[STEP] == table.cdf[STEP + 1] and math.isinf(table.slope[STEP])
+            # no zero-width piece is kept, so every slope is finite
+            assert np.all(np.diff(table.cdf) > 0) and np.all(np.isfinite(table.slope))
+            assert len(table.cdf) == 8191 and table.cdf[-1] == cdf[-1]
+    guide = _mark_table(DENSITY_MODELS[0]).guide
+    assert guide.steps == 1 and not guide.bisects
 
 
-@given(st.sampled_from(DENSITY_MODELS), st.lists(st.floats(0.0, 1.0), max_size=20),
-       st.lists(st.integers(0, 8191), max_size=8))
-@example(model=DENSITY_MODELS[0], fractions=[0.0, 1.0, 0.5], picks=[0, STEP, STEP + 1, 8191])
-def test_mark_inverse_is_np_interp(model, fractions, picks):
+def _grid_probes(cdf) -> np.ndarray:
+    """Every grid point, the zero-width step's included, and both float neighbours of each,
+    inside the range of the CDF."""
+    u = np.concatenate([cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf)])
+    return u[(u >= cdf[0]) & (u <= cdf[-1])]
+
+
+@given(st.sampled_from(DENSITY_MODELS), st.lists(st.floats(0.0, 1.0), max_size=20))
+@example(model=DENSITY_MODELS[0], fractions=[0.0, 1.0, 0.5])
+def test_mark_inverse_is_np_interp(model, fractions):
     table = _mark_table(model)
-    cdf = table.cdf
-    on = [float(cdf[i]) for i in (*picks, STEP, -1)]
-    near = [math.nextafter(v, s) for v in on for s in (-math.inf, math.inf)]
-    u = np.array([f * cdf[-1] for f in fractions] + on + near, dtype=float)
-    u = u[(u >= cdf[0]) & (u <= cdf[-1])]
+    z, cdf = GRIDS[model]
+    u = np.concatenate([np.array(fractions) * cdf[-1], _grid_probes(cdf)])
     out = np.empty(len(u))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table.invert(u, out)
-        want = np.interp(u, cdf, table.z)
+        want = np.interp(u, cdf, z)
     assert out.tobytes() == want.tobytes()
 
 
 def test_density_marks_are_np_interp_of_the_stream():
     # the chunked inverse holds the same floats as one whole-array np.interp
-    # on the same uniforms, across chunk ends
+    # on the same uniforms over the full grid, across chunk ends
     model, count = DENSITY_MODELS[0], 3 * (1 << 16) + 7
-    table = _mark_table(model)
+    z_grid, cdf = GRIDS[model]
     z, atom = _sample_marks(model, count, derive_rng(21))
-    u = derive_rng(21).random(count) * table.cdf[-1]
-    assert atom is None and z.tobytes() == np.interp(u, table.cdf, table.z).tobytes()
+    u = derive_rng(21).random(count) * cdf[-1]
+    assert atom is None and z.tobytes() == np.interp(u, cdf, z_grid).tobytes()
+
+
+def test_steep_density_marks_search_by_bisection():
+    # a guided search would take 1602 passes over every mark; ceil(log2(8192)) = 13
+    table = _mark_table(STEEP)
+    assert table.guide.steps == 1602 and table.guide.bisects
+    z, cdf = _density_grid(STEEP.density)
+    u = np.concatenate([derive_rng(5).random(1000) * cdf[-1], _grid_probes(cdf)])
+    out = np.empty(len(u))
+    table.invert(u, out)
+    assert out.tobytes() == np.interp(u, cdf, z).tobytes()
+
+
+def _per_theta_exponent(model, theta):
+    """The characteristic exponent by the per-theta rule: one scalar quadrature per
+    support piece and per part, each Gauss point one call."""
+    if model.is_atomic:
+        return sum(lam * (cmath.exp(1j * theta * z) - 1.0 - 1j * theta * z)
+                   for z, lam in model.atoms)
+    den = model.density
+
+    def integral(f):
+        total = 0.0
+        for a, b in ((-den.z_max, -den.eps), (den.eps, den.z_max)):
+            total += _adaptive_gauss(lambda x: np.array([f(v) * den.density(v) for v in x]), a, b)
+        return total
+    return complex(integral(lambda z: math.cos(theta * z) - 1.0),
+                   integral(lambda z: math.sin(theta * z) - theta * z))
+
+
+def _hex(c: complex) -> tuple[str, str]:
+    return float(c.real).hex(), float(c.imag).hex()
+
+
+CHAR_MODELS = (atomic_measure([(1.0, 1.0)]), atomic_measure([(2.0, 1.0), (-1.0, 3.0)]),
+               *DENSITY_MODELS)
+CHAR_MODEL_IDS = ["unit_atom", "skew_two_atom", "density_0", "density_1", "density_2"]
+THETA_GRIDS = {  # as _run_char_gap builds them, and one that mirrors nothing
+    "symmetric_21": np.linspace(-math.pi, math.pi, 21),
+    "symmetric_41": np.linspace(-math.pi, math.pi, 41),
+    "asymmetric": np.linspace(-1.0, 2.5, 9),
+    "theta_max_0": np.linspace(-0.0, 0.0, 5),  # repeated thetas, of both signs of zero
+}
+
+
+@pytest.mark.parametrize("grid", THETA_GRIDS.values(), ids=THETA_GRIDS.keys())
+@pytest.mark.parametrize("model", CHAR_MODELS, ids=CHAR_MODEL_IDS)
+def test_batched_char_exponents_are_the_per_theta_rule(model, grid):
+    got = char_exponents(model, grid)
+    assert [_hex(c) for c in got] == [_hex(_per_theta_exponent(model, float(t))) for t in grid]
+    assert [_hex(char_exponent(model, t)) for t in grid] == [_hex(c) for c in got]
+
+
+@pytest.mark.parametrize("grid", THETA_GRIDS.values(), ids=THETA_GRIDS.keys())
+@pytest.mark.parametrize("model", (*CHAR_MODELS, atomic_measure([(1.0, 0.5), (-1.0, 0.5)])),
+                         ids=[*CHAR_MODEL_IDS, "sym_two_atom"])
+def test_char_gap_values_are_the_per_theta_values(model, grid):
+    # a value at -theta mirrored from theta is the one computed at -theta, to the bit
+    n, seed = 2_000, 17
+    rep = char_function_gap(model, (0.0, 1.5), grid, n, seed)
+    vals, counts = np.unique(sample_L_interval(model, 1.5, n, derive_rng(seed, CHAR_GAP_STREAM)),
+                             return_counts=True)
+    emp = [complex((np.exp(1j * float(t) * vals) * counts).sum() / n) for t in grid]
+    theo = [theoretical_char(model, 1.5, float(t)) for t in grid]
+    assert list(map(_hex, rep.empirical)) == list(map(_hex, emp))
+    assert list(map(_hex, rep.theoretical)) == list(map(_hex, theo))
+    assert rep.sup_gap == max(abs(e - t) for e, t in zip(emp, theo))
 
 
 @pytest.mark.parametrize("model, window", [
