@@ -37,7 +37,7 @@ import numpy as np
 from .errors import MarkSetError
 from .gate import Gate, Gated
 from .measure import LevyMeasureModel, _density_integral
-from .prm import Draw, MeanTest, Plan, PointRealization, RealizationBatch, _check_window, run_of
+from .prm import Draw, MeanTest, Plan, PointRealization, RealizationBatch, in_marks, run_of
 from .processes import SimpleProcess, eval_I_K
 from .rng import DUALITY_STREAM
 
@@ -47,7 +47,8 @@ MAX_CHAOS_ORDER = 4
 @dataclass(frozen=True)
 class Cell:
     """Product cell ``(a, b] x B``; ``marks`` is a frozenset of atom indices
-    (atomic models) or a ``(z_lo, z_hi]`` interval of jump sizes."""
+    (atomic models), which selects the jump sizes of those atoms, or a
+    ``(z_lo, z_hi]`` interval of jump sizes."""
 
     a: float
     b: float
@@ -57,13 +58,8 @@ class Cell:
         if not (self.b > self.a):
             raise ValueError("need a < b")
 
-    def contains(self, x: float, z: float, atom: int | None) -> bool:
-        if not (self.a < x <= self.b):
-            return False
-        if isinstance(self.marks, frozenset):
-            return atom in self.marks
-        zlo, zhi = self.marks
-        return zlo < z <= zhi
+    def contains(self, x: float, z: float, model: LevyMeasureModel) -> bool:
+        return self.a < x <= self.b and in_marks(model, self.marks, z)
 
     def marks_intersect(self, other: "Cell") -> bool:
         if isinstance(self.marks, frozenset):
@@ -102,13 +98,6 @@ def mark_first_moment(model: LevyMeasureModel, marks) -> Fraction | float:
     if isinstance(marks, frozenset):
         return sum(Fraction(model.atoms[j][1]) * Fraction(model.atoms[j][0]) for j in marks)
     return _density_integral(model.density, lambda z: z, *marks)
-
-
-def atom_index_of(model: LevyMeasureModel, z: float) -> int | None:
-    for j, (zj, _) in enumerate(model.atoms):
-        if zj == z:
-            return j
-    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +184,6 @@ def compensated_cell_count(src: PointRealization | RealizationBatch,
                            cell: Cell):
     """``hatN(F) = #points in F - |A| nu(B)``, one float per realization or the exact
     backend's value (``exact`` makes it a Fraction): the body that kernels call."""
-    _check_window([(cell.a, cell.b)], src.window)
     intensity = cell_intensity(src.model, cell)  # checks the marks before any count
     return src.count(cell.a, cell.b, cell.marks) - src.num(intensity)
 
@@ -290,13 +278,12 @@ def malliavin_derivative(F: ChaosFunctional, x: float, z: float,
     order by one (weighted by the order); the result is again a chaos
     functional, identically zero when the probe hits no cell.
     """
-    atom = atom_index_of(model, z) if model.is_atomic else None
     constant = 0.0
     kernels: list[StepKernel] = []
     for kern in F.kernels:
         hit = None
         for j, c in enumerate(kern.cells):
-            if c.contains(x, z, atom):
+            if c.contains(x, z, model):
                 hit = j
                 break
         if hit is None:
@@ -314,8 +301,7 @@ def add_one_cost(F: ChaosFunctional, real: PointRealization, x: float,
                  z: float) -> Fraction | float:
     """Independent oracle for the derivative: ``F(omega + delta_(x,z)) - F(omega)``, two full
     kernel products on cell counts; ``F(omega)`` is kept in ``real``'s memo under ``F``."""
-    atom = atom_index_of(real.model, z) if real.model.is_atomic else None
-    bumped = real.with_point(float(x), float(z), atom)
+    bumped = real.with_point(float(x), float(z))
     before = real._memo.get(F)
     if before is None:
         before = real._memo[F] = _chaos(real, F)

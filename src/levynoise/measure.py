@@ -2,8 +2,8 @@
 
 A measure lives on the punctured line (no mass at zero) and is either
 
-* atomic: finitely many atoms ``(z_j, lam_j)`` with ``z_j != 0`` and
-  ``lam_j > 0``, or
+* atomic: finitely many atoms ``(z_j, lam_j)`` with distinct ``z_j != 0``
+  and ``lam_j > 0``, or
 * a truncated density: a nonnegative density supported on
   ``[-z_max, -eps] + [eps, z_max]``, integrated by adaptive quadrature.
 
@@ -56,8 +56,8 @@ class LevyMeasureModel:
 
     Construct through :func:`validate_measure` (or the convenience
     constructors), never directly: the constructors enforce the
-    invariants ``z_j != 0``, ``lam_j > 0``, finite total mass and finite
-    second moment.
+    invariants ``z_j != 0`` and distinct, ``lam_j > 0``, finite total
+    mass and finite second moment.
     """
 
     atoms: tuple[tuple[float, float], ...] | None
@@ -266,7 +266,7 @@ def _validate_atoms(pairs) -> LevyMeasureModel:
             for pair in pairs):
         raise MeasureError(f"atoms must be a list of [z, mass] pairs of real numbers, "
                            f"got {pairs!r}")
-    atoms = []
+    atoms: dict[float, float] = {}
     for z, lam in pairs:
         z, lam = float(z), float(lam)
         if math.isnan(z) or math.isnan(lam):
@@ -279,16 +279,19 @@ def _validate_atoms(pairs) -> LevyMeasureModel:
             raise InfiniteTotalMassError("atom with infinite mass")
         if math.isinf(z):
             raise InfiniteSecondMomentError("atom at infinity has infinite variance")
-        atoms.append((z, lam))
+        if z in atoms:  # a mark set selects by jump size, so one size must be one atom
+            raise MeasureError(f"atoms repeat the jump size {z}: merge them into one atom "
+                               "of the summed mass")
+        atoms[z] = lam
     if not atoms:
         raise NonPositiveMassError("measure needs at least one atom")
-    total = sum(Fraction(lam) for _, lam in atoms)
+    total = sum(Fraction(lam) for lam in atoms.values())
     if total > sys.float_info.max:
         raise InfiniteTotalMassError("total mass is past the float range")
-    m2 = sum(Fraction(lam) * Fraction(z) ** 2 for z, lam in atoms)
+    m2 = sum(Fraction(lam) * Fraction(z) ** 2 for z, lam in atoms.items())
     if m2 > sys.float_info.max:
         raise InfiniteSecondMomentError("second moment is past the float range")
-    return LevyMeasureModel(tuple(atoms), None, float(total), float(m2))
+    return LevyMeasureModel(tuple(atoms.items()), None, float(total), float(m2))
 
 
 def _validate_density(den: TruncatedDensity) -> LevyMeasureModel:

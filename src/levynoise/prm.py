@@ -35,9 +35,11 @@ one-chunk case, and ``sample_prm`` is the one-realization batch.  The
 chunk size changes no value: every chunk reads the numbers a one-chunk
 draw would give its realizations.  Marks invert one tabulated CDF per
 model, bit for bit ``np.interp``; an atom is a zero-slope piece, and a
-density's table keeps only the pieces a search can select.  A
+density's table keeps only the pieces a search can select.  A point is
+its location and jump ``(x, z)``; atom indices in a mark set select
+those atoms' (distinct) jump sizes, through ``mark_sizes``.  A
 one-atom law (the compensated Poisson process) draws no marks: its ``z``
-and ``atom`` are read-only zero-stride views of the one value.
+is a read-only zero-stride view of the one value.
 Sorted-table lookups, the marks' pieces and the cell of each point, go
 through one ``GuideTable``, which answers ``np.searchsorted`` with a few
 compares, and a crowded table by bisection.  The characteristic exponent
@@ -65,7 +67,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import PointCountError, WindowExceededError
+from .errors import ConfigError, PointCountError, WindowExceededError
 from .gate import Gate, mean_se
 from .measure import (LevyMeasureModel, TruncatedDensity, _density_integrals,
                       signed_moment)
@@ -164,18 +166,31 @@ def _dyadic(x) -> _Dyadic:
     return out
 
 
+@lru_cache(maxsize=1024)
+def mark_sizes(model: LevyMeasureModel, marks: frozenset) -> frozenset[float]:
+    """The jump sizes of the atoms whose indices ``marks`` holds.  An index the model
+    lacks, a negative one, or any index on a density names no jump."""
+    return frozenset(z for j, (z, _) in enumerate(model.atoms or ()) if j in marks)
+
+
+def in_marks(model: LevyMeasureModel, marks, z: float) -> bool:
+    """Whether a jump ``z`` lies in ``marks``: a frozenset of atom indices, which
+    selects their sizes (:func:`mark_sizes`), or a ``(z_lo, z_hi]`` band."""
+    return (z in mark_sizes(model, marks) if isinstance(marks, frozenset)
+            else marks[0] < z <= marks[1])
+
+
 @dataclass(frozen=True, eq=False)
 class PointRealization:
     """One sampled point configuration on ``[-K, K] x R0``.
 
     ``x`` is sorted ascending, so the part of the configuration left of
-    any horizon is a prefix.  ``atom`` carries the atom index of each
-    jump for atomic models (None in density mode).
+    any horizon is a prefix; ``z`` holds the jump of each point.
 
     A realization answers each exact question once: ``mass`` of a
     normalized interval tuple and ``count`` of an ``(a, b, marks)`` cell
     are stored in a per-instance memo, bounded by the distinct questions
-    asked and freed with the realization.  ``x``, ``z`` and ``atom`` are
+    asked and freed with the realization.  ``x`` and ``z`` are
     read-only copies of the arrays given, so no stored answer goes stale.  A
     ``with_point`` realization answers from its base, the first of its chain
     not so built, and the points added since (``_added``).
@@ -184,40 +199,35 @@ class PointRealization:
     window: float
     x: np.ndarray
     z: np.ndarray
-    atom: np.ndarray | None
     model: LevyMeasureModel
     _memo: dict = field(default_factory=dict, init=False, repr=False)
     _added: tuple | None = field(default=None, init=False, repr=False)  # (base, points)
 
     def __post_init__(self) -> None:
-        for name in ("x", "z", "atom"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.array(arr)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+        for name in ("x", "z"):
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __getattr__(self, name: str):  # the arrays of a with_point realization, first read
-        if name not in ("x", "z", "atom") or self._added is None:
+        if name not in ("x", "z") or self._added is None:
             raise AttributeError(name)
-        x, z, atom = (getattr(self._added[0], k) for k in ("x", "z", "atom"))
-        for px, pz, pa in self._added[1]:
+        x, z = self._added[0].x, self._added[0].z
+        for px, pz in self._added[1]:
             pos = int(np.searchsorted(x, px, side="right"))
             x, z = _inserted(x, pos, px), _inserted(z, pos, pz)
-            atom = None if atom is None else _inserted(atom, pos, pa)
-        self.__dict__.update(x=x, z=z, atom=atom)  # read-only, as __post_init__ leaves them
+        self.__dict__.update(x=x, z=z)  # read-only, as __post_init__ leaves them
         return self.__dict__[name]
 
     def __len__(self) -> int:
         return len(self.x)
 
-    def with_point(self, x: float, z: float, atom: int | None = None) -> "PointRealization":
-        """Configuration with one extra point inserted (sorted order kept), atom -1 if None."""
+    def with_point(self, x: float, z: float) -> "PointRealization":
+        """Configuration with one extra point ``(x, z)`` inserted (sorted order kept)."""
         _check_window([(x, x)], self.window)
         base, points = self._added or (self, ())
         # the point as the arrays hold it, so it reads as in a rebuilt realization
-        point = (base.x.dtype.type(x).item(), base.z.dtype.type(z).item(), None if base.atom
-                 is None else base.atom.dtype.type(-1 if atom is None else atom).item())
+        point = (base.x.dtype.type(x).item(), base.z.dtype.type(z).item())
         out = object.__new__(PointRealization)
         out.__dict__.update(window=self.window, model=self.model, _memo={},
                             _added=(base, points + (point,)))
@@ -252,7 +262,7 @@ class PointRealization:
     def _mass(self, intervals) -> _Dyadic:
         if self._added is not None:  # the base's mass and the added jumps inside
             base, points = self._added
-            return sum((z for x, z, _ in points if any(a < x <= b for a, b in intervals)),
+            return sum((z for x, z in points if any(a < x <= b for a, b in intervals)),
                        base.mass(intervals))
         _check_window(intervals, self.window)
         jumps: list[float] = []
@@ -266,16 +276,16 @@ class PointRealization:
     def _count(self, a: float, b: float, marks) -> int:
         if self._added is not None:  # the base's count and the added points inside
             base, points = self._added
-            band = not isinstance(marks, frozenset)  # j is None in density mode
             return base.count(a, b, marks) + sum(
-                marks[0] < z <= marks[1] if band else j is not None and j in marks
-                for x, z, j in points if a < x <= b)
-        lo = int(np.searchsorted(self.x, a, side="right"))
-        hi = int(np.searchsorted(self.x, b, side="right"))
+                in_marks(self.model, marks, z) for x, z in points if a < x <= b)
+        _check_window([(a, b)], self.window)
+        lo, hi = np.searchsorted(self.x, (a, b), side="right").tolist()
+        zs = self.z[lo:hi].tolist()
         if isinstance(marks, frozenset):
-            return 0 if self.atom is None else sum(j in marks for j in self.atom[lo:hi].tolist())
+            sizes = mark_sizes(self.model, marks)
+            return sum(z in sizes for z in zs)
         zlo, zhi = marks
-        return sum(zlo < z <= zhi for z in self.z[lo:hi].tolist())
+        return sum(zlo < z <= zhi for z in zs)
 
     @staticmethod
     def clip(v: _Dyadic, c: float) -> _Dyadic:
@@ -304,8 +314,8 @@ class RealizationBatch:
     x: np.ndarray
     z: np.ndarray
     owner: np.ndarray
-    atom: np.ndarray | None
     model: LevyMeasureModel
+    atom = None  # no atom index is stored; read by perfbench's batch gauge
 
     def realization(self, i: int) -> PointRealization:
         if not 0 <= i < self.n:
@@ -314,7 +324,6 @@ class RealizationBatch:
         p0, p1 = np.searchsorted(self.owner, np.array((i, i + 1), self.owner.dtype)).tolist()
         order = np.argsort(self.x[p0:p1], kind="stable")
         return PointRealization(self.window, self.x[p0:p1][order], self.z[p0:p1][order],
-                                None if self.atom is None else self.atom[p0:p1][order],
                                 self.model)
 
     # -- float backend: one value per realization -------------------------
@@ -364,9 +373,7 @@ class RealizationBatch:
             # keys of owner's dtype: other ints would convert the whole array
             p0, p1 = np.searchsorted(self.owner, np.array((r0, r1), self.owner.dtype)).tolist()
             yield r0, RealizationBatch(self.window, r1 - r0, self.x[p0:p1], self.z[p0:p1],
-                                       self.owner[p0:p1] - r0,
-                                       None if self.atom is None else self.atom[p0:p1],
-                                       self.model)
+                                       self.owner[p0:p1] - r0, self.model)
 
     def _inside(self, a: float, b: float) -> np.ndarray:
         """Indices of the points located in ``(a, b]``."""
@@ -377,21 +384,21 @@ class RealizationBatch:
     def count(self, a: float, b: float, marks) -> np.ndarray:
         """Per-realization point counts in ``(a, b] x B``.
 
-        ``marks`` is a frozenset of atom indices (atomic models) or a
-        ``(z_lo, z_hi]`` interval of jump sizes (density models).  An atom
-        index the model does not have, or an empty set, selects no point.
+        ``marks`` is a frozenset of atom indices (atomic models), which selects
+        those atoms' jump sizes, or a ``(z_lo, z_hi]`` interval of jump sizes
+        (density models).  An index the model lacks, or an empty set, selects
+        no point.
         """
+        _check_window([(a, b)], self.window)
         if isinstance(marks, frozenset):
-            if self.atom is None:
-                return np.zeros(self.n)
-            wanted = np.fromiter(marks, dtype=int)
+            wanted = np.fromiter(mark_sizes(self.model, marks), dtype=float)
         else:
             zlo, zhi = marks
         out = np.empty(self.n)
         for r0, part in self.parts(0):
             k = part._inside(a, b)
             if isinstance(marks, frozenset):
-                k = k[np.isin(part.atom[k], wanted)]
+                k = k[np.isin(part.z[k], wanted)]
             else:
                 zk = part.z[k]
                 k = k[(zk > zlo) & (zk <= zhi)]
@@ -413,9 +420,9 @@ class RealizationBatch:
 
 
 # Values per step of a guided search: its temporaries stay in cache.  Marks
-# are drawn in these chunks too, so a batch keeps 21 bytes per point (x, z, a
-# 4-byte owner, a 1-byte atom index) and no whole-batch 8-byte index array; 12
-# bytes for one atom, whose z and atom are zero-stride views.
+# are drawn in these chunks too, so a batch keeps 20 bytes per point (x, z and
+# a 4-byte owner) and no whole-batch 8-byte index array; 12 bytes for one atom,
+# whose z is a zero-stride view.
 _SEARCH_CHUNK = 1 << 16
 # Points plus cell-table entries of one part of RealizationBatch.parts, on which
 # every per-realization reduction of a batch runs: its masks, indices, gathers
@@ -423,7 +430,7 @@ _SEARCH_CHUNK = 1 << 16
 # chunks of sample_chunks hold about this many points too.
 _PART_SIZE = 1 << 18
 # Expected points, and realizations, of one sampling call.  A one-chunk call
-# (sample_prm_batch, sample_L_interval) holds all its points, about 5.6 GB at 21
+# (sample_prm_batch, sample_L_interval) holds all its points, about 5.4 GB at 20
 # bytes per point; a chunked draw holds one chunk, so there the cap bounds the
 # sampling work.  Every draw holds 8 bytes per realization for its counts and for
 # each named array.  Past either cap a call is refused before any draw, not left
@@ -508,21 +515,17 @@ class GuideTable:
         return out
 
 
-def _sample_marks(model: LevyMeasureModel, count: int, rng: np.random.Generator):
-    """``count`` i.i.d. jump sizes from the normalized measure, and their atom indices."""
+def _sample_marks(model: LevyMeasureModel, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` i.i.d. jump sizes from the normalized measure."""
     table = _mark_table(model)
     if table.one_point:  # every mark is z[0]: no word is read, and nothing is stored
-        return (np.broadcast_to(table.z[0], (count,)),
-                np.broadcast_to(table.atom_dtype(0), (count,)))
+        return np.broadcast_to(table.z[0], (count,))
     z = rng.random(count)
     z *= table.cdf[-1]
-    atom = None if table.atom_dtype is None else np.empty(count, table.atom_dtype)
     for lo in range(0, count, _SEARCH_CHUNK):
         chunk = z[lo:lo + _SEARCH_CHUNK]
-        piece = table.invert(chunk, chunk)
-        if atom is not None:
-            atom[lo:lo + _SEARCH_CHUNK] = piece
-    return z, atom
+        table.invert(chunk, chunk)
+    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,16 +538,15 @@ class _InverseCDF:
     cdf: np.ndarray
     slope: np.ndarray   # slope of each table piece; 0.0 past the last entry
     guide: GuideTable   # over ``cdf``
-    atom_dtype: type | None  # of the pieces, which are atom indices; None in density mode
 
     @property
     def one_point(self) -> bool:
         """One piece: the law of one atom, whose inverse is ``z[0]`` for every ``u``."""
         return len(self.cdf) == 2
 
-    def invert(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out[:]`` = the inverse at ``u`` for ``cdf[0] <= u <= cdf[-1]``; returns
-        the pieces, and ``out`` may be ``u``.
+    def invert(self, u: np.ndarray, out: np.ndarray) -> None:
+        """``out[:]`` = the inverse at ``u`` for ``cdf[0] <= u <= cdf[-1]``; ``out``
+        may be ``u``.
 
         The piece of ``u`` is ``j = searchsorted(cdf, u, "right") - 1`` and
         the value np.interp's own ``slope[j] * (u - cdf[j]) + z[j]``; a
@@ -557,7 +559,6 @@ class _InverseCDF:
         np.subtract(u, self.cdf[j], out=out)
         out *= self.slope[j]
         out += self.z[j]
-        return j
 
 
 def _density_grid(den: TruncatedDensity) -> tuple[np.ndarray, np.ndarray]:
@@ -594,16 +595,13 @@ def _mark_table(model: LevyMeasureModel) -> _InverseCDF:
         cum = np.cumsum(lams)
         cum /= cum[-1]  # cum[-1] == 1.0 > u: the last piece is never selected
         cdf = np.concatenate([[0.0], cum])
-        atom_dtype = np.int8 if len(zs) <= np.iinfo(np.int8).max else np.intp
-        return _InverseCDF(np.append(zs, zs[-1]), cdf, np.zeros(len(cdf)), GuideTable(cdf),
-                           atom_dtype)
+        return _InverseCDF(np.append(zs, zs[-1]), cdf, np.zeros(len(cdf)), GuideTable(cdf))
     grid_z, grid_cdf = _density_grid(model.density)
     dz, dcdf = np.diff(grid_z), np.diff(grid_cdf)
     wide = dcdf > 0
     keep = np.append(wide, True)  # the last entry, of slope 0, answers u == cdf[-1]
     cdf = grid_cdf[keep]
-    return _InverseCDF(grid_z[keep], cdf, np.append(dz[wide] / dcdf[wide], 0.0),
-                       GuideTable(cdf), None)
+    return _InverseCDF(grid_z[keep], cdf, np.append(dz[wide] / dcdf[wide], 0.0), GuideTable(cdf))
 
 
 def sample_chunks(model: LevyMeasureModel, n: int, rng: np.random.Generator,
@@ -645,10 +643,10 @@ def sample_chunks(model: LevyMeasureModel, n: int, rng: np.random.Generator,
             if length is None:
                 owner = _owners(part)
                 x = rng.uniform(-window, window, len(owner))
-                z, atom = _sample_marks(model, len(owner), marks)
-                yield r0, RealizationBatch(float(window), len(part), x, z, owner, atom, model)
+                z = _sample_marks(model, len(owner), marks)
+                yield r0, RealizationBatch(float(window), len(part), x, z, owner, model)
             else:
-                z, _ = _sample_marks(model, int(part.sum()), marks)
+                z = _sample_marks(model, int(part.sum()), marks)
                 sums = np.bincount(_owners(part), weights=z, minlength=len(part))
                 yield r0, sums - length * float(_mt1(model))
     return chunks()
@@ -679,7 +677,7 @@ def sample_prm(model: LevyMeasureModel, window: float, seed: int) -> PointRealiz
     The one-realization batch with ``x`` sorted; the marks, drawn apart from
     the locations, stay in draw order."""
     batch = sample_prm_batch(model, window, 1, derive_rng(seed))
-    return PointRealization(batch.window, np.sort(batch.x), batch.z, batch.atom, model)
+    return PointRealization(batch.window, np.sort(batch.x), batch.z, model)
 
 
 def sample_prm_batch(model: LevyMeasureModel, window: float, n: int,
@@ -859,6 +857,10 @@ def char_gap_plan(model: LevyMeasureModel, interval: Interval, thetas, n_samples
     conjugates of those at the negation, as the per-theta rule gives them
     to the bit; every other theta is computed, the theoretical values in
     one :func:`theoretical_chars` call.
+
+    A largest ``|theta|`` times largest ``|L(A)|`` drawn past the float range
+    raises ConfigError before any exponential would turn it into a NaN; it
+    needs the draw, so no config check can see it.
     """
     a, b = interval
     length = float(b) - float(a)
@@ -866,9 +868,14 @@ def char_gap_plan(model: LevyMeasureModel, interval: Interval, thetas, n_samples
     positive = {theta: k for k, theta in enumerate(grid) if theta > 0}
     mirror = {k: positive[-theta] for k, theta in enumerate(grid) if -theta in positive}
     own = [k for k in range(len(grid)) if k not in mirror]
+    theta_top = max(map(abs, grid), default=0.0)
 
     def finish(est: Estimates) -> CharFunctionReport:
         vals, counts = np.unique(est.samples, return_counts=True)
+        reach = float(np.abs(vals).max(initial=0.0))
+        if not theta_top * reach < math.inf:  # float products overflow to inf, with no warning
+            raise ConfigError(f"char_gap: theta_max: {theta_top} times the largest |L(A)| "
+                              f"drawn, {reach}, is past the float range")
         emp, theo = [0j] * len(grid), [0j] * len(grid)
         for k, t in zip(own, theoretical_chars(model, length, [grid[k] for k in own])):
             emp[k] = complex((np.exp(1j * grid[k] * vals) * counts).sum() / n_samples)

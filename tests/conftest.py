@@ -24,15 +24,11 @@ def skew_two_atom():
 
 
 def make_realization(model, window, points):
-    """Hand-built realization from (location, jump) pairs, atoms resolved."""
+    """Hand-built realization from (location, jump) pairs."""
     points = sorted(points)
     xs = np.array([p[0] for p in points], dtype=float)
     zs = np.array([p[1] for p in points], dtype=float)
-    atom = None
-    if model.is_atomic:
-        lookup = {z: j for j, (z, _) in enumerate(model.atoms)}
-        atom = np.array([lookup[z] for z in zs], dtype=int) if len(zs) else np.empty(0, dtype=int)
-    return PointRealization(float(window), xs, zs, atom, model)
+    return PointRealization(float(window), xs, zs, model)
 
 
 # one atom, two atoms and a density: every kind of mark the exact backend reads
@@ -54,8 +50,7 @@ def hand_realizations(draw, window):
 
 def fresh_copy(real):
     """A realization built from copies of ``real``'s arrays, which has answered nothing."""
-    return PointRealization(real.window, real.x.copy(), real.z.copy(),
-                            None if real.atom is None else real.atom.copy(), real.model)
+    return PointRealization(real.window, real.x.copy(), real.z.copy(), real.model)
 
 
 def refined(phi, extra):
@@ -87,10 +82,12 @@ def masked_mass(batch, intervals):
 
 
 def masked_count(batch, a, b, marks):
-    """Per-realization counts in ``(a, b] x B`` by whole-batch masks."""
+    """Per-realization counts in ``(a, b] x B`` by whole-batch masks; atom indices
+    select the jump sizes of the atoms they name."""
     mask = (batch.x > a) & (batch.x <= b)
     if isinstance(marks, frozenset):
-        mask &= np.isin(batch.atom, np.fromiter(marks, dtype=int))
+        sizes = [z for j, (z, _) in enumerate(batch.model.atoms or ()) if j in marks]
+        mask &= np.isin(batch.z, sizes)
     else:
         zlo, zhi = marks
         mask &= (batch.z > zlo) & (batch.z <= zhi)
@@ -145,6 +142,5 @@ def with_empty_realizations_and_edge_points(batch, edges):
     keep = (batch.owner % 5 != 0) & (batch.owner != batch.n - 1)
     x = batch.x[keep]
     x[::3] = np.resize(edges, len(x[::3]))
-    return RealizationBatch(batch.window, batch.n, x, batch.z[keep],
-                            batch.owner[keep], None if batch.atom is None else batch.atom[keep],
+    return RealizationBatch(batch.window, batch.n, x, batch.z[keep], batch.owner[keep],
                             batch.model)

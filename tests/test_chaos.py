@@ -30,7 +30,6 @@ from levynoise.chaos import (
     CATALOG_FUNCTIONAL_NAMES,
     Cell,
     ChaosFunctional,
-    atom_index_of,
     compensated_cell_count,
     kernel_sq_norm,
     make_kernel,
@@ -38,7 +37,7 @@ from levynoise.chaos import (
     mark_mass,
 )
 from levynoise.coefficients import ClampedNoise, Const
-from levynoise.errors import MarkSetError, MeasureError
+from levynoise.errors import MarkSetError, MeasureError, WindowExceededError
 from levynoise.measure import power_law_measure
 from levynoise.prm import PointRealization
 from levynoise.rng import derive_rng
@@ -222,6 +221,59 @@ def test_derivative_matches_add_one_cost(unit_atom, name):
             assert d == add_one_cost(F, real, float(x), 1.0)
 
 
+def _two_atom_functionals():
+    """Functionals whose cells mark atom 0, atom 1 and both, under ``TWO_ATOMS``."""
+    m1, both = frozenset({1}), frozenset({0, 1})
+    first = make_kernel(1, (Cell(-1.0, 0.0, M0), Cell(-1.0, 0.0, m1), Cell(0.0, 1.0, both)),
+                        [1.0, -0.5, 0.25])
+    second = make_kernel(2, (Cell(-1.0, 0.0, M0), Cell(-1.0, 0.0, m1), Cell(0.0, 1.0, both)),
+                         [[0.0, 0.5, 1.0], [0.5, 0.0, -0.25], [1.0, -0.25, 0.0]])
+    return [ChaosFunctional(0.5, (first, second)), ChaosFunctional(0.0, (second,))]
+
+
+def test_derivative_matches_add_one_cost_on_two_atoms():
+    # a probe at either atom's jump size enters the cells that mark that atom's index
+    model = atomic_measure(TWO_ATOMS)
+    probes = [(float(x), z) for x in np.linspace(-1.4, 1.4, 9) for z, _ in TWO_ATOMS]
+    for F in _two_atom_functionals():
+        for seed in range(3):
+            real = sample_prm(model, 1.5, seed)
+            for x, z in probes:
+                d = eval_chaos(real, malliavin_derivative(F, x, z, model))
+                assert d == add_one_cost(F, real, x, z)
+
+
+@pytest.mark.parametrize("z", [0.5, -2.0, 1.0, 3.0])
+def test_a_probe_at_no_atoms_size_changes_no_count(z):
+    # a jump that is no atom's size lies in no cell of atom indices
+    model = atomic_measure(TWO_ATOMS)
+    real = sample_prm(model, 1.5, 4)
+    for F in _two_atom_functionals():
+        for x in (-0.5, 0.5, 1.0):
+            assert add_one_cost(F, real, x, z) == 0
+            d = malliavin_derivative(F, x, z, model)
+            assert d.constant == 0.0 and not d.kernels
+    cells = {c for F in _two_atom_functionals() for kern in F.kernels for c in kern.cells}
+    bumped = real.with_point(0.5, z)
+    assert all(bumped.count(c.a, c.b, c.marks) == real.count(c.a, c.b, c.marks) for c in cells)
+
+
+@pytest.mark.parametrize("model, marks", [
+    (atomic_measure([(1.0, 1.0)]), M0),
+    (power_law_measure(1.5, 0.25, 4.0), (0.5, 2.0)),
+], ids=["atom", "density"])
+def test_cell_counts_past_the_window_are_refused(model, marks):
+    # both backends refuse a cell past the sampled window, and so does the compensated count
+    batch = sample_prm_batch(model, 1.0, 5, derive_rng(3))
+    real = batch.realization(0)
+    for src in (batch, real, real.with_point(0.5, 1.0)):
+        for cell in (Cell(0.0, 3.0, marks), Cell(-1.5, 0.0, marks)):
+            with pytest.raises(WindowExceededError):
+                src.count(cell.a, cell.b, cell.marks)
+            with pytest.raises(WindowExceededError):
+                compensated_cell_count(src, cell)
+
+
 def _functionals(model):
     """The catalog on an atomic model; on a density, a first and second chaos on two
     bands of jump sizes, with the same cells in both orders."""
@@ -269,10 +321,9 @@ def test_add_one_cost_is_the_rebuilt_difference(real, x, k, u):
         z = model.atoms[k % len(model.atoms)][0]
     else:
         z = DENSITY_JUMPS[k] if k < len(DENSITY_JUMPS) else u
-    atom = atom_index_of(model, z) if model.is_atomic else None
     for F in _functionals(model):
-        for omega in (real, real.with_point(x, z, atom)):
-            want = (eval_chaos(fresh_copy(omega.with_point(x, z, atom)), F)
+        for omega in (real, real.with_point(x, z)):
+            want = (eval_chaos(fresh_copy(omega.with_point(x, z)), F)
                     - eval_chaos(fresh_copy(omega), F))
             got = add_one_cost(F, omega, x, z)
             assert type(got) is Fraction and got == want

@@ -77,7 +77,7 @@ def _concatenated(chunks):
         return {"L": np.concatenate(parts)}
     return {"n": np.array(sum(sizes)),
             **{name: np.concatenate([getattr(c, name) for c in parts])
-               for name in ("x", "z", *(("atom",) if parts[0].atom is not None else ()))},
+               for name in ("x", "z")},
             "owner": np.concatenate([c.owner.astype(np.int64) + r0
                                      for r0, c in zip(starts, parts)])}
 
@@ -87,7 +87,6 @@ def _whole(model, n, window, length, seed):
         return {"L": sample_L_interval(model, length, n, derive_rng(seed))}
     batch = sample_prm_batch(model, window, n, derive_rng(seed))
     return {"n": np.array(batch.n), "x": batch.x, "z": batch.z,
-            **({"atom": batch.atom} if batch.atom is not None else {}),
             "owner": batch.owner.astype(np.int64)}
 
 
@@ -189,7 +188,7 @@ def _one_atom_draws(model):
             "chunks": _concatenated(sample_chunks(model, 400, derive_rng(7), 3.0)),
             "L": _whole(model, 400, None, 1.5, 7),
             "L_chunks": _concatenated(sample_chunks(model, 400, derive_rng(7), None, 1.5)),
-            "real": {"x": real.x, "z": real.z, "atom": real.atom}}
+            "real": {"x": real.x, "z": real.z}}
 
 
 @pytest.mark.parametrize("atoms", ONE_ATOM.values(), ids=ONE_ATOM)
@@ -229,14 +228,13 @@ def test_one_atom_generator_stops_after_the_locations(monkeypatch, part_size):
 
 def test_one_atom_marks_are_read_only_views():
     batch = sample_prm_batch(atomic_measure(ONE_ATOM["-1.7"]), 3.0, 100, derive_rng(7))
-    for marks in (batch.z, batch.atom):
-        assert marks.strides == (0,) and not marks.flags.writeable
-    assert len(batch.z) == len(batch.atom) == len(batch.x) > 0
+    assert batch.z.strides == (0,) and not batch.z.flags.writeable
+    assert len(batch.z) == len(batch.x) > 0
 
 
 def test_one_atom_batch_stores_twelve_bytes_per_point():
     # x (8 bytes) and owner (4 bytes) per point, the Poisson counts (8 bytes) per
-    # realization; z and atom store one value each
+    # realization; z stores one value
     n = 200_000
     tracemalloc.start()
     try:

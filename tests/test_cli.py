@@ -573,9 +573,10 @@ def test_bad_density_fields_exit_code(tmp_path, monkeypatch, capsys, density):
     {"atoms": 5}, {"atoms": [[1]]}, {"atoms": [[1, 1, 2]]}, {"atoms": [["a", 1]]}, [1, 2], None,
     {"atoms": [[True, 1]]}, {"atoms": [[1, 1]], "scale": 2}, {"atoms": [[10 ** 400, 1]]},
     {"atoms": [[1e200, 1]]}, {"atoms": [[1, 1e308], [2, 1e308]]},
+    {"atoms": [[1, 1.0], [-1, 0.5], [1.0, 2.0]]},
 ], ids=["atoms_not_list", "one_entry", "three_entries", "text_jump", "pairs_not_lists", "null",
         "bool_jump", "extra_key", "huge_jump", "second_moment_past_float_range",
-        "total_mass_past_float_range"])
+        "total_mass_past_float_range", "repeated_jump_size"])
 def test_bad_atoms_exit_code(tmp_path, monkeypatch, capsys, measure):
     _no_sampling(monkeypatch)
     assert _report_rejects(tmp_path, monkeypatch, measure, {"kind": "moment_mc", "p": 2}) == 2
@@ -584,6 +585,15 @@ def test_bad_atoms_exit_code(tmp_path, monkeypatch, capsys, measure):
                    "--phi", '{"breakpoints": [0, 1], "values": [1]}', "--p", "4") == 2
     err = capsys.readouterr().err
     assert err.count("error: ") == 3 and "Traceback" not in err
+
+
+def test_repeated_jump_sizes_exit_code(capsys):
+    # marks select by jump size, so two atoms of one size are refused, named, with a fix
+    assert run_cli("moments", "--measure", '{"atoms": [[1.0, 1.0], [-1.0, 0.5], [1.0, 2.0]]}',
+                   "--phi", '{"breakpoints": [0, 1], "values": [1]}', "--p", "4") == 2
+    err = capsys.readouterr().err
+    assert "atoms repeat the jump size 1.0: merge them into one atom of the summed mass" in err
+    assert "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("kind", ["moment_mc", "integral_moment_bound", "convolution_bound",
@@ -625,6 +635,18 @@ def test_char_gap_theta_max_past_the_float_range_exit_code(capsys, measure, thet
     err = capsys.readouterr().err
     assert "char_gap: theta_max:" in err and "Traceback" not in err, err
     assert not simulate.called
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_char_gap_theta_times_drawn_L_past_the_float_range_exit_code(capsys):
+    # theta_max z is in range at z = 1, so the config passes; theta_max L(A) is not once a
+    # draw reaches L(A) = 4: refused after the draw, before any exponential or NaN statistic
+    config = {"measure": {"atoms": [[1.0, 1.0]]},
+              "checks": [{"kind": "char_gap", "theta_max": 5e307}]}
+    assert run_cli("report", "--config", json.dumps(config)) == 2
+    err = capsys.readouterr().err
+    assert "char_gap: theta_max: 5e+307 times the largest |L(A)| drawn" in err, err
+    assert "Traceback" not in err and "NaN" not in err, err
 
 
 def test_density_signed_moment_past_the_float_range_exit_code(capsys):

@@ -12,6 +12,7 @@ from levynoise.errors import (
     AtomAtZeroError,
     InfiniteSecondMomentError,
     InfiniteTotalMassError,
+    MeasureError,
     NonPositiveMassError,
     QuadratureError,
 )
@@ -60,6 +61,20 @@ def test_validate_single_unit_atom():
 def test_validate_rejects_atom_at_zero():
     with pytest.raises(AtomAtZeroError):
         validate_measure([(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("atoms", [
+    [(1.0, 1.0), (1.0, 2.0)],
+    [(2.0, 0.5), (-1.0, 1.0), (2, 0.25)],   # an int size equal to a float one
+    {"atoms": [[-0.5, 1.0], [3.0, 1.0], [-0.5, 1.0]]},
+], ids=["pair", "int_and_float", "config_spelling"])
+def test_validate_rejects_repeated_jump_sizes(atoms):
+    # a mark set selects by jump size: two atoms of one size would both be selected by
+    # the index of either, and compensated for one
+    pairs = atoms["atoms"] if isinstance(atoms, dict) else atoms
+    for build in (lambda: validate_measure(atoms), lambda: atomic_measure(pairs)):
+        with pytest.raises(MeasureError, match="merge them into one atom of the summed mass"):
+            build()
 
 
 def test_validate_rejects_bad_mass():
@@ -140,7 +155,7 @@ def test_interpolation_two_atom_strict():
 
 @given(st.lists(st.tuples(st.floats(-4, 4).filter(lambda z: abs(z) > 1e-3),
                           st.floats(1e-3, 5.0)),
-                min_size=1, max_size=5),
+                min_size=1, max_size=5, unique_by=lambda atom: atom[0]),
        st.sampled_from([4, 6, 8]))
 def test_interpolation_property(atoms, p):
     rows = interpolation_check(atomic_measure(atoms), p)
@@ -148,7 +163,7 @@ def test_interpolation_property(atoms, p):
 
 
 @given(st.lists(st.tuples(st.floats(0.01, 4), st.floats(0.01, 5)),
-                min_size=1, max_size=4),
+                min_size=1, max_size=4, unique_by=lambda atom: atom[0]),
        st.sampled_from([1, 3, 5, 7]))
 def test_symmetrized_odd_moments_vanish(pos_atoms, n):
     atoms = [(z, lam) for z, lam in pos_atoms] + [(-z, lam) for z, lam in pos_atoms]

@@ -174,7 +174,7 @@ UNIONS = st.lists(st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2).map(sor
 def test_mass_is_its_definition(model, points, sets):
     points.sort()
     real = PointRealization(4.0, np.array([x for x, _ in points], dtype=float),
-                            np.array([z for _, z in points], dtype=float), None, model)
+                            np.array([z for _, z in points], dtype=float), model)
     inside = [Fraction(z) for x, z in points if any(a < x <= b for a, b in sets)]
     length = sum((Fraction(b) - Fraction(a) for a, b in normalize_intervals(sets)), Fraction(0))
     want = sum(inside, Fraction(0)) - length * Fraction(signed_moment(model, 1))
@@ -303,50 +303,43 @@ def test_repeated_questions_get_a_fresh_realizations_answers(real, data):
 
 def test_realization_arrays_are_read_only_copies():
     model = atomic_measure([(1.0, 0.5), (-0.5, 2.0)])
-    xs, zs, atoms = np.array([-1.0, 0.5]), np.array([1.0, -0.5]), np.array([0, 1])
-    real = PointRealization(2.0, xs, zs, atoms, model)
-    bumped = real.with_point(0.75, 1.0, 0)
+    xs, zs = np.array([-1.0, 0.5]), np.array([1.0, -0.5])
+    real = PointRealization(2.0, xs, zs, model)
+    bumped = real.with_point(0.75, 1.0)
     for src in (real, bumped):
-        for arr in (src.x, src.z, src.atom):
+        for arr in (src.x, src.z):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
     answers = (real.mass((0.0, 1.0)), real.count(0.0, 1.0, frozenset({1})))
-    xs[1], zs[1], atoms[1] = -0.5, 1.0, 0  # the arrays given stay the caller's
-    assert real.x.tolist() == [-1.0, 0.5] and real.atom.tolist() == [0, 1]
+    xs[1], zs[1] = -0.5, 1.0  # the arrays given stay the caller's
+    assert real.x.tolist() == [-1.0, 0.5] and real.z.tolist() == [1.0, -0.5]
     assert (real.mass((0.0, 1.0)), real.count(0.0, 1.0, frozenset({1}))) == answers
     # the realization with one more point starts with no answers
     assert bumped.mass((0.0, 1.0)) == answers[0] + 1
     assert bumped.count(0.0, 1.0, frozenset({0})) == 1
 
 
-@given(st.lists(st.floats(-4.0, 4.0), max_size=8), st.floats(-4.0, 4.0),
-       st.integers(0, 8), st.booleans(), st.one_of(st.none(), st.integers(0, 3)))
-@example(xs=[-1.0, 0.5, 0.5, 2.0], x=0.0, copy_index=1, atomic=True, atom=2)  # tie at 0.5
-@example(xs=[0.0], x=-0.0, copy_index=5, atomic=False, atom=None)           # -0.0 ties 0.0
-def test_with_point_is_np_insert(xs, x, copy_index, atomic, atom):
+@given(st.lists(st.floats(-4.0, 4.0), max_size=8), st.floats(-4.0, 4.0), st.integers(0, 8))
+@example(xs=[-1.0, 0.5, 0.5, 2.0], x=0.0, copy_index=1)  # tie at 0.5
+@example(xs=[0.0], x=-0.0, copy_index=5)                 # -0.0 ties 0.0
+def test_with_point_is_np_insert(xs, x, copy_index):
     xs = np.sort(np.array(xs, dtype=float))
     if copy_index < len(xs):
         x = float(xs[copy_index])  # a tie: the new point goes right of the equal ones
     zs = np.arange(len(xs), dtype=float) + 0.5
-    atoms = (np.arange(len(xs)) % 3).astype(np.int8) if atomic else None
-    real = PointRealization(4.0, xs, zs, atoms, MASS_MODELS[0])
-    bumped = real.with_point(x, -1.0, atom)
+    real = PointRealization(4.0, xs, zs, MASS_MODELS[0])
+    bumped = real.with_point(x, -1.0)
     pos = np.searchsorted(xs, x, side="right")
     pairs = [(bumped.x, np.insert(xs, pos, x)), (bumped.z, np.insert(zs, pos, -1.0))]
-    if atomic:
-        pairs.append((bumped.atom, np.insert(atoms, pos, -1 if atom is None else atom)))
-    else:
-        assert bumped.atom is None
     for got, want in pairs:  # bytes, so -0.0 and 0.0 differ
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # added points on cell ends and on the window's edges, jumps on band ends
 EXTENSIONS = st.tuples(CUTS,
-                       st.one_of(st.sampled_from([1.0, -0.5, 0.25, 4.0]), st.floats(-4.0, 4.0)),
-                       st.one_of(st.none(), st.integers(-1, 2)))
+                       st.one_of(st.sampled_from([1.0, -0.5, 0.25, 4.0]), st.floats(-4.0, 4.0)))
 MARKS = st.one_of(
-    st.frozensets(st.integers(-1, 3), max_size=3),  # empty, or holding the default atom -1
+    st.frozensets(st.integers(-1, 3), max_size=3),  # empty, negative, or past the atoms
     st.lists(st.one_of(st.sampled_from([-4.0, -0.5, 0.25, 1.0, 4.0]), st.floats(-4.0, 4.0)),
              min_size=2, max_size=2).map(sorted).map(tuple))
 QUESTIONS = st.lists(st.one_of(
@@ -357,12 +350,12 @@ QUESTIONS = st.lists(st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(real=hand_realizations(2.0), points=st.lists(EXTENSIONS, min_size=1, max_size=2),
        questions=QUESTIONS, base_first=st.booleans())
-@example(real=make_realization(EXACT_MODELS[1], 2.0, [(0.5, -0.5)]),  # on a and b, atom -1
-         points=[(0.0, 1.0, None), (1.0, -0.5, 1)], base_first=False,
+@example(real=make_realization(EXACT_MODELS[1], 2.0, [(0.5, -0.5)]),  # on a and b
+         points=[(0.0, 1.0), (1.0, -0.5)], base_first=False,
          questions=[("count", 0.0, 1.0, frozenset({-1})), ("count", -1.0, 0.0, frozenset()),
                     ("mass", [(0.0, 1.0)]), ("count", 0.0, 1.0, (-1.0, -0.5))])
 @example(real=make_realization(EXACT_MODELS[2], 2.0, [(-1.0, 0.25)]),  # the window's edges
-         points=[(2.0, 4.0, None), (-2.0, 0.25, None)], base_first=True,
+         points=[(2.0, 4.0), (-2.0, 0.25)], base_first=True,
          questions=[("count", 1.0, 2.0, (0.25, 4.0)), ("mass", [(-2.0, -1.0), (1.0, 2.0)]),
                     ("count", -2.0, 2.0, frozenset({-1}))])
 def test_one_point_extensions_answer_as_rebuilt(real, points, questions, base_first):
@@ -373,12 +366,11 @@ def test_one_point_extensions_answer_as_rebuilt(real, points, questions, base_fi
         for name, *args in questions:
             getattr(real, name)(*args)
     child = real
-    for x, z, atom in points:
-        one_link = fresh_copy(child).with_point(x, z, atom)
-        child = child.with_point(x, z, atom)
-        for name in ("x", "z", "atom"):
-            got, arr = getattr(child, name), getattr(one_link, name)
-            assert (got is None and arr is None) or got.tobytes() == arr.tobytes()
+    for x, z in points:
+        one_link = fresh_copy(child).with_point(x, z)
+        child = child.with_point(x, z)
+        for name in ("x", "z"):
+            assert getattr(child, name).tobytes() == getattr(one_link, name).tobytes()
         rebuilt = fresh_copy(child)
         assert len(child) == len(rebuilt) == len(real) + len(child._added[1])
         for name, *args in questions + questions[::-1]:
@@ -416,10 +408,6 @@ def test_realization_is_the_masked_sorted_selection(model):
         order = np.argsort(batch.x[mask], kind="stable")
         real = batch.realization(i)
         pairs = [(real.x, batch.x[mask][order]), (real.z, batch.z[mask][order])]
-        if batch.atom is None:
-            assert real.atom is None
-        else:
-            pairs.append((real.atom, batch.atom[mask][order]))
         for got, want in pairs:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     for i in (-1, batch.n):
@@ -435,6 +423,20 @@ def _tail_weight(x):
     return np.where(np.abs(x) > 1.0, np.exp(-x * x), 0.0)
 
 
+COUNT_CELLS = ((-2.0, 1.25), (-3.0, 3.0), (0.0, 0.0))
+
+
+def _count_marks(batch):
+    """Mark sets for the counts of ``batch``: atom indices, past the atoms, negative and
+    empty ones among them, or bands of jump sizes, one with ends on drawn jumps."""
+    if batch.model.is_atomic:
+        atoms = len(batch.model.atoms)
+        return [frozenset({0}), frozenset(range(atoms)), frozenset({atoms - 1, atoms + 4}),
+                frozenset({atoms}), frozenset({-1}), frozenset()]
+    on_jumps = tuple(sorted(batch.z[:2].tolist()))
+    return [(-4.0, -0.25), (0.25, 1.0), (-1.0, 4.0), (1.0, 1.0), on_jumps, frozenset({0})]
+
+
 @pytest.mark.parametrize("part_size", [1000, 1 << 30], ids=["many_parts", "one_part"])
 @pytest.mark.parametrize("model", MASS_MODELS, ids=["unit_atom", "three_atoms", "density"])
 def test_batch_reductions_are_the_masked_formulas(monkeypatch, model, part_size):
@@ -448,22 +450,29 @@ def test_batch_reductions_are_the_masked_formulas(monkeypatch, model, part_size)
     for sets in REDUCTION_SETS:
         assert eval_L_set(batch, sets).tobytes() == \
             masked_mass(batch, normalize_intervals(sets)).tobytes()
-    if model.is_atomic:
-        atoms = len(model.atoms)
-        # past the atoms, negative, empty: np.isin selects nothing for these
-        marks = [frozenset({0}), frozenset(range(atoms)), frozenset({atoms - 1, atoms + 4}),
-                 frozenset({atoms}), frozenset({-1}), frozenset()]
-    else:
-        on_jumps = tuple(sorted(batch.z[:2].tolist()))  # ends on drawn jumps
-        marks = [(-4.0, -0.25), (0.25, 1.0), (-1.0, 4.0), (1.0, 1.0), on_jumps, frozenset({0})]
-    for mark in marks:
-        for a, b in ((-2.0, 1.25), (-3.0, 3.0), (0.0, 0.0)):
+    for mark in _count_marks(batch):
+        for a, b in COUNT_CELLS:
             got = batch.count(a, b, mark)
             assert got.dtype == np.float64
             assert got.tobytes() == masked_count(batch, a, b, mark).tobytes()
     want = (np.bincount(batch.owner, weights=_tail_weight(batch.x) * batch.z, minlength=batch.n)
             - float(signed_moment(model, 1)) * 0.375)
     assert batch_L_weighted(batch, _tail_weight, 0.375).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("model", MASS_MODELS, ids=["unit_atom", "three_atoms", "density"])
+def test_both_backends_select_marks_by_jump_size(model):
+    # atom indices select the points whose jump is one of those atoms' sizes: each
+    # realization's exact count is its entry of the masked count
+    batch = with_empty_realizations_and_edge_points(
+        sample_prm_batch(model, 3.0, 60, derive_rng(43)), [-2.0, 0.0, 1.25, 3.0])
+    assert batch.count(-3.0, 3.0, _count_marks(batch)[1]).sum() > 0
+    for mark in _count_marks(batch):
+        for a, b in COUNT_CELLS:
+            want = masked_count(batch, a, b, mark)
+            assert batch.count(a, b, mark).tobytes() == want.tobytes()
+            assert [batch.realization(i).count(a, b, mark) for i in range(batch.n)] == \
+                want.tolist()
 
 
 @pytest.mark.parametrize("n, window", [(0, 2.0), (0, 0.0), (5, 0.0)],
@@ -485,13 +494,13 @@ def test_reductions_on_a_batch_without_points(unit_atom, n, window):
     assert weighted.tobytes() == np.full(n, -0.5).tobytes()
 
 
-@pytest.mark.parametrize("atoms, atom_dtype", [
-    ([(0.3, 0.7), (-1.1, 1.3), (2.5, 0.2)], np.int8),
-    ([(float(k + 1), 0.01) for k in range(200)], np.intp),
+@pytest.mark.parametrize("atoms", [
+    [(0.3, 0.7), (-1.1, 1.3), (2.5, 0.2)],
+    [(float(k + 1), 0.01) for k in range(200)],
 ], ids=["three_atom", "200_atoms"])
-def test_batch_storage_matches_whole_array_draws(atoms, atom_dtype):
-    # the chunked mark lookup and the compact owner/atom arrays hold the same
-    # values as one whole-array lookup on the same stream, across chunk ends
+def test_batch_storage_matches_whole_array_draws(atoms):
+    # the chunked mark lookup and the compact owner array hold the same values
+    # as one whole-array lookup on the same stream, across chunk ends
     model, window, n = atomic_measure(atoms), 4.0, 200_000
     batch = sample_prm_batch(model, window, n, derive_rng(13))
     rng = derive_rng(13)
@@ -502,11 +511,10 @@ def test_batch_storage_matches_whole_array_draws(atoms, atom_dtype):
     cum /= cum[-1]
     idx = np.minimum(np.searchsorted(cum, rng.random(len(x)), side="right"), len(zs) - 1)
     assert len(x) > 1 << 20
-    assert batch.owner.dtype == np.int32 and batch.atom.dtype == atom_dtype
+    assert batch.owner.dtype == np.int32 and batch.z.dtype == np.float64
     assert np.array_equal(batch.owner, np.repeat(np.arange(n), counts))
     assert np.array_equal(batch.x, x)
-    assert np.array_equal(batch.atom, idx)
-    assert np.array_equal(batch.z, zs[idx])
+    assert batch.z.tobytes() == zs[idx].tobytes()
 
 
 def test_mean_and_isometry_of_L(unit_atom):
@@ -676,9 +684,9 @@ def test_density_marks_are_np_interp_of_the_stream():
     # on the same uniforms over the full grid, across chunk ends
     model, count = DENSITY_MODELS[0], 3 * (1 << 16) + 7
     z_grid, cdf = GRIDS[model]
-    z, atom = _sample_marks(model, count, derive_rng(21))
+    z = _sample_marks(model, count, derive_rng(21))
     u = derive_rng(21).random(count) * cdf[-1]
-    assert atom is None and z.tobytes() == np.interp(u, cdf, z_grid).tobytes()
+    assert z.tobytes() == np.interp(u, cdf, z_grid).tobytes()
 
 
 def test_steep_density_marks_search_by_bisection():
@@ -759,25 +767,21 @@ def test_sample_prm_is_the_sorted_one_realization_batch(model, window):
         real = sample_prm(model, window, seed)
         batch = sample_prm_batch(model, window, 1, derive_rng(seed))
         assert real.x.tobytes() == np.sort(batch.x).tobytes()
+        assert real.z.dtype == batch.z.dtype == np.float64
         assert real.z.tobytes() == batch.z.tobytes()
-        if model.is_atomic:
-            assert real.atom.dtype == batch.atom.dtype == np.int8
-            assert real.atom.tobytes() == batch.atom.tobytes()
-        else:
-            assert real.atom is None and batch.atom is None
         # the stream of a scalar Poisson count, then locations, then marks
         rng = derive_rng(seed)
         count = int(rng.poisson(2.0 * window * model.total_mass)) if window > 0 else 0
         assert real.x.tobytes() == np.sort(rng.uniform(-window, window, count)).tobytes()
-        assert real.z.tobytes() == _sample_marks(model, count, rng)[0].tobytes()
+        assert real.z.tobytes() == _sample_marks(model, count, rng).tobytes()
 
 
 @given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=200), st.lists(st.floats(0.0, 1.0),
        max_size=20), st.lists(st.integers(0, 199), max_size=8))
 @example(masses=[1.0], fractions=[0.0, 0.5], picks=[0])                   # one atom
 @example(masses=[1.0, 1.0, 1e-3, 1e3], fractions=[0.0], picks=[0, 1, 2, 3])
-@example(masses=[1.0] * 127, fractions=[0.5], picks=[0, 126])             # int8 indices
-@example(masses=[0.5] * 128, fractions=[0.5], picks=[0, 127])             # intp indices
+@example(masses=[1.0] * 127, fractions=[0.5], picks=[0, 126])
+@example(masses=[0.5] * 128, fractions=[0.5], picks=[0, 127])
 @example(masses=[float(k % 7 + 1) for k in range(200)], fractions=[0.999], picks=[199])
 def test_atomic_mark_pieces_are_searchsorted(masses, fractions, picks):
     zs = [float(k + 1) if k % 2 else -float(k + 1) for k in range(len(masses))]
@@ -790,29 +794,34 @@ def test_atomic_mark_pieces_are_searchsorted(masses, fractions, picks):
     u = np.array(fractions + on + near)
     u = u[(u >= 0.0) & (u < 1.0)]  # the range of the uniforms
     out = np.empty(len(u))
-    piece = table.invert(u, out)
+    table.invert(u, out)
     want = np.searchsorted(cum, u, side="right")
-    assert np.array_equal(piece, want) and want.max(initial=0) < len(masses)
+    assert want.max(initial=0) < len(masses)
     assert out.tobytes() == np.array(zs)[want].tobytes()
-    assert table.atom_dtype == (np.int8 if len(masses) <= 127 else np.intp)
+    assert table.z.dtype == np.float64 and table.z.tobytes() == np.array(zs + zs[-1:]).tobytes()
 
 
-def test_marks_of_many_atoms_use_intp_indices():
+def test_marks_of_many_atoms_are_their_atoms_sizes():
+    # every mark is the size of the atom whose piece its uniform falls in
     model = atomic_measure([(float(k + 1), 1.0 + k % 3) for k in range(200)])
-    z, atom = _sample_marks(model, 3 * (1 << 16) + 5, derive_rng(8))
-    assert atom.dtype == np.intp and 0 <= atom.min() and atom.max() < 200
-    assert z.tobytes() == model.atom_arrays()[0][atom].tobytes()
+    z = _sample_marks(model, 3 * (1 << 16) + 5, derive_rng(8))
+    zs, lams = model.atom_arrays()
+    cum = np.cumsum(lams)
+    cum /= cum[-1]
+    idx = np.searchsorted(cum, derive_rng(8).random(len(z)), side="right")
+    assert z.dtype == np.float64 and 0 <= idx.min() and idx.max() < 200
+    assert z.tobytes() == zs[idx].tobytes()
 
 
 def test_points_share_the_window_slack_of_sets(unit_atom):
     real = sample_prm(unit_atom, 1.0, 4)
     for x in (math.nextafter(1.0, 2.0), 1.0 + 9e-16):
         for v in (x, -x):
-            assert len(real.with_point(v, 1.0, 0)) == len(real) + 1
+            assert len(real.with_point(v, 1.0)) == len(real) + 1
             eval_path(real, v)
     for v in (1.0 + 4e-15, -1.0 - 4e-15):
         with pytest.raises(WindowExceededError):
-            real.with_point(v, 1.0, 0)
+            real.with_point(v, 1.0)
         with pytest.raises(WindowExceededError):
             eval_path(real, v)
         with pytest.raises(WindowExceededError):
