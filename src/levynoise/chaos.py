@@ -37,7 +37,8 @@ import numpy as np
 from .errors import MarkSetError
 from .gate import Gate, Gated
 from .measure import LevyMeasureModel, _density_integral
-from .prm import Draw, MeanTest, Plan, PointRealization, RealizationBatch, in_marks, run_of
+from .prm import (Draw, MeanTest, Plan, PointRealization, RealizationBatch, _check_window,
+                  in_marks, run_of)
 from .processes import SimpleProcess, eval_I_K
 from .rng import DUALITY_STREAM
 
@@ -194,8 +195,14 @@ def eval_multiple_integral(src: PointRealization | RealizationBatch,
     return src.exact(_multiple_integral(src, kernel))
 
 
-def _multiple_integral(src: PointRealization | RealizationBatch, kernel: StepKernel):
+def _multiple_integral(src: PointRealization | RealizationBatch, kernel: StepKernel,
+                       point: tuple[float, float] | None = None):
+    """The kernel product on ``src``'s compensated counts; an added ``point`` ``(x, z)``
+    counts once more in every cell that holds it, which gives the value at ``src + point``."""
     nhat = [compensated_cell_count(src, c) for c in kernel.cells]
+    if point is not None:
+        nhat = [n + 1 if c.contains(*point, src.model) else n
+                for n, c in zip(nhat, kernel.cells)]
     total = src.full(0.0)
     for idx, b in kernel.entries:
         prod = src.full(b)
@@ -263,10 +270,11 @@ def eval_chaos(src: PointRealization | RealizationBatch,
     return src.exact(_chaos(src, F))
 
 
-def _chaos(src: PointRealization | RealizationBatch, F: ChaosFunctional):
+def _chaos(src: PointRealization | RealizationBatch, F: ChaosFunctional,
+           point: tuple[float, float] | None = None):
     out = src.full(F.constant)
     for k in F.kernels:
-        out += _multiple_integral(src, k)
+        out += _multiple_integral(src, k, point)
     return out
 
 
@@ -300,12 +308,15 @@ def malliavin_derivative(F: ChaosFunctional, x: float, z: float,
 def add_one_cost(F: ChaosFunctional, real: PointRealization, x: float,
                  z: float) -> Fraction | float:
     """Independent oracle for the derivative: ``F(omega + delta_(x,z)) - F(omega)``, two full
-    kernel products on cell counts; ``F(omega)`` is kept in ``real``'s memo under ``F``."""
-    bumped = real.with_point(float(x), float(z))
+    kernel products on cell counts.  ``omega + delta_(x,z)`` is no realization: its counts
+    are ``real``'s memoized ones, each cell that holds ``(x, z)`` bumped by one.
+    ``F(omega)`` is kept in ``real``'s memo under ``F``."""
+    x, z = float(x), float(z)
+    _check_window([(x, x)], real.window)
     before = real._memo.get(F)
     if before is None:
         before = real._memo[F] = _chaos(real, F)
-    return real.exact(_chaos(bumped, F) - before)
+    return real.exact(_chaos(real, F, (x, z)) - before)
 
 
 @dataclass(frozen=True)

@@ -308,12 +308,18 @@ def _schedule_inside_window(schedule, k_outer, **_) -> None:
                           f"got {max(schedule)}")
 
 
-def _theta_grid_finite(theta_max, model, **_) -> None:
+def _theta_grid_finite(theta_max, model, set, **_) -> None:
     # the grid's span 2 theta_max, and theta z at the largest |z|, in the float range
     reach = max(abs(z) for z, _ in model.atoms) if model.is_atomic else model.density.z_max
     if not (2.0 * theta_max < math.inf and theta_max * reach < math.inf):
         raise ConfigError(f"char_gap: theta_max: {theta_max} puts the theta grid or theta * z "
                           f"past the float range (largest |z| {reach})")
+    # so is |A| psi(theta), whose imaginary part is at most theta |A| m_1; at theta_max = 0
+    # the bound is 0 * inf = NaN for an unbounded A, whose draw the point cap refuses
+    length, m1 = set[1] - set[0], float(abs_moment(model, 1))
+    if theta_max * length * m1 == math.inf:
+        raise ConfigError(f"char_gap: theta_max: {theta_max} times |A| = {length} times "
+                          f"m_1 = {m1} puts |A| psi(theta) past the float range")
 
 
 def _probe_left_of_y(y, **_) -> None:

@@ -185,15 +185,16 @@ class PointRealization:
     """One sampled point configuration on ``[-K, K] x R0``.
 
     ``x`` is sorted ascending, so the part of the configuration left of
-    any horizon is a prefix; ``z`` holds the jump of each point.
+    any horizon is a prefix; ``z`` holds the jump of each point.  A
+    location that is unsorted, NaN or outside the window (up to the
+    sets' slack), or an ``x`` of another shape than ``z``, is refused:
+    ``mass`` and ``count`` binary-search ``x``.
 
     A realization answers each exact question once: ``mass`` of a
     normalized interval tuple and ``count`` of an ``(a, b, marks)`` cell
     are stored in a per-instance memo, bounded by the distinct questions
     asked and freed with the realization.  ``x`` and ``z`` are
-    read-only copies of the arrays given, so no stored answer goes stale.  A
-    ``with_point`` realization answers from its base, the first of its chain
-    not so built, and the points added since (``_added``).
+    read-only copies of the arrays given, so no stored answer goes stale.
     """
 
     window: float
@@ -201,37 +202,23 @@ class PointRealization:
     z: np.ndarray
     model: LevyMeasureModel
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    _added: tuple | None = field(default=None, init=False, repr=False)  # (base, points)
 
     def __post_init__(self) -> None:
         for name in ("x", "z"):
             arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def __getattr__(self, name: str):  # the arrays of a with_point realization, first read
-        if name not in ("x", "z") or self._added is None:
-            raise AttributeError(name)
-        x, z = self._added[0].x, self._added[0].z
-        for px, pz in self._added[1]:
-            pos = int(np.searchsorted(x, px, side="right"))
-            x, z = _inserted(x, pos, px), _inserted(z, pos, pz)
-        self.__dict__.update(x=x, z=z)  # read-only, as __post_init__ leaves them
-        return self.__dict__[name]
+        if self.x.ndim != 1 or self.x.shape != self.z.shape:
+            raise ValueError(f"x of shape {self.x.shape} and z of shape {self.z.shape} "
+                             "are not one location per jump")
+        xs = self.x.tolist()
+        if xs:  # every comparison with a NaN is false
+            if not (xs[0] == xs[0] and all(map(operator.le, xs, xs[1:]))):
+                raise ValueError("x must be sorted ascending, with no NaN")
+            _check_window([(xs[0], xs[0]), (xs[-1], xs[-1])], self.window)
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def with_point(self, x: float, z: float) -> "PointRealization":
-        """Configuration with one extra point ``(x, z)`` inserted (sorted order kept)."""
-        _check_window([(x, x)], self.window)
-        base, points = self._added or (self, ())
-        # the point as the arrays hold it, so it reads as in a rebuilt realization
-        point = (base.x.dtype.type(x).item(), base.z.dtype.type(z).item())
-        out = object.__new__(PointRealization)
-        out.__dict__.update(window=self.window, model=self.model, _memo={},
-                            _added=(base, points + (point,)))
-        return out
 
     # -- exact backend: masses are dyadics, counts ints -------------------
 
@@ -260,10 +247,6 @@ class PointRealization:
         return out
 
     def _mass(self, intervals) -> _Dyadic:
-        if self._added is not None:  # the base's mass and the added jumps inside
-            base, points = self._added
-            return sum((z for x, z in points if any(a < x <= b for a, b in intervals)),
-                       base.mass(intervals))
         _check_window(intervals, self.window)
         jumps: list[float] = []
         ends: list[float] = []
@@ -274,10 +257,6 @@ class PointRealization:
         return _dyadic_sum(jumps) - _dyadic_sum(ends) * _mt1(self.model)
 
     def _count(self, a: float, b: float, marks) -> int:
-        if self._added is not None:  # the base's count and the added points inside
-            base, points = self._added
-            return base.count(a, b, marks) + sum(
-                in_marks(self.model, marks, z) for x, z in points if a < x <= b)
         _check_window([(a, b)], self.window)
         lo, hi = np.searchsorted(self.x, (a, b), side="right").tolist()
         zs = self.z[lo:hi].tolist()
@@ -713,8 +692,9 @@ def normalize_intervals(sets) -> list[Interval]:
 
 def _check_window(intervals: list[Interval], window: float) -> None:
     """Every ``(a, b]`` in ``[-K, K]`` up to a 1e-15 slack; a point ``x`` is ``(x, x)``."""
+    lo, hi = -window - 1e-15, window + 1e-15
     for a, b in intervals:
-        if a < -window - 1e-15 or b > window + 1e-15:
+        if not (lo <= a and b <= hi):  # a NaN end fails it
             where = f"point {a}" if a == b else f"set ({a}, {b}]"
             raise WindowExceededError(f"{where} outside sampled window [-{window}, {window}]")
 
@@ -729,16 +709,6 @@ def _dyadic_sum(values: list[float]) -> _Dyadic:
     ratios = [v.as_integer_ratio() for v in values]
     den = max((d for _, d in ratios), default=1)
     return _Dyadic(sum(n * (den // d) for n, d in ratios), 1 - den.bit_length())
-
-
-def _inserted(arr: np.ndarray, pos: int, value) -> np.ndarray:
-    """``np.insert(arr, pos, value)`` for a 1-d array, in one preallocated read-only copy."""
-    out = np.empty(len(arr) + 1, dtype=arr.dtype)
-    out[:pos] = arr[:pos]
-    out[pos] = value
-    out[pos + 1:] = arr[pos:]
-    out.setflags(write=False)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,14 @@ def fresh_copy(real):
     return PointRealization(real.window, real.x.copy(), real.z.copy(), real.model)
 
 
+def with_point(real, x, z):
+    """``real`` with one more point ``(x, z)``, rebuilt: ``np.insert`` at
+    ``searchsorted(side="right")``, so the point goes right of any equal location."""
+    pos = np.searchsorted(real.x, x, side="right")
+    return PointRealization(real.window, np.insert(real.x, pos, x), np.insert(real.z, pos, z),
+                            real.model)
+
+
 def refined(phi, extra):
     """The step function ``phi`` on a grid that also contains the ``extra`` points.
 

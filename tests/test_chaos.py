@@ -1,7 +1,6 @@
 import gc
 import math
 import tracemalloc
-import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -42,7 +41,7 @@ from levynoise.measure import power_law_measure
 from levynoise.prm import PointRealization
 from levynoise.rng import derive_rng
 
-from conftest import EXACT_MODELS, fresh_copy, hand_realizations, make_realization
+from conftest import EXACT_MODELS, fresh_copy, hand_realizations, make_realization, with_point
 
 M0 = frozenset({0})
 
@@ -254,7 +253,7 @@ def test_a_probe_at_no_atoms_size_changes_no_count(z):
             d = malliavin_derivative(F, x, z, model)
             assert d.constant == 0.0 and not d.kernels
     cells = {c for F in _two_atom_functionals() for kern in F.kernels for c in kern.cells}
-    bumped = real.with_point(0.5, z)
+    bumped = with_point(real, 0.5, z)
     assert all(bumped.count(c.a, c.b, c.marks) == real.count(c.a, c.b, c.marks) for c in cells)
 
 
@@ -266,7 +265,7 @@ def test_cell_counts_past_the_window_are_refused(model, marks):
     # both backends refuse a cell past the sampled window, and so does the compensated count
     batch = sample_prm_batch(model, 1.0, 5, derive_rng(3))
     real = batch.realization(0)
-    for src in (batch, real, real.with_point(0.5, 1.0)):
+    for src in (batch, real):
         for cell in (Cell(0.0, 3.0, marks), Cell(-1.5, 0.0, marks)):
             with pytest.raises(WindowExceededError):
                 src.count(cell.a, cell.b, cell.marks)
@@ -322,32 +321,24 @@ def test_add_one_cost_is_the_rebuilt_difference(real, x, k, u):
     else:
         z = DENSITY_JUMPS[k] if k < len(DENSITY_JUMPS) else u
     for F in _functionals(model):
-        for omega in (real, real.with_point(x, z)):
-            want = (eval_chaos(fresh_copy(omega.with_point(x, z)), F)
-                    - eval_chaos(fresh_copy(omega), F))
+        for omega in (real, with_point(real, x, z)):
+            want = eval_chaos(with_point(omega, x, z), F) - eval_chaos(fresh_copy(omega), F)
             got = add_one_cost(F, omega, x, z)
             assert type(got) is Fraction and got == want
 
 
 def test_probes_keep_one_answer_per_question_and_no_realization(monkeypatch, unit_atom):
     # 1000 probes of one realization: its memo holds each cell's count and each
-    # functional's value once, and every bumped realization is freed on return
+    # functional's value once, and no realization is built for the added point
     functionals = [catalog_functional("mixed"), catalog_functional("third_chaos")]
     real = sample_prm(unit_atom, 3.0, 5)
-    bumped = []
-    with_point = PointRealization.with_point
-
-    def recording(self, *args):
-        out = with_point(self, *args)
-        bumped.append(weakref.ref(out))
-        return out
-    monkeypatch.setattr(PointRealization, "with_point", recording)
+    built = []
+    monkeypatch.setattr(PointRealization, "__post_init__", lambda self: built.append(self))
     for F in functionals:
         for x in np.linspace(-2.9, 2.9, 500):
             add_one_cost(F, real, float(x), 1.0)
-            assert bumped[-1]() is None
     cells = {(c.a, c.b, c.marks) for F in functionals for kern in F.kernels for c in kern.cells}
-    assert len(bumped) == 1000 and set(real._memo) == cells | set(functionals)
+    assert not built and set(real._memo) == cells | set(functionals)
 
 
 @pytest.mark.parametrize("name", CATALOG_FUNCTIONAL_NAMES)

@@ -626,7 +626,8 @@ def test_density_moment_past_the_float_range_exit_code(capsys):
     ({"atoms": [[1.0, 1.0], [-1e10, 2.0]]}, 1e300),  # theta z overflows at z = -1e10
     (DENSITY, 1e308),
     (DENSITY, 5e307),                           # theta z overflows at z_max = 4
-], ids=["atom_grid", "atom_theta_z", "density_grid", "density_theta_z"])
+    ({"atoms": [[1.0, 1000.0]]}, 1e306),        # theta |A| m_1 overflows at m_1 = 1000
+], ids=["atom_grid", "atom_theta_z", "density_grid", "density_theta_z", "atom_theta_A_m1"])
 def test_char_gap_theta_max_past_the_float_range_exit_code(capsys, measure, theta_max):
     # refused while the config is checked: no draw, no math domain error, no NaN gate
     config = {"measure": measure, "checks": [{"kind": "char_gap", "theta_max": theta_max}]}

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from levynoise import (
+    add_one_cost,
     atomic_measure,
+    catalog_functional,
     catalog_process,
     char_function_gap,
     eval_I_K,
@@ -305,77 +307,13 @@ def test_realization_arrays_are_read_only_copies():
     model = atomic_measure([(1.0, 0.5), (-0.5, 2.0)])
     xs, zs = np.array([-1.0, 0.5]), np.array([1.0, -0.5])
     real = PointRealization(2.0, xs, zs, model)
-    bumped = real.with_point(0.75, 1.0)
-    for src in (real, bumped):
-        for arr in (src.x, src.z):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0
+    for arr in (real.x, real.z):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
     answers = (real.mass((0.0, 1.0)), real.count(0.0, 1.0, frozenset({1})))
     xs[1], zs[1] = -0.5, 1.0  # the arrays given stay the caller's
     assert real.x.tolist() == [-1.0, 0.5] and real.z.tolist() == [1.0, -0.5]
     assert (real.mass((0.0, 1.0)), real.count(0.0, 1.0, frozenset({1}))) == answers
-    # the realization with one more point starts with no answers
-    assert bumped.mass((0.0, 1.0)) == answers[0] + 1
-    assert bumped.count(0.0, 1.0, frozenset({0})) == 1
-
-
-@given(st.lists(st.floats(-4.0, 4.0), max_size=8), st.floats(-4.0, 4.0), st.integers(0, 8))
-@example(xs=[-1.0, 0.5, 0.5, 2.0], x=0.0, copy_index=1)  # tie at 0.5
-@example(xs=[0.0], x=-0.0, copy_index=5)                 # -0.0 ties 0.0
-def test_with_point_is_np_insert(xs, x, copy_index):
-    xs = np.sort(np.array(xs, dtype=float))
-    if copy_index < len(xs):
-        x = float(xs[copy_index])  # a tie: the new point goes right of the equal ones
-    zs = np.arange(len(xs), dtype=float) + 0.5
-    real = PointRealization(4.0, xs, zs, MASS_MODELS[0])
-    bumped = real.with_point(x, -1.0)
-    pos = np.searchsorted(xs, x, side="right")
-    pairs = [(bumped.x, np.insert(xs, pos, x)), (bumped.z, np.insert(zs, pos, -1.0))]
-    for got, want in pairs:  # bytes, so -0.0 and 0.0 differ
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-# added points on cell ends and on the window's edges, jumps on band ends
-EXTENSIONS = st.tuples(CUTS,
-                       st.one_of(st.sampled_from([1.0, -0.5, 0.25, 4.0]), st.floats(-4.0, 4.0)))
-MARKS = st.one_of(
-    st.frozensets(st.integers(-1, 3), max_size=3),  # empty, negative, or past the atoms
-    st.lists(st.one_of(st.sampled_from([-4.0, -0.5, 0.25, 1.0, 4.0]), st.floats(-4.0, 4.0)),
-             min_size=2, max_size=2).map(sorted).map(tuple))
-QUESTIONS = st.lists(st.one_of(
-    st.lists(PAIRS, min_size=1, max_size=3).map(lambda sets: ("mass", sets)),
-    st.tuples(PAIRS, MARKS).map(lambda q: ("count", *q[0], q[1]))), min_size=1, max_size=8)
-
-
-@settings(max_examples=80, deadline=None)
-@given(real=hand_realizations(2.0), points=st.lists(EXTENSIONS, min_size=1, max_size=2),
-       questions=QUESTIONS, base_first=st.booleans())
-@example(real=make_realization(EXACT_MODELS[1], 2.0, [(0.5, -0.5)]),  # on a and b
-         points=[(0.0, 1.0), (1.0, -0.5)], base_first=False,
-         questions=[("count", 0.0, 1.0, frozenset({-1})), ("count", -1.0, 0.0, frozenset()),
-                    ("mass", [(0.0, 1.0)]), ("count", 0.0, 1.0, (-1.0, -0.5))])
-@example(real=make_realization(EXACT_MODELS[2], 2.0, [(-1.0, 0.25)]),  # the window's edges
-         points=[(2.0, 4.0), (-2.0, 0.25)], base_first=True,
-         questions=[("count", 1.0, 2.0, (0.25, 4.0)), ("mass", [(-2.0, -1.0), (1.0, 2.0)]),
-                    ("count", -2.0, 2.0, frozenset({-1}))])
-def test_one_point_extensions_answer_as_rebuilt(real, points, questions, base_first):
-    # a with_point realization, and one built from it in turn, answers every mass and
-    # count as a realization rebuilt from its own arrays, whether or not its base has
-    # answered; its arrays are those of one point added to a rebuilt parent
-    if base_first:
-        for name, *args in questions:
-            getattr(real, name)(*args)
-    child = real
-    for x, z in points:
-        one_link = fresh_copy(child).with_point(x, z)
-        child = child.with_point(x, z)
-        for name in ("x", "z"):
-            assert getattr(child, name).tobytes() == getattr(one_link, name).tobytes()
-        rebuilt = fresh_copy(child)
-        assert len(child) == len(rebuilt) == len(real) + len(child._added[1])
-        for name, *args in questions + questions[::-1]:
-            got, want = getattr(child, name)(*args), getattr(rebuilt, name)(*args)
-            assert type(got) is type(want) and got == want
 
 
 @pytest.mark.parametrize("model", MASS_MODELS, ids=["unit_atom", "three_atoms", "density"])
@@ -815,14 +753,48 @@ def test_marks_of_many_atoms_are_their_atoms_sizes():
 
 def test_points_share_the_window_slack_of_sets(unit_atom):
     real = sample_prm(unit_atom, 1.0, 4)
+    F = catalog_functional("first_chaos")  # cell (0, 1]: a probe past 1 changes no count
     for x in (math.nextafter(1.0, 2.0), 1.0 + 9e-16):
         for v in (x, -x):
-            assert len(real.with_point(v, 1.0)) == len(real) + 1
+            assert add_one_cost(F, real, v, 1.0) == 0
             eval_path(real, v)
     for v in (1.0 + 4e-15, -1.0 - 4e-15):
         with pytest.raises(WindowExceededError):
-            real.with_point(v, 1.0)
+            add_one_cost(F, real, v, 1.0)
         with pytest.raises(WindowExceededError):
             eval_path(real, v)
         with pytest.raises(WindowExceededError):
             eval_L_set(real, (min(v, 0.0), max(v, 0.0)))
+
+
+def test_a_nan_point_is_outside_every_window(unit_atom):
+    # every comparison with a NaN is false, so the window check must fail on it
+    real = sample_prm(unit_atom, 1.0, 4)
+    with pytest.raises(WindowExceededError):
+        eval_path(real, math.nan)
+    with pytest.raises(WindowExceededError):
+        add_one_cost(catalog_functional("first_chaos"), real, math.nan, 1.0)
+
+
+@pytest.mark.parametrize("xs, zs, error", [
+    ([1.5, 0.5], [1.0, 1.0], ValueError),  # a search for (0, 1] would find both points
+    ([0.5, math.nan, 1.0], [1.0, 1.0, 1.0], ValueError),
+    ([math.nan, 0.5], [1.0, 1.0], ValueError),
+    ([0.5, math.nan], [1.0, 1.0], ValueError),
+    ([math.nan], [1.0], ValueError),
+    ([0.5, 2.5], [1.0, 1.0], WindowExceededError),
+    ([-2.0 - 4e-15, 0.5], [1.0, 1.0], WindowExceededError),
+    ([0.5, 1.0], [1.0], ValueError),
+    ([[0.5]], [[1.0]], ValueError),
+], ids=["unsorted", "nan_inside", "nan_first", "nan_last", "nan_alone", "past_the_window",
+        "past_the_slack", "more_locations_than_jumps", "two_dimensional"])
+def test_realizations_refuse_locations_they_cannot_search(unit_atom, xs, zs, error):
+    with pytest.raises(error):
+        PointRealization(2.0, np.array(xs), np.array(zs), unit_atom)
+
+
+def test_realizations_take_ties_and_the_window_slack(unit_atom):
+    xs = [-2.0 - 9e-16, -0.0, 0.0, -0.0, 2.0 + 9e-16]  # -0.0 and 0.0 are one location
+    real = PointRealization(2.0, np.array(xs), np.ones(len(xs)), unit_atom)
+    assert real.count(-1.0, 0.0, frozenset({0})) == 3
+    assert len(PointRealization(2.0, np.array([]), np.array([]), unit_atom)) == 0
