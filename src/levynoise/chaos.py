@@ -184,7 +184,13 @@ def chaos_variance(model: LevyMeasureModel, kernel: StepKernel) -> Fraction | fl
 def compensated_cell_count(src: PointRealization | RealizationBatch,
                            cell: Cell):
     """``hatN(F) = #points in F - |A| nu(B)``, one float per realization or the exact
-    backend's value (``exact`` makes it a Fraction): the body that kernels call."""
+    backend's value (``exact`` makes it a Fraction): the body that kernels call.  A
+    realization answers it once per cell value, keyed by the ``Cell``; a batch
+    computes it on every call."""
+    return src.remember(cell, _compensated_count, src, cell)
+
+
+def _compensated_count(src: PointRealization | RealizationBatch, cell: Cell):
     intensity = cell_intensity(src.model, cell)  # checks the marks before any count
     return src.count(cell.a, cell.b, cell.marks) - src.num(intensity)
 
@@ -308,14 +314,12 @@ def malliavin_derivative(F: ChaosFunctional, x: float, z: float,
 def add_one_cost(F: ChaosFunctional, real: PointRealization, x: float,
                  z: float) -> Fraction | float:
     """Independent oracle for the derivative: ``F(omega + delta_(x,z)) - F(omega)``, two full
-    kernel products on cell counts.  ``omega + delta_(x,z)`` is no realization: its counts
-    are ``real``'s memoized ones, each cell that holds ``(x, z)`` bumped by one.
-    ``F(omega)`` is kept in ``real``'s memo under ``F``."""
+    kernel products on compensated cell counts.  ``omega + delta_(x,z)`` is no
+    realization: its counts are ``real``'s memoized ones, each cell that holds ``(x, z)``
+    bumped by one.  ``F(omega)`` is kept in ``real``'s memo under ``F``."""
     x, z = float(x), float(z)
     _check_window([(x, x)], real.window)
-    before = real._memo.get(F)
-    if before is None:
-        before = real._memo[F] = _chaos(real, F)
+    before = real.remember(F, _chaos, real, F)
     return real.exact(_chaos(real, F, (x, z)) - before)
 
 

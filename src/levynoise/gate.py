@@ -5,7 +5,9 @@ passes when ``|statistic - target| <= margin``, an ``upper`` one when
 ``statistic <= target + margin`` and a ``lower`` one when
 ``statistic >= target - margin``.  An exact gate keeps the zero defaults,
 so ``Fraction`` values compare with no rounding; a zero standard error
-passes only on target.
+passes only on target.  A float statistic, target or margin that is
+infinite or NaN fails the gate: an overflowed variance would otherwise
+give an infinite margin that every statistic passes.
 """
 
 from __future__ import annotations
@@ -35,12 +37,15 @@ class Gate:
 
     @property
     def passed(self) -> bool:
+        margin = self.margin
+        finite = all(math.isfinite(v) for v in (self.statistic, self.target, margin)
+                     if isinstance(v, float))  # ints and Fractions are exact
         if self.side == "two":
-            return abs(self.statistic - self.target) <= self.margin
+            return finite and abs(self.statistic - self.target) <= margin
         if self.side == "upper":
-            return self.statistic <= self.target + self.margin
+            return finite and self.statistic <= self.target + margin
         if self.side == "lower":
-            return self.statistic >= self.target - self.margin
+            return finite and self.statistic >= self.target - margin
         raise ValueError(f"unknown gate side {self.side!r}")
 
 

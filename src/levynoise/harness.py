@@ -67,7 +67,7 @@ from .measure import (
 from .partitions import (
     MAX_MOMENT_ORDER,
     MAX_PARTITION_SIZE,
-    _partitions,
+    _count_partitions,
     count_no_singleton_partitions,
     moment_of_step_functional,
 )
@@ -412,7 +412,7 @@ def check_spec(check) -> CheckSpec:
 
 def _run_partition_count(model, config, *, p_values=(2, 3, 4, 5, 6, 7, 8)):
     counts = {str(p): count_no_singleton_partitions(p) for p in p_values}
-    gates = tuple(Gate(f"p={p}", counts[str(p)], sum(1 for _ in _partitions(p, 2)))
+    gates = tuple(Gate(f"p={p}", counts[str(p)], _count_partitions(p, 2))
                   for p in p_values)
     return CheckResult("partition_count", "partition_count", gates, {"counts": counts})
 

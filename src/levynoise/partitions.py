@@ -19,8 +19,11 @@ partitions, is the same recurrence with every cumulant set to 1.  Its
 orders are capped at ``MAX_MOMENT_ORDER``, since a ``p`` can come from a
 config or the command line.  Set-partition enumeration (a
 restricted-growth recursion with singleton pruning) stays as the
-independent oracle the engine is cross-checked against; only it is
-capped at ``MAX_PARTITION_SIZE``, because it lists every partition.
+independent oracle the engine is cross-checked against.  One pruning
+rule (``_moves``) grows its tree: ``_partitions`` lists the leaves and
+``_count_partitions`` counts them one by one without building any.
+Only the enumeration is capped at ``MAX_PARTITION_SIZE``, because it
+visits every partition.
 """
 
 from __future__ import annotations
@@ -47,35 +50,75 @@ def _check_size(m: int) -> None:
         raise SizeLimitError("need at least one element")
 
 
+def _moves(sizes: list[int], deficit: int, remaining: int,
+           min_block: int) -> list[tuple[int, int]]:
+    """The pruning rule: the blocks the next element may join, each with the deficit
+    after the move.
+
+    ``sizes`` are the block sizes so far, ``deficit`` the elements their undersized
+    blocks still need to reach ``min_block``, and ``remaining`` the elements left
+    after this one; index ``len(sizes)`` opens a new block.  A move is kept when
+    the elements left can still fill every undersized block.
+    """
+    moves = []
+    for j, size in enumerate(sizes):
+        after = deficit - (size < min_block)
+        if after <= remaining:
+            moves.append((j, after))
+    after = deficit + min_block - 1
+    if after <= remaining:
+        moves.append((len(sizes), after))
+    return moves
+
+
 def _partitions(m: int, min_block: int) -> Iterator[Partition]:
     """Yield partitions of {1,..,m} whose blocks all have >= min_block elements.
 
     Elements are placed in increasing order, so blocks are created sorted
     by their minimum and each yielded partition is canonical.  Branches
     that cannot grow all undersized blocks to ``min_block`` with the
-    elements that remain are pruned.
+    elements that remain are pruned (``_moves``), so every leaf is one.
     """
     blocks: list[list[int]] = []
 
-    def place(e: int) -> Iterator[Partition]:
+    def place(e: int, deficit: int) -> Iterator[Partition]:
         if e > m:
-            if all(len(b) >= min_block for b in blocks):
-                yield tuple(tuple(b) for b in blocks)
+            yield tuple(map(tuple, blocks))
             return
-        remaining_after = m - e
-        for b in blocks:
-            b.append(e)
-            deficit = sum(min_block - len(x) for x in blocks if len(x) < min_block)
-            if deficit <= remaining_after:
-                yield from place(e + 1)
-            b.pop()
-        blocks.append([e])
-        deficit = sum(min_block - len(x) for x in blocks if len(x) < min_block)
-        if deficit <= remaining_after:
-            yield from place(e + 1)
-        blocks.pop()
+        for j, after in _moves(list(map(len, blocks)), deficit, m - e, min_block):
+            if j == len(blocks):
+                blocks.append([])
+            blocks[j].append(e)
+            yield from place(e + 1, after)
+            blocks[j].pop()
+            if not blocks[j]:
+                blocks.pop()
 
-    return place(1)
+    return place(1, 0)
+
+
+def _count_partitions(m: int, min_block: int) -> int:
+    """``len(list(_partitions(m, min_block)))`` for ``m >= 1``: the leaves of the same
+    pruned tree, counted one by one on block sizes alone; the last element's
+    moves are the leaves under its node."""
+    sizes: list[int] = []
+
+    def leaves(e: int, deficit: int) -> int:
+        moves = _moves(sizes, deficit, m - e, min_block)
+        if e == m:
+            return len(moves)
+        total = 0
+        for j, after in moves:
+            if j == len(sizes):
+                sizes.append(0)
+            sizes[j] += 1
+            total += leaves(e + 1, after)
+            sizes[j] -= 1
+            if not sizes[j]:
+                sizes.pop()
+        return total
+
+    return leaves(1, 0)
 
 
 def all_partitions(m: int) -> Iterator[Partition]:

@@ -191,10 +191,13 @@ class PointRealization:
     ``mass`` and ``count`` binary-search ``x``.
 
     A realization answers each exact question once: ``mass`` of a
-    normalized interval tuple and ``count`` of an ``(a, b, marks)`` cell
-    are stored in a per-instance memo, bounded by the distinct questions
-    asked and freed with the realization.  ``x`` and ``z`` are
-    read-only copies of the arrays given, so no stored answer goes stale.
+    normalized interval tuple, ``count`` of an ``(a, b, marks)`` cell and
+    whatever a caller asks through ``remember`` (the chaos layer keeps each
+    compensated cell count under its ``Cell`` and each functional's value
+    under the functional) are stored in a per-instance memo, bounded by the
+    distinct questions asked and freed with the realization.  ``x`` and
+    ``z`` are read-only copies of the arrays given, so no stored answer
+    goes stale.
     """
 
     window: float
@@ -240,10 +243,13 @@ class PointRealization:
         """Number of points in ``(a, b] x B``; ``marks`` as for ``RealizationBatch.count``."""
         if not isinstance(marks, frozenset):  # a band given as a list is keyed as a tuple
             marks = tuple(marks)
-        key = (a, b, marks)
+        return self.remember((a, b, marks), self._count, a, b, marks)
+
+    def remember(self, key, compute: Callable, *args):
+        """``compute(*args)``, computed on the first question under ``key`` and kept."""
         out = self._memo.get(key)
         if out is None:
-            out = self._memo[key] = self._count(a, b, marks)
+            out = self._memo[key] = compute(*args)
         return out
 
     def _mass(self, intervals) -> _Dyadic:
@@ -295,6 +301,12 @@ class RealizationBatch:
     owner: np.ndarray
     model: LevyMeasureModel
     atom = None  # no atom index is stored; read by perfbench's batch gauge
+
+    @staticmethod
+    def remember(key, compute: Callable, *args):
+        """``compute(*args)``: a batch keeps no answer, since a memo would hold every
+        per-realization array it was asked for as long as the batch lives."""
+        return compute(*args)
 
     def realization(self, i: int) -> PointRealization:
         if not 0 <= i < self.n:

@@ -25,6 +25,7 @@ from levynoise import (
     eval_I_K,
     atomic_measure,
 )
+from levynoise import chaos
 from levynoise.chaos import (
     CATALOG_FUNCTIONAL_NAMES,
     Cell,
@@ -328,8 +329,9 @@ def test_add_one_cost_is_the_rebuilt_difference(real, x, k, u):
 
 
 def test_probes_keep_one_answer_per_question_and_no_realization(monkeypatch, unit_atom):
-    # 1000 probes of one realization: its memo holds each cell's count and each
-    # functional's value once, and no realization is built for the added point
+    # 1000 probes of one realization: its memo holds each cell's count, each cell's
+    # compensated count (keyed by the Cell) and each functional's value once, and no
+    # realization is built for the added point
     functionals = [catalog_functional("mixed"), catalog_functional("third_chaos")]
     real = sample_prm(unit_atom, 3.0, 5)
     built = []
@@ -337,8 +339,41 @@ def test_probes_keep_one_answer_per_question_and_no_realization(monkeypatch, uni
     for F in functionals:
         for x in np.linspace(-2.9, 2.9, 500):
             add_one_cost(F, real, float(x), 1.0)
-    cells = {(c.a, c.b, c.marks) for F in functionals for kern in F.kernels for c in kern.cells}
-    assert not built and set(real._memo) == cells | set(functionals)
+    cells = {c for F in functionals for kern in F.kernels for c in kern.cells}
+    counts = {(c.a, c.b, c.marks) for c in cells}
+    assert not built and set(real._memo) == counts | cells | set(functionals)
+
+
+def test_probes_compute_each_compensated_count_once(monkeypatch, unit_atom):
+    # 1000 probes of one realization and the derivative at each, as derivative_probes
+    # pairs them: the compensator of each cell value is asked for once
+    functionals = [catalog_functional("mixed"), catalog_functional("third_chaos")]
+    real = sample_prm(unit_atom, 3.0, 5)
+    asked = Counter()
+    intensity = chaos.cell_intensity
+
+    def counting(model, cell):
+        asked[cell] += 1
+        return intensity(model, cell)
+    monkeypatch.setattr(chaos, "cell_intensity", counting)
+    for F in functionals:
+        for x in np.linspace(-2.9, 2.9, 500):
+            d = malliavin_derivative(F, float(x), 1.0, unit_atom)
+            assert eval_chaos(real, d) == add_one_cost(F, real, float(x), 1.0)
+    cells = {c for F in functionals for kern in F.kernels for c in kern.cells}
+    assert asked == Counter(dict.fromkeys(cells, 1))
+
+
+def test_a_batch_keeps_no_compensated_count(monkeypatch, unit_atom):
+    # the batch backend recomputes: the same cell asked twice is two compensator calls
+    batch = sample_prm_batch(unit_atom, 2.0, 50, np.random.default_rng(3))
+    cell = catalog_kernel("k1").cells[0]
+    asked = []
+    intensity = chaos.cell_intensity
+    monkeypatch.setattr(chaos, "cell_intensity",
+                        lambda model, c: asked.append(c) or intensity(model, c))
+    first, second = (compensated_cell_count(batch, cell) for _ in range(2))
+    assert asked == [cell, cell] and np.array_equal(first, second) and first is not second
 
 
 @pytest.mark.parametrize("name", CATALOG_FUNCTIONAL_NAMES)

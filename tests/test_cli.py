@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -761,6 +762,23 @@ def test_strict_failure_exit_code(tmp_path):
     path.write_text(json.dumps(cfg))
     assert run_cli("report", "--config", str(path), "--strict") == 1
     assert run_cli("report", "--config", str(path)) == 0  # non-strict still 0
+
+
+@pytest.mark.parametrize("kind", ["mean_zero", "martingale", "isometry"])
+def test_gate_with_an_infinite_margin_or_a_nan_statistic_fails(tmp_path, kind):
+    # the sample variance of I overflows at a coefficient of 1e200: mean_zero and
+    # martingale read an infinite margin, isometry a NaN statistic; none passes
+    cfg = {"measure": {"atoms": [[1.0, 1.0]]}, "samples": 2000, "checks": [{
+        "kind": kind, "process": {"breakpoints": [0, 1],
+                                  "coefficients": [{"type": "const", "value": 1e200}]}}]}
+    out = tmp_path / "r.json"
+    with pytest.warns(RuntimeWarning):
+        assert run_cli("report", "--strict", "--config", json.dumps(cfg), "--out", str(out)) == 1
+    report = json.loads(out.read_text())
+    gates = report["checks"][0]["gates"]
+    assert not report["passed"] and not any(g["passed"] for g in gates)
+    assert any(not (math.isfinite(g["statistic"]) and math.isfinite(g["margin"]))
+               for g in gates)
 
 
 def test_entry_point_installed():

@@ -41,12 +41,22 @@ def test_fractions_compare_exactly():
 def test_integer_counts_compare_exactly():
     assert Gate("probes", 100, 100).passed
     assert not Gate("probes", 99, 100).passed
+    assert Gate("count", 10 ** 400, 10 ** 400).passed  # past the float range, still exact
 
 
 def test_zero_se_passes_only_on_target():
     assert Gate("g", 3.0, 3.0, se=0.0, multiplier=3.0).passed
     for side in ("two", "upper"):
         assert not Gate("g", 3.0 + 1e-15, 3.0, side, se=0.0, multiplier=3.0).passed
+
+
+@pytest.mark.parametrize("side", ["two", "upper", "lower"])
+@pytest.mark.parametrize("statistic, target, se", [
+    (1.0, 1.0, float("inf")), (float("nan"), 1.0, 0.1), (float("inf"), float("inf"), 0.1),
+    (1.0, float("-inf"), 0.1), (np.float64(2e198), 0.0, np.float64("inf"))])
+def test_a_float_past_the_range_or_nan_fails(side, statistic, target, se):
+    # an overflowed variance gives an infinite margin, which every statistic would pass
+    assert not Gate("g", statistic, target, side, se=se, multiplier=3.0).passed
 
 
 def test_unknown_side_raises():

@@ -15,7 +15,8 @@ from levynoise import (
 )
 from levynoise.errors import MissingCumulantError, SizeLimitError
 from levynoise import StepFunction
-from levynoise.partitions import all_partitions, moment_from_cumulants
+from levynoise.partitions import (_count_partitions, _partitions, all_partitions,
+                                  moment_from_cumulants)
 
 from conftest import refined
 
@@ -107,6 +108,26 @@ def test_enumeration_is_canonical_and_valid(m):
         seen.add(part)
     assert len(seen) == len(parts)
     assert len(parts) == sum(1 for _ in rgs_partitions(m))
+
+
+@pytest.mark.parametrize("min_block", [1, 2, 3])
+def test_listing_is_the_restricted_growth_order(min_block):
+    # the same partitions in the same order: both grow the lexicographic restricted-growth
+    # strings, the listing skipping the pruned branches
+    for m in range(1, 10):
+        want = [part for part in rgs_partitions(m) if all(len(b) >= min_block for b in part)]
+        assert list(_partitions(m, min_block)) == want
+
+
+@pytest.mark.parametrize("min_block", [1, 2, 3])
+def test_count_walk_counts_the_listing(min_block):
+    for m in range(1, 11):
+        assert _count_partitions(m, min_block) == len(list(_partitions(m, min_block)))
+
+
+def test_count_walk_matches_the_recurrence_to_twelve():
+    for p in range(2, 13):
+        assert _count_partitions(p, 2) == count_no_singleton_partitions(p)
 
 
 def test_moment_from_cumulants_examples():
