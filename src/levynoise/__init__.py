@@ -9,7 +9,7 @@ every moment inequality and the derivative/adjoint duality with seeded
 Monte Carlo hypothesis tests.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # the names the demos and the benchmark read through the package; everything
 # else is imported from its module

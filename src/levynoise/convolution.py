@@ -18,6 +18,11 @@ The certified inequality is
 with ``B^p = 2^{p-1} C_p^p (t^{p/2} nu_t^{p/2-1} + t^{p-1})`` and
 ``nu_t`` the space-time integral of ``G^p``.
 
+The left side is ``E|I(Psi)|^p`` on the frozen process ``Psi``.  When
+the frozen process is deterministic (a deterministic field), it is a
+step function, and the moment engine gives ``E I(Psi)^p`` with no draw;
+a random field's left side is estimated in Monte Carlo.
+
 Quadrature: time integrals run a composite midpoint rule in the graded
 variable ``tau = t u^2`` (exact for time-constant kernels, and smooth
 for kernels with an integrable power singularity at ``tau = 0``), with
@@ -42,8 +47,8 @@ import numpy as np
 
 from .coefficients import Coefficient, Const, Product
 from .errors import InfiniteNuTError
-from .gate import Gate, Gated
-from .integral import integral_bound_constant
+from .gate import REL_TOL, Gate, Gated
+from .integral import integral_bound_constant, left_side_moment
 from .measure import LevyMeasureModel, _adaptive_gauss_nodes
 from .prm import Draw, Plan, run_of
 from .processes import SimpleProcess, eval_I_K, validate_simple
@@ -291,10 +296,11 @@ def build_convolution_process(kernel: ConvolutionKernel, field, t: float, x: flo
 class ConvolutionBoundResult(Gated):
     nu_t: float
     b_const_pow: float        # B^p
-    lhs_pow: float            # E|I(Psi)|^p estimate
+    lhs_pow: float            # E|I(Psi)|^p, computed or estimated
     rhs_pow: float            # B^p * (inflated bound integral)
-    se_lhs: float
+    se_lhs: float             # 0 where the left side is computed
     quad_delta: float
+    left_side: str            # "exact", "density" (a float) or "sampled"
     gate: Gate                # lhs_pow against rhs_pow
 
 
@@ -302,14 +308,19 @@ def convolution_bound_plan(model: LevyMeasureModel, kernel: ConvolutionKernel, f
                            t: float, x: float, rosenthal_b: float = 1.0,
                            n_samples: int = 20_000, seed: int = 0, convention: str = "linear",
                            se_multiplier: float = 3.0, n_space: int = 64) -> Plan:
-    """Monte Carlo gate for the convolution moment bound at the configured constant: the
-    draws of the field's cell factors, then ``|U(t, x)|^p`` per realization on the frozen
-    convolution process."""
+    """Gate for the convolution moment bound at the configured constant: the draws of
+    the field's cell factors, then the left side on the frozen convolution process.
+    A deterministic frozen process draws nothing for it: ``E I(Psi)^p`` comes from the
+    moment engine and is gated at tolerance ``REL_TOL``; otherwise ``|U(t, x)|^p`` is
+    estimated per realization."""
     if p < 2 or p % 2:
         raise ValueError("p must be an even integer >= 2")
     field_draws = field.moment_draws(p, n_samples, seed)
     proc = build_convolution_process(kernel, field, t, x, n_space)
     const_pow = integral_bound_constant(model, p, rosenthal_b, convention) ** p
+    computed = proc.is_deterministic()
+    if computed:
+        lhs_pow, left_side = left_side_moment(model, proc, p, "convolution_bound")
 
     def finish(*est) -> ConvolutionBoundResult:
         nu_t = kernel_power_integral(kernel, p, t)
@@ -317,10 +328,18 @@ def convolution_bound_plan(model: LevyMeasureModel, kernel: ConvolutionKernel, f
         moments = {j: e.stats["abs_pow"] for j, e in zip(field_draws, est)}
         integral_val, delta, se_phi = _rhs_integral(kernel, field, p, t, x, moments)
         rhs_pow = b_pow * (integral_val + delta)
-        lhs_pow, se_lhs = est[-1].stats["abs_pow"]
-        gate = Gate(f"E|U|^{p}", lhs_pow, rhs_pow, "upper",
+        if computed:  # any SE is the right side's, from the field's draws
+            se, multiplier = (b_pow * se_phi, se_multiplier) if field_draws else (0, 0)
+            gate = Gate(f"E|U|^{p}", lhs_pow, rhs_pow, "upper", se, multiplier, REL_TOL)
+            return ConvolutionBoundResult(nu_t, b_pow, lhs_pow, rhs_pow, 0.0, delta,
+                                          left_side, gate)
+        lhs_est, se_lhs = est[-1].stats["abs_pow"]
+        gate = Gate(f"E|U|^{p}", lhs_est, rhs_pow, "upper",
                     math.hypot(se_lhs, b_pow * se_phi), se_multiplier)
-        return ConvolutionBoundResult(nu_t, b_pow, lhs_pow, rhs_pow, se_lhs, delta, gate)
+        return ConvolutionBoundResult(nu_t, b_pow, lhs_est, rhs_pow, se_lhs, delta,
+                                      "sampled", gate)
+    if computed:
+        return Plan(tuple(field_draws.values()), finish)
     draw = Draw(CONVOLUTION_STREAM, seed, n_samples,
                 lambda batch: {"abs_pow": np.abs(eval_I_K(batch, proc)) ** p}, proc.read_window())
     return Plan((*field_draws.values(), draw), finish)

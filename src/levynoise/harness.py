@@ -499,7 +499,8 @@ def _run_integral_moment_bound(model, config, seed, *, process="det_step", p=4,
                                config.se_multiplier).then(lambda res: CheckResult(
         f"integral_bound_p{p}", "integral_moment_bound", (res.gate,),
         {"p": p, "constant": res.constant, "convention": res.convention,
-         "process": process.label, "p_norm": res.lhs, "p_norm_bound": res.rhs}))
+         "process": process.label, "p_norm": res.lhs, "p_norm_bound": res.rhs,
+         "left_side": res.left_side}))
 
 
 def _run_convolution_bound(model, config, seed, *, kernel="indicator", field="unit", p=2,
@@ -509,7 +510,8 @@ def _run_convolution_bound(model, config, seed, *, kernel="indicator", field="un
                                   convention, config.se_multiplier).then(lambda res: CheckResult(
         f"convolution_bound_p{p}", "convolution_bound", (res.gate,),
         {"p": p, "nu_t": res.nu_t, "b_const_pow": res.b_const_pow,
-         "quad_delta": res.quad_delta, "kernel": kernel.name, "field": field.name}))
+         "quad_delta": res.quad_delta, "kernel": kernel.name, "field": field.name,
+         "left_side": res.left_side}))
 
 
 def _run_tail(model, config, seed, *, profile="gaussian", schedule=(1.0, 2.0, 3.0),

@@ -11,7 +11,10 @@ Three inequalities are certified numerically:
   L^p(Omega x space) part), where
   ``C_p^p = 2 B_p C* (m_2^{p/2} v m_p)`` combines a configurable
   discrete-martingale Rosenthal constant ``B_p`` with the partition
-  count ``C*`` -- checked in Monte Carlo at the configured constant;
+  count ``C*`` -- checked at the configured constant: for a deterministic
+  ``X``, ``I(X) = L(X)`` and the left side ``E I(X)^p`` comes from the
+  moment engine with no draw (exact on atoms, a float from quadrature
+  cumulants on a density), else it is estimated in Monte Carlo;
 * the variance of ``I_{K'}(X) - I_K(X)`` equals
   ``m_2 E int_{K<|x|<=K'} |X|^2`` -- the Cauchy tail computation behind
   the window limit ``K -> infinity``.
@@ -78,7 +81,8 @@ def seminorm_plan(model: LevyMeasureModel, proc: SimpleProcess, p: int,
     if p < 2 or p % 2:
         raise ValueError("p must be an even integer >= 2")
     if proc.is_deterministic():
-        q2, qp = (float(proc.as_step().abs_power_integral(k)) for k in (2, p))
+        q2, qp = (finite_moment(proc.as_step().abs_power_integral(k), p,
+                                f"the seminorm's int |X|^{k}") for k in (2, p))
         exact = SeminormEstimate(math.sqrt(q2), qp ** (1.0 / p), q2 ** (p / 2), qp, 0.0, 0.0, True)
         return Plan((), lambda: exact)
 
@@ -160,21 +164,45 @@ def integral_bound_constant(model: LevyMeasureModel, p: int, rosenthal_b: float,
 class IntegralMomentBound(Gated):
     constant: float           # C_p at the configured Rosenthal constant
     convention: str
-    lhs: float                # (E|I(X)|^p)^{1/p} estimate
+    lhs: float                # (E|I(X)|^p)^{1/p}, computed or estimated
     rhs: float                # C_p [X]_p
-    se_lhs_pow: float         # SE of the p-th moment estimate
+    se_lhs_pow: float         # SE of the p-th moment, 0 where it is computed
+    left_side: str            # "exact", "density" (a float) or "sampled"
     gate: Gate                # E|I(X)|^p against (C_p [X]_p)^p
+
+
+def left_side_moment(model: LevyMeasureModel, proc: SimpleProcess, p: int,
+                     what: str) -> tuple[float, str]:
+    """``E I(X)^p`` of a deterministic ``X``, with no draw: ``I(X) = L(X)``, whose moment
+    the cumulant recurrence gives, an exact rational on atoms (then rounded once) and
+    a float from quadrature cumulants on a density; InfinitePMomentError past the float
+    range, naming ``what``.  Returns the moment and ``"exact"`` or ``"density"``."""
+    moment = moment_of_step_functional(model, proc.as_step(), p)
+    kind = "exact" if isinstance(moment, Fraction) else "density"
+    return finite_moment(moment, p, f"{what}: the left side E|I|^p"), kind
 
 
 def integral_bound_plan(model: LevyMeasureModel, proc: SimpleProcess, p: int,
                         rosenthal_b: float = 1.0, n_samples: int = 50_000, seed: int = 0,
                         convention: str = "linear", se_multiplier: float = 3.0) -> Plan:
-    """Monte Carlo gate ``||I(X)||_p <= C_p [X]_p`` at the configured constant.
+    """Gate ``||I(X)||_p <= C_p [X]_p`` at the configured constant.
 
-    The left side, ``|I(X)|^p`` per realization, is estimated on one derived
-    stream, the seminorm on an independent one, the draw of its own plan; the
-    comparison runs on the p-th power scale with both standard errors combined.
+    For a deterministic ``X`` the plan draws nothing: ``E I(X)^p`` comes from the
+    moment engine (p is even), and the gate compares it, at tolerance ``REL_TOL``, with
+    the exact seminorm's bound.  Otherwise ``|I(X)|^p`` per realization is estimated on
+    one derived stream, the seminorm on an independent one, the draw of its own plan;
+    the comparison runs on the p-th power scale with both standard errors combined.
     """
+    if p < 2 or p % 2:
+        raise ValueError("p must be an even integer >= 2")
+    if proc.is_deterministic():
+        lhs_pow, left_side = left_side_moment(model, proc, p, "integral_moment_bound")
+        const = integral_bound_constant(model, p, rosenthal_b, convention)
+        rhs = const * seminorm_plan(model, proc, p).finish().value
+        gate = Gate(f"E|I|^{p}", lhs_pow, rhs ** p, "upper", tolerance=REL_TOL)
+        result = IntegralMomentBound(const, convention, lhs_pow ** (1.0 / p), rhs, 0.0,
+                                     left_side, gate)
+        return Plan((), lambda: result)
     semi_plan = seminorm_plan(model, proc, p, n_samples, seed)
     const = integral_bound_constant(model, p, rosenthal_b, convention)
 
@@ -183,16 +211,14 @@ def integral_bound_plan(model: LevyMeasureModel, proc: SimpleProcess, p: int,
         semi = semi_plan.finish(*semi_est)
         rhs = const * semi.value
         # d(rhs^p)/d(mean parts) via the chain rule through the 1/p roots
-        if semi.exact:
-            se_rhs_pow = 0.0
-        else:
-            outer = const ** p * p * semi.value ** (p - 1)
-            d_l2 = semi.l2_part / (p * semi.mean_sq_pow) if semi.mean_sq_pow else 0.0
-            d_lp = semi.lp_part / (p * semi.mean_abs_pow) if semi.mean_abs_pow else 0.0
-            se_rhs_pow = outer * math.hypot(d_l2 * semi.se_sq_pow, d_lp * semi.se_abs_pow)
+        outer = const ** p * p * semi.value ** (p - 1)
+        d_l2 = semi.l2_part / (p * semi.mean_sq_pow) if semi.mean_sq_pow else 0.0
+        d_lp = semi.lp_part / (p * semi.mean_abs_pow) if semi.mean_abs_pow else 0.0
+        se_rhs_pow = outer * math.hypot(d_l2 * semi.se_sq_pow, d_lp * semi.se_abs_pow)
         gate = Gate(f"E|I|^{p}", lhs_pow, rhs ** p, "upper",
                     math.hypot(se_lhs_pow, se_rhs_pow), se_multiplier)
-        return IntegralMomentBound(const, convention, lhs_pow ** (1.0 / p), rhs, se_lhs_pow, gate)
+        return IntegralMomentBound(const, convention, lhs_pow ** (1.0 / p), rhs, se_lhs_pow,
+                                   "sampled", gate)
     draw = Draw(INTEGRAL_BOUND_STREAM, seed, n_samples,
                 lambda batch: {"abs_pow": np.abs(eval_I_K(batch, proc)) ** p}, proc.read_window())
     return Plan((draw, *semi_plan.draws), finish)

@@ -153,7 +153,7 @@ def _run_estimates(monkeypatch, config, part_size):
                   "checks": list(DENSITY_CHECKS)})], ids=["bundled", "density"])
 def test_checks_do_not_depend_on_the_chunks(monkeypatch, config):
     chunked, report = _run_estimates(monkeypatch, config, 64)
-    assert len(chunked) >= 9
+    assert len(chunked) >= 7
     assert (chunked, report) == _run_estimates(monkeypatch, config, ONE_CHUNK)
 
 

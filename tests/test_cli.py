@@ -262,8 +262,9 @@ def test_interpolation_past_order_cap_rejected_before_sampling(tmp_path, monkeyp
 
 @pytest.mark.parametrize("late", [
     {"kind": "mean_zero"}, {"kind": "moment_mc", "p": 2}, {"kind": "char_gap"},
-    {"kind": "isometry"}, {"kind": "martingale"}, {"kind": "integral_moment_bound"},
-    {"kind": "tail"}, {"kind": "convolution_bound"}, {"kind": "projection"},
+    {"kind": "isometry"}, {"kind": "martingale"},
+    {"kind": "integral_moment_bound", "process": "clamped_left"}, {"kind": "tail"},
+    {"kind": "convolution_bound", "field": "separable_clamped", "x": 1.5}, {"kind": "projection"},
     {"kind": "duality"}, {"kind": "chaos_isometry"}, {"kind": "chaos_orthogonality"},
     {"kind": "derivative_probes"}],
     ids=lambda check: check["kind"])
@@ -610,6 +611,20 @@ def test_moment_past_the_float_range_exit_code(tmp_path, capsys, kind):
                    "--phi", '{"breakpoints": [0, 1], "values": [1]}', "--p", "4") == 2
     err = capsys.readouterr().err
     assert err.count("p = 4 is past the float range") == 2 and "Traceback" not in err, err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_deterministic_integral_bound_past_the_float_range_exit_code(monkeypatch, capsys):
+    # int X^2 = 1e400 and E I^4 = 4e800 have no float: refused while the config is
+    # checked, before any draw, not an OverflowError from a Fraction's float
+    monkeypatch.setattr(levynoise.prm, "simulate", mock.Mock(side_effect=AssertionError))
+    config = {"measure": {"atoms": [[1.0, 1.0]]}, "samples": 2000, "checks": [{
+        "kind": "integral_moment_bound", "process": {
+            "breakpoints": [0, 1], "coefficients": [{"type": "const", "value": 1e200}]}}]}
+    assert run_cli("report", "--strict", "--config", json.dumps(config)) == 2
+    err = capsys.readouterr().err
+    assert "integral_moment_bound:" in err and "p = 4 is past the float range" in err, err
+    assert "Traceback" not in err, err
 
 
 def test_density_moment_past_the_float_range_exit_code(capsys):

@@ -12,13 +12,21 @@ from levynoise import (
     indicator_kernel,
     kernel_power_integral,
 )
-from levynoise.convolution import _space_quad, build_convolution_process
+from levynoise import abs_moment, atomic_measure, eval_I_K, sample_prm_batch
+from levynoise.convolution import _space_quad, build_convolution_process, convolution_bound_plan
 from levynoise.errors import InfiniteNuTError, QuadratureError
 from levynoise.harness import parse_config, run
+from levynoise.measure import power_law_measure
+from levynoise.rng import CONVOLUTION_STREAM, FIELD_MOMENT_STREAM, derive_rng
 
 
 def unit_field():
     return DeterministicField(lambda s, y: np.ones(np.broadcast(s, y).shape), "unit")
+
+
+def cosine_field():
+    return DeterministicField(lambda s, y: np.cos(s) * np.ones(np.broadcast(s, y).shape),
+                              "cosine")
 
 
 def test_indicator_kernel_power_integral():
@@ -139,3 +147,52 @@ def test_heat_kernel_p2_bound(unit_atom):
                                          p=2, t=1.0, x=0.0, n_samples=20_000, seed=5,
                                          n_space=128)
     assert res.passed
+
+
+# (kernel, field, p): both kernels with both deterministic fields; heat only at p = 2
+LEFT_SIDE_CASES = [(kernel, field, p) for kernel in (indicator_kernel, heat_kernel)
+                   for field in (unit_field, cosine_field)
+                   for p in ((2, 4) if kernel is indicator_kernel else (2,))]
+LEFT_SIDE_MODELS = {"unit": atomic_measure([(1.0, 1.0)]),
+                    "skew": atomic_measure([(2.0, 1.0), (-1.0, 3.0)]),
+                    "density": power_law_measure(1.5, 0.25, 4.0)}
+
+
+@pytest.mark.parametrize("measure", LEFT_SIDE_MODELS)
+@pytest.mark.parametrize("kernel, field, p", LEFT_SIDE_CASES,
+                         ids=lambda v: v if isinstance(v, int) else v.__name__)
+def test_convolution_left_side_against_a_monte_carlo_oracle(measure, kernel, field, p):
+    # E I(Psi)^p of the frozen process from the moment engine, against the mean of
+    # I(Psi)^p on a pinned-seed batch
+    model, kernel, field = LEFT_SIDE_MODELS[measure], kernel(), field()
+    plan = convolution_bound_plan(model, kernel, field, p, 1.0, 0.5)
+    assert plan.draws == ()
+    res = plan.run(model)
+    assert res.left_side == ("density" if measure == "density" else "exact")
+    assert res.se_lhs == 0 and res.gate.se == 0 and res.passed
+    proc = build_convolution_process(kernel, field, 1.0, 0.5)
+    values = eval_I_K(sample_prm_batch(model, proc.read_window(), 40_000, derive_rng(17)),
+                      proc) ** p
+    se = values.std(ddof=1) / math.sqrt(len(values))
+    assert abs(values.mean() - res.lhs_pow) <= 4 * se, (values.mean(), res.lhs_pow, se)
+
+
+@pytest.mark.parametrize("measure", ["unit", "skew"])
+@pytest.mark.parametrize("kernel, field", [(indicator_kernel, unit_field),
+                                           (indicator_kernel, cosine_field),
+                                           (heat_kernel, unit_field)])
+def test_convolution_left_side_is_the_isometry_at_p2(measure, kernel, field):
+    model, kernel, field = LEFT_SIDE_MODELS[measure], kernel(), field()
+    proc = build_convolution_process(kernel, field, 1.0, 0.0)
+    exact = abs_moment(model, 2) * proc.as_step().power_integral(2)
+    res = check_convolution_moment_bound(model, kernel, field, 2, 1.0, 0.0)
+    assert res.lhs_pow == float(exact)
+
+
+def test_convolution_random_field_keeps_its_draws(unit_atom):
+    field = SeparableField(lambda s: np.ones_like(np.asarray(s, dtype=float)),
+                           catalog_process("clamped_left", clip=4.0), "sep")
+    plan = convolution_bound_plan(unit_atom, indicator_kernel(), field, 2, 1.0, 1.5)
+    assert [d.stream for d in plan.draws] == [FIELD_MOMENT_STREAM, CONVOLUTION_STREAM]
+    res = plan.run(unit_atom)
+    assert res.left_side == "sampled" and res.se_lhs > 0

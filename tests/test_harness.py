@@ -14,6 +14,7 @@ from levynoise.harness import (
     CHECK_RUNNERS,
     default_verification_config,
     parse_config,
+    report_to_dict,
     report_to_json,
     run,
     write_report,
@@ -210,6 +211,28 @@ def test_default_suite_passes():
     assert report.passed, failed
     kinds = {c.kind for c in report.checks}
     assert len(kinds) >= 15  # every family is represented
+
+
+def test_bundled_moment_bounds_read_their_computed_left_sides():
+    # det_step and the indicator kernel on the unit field: E I^4 = 4 and E U^2 = 1
+    rows = {c["name"]: c for c in report_to_dict(run(default_verification_config()))["checks"]}
+    for name, value in (("integral_bound_p4", 4), ("convolution_bound_p2", 1)):
+        (gate,) = rows[name]["gates"]
+        assert (gate["statistic"], gate["se"], gate["passed"]) == (value, 0, True), gate
+        assert rows[name]["details"]["left_side"] == "exact"
+
+
+def test_random_integrand_rows_keep_their_draws():
+    # values of the rows before the left side was computed for deterministic integrands
+    report = run(parse_config({**BASE, "seed": 7, "checks": [
+        {"kind": "integral_moment_bound", "process": "clamped_left"},
+        {"kind": "convolution_bound", "field": "separable_clamped", "x": 1.5}]}))
+    pinned = [(34.446, 42.30228371435429, 510.52799999999974),
+              (0.536625, 0.2957239984704035, 8.076000000000004)]
+    for check, values in zip(report.checks, pinned):
+        (gate,) = check.gates
+        assert (gate.statistic, gate.se, gate.target) == values, check
+        assert check.details["left_side"] == "sampled"
 
 
 def test_runners_take_raw_checks():

@@ -13,7 +13,10 @@ from levynoise import (
     tail_convergence,
     StepFunction,
 )
-from levynoise.integral import integral_bound_constant
+from levynoise import abs_moment, eval_I_K, sample_prm_batch
+from levynoise.integral import integral_bound_constant, integral_bound_plan
+from levynoise.measure import power_law_measure
+from levynoise.rng import INTEGRAL_BOUND_STREAM, SEMINORM_STREAM, derive_rng
 
 
 def test_seminorm_deterministic_indicator(unit_atom):
@@ -93,15 +96,54 @@ def test_integral_bound_deterministic_worked_example(unit_atom):
     res = check_integral_moment_bound(unit_atom, catalog_process("det_step"), 4,
                                       rosenthal_b=1.0, n_samples=50_000, seed=2)
     assert res.rhs == pytest.approx(8.0 ** 0.25 * 2.0, rel=1e-10)
-    # E|I|^4 = 4 exactly; the estimate must sit within 4 SE on the power scale
-    assert res.lhs ** 4 == pytest.approx(4.0, abs=4 * res.se_lhs_pow)
+    # E|I|^4 = 4 exactly, computed by the moment engine with no draw
+    assert res.gate.statistic == 4 and res.se_lhs_pow == 0 and res.left_side == "exact"
     assert res.passed
+
+
+# two atomic measures and the benchmark's density
+LEFT_SIDE_MODELS = {"unit": atomic_measure([(1.0, 1.0)]),
+                    "skew": atomic_measure([(2.0, 1.0), (-1.0, 3.0)]),
+                    "density": power_law_measure(1.5, 0.25, 4.0)}
+
+
+@pytest.mark.parametrize("measure", LEFT_SIDE_MODELS)
+@pytest.mark.parametrize("name", ["det_step", "det_two_cell"])
+def test_integral_bound_left_side_against_a_monte_carlo_oracle(measure, name):
+    # E I^p from the moment engine, against the mean of I^p on a pinned-seed batch
+    model, proc = LEFT_SIDE_MODELS[measure], catalog_process(name)
+    values = eval_I_K(sample_prm_batch(model, proc.read_window(), 40_000, derive_rng(31)), proc)
+    for p in (2, 4, 6):
+        res = check_integral_moment_bound(model, proc, p)
+        assert res.left_side == ("density" if measure == "density" else "exact")
+        assert res.se_lhs_pow == 0 and res.passed
+        powers = values ** p
+        se = powers.std(ddof=1) / math.sqrt(len(powers))
+        assert abs(powers.mean() - res.gate.statistic) <= 4 * se, (p, powers.mean(), se)
+
+
+@pytest.mark.parametrize("measure", ["unit", "skew"])
+@pytest.mark.parametrize("name", ["det_step", "det_two_cell"])
+def test_integral_bound_left_side_is_the_isometry_at_p2(measure, name):
+    model, proc = LEFT_SIDE_MODELS[measure], catalog_process(name)
+    exact = abs_moment(model, 2) * proc.as_step().power_integral(2)
+    assert isinstance(exact, Fraction)
+    assert check_integral_moment_bound(model, proc, 2).gate.statistic == float(exact)
+
+
+def test_integral_bound_draws_only_for_a_random_integrand(unit_atom):
+    assert integral_bound_plan(unit_atom, catalog_process("det_step"), 4).draws == ()
+    draws = integral_bound_plan(unit_atom, catalog_process("clamped_left"), 4).draws
+    assert [d.stream for d in draws] == [INTEGRAL_BOUND_STREAM, SEMINORM_STREAM]
+    res = check_integral_moment_bound(unit_atom, catalog_process("clamped_left"), 4,
+                                      n_samples=2000, seed=3)
+    assert res.left_side == "sampled" and res.se_lhs_pow > 0
 
 
 def test_integral_bound_isometry_case(unit_atom):
     res = check_integral_moment_bound(unit_atom, catalog_process("det_step"), 2,
                                       rosenthal_b=1.0, n_samples=50_000, seed=3)
-    assert res.lhs ** 2 == pytest.approx(1.0, abs=4 * res.se_lhs_pow)
+    assert res.gate.statistic == 1 and res.se_lhs_pow == 0
     assert res.passed
 
 
